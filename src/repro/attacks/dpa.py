@@ -118,9 +118,9 @@ def collect_traces(program: Program, key: int, plaintexts: list[int],
     # imports this module).
     from ..harness.engine import SimJob, run_jobs
     from ..harness.resilience import require_results
-    from ..machine import fastpath
+    from ..machine import engines, fastpath
 
-    if fastpath.resolve_engine(engine) in ("fast", "vector"):
+    if engines.resolve(engine) in ("fast", "vector"):
         fastpath.ensure_schedule(program)
     batch = [SimJob(program=program, des_pair=(key, plaintext),
                     params=params, noise_sigma=noise_sigma,
@@ -305,10 +305,10 @@ def streaming_dpa_attack(program: Program, key: int, plaintexts: list[int],
     progress reporter is active.
     """
     from ..harness.engine import SimJob, run_stream
-    from ..machine import fastpath
+    from ..machine import engines, fastpath
     from ..obs import progress as obs_progress
 
-    if fastpath.resolve_engine(None) in ("fast", "vector"):
+    if engines.resolve(None) in ("fast", "vector"):
         fastpath.ensure_schedule(program)
     if checkpoint_every is None:
         checkpoint_every = chunk_size

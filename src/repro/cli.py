@@ -741,8 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--masking", default="selective",
                           choices=["selective", "annotate-only", "none"])
     p_submit.add_argument("--policy", default=None,
-                          help="masking policy name (service default "
-                               "applies when omitted)")
+                          choices=["none", "all-loads-stores", "all"],
+                          help="assembly-level masking policy (service "
+                               "default applies when omitted)")
     p_submit.add_argument("--rounds", type=int, default=16)
     p_submit.add_argument("--n-traces", type=int, default=2,
                           dest="n_traces",

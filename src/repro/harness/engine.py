@@ -43,42 +43,16 @@ from .. import obs
 from ..obs import progress as obs_progress
 from ..energy.params import DEFAULT_PARAMS, EnergyParams
 from ..energy.trace import EnergyTrace
+from ..fingerprint import source_fingerprint
 from ..isa.program import Program
 from ..masking.policy import MaskingPolicy, apply_policy
 
 logger = logging.getLogger("repro.harness.engine")
 
 
-_FINGERPRINT: Optional[str] = None
-
-
-def _toolchain_fingerprint() -> str:
-    """Digest of the toolchain sources (sizes + mtimes), computed once.
-
-    Editing the compiler, assembler, source generators, or masking
-    policies invalidates every on-disk artifact, so a stale cache
-    directory can only ever miss — never serve outdated code.
-    """
-    global _FINGERPRINT
-    if _FINGERPRINT is None:
-        package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for subpackage in ("lang", "isa", "programs", "masking", "des",
-                           "aes"):
-            directory = package_root / subpackage
-            try:
-                entries = sorted(directory.glob("*.py"))
-            except OSError:
-                continue
-            for entry in entries:
-                try:
-                    stat = entry.stat()
-                except OSError:
-                    continue
-                digest.update(f"{entry.name}:{stat.st_size}:"
-                              f"{stat.st_mtime_ns};".encode())
-        _FINGERPRINT = digest.hexdigest()[:16]
-    return _FINGERPRINT
+#: Toolchain subpackages: editing the compiler, assembler, source
+#: generators, or masking policies invalidates every on-disk artifact.
+TOOLCHAIN_SOURCES = ("lang", "isa", "programs", "masking", "des", "aes")
 
 
 @dataclass(frozen=True)
@@ -103,8 +77,8 @@ class CompileRequest:
         from .. import __version__
 
         policy = self.policy.name if self.policy is not None else "-"
-        text = "|".join((__version__, _toolchain_fingerprint(), self.cipher,
-                         repr(self.spec), self.masking, policy,
+        text = "|".join((__version__, source_fingerprint(TOOLCHAIN_SOURCES),
+                         self.cipher, repr(self.spec), self.masking, policy,
                          str(self.optimize)))
         return hashlib.sha256(text.encode()).hexdigest()[:32]
 

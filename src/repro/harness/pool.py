@@ -7,30 +7,28 @@ paid fork + import + cache-warm costs on every chunk of every request.
 This module keeps **one pool per process** alive between batches and
 hands it out through short-lived :class:`PoolLease` objects:
 
-* **Exclusive leasing** — at most one batch holds the shared executor
-  at a time, so a wedged-pool kill or a ``BrokenProcessPool`` rebuild
-  only ever destroys the leaseholder's own workers; concurrent batches
-  overflow onto private single-use executors and cannot be harmed by a
-  neighbor's failures.
-* **Generation rebuilds** — ``lease.kill()`` marks the current worker
-  generation dead; the next ``lease.rebuild()`` (or the next acquire)
-  forks a fresh generation.  The resilience scheduler's recovery
-  machinery (parent-side deadline reaping, broken-pool resubmission,
-  serial degradation) runs unchanged on top of the lease.
+* **Exclusive leasing** — at most one batch holds the pool at a time,
+  so a wedged-pool kill or a ``BrokenProcessPool`` rebuild only ever
+  destroys the leaseholder's own workers.  A concurrent batch (or one
+  arriving after shutdown) gets ``None`` and runs serially in-process
+  instead of waiting on another request's campaign; such refusals are
+  counted as ``serial_overflows``.
+* **Generation rebuilds** — :meth:`PoolLease.replace` kills the current
+  worker generation and forks a fresh one in its place.  The resilience
+  scheduler's recovery machinery (parent-side deadline reaping,
+  broken-pool resubmission, serial degradation) runs on top of the
+  lease and never builds or kills an executor itself.
 * **Environment fingerprinting** — workers are forked processes and
   never see the parent's *later* environment changes, so the pool
   remembers the fingerprint (:data:`FINGERPRINT_KEYS`: fault plan,
   compile-cache dir, engine selection, observability flags) it was
   built under and rebuilds when an acquire arrives under a different
-  one.  A fingerprint change while the pool is leased yields a private
-  executor instead; the shared generation is never poisoned.
+  one.
 * **Warm initializer** — new workers import the simulation stack and
   open the process-wide compile cache *before* the first job arrives,
   so first-job latency is an IPC round-trip, not an import storm.
-* **Liveness probes + stats** — :meth:`SharedWorkerPool.probe` runs a
-  trivial task through an idle pool and quarantines a generation that
-  cannot answer; :meth:`SharedWorkerPool.stats` feeds service
-  manifests (lease/rebuild accounting, stranded-worker count).
+* **Stats** — :meth:`SharedWorkerPool.stats` feeds service manifests
+  (lease/rebuild accounting, stranded-worker count).
 * **Deterministic shutdown** — :func:`shutdown_shared_pool` waits for
   the active lease (bounded by a grace period), joins every worker,
   and reports how many refused to die (``stranded_workers``, expected
@@ -44,7 +42,7 @@ import logging
 import os
 import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from .. import obs
 
@@ -56,8 +54,6 @@ logger = logging.getLogger("repro.harness.pool")
 #: directories, and engine selection are all read inside the worker).
 FINGERPRINT_KEYS = ("REPRO_FAULT_PLAN", "REPRO_COMPILE_CACHE_DIR",
                     "REPRO_ENGINE", "REPRO_OBS", "REPRO_ATTRIBUTION")
-
-_PROBE_TOKEN = "pool-probe-ok"
 
 #: Default grace (seconds) a shutdown grants the active lease.
 DEFAULT_SHUTDOWN_GRACE_S = 30.0
@@ -108,10 +104,6 @@ def _warm_worker() -> None:  # pragma: no cover - runs inside workers
         pass
 
 
-def _probe_task() -> str:  # pragma: no cover - runs inside workers
-    return _PROBE_TOKEN
-
-
 def _kill_executor(executor) -> None:
     """Forcibly stop an executor whose workers may be wedged."""
     processes = getattr(executor, "_processes", None) or {}
@@ -141,23 +133,18 @@ def _build_executor(workers: int):
 
 
 class PoolLease:
-    """A batch's handle on a pool: submit, kill, rebuild, release.
+    """A batch's exclusive handle on the shared pool.
 
     Duck-types the slice of :class:`ProcessPoolExecutor` the resilience
-    scheduler needs, while routing destructive operations through the
-    shared pool so one batch's recovery cannot strand its neighbors.
-    A *private* lease owns a single-use executor (overflow, custom
-    factory, post-shutdown work) and behaves exactly like the historic
-    per-batch pool.
+    scheduler needs (``submit``), and routes every destructive operation
+    through the shared pool so a recovering batch replaces the whole
+    generation instead of leaving half-dead workers for the next lease.
     """
 
-    def __init__(self, pool: "SharedWorkerPool", executor, workers: int,
-                 factory: Optional[Callable] = None, private: bool = False):
+    def __init__(self, pool: "SharedWorkerPool", executor, workers: int):
         self._pool = pool
         self._executor = executor
         self.workers = workers
-        self._factory = factory
-        self.private = private
         self._released = False
         self._futures: list = []
 
@@ -176,21 +163,24 @@ class PoolLease:
         executor, self._executor = self._executor, None
         if executor is None:
             return
-        if self.private:
-            _kill_executor(executor)
-        else:
-            self._pool._kill_generation(executor)
+        self._pool._kill_generation(executor)
         self._futures.clear()
 
-    def rebuild(self) -> bool:
-        """Fork a fresh generation after :meth:`kill`; False → go serial."""
-        if self.private:
-            factory = self._factory or _build_executor
-            self._executor = factory(self.workers)
-        else:
-            self._executor = self._pool._rebuild_for(self, self.workers)
-        self._futures.clear()
-        return self._executor is not None
+    def replace(self) -> bool:
+        """Kill this generation and fork a fresh one in its place.
+
+        Returns False — with the lease already released — when no fresh
+        generation can be built; the batch then finishes serially.
+        """
+        self.kill()
+        if obs.enabled():
+            obs.counter("pool_rebuilds",
+                        "process pools rebuilt after breaking").inc()
+        self._executor = self._pool._rebuild_for(self)
+        if self._executor is None:
+            self.release()
+            return False
+        return True
 
     def release(self) -> None:
         """Return the pool.  Idempotent; called exactly once per batch."""
@@ -208,12 +198,8 @@ class PoolLease:
             # the next lease or block the release waiting on it.
             self.kill()
         self._futures.clear()
-        executor, self._executor = self._executor, None
-        if self.private:
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
-        else:
-            self._pool._release(self)
+        self._executor = None
+        self._pool._release(self)
 
 
 class SharedWorkerPool:
@@ -229,61 +215,43 @@ class SharedWorkerPool:
         self._dead = False
         self._active: Optional[PoolLease] = None
         self._shutdown = False
-        self._stats = {"leases": 0, "shared_leases": 0, "private_leases": 0,
+        self._stats = {"leases": 0, "serial_overflows": 0,
                        "warm_acquires": 0, "cold_builds": 0, "rebuilds": 0,
-                       "fingerprint_rebuilds": 0, "probe_failures": 0,
-                       "stranded_workers": 0}
+                       "fingerprint_rebuilds": 0, "stranded_workers": 0}
 
     # -- leasing ------------------------------------------------------------
 
-    def acquire(self, workers: int,
-                factory: Optional[Callable] = None) -> Optional[PoolLease]:
-        """Lease the warm pool, or a private executor when it is busy.
+    def acquire(self, workers: int) -> Optional[PoolLease]:
+        """Lease the warm pool; ``None`` → run the batch serially.
 
-        ``factory`` other than the canonical resilience pool factory
-        (tests monkeypatch it) always yields a private lease built by
-        that factory, so the shared pool never masks an injected
-        platform refusal.  Returns ``None`` when no pool can be built
-        at all — the caller degrades to serial execution.
+        ``None`` means another batch holds the lease, the pool was shut
+        down (both counted as ``serial_overflows``), or the platform
+        refuses to build a pool at all.
         """
         workers = max(1, int(workers))
-        if factory is not None and not _is_canonical_factory(factory):
-            executor = factory(workers)
+        with self._lock:
+            if self._shutdown or self._active is not None:
+                self._stats["serial_overflows"] += 1
+                return None
+            fingerprint = environment_fingerprint()
+            stale = (self._executor is None or self._dead
+                     or self._workers < workers
+                     or self._fingerprint != fingerprint)
+            if stale:
+                if (self._executor is not None and not self._dead
+                        and self._workers >= workers):
+                    self._stats["fingerprint_rebuilds"] += 1
+                self._retire_locked()
+                executor = self._build_locked(max(workers, self._workers))
+            else:
+                executor = self._executor
+                self._stats["warm_acquires"] += 1
             if executor is None:
                 return None
-            with self._lock:
-                self._stats["leases"] += 1
-                self._stats["private_leases"] += 1
-            return PoolLease(self, executor, workers, factory=factory,
-                             private=True)
-        with self._lock:
+            lease = PoolLease(self, executor, workers)
+            self._active = lease
             self._stats["leases"] += 1
-            if not self._shutdown and self._active is None:
-                fingerprint = environment_fingerprint()
-                stale = (self._executor is None or self._dead
-                         or self._workers < workers
-                         or self._fingerprint != fingerprint)
-                if stale:
-                    if (self._executor is not None and not self._dead
-                            and self._workers >= workers):
-                        self._stats["fingerprint_rebuilds"] += 1
-                    self._retire_locked()
-                    executor = self._build_locked(
-                        max(workers, self._workers))
-                else:
-                    executor = self._executor
-                    self._stats["warm_acquires"] += 1
-                if executor is None:
-                    return None
-                lease = PoolLease(self, executor, workers, private=False)
-                self._active = lease
-                self._stats["shared_leases"] += 1
-                return lease
-            self._stats["private_leases"] += 1
-        executor = _build_executor(workers)
-        if executor is None:
-            return None
-        return PoolLease(self, executor, workers, private=True)
+            return lease
 
     def _release(self, lease: PoolLease) -> None:
         with self._cv:
@@ -299,12 +267,12 @@ class SharedWorkerPool:
                 self._dead = True
         _kill_executor(executor)
 
-    def _rebuild_for(self, lease: PoolLease, workers: int):
+    def _rebuild_for(self, lease: PoolLease):
         with self._lock:
             if self._active is not lease or self._shutdown:
                 return None
             self._retire_locked()
-            return self._build_locked(max(workers, self._workers),
+            return self._build_locked(max(lease.workers, self._workers),
                                       rebuild=True)
 
     # -- internals (self._lock held) ----------------------------------------
@@ -331,33 +299,7 @@ class SharedWorkerPool:
             executor.shutdown(wait=False, cancel_futures=True)
         self._dead = False
 
-    # -- health -------------------------------------------------------------
-
-    def probe(self, timeout_s: float = 10.0) -> bool:
-        """Liveness: can an idle pool answer a trivial task in time?
-
-        A leased pool is presumed live (its batch is making progress
-        under its own deadlines); a probe failure quarantines the
-        generation so the next acquire rebuilds instead of inheriting
-        wedged workers.
-        """
-        with self._lock:
-            if self._shutdown:
-                return False
-            if self._active is not None:
-                return True
-            executor = self._executor
-        if executor is None:
-            return True  # nothing built yet; next acquire forks fresh
-        try:
-            future = executor.submit(_probe_task)
-            return future.result(timeout=timeout_s) == _PROBE_TOKEN
-        except Exception:
-            with self._lock:
-                self._stats["probe_failures"] += 1
-                if self._executor is executor:
-                    self._dead = True
-            return False
+    # -- stats ----------------------------------------------------------------
 
     def stats(self) -> dict:
         with self._lock:
@@ -414,15 +356,6 @@ class SharedWorkerPool:
         return self.stats()
 
 
-def _is_canonical_factory(factory: Callable) -> bool:
-    # Compare against the pristine factory captured at definition time —
-    # NOT the live ``resilience._make_pool`` attribute, which tests
-    # monkeypatch precisely to force the degraded path.
-    from . import resilience
-
-    return factory is getattr(resilience, "_DEFAULT_POOL_FACTORY", None)
-
-
 # -- process-wide singleton -------------------------------------------------
 
 _POOL: Optional[SharedWorkerPool] = None
@@ -439,10 +372,9 @@ def shared_pool() -> SharedWorkerPool:
         return _POOL
 
 
-def acquire_lease(workers: int,
-                  factory: Optional[Callable] = None) -> Optional[PoolLease]:
-    """Lease workers for one batch; ``None`` → degrade to serial."""
-    return shared_pool().acquire(workers, factory=factory)
+def acquire_lease(workers: int) -> Optional[PoolLease]:
+    """Lease workers for one batch; ``None`` → run it serially."""
+    return shared_pool().acquire(workers)
 
 
 def pool_stats() -> Optional[dict]:
@@ -450,13 +382,6 @@ def pool_stats() -> Optional[dict]:
     with _POOL_LOCK:
         pool = _POOL
     return pool.stats() if pool is not None else None
-
-
-def probe(timeout_s: float = 10.0) -> bool:
-    """Liveness-probe the shared pool (True when no pool exists yet)."""
-    with _POOL_LOCK:
-        pool = _POOL
-    return pool.probe(timeout_s) if pool is not None else True
 
 
 def shutdown_shared_pool(

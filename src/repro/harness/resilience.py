@@ -731,40 +731,6 @@ def _coerce_failure(outcome) -> _WorkerFailure:
 # -- process-pool scheduler -------------------------------------------------
 
 
-def _make_pool(workers: int):
-    """Create a pool, or ``None`` where the platform refuses one."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        return ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError, NotImplementedError,
-            PermissionError) as error:
-        logger.warning("process pool unavailable (%s); degrading to "
-                       "serial execution", error)
-        counter = _obs_counter("pool_serial_degradations",
-                               "batches that fell back to serial execution")
-        if counter is not None:
-            counter.inc()
-        return None
-
-
-#: Pristine reference for the shared pool's factory-identity check:
-#: a monkeypatched ``_make_pool`` no longer matches, so injected pool
-#: refusals bypass the warm shared pool instead of being masked by it.
-_DEFAULT_POOL_FACTORY = _make_pool
-
-
-def _kill_pool(pool) -> None:
-    """Forcibly stop a pool whose worker is wedged past its deadline."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except (OSError, AttributeError):
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def _run_pool(state: _BatchState, pending: Sequence[int],
               jobs: int) -> None:
     """Windowed pool scheduler with deadlines, retries, and recovery.
@@ -781,12 +747,9 @@ def _run_pool(state: _BatchState, pending: Sequence[int],
     from . import pool as pool_module
 
     workers = min(jobs, len(pending))
-    # Lease the process-wide warm pool instead of forking a fresh
-    # executor per batch; the lease duck-types submit/kill/rebuild so
-    # every recovery path below is unchanged.  ``_make_pool`` is passed
-    # as the factory so a monkeypatched refusal still degrades to
-    # serial through a private lease.
-    pool = pool_module.acquire_lease(workers, factory=_make_pool)
+    # Lease the process-wide warm pool.  ``None`` means it is busy with
+    # another batch, shut down, or unbuildable: run serially instead.
+    pool = pool_module.acquire_lease(workers)
     if pool is None:
         _run_serial(state, pending)
         return
@@ -811,10 +774,6 @@ def _run_pool(state: _BatchState, pending: Sequence[int],
     def _broken_pool(error) -> None:
         """All in-flight work died with the pool; reschedule or finalize."""
         nonlocal pool, rebuilds_without_progress
-        counter = _obs_counter("pool_rebuilds",
-                               "process pools rebuilt after breaking")
-        if counter is not None:
-            counter.inc()
         casualties = list(inflight.values())
         inflight.clear()
         # kill(), not a bare shutdown(wait=False): a broken pool can
@@ -840,8 +799,7 @@ def _run_pool(state: _BatchState, pending: Sequence[int],
                 counter.inc()
             pool.release()
             pool = None
-        elif not pool.rebuild():
-            pool.release()
+        elif not pool.replace():
             pool = None
 
     try:
@@ -913,15 +871,15 @@ def _run_pool(state: _BatchState, pending: Sequence[int],
                     if time.monotonic() - entry[2]
                     > state.job_timeout + grace]
                 if overdue:
-                    pool = _reap_overdue(state, pool, workers, inflight,
-                                         overdue, _handle_failure, _requeue)
+                    pool = _reap_overdue(state, pool, inflight, overdue,
+                                         _handle_failure, _requeue)
     finally:
         if pool is not None:
             pool.release()
 
 
-def _reap_overdue(state: _BatchState, pool, workers: int, inflight: dict,
-                  overdue: list, _handle_failure, _requeue):
+def _reap_overdue(state: _BatchState, pool, inflight: dict, overdue: list,
+                  _handle_failure, _requeue):
     """Kill a pool whose worker blew past the parent-side deadline.
 
     The overdue job(s) count a failed attempt; innocent in-flight jobs
@@ -949,15 +907,7 @@ def _reap_overdue(state: _BatchState, pool, workers: int, inflight: dict,
         if future not in overdue_futures:
             _requeue(index, attempt, 0.0)
     inflight.clear()
-    pool.kill()
-    rebuild_counter = _obs_counter("pool_rebuilds",
-                                   "process pools rebuilt after breaking")
-    if rebuild_counter is not None:
-        rebuild_counter.inc()
-    if pool.rebuild():
-        return pool
-    pool.release()
-    return None
+    return pool if pool.replace() else None
 
 
 def _serial_from_attempt(state: _BatchState, index: int,

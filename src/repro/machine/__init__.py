@@ -3,9 +3,10 @@
 from .alu import alu_execute
 from .cpu import CPU, run_to_halt
 from .exceptions import CpuError, MemoryError_, SimulationError
+from .engines import resolve as resolve_engine
 from .fastpath import (CycleSchedule, ReplayCPU, ReplayPipeline,
                        ScheduleDivergence, ScheduleFallback,
-                       ScheduleUnavailable, record_schedule, resolve_engine)
+                       ScheduleUnavailable, record_schedule)
 from .interpreter import Interpreter, run_functional
 from .memory import Memory
 from .pipeline import BUBBLE, Pipeline

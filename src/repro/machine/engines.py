@@ -26,9 +26,8 @@ vector     schedule replay over a whole NumPy trace      fast
 ========== ============================================= ==========
 
 Factories import their backend modules lazily, so importing this module
-never drags in NumPy-heavy engine code (and no import cycle forms with
-:mod:`repro.machine.fastpath`, which re-exports :func:`resolve` under its
-historical ``resolve_engine`` name).
+never drags in NumPy-heavy engine code.  :mod:`repro.machine` re-exports
+:func:`resolve` under its historical ``resolve_engine`` name.
 """
 
 from __future__ import annotations

@@ -44,10 +44,9 @@ pool.
 from __future__ import annotations
 
 import hashlib
-import os
-from pathlib import Path
 from typing import Optional
 
+from ..fingerprint import source_fingerprint
 from ..isa.instructions import AluOp, Format, Instruction
 from ..isa.program import Program
 from .cpu import CPU
@@ -91,52 +90,15 @@ class ScheduleDivergence(ScheduleFallback):
         self.cycle = cycle
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Effective engine name: explicit argument, else ``$REPRO_ENGINE``,
-    else ``"fast"``.  Unknown names raise :class:`ValueError`.
-
-    Thin shim over :func:`repro.machine.engines.resolve`, kept so existing
-    callers (and pickled references) keep working.
-    """
-    from . import engines
-
-    return engines.resolve(engine)
-
-
 # ---------------------------------------------------------------------------
 # Program digest + schedule cache keys
 # ---------------------------------------------------------------------------
 
-_SIM_FINGERPRINT: Optional[str] = None
-
-
-def _simulator_fingerprint() -> str:
-    """Digest of the simulator sources (sizes + mtimes), computed once.
-
-    The compile cache's toolchain fingerprint covers the compiler side;
-    schedules additionally depend on the machine model and the energy
-    bookkeeping they pre-compute (ibus/latch transition counts), so those
-    directories are fingerprinted here.
-    """
-    global _SIM_FINGERPRINT
-    if _SIM_FINGERPRINT is None:
-        package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for subpackage in ("machine", "energy", "isa"):
-            directory = package_root / subpackage
-            try:
-                entries = sorted(directory.glob("*.py"))
-            except OSError:  # pragma: no cover - unreadable install
-                continue
-            for entry in entries:
-                try:
-                    stat = entry.stat()
-                except OSError:  # pragma: no cover
-                    continue
-                digest.update(f"{entry.name}:{stat.st_size}:"
-                              f"{stat.st_mtime_ns};".encode())
-        _SIM_FINGERPRINT = digest.hexdigest()[:16]
-    return _SIM_FINGERPRINT
+#: Simulator subpackages.  The compile cache's toolchain fingerprint
+#: covers the compiler side; schedules additionally depend on the machine
+#: model and the energy bookkeeping they pre-compute (ibus/latch
+#: transition counts).
+SIMULATOR_SOURCES = ("machine", "energy", "isa")
 
 
 def program_digest(program: Program) -> str:
@@ -169,7 +131,7 @@ def program_digest(program: Program) -> str:
 
 def _schedule_cache_key(digest: str, operand_isolation: bool) -> str:
     text = "|".join(("schedule", str(SCHEDULE_VERSION),
-                     _simulator_fingerprint(), digest,
+                     source_fingerprint(SIMULATOR_SOURCES), digest,
                      "iso" if operand_isolation else "noiso"))
     return "sched-" + hashlib.sha256(text.encode()).hexdigest()[:32]
 

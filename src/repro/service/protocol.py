@@ -34,6 +34,10 @@ SCHEMA = "repro.service/v1"
 #: Assessment modes (what verdict the request asks for).
 MODES = ("pair", "population")
 
+#: Assembly-level masking policies a request may name.  The compiler-
+#: driven ones (``selective``, ``annotate-only``) are chosen by ``masking``.
+POLICIES = ("none", "all-loads-stores", "all")
+
 #: Priority names in descending service order.
 PRIORITIES = ("high", "normal", "low")
 
@@ -115,13 +119,10 @@ class AssessRequest:
                 "assessment lands once its spec grows a rounds knob")
         if self.masking not in ("selective", "annotate-only", "none"):
             raise InvalidRequest(f"unknown masking {self.masking!r}")
-        if self.policy is not None:
-            from ..masking.policy import MaskingPolicy
-
-            try:
-                MaskingPolicy(self.policy)
-            except ValueError:
-                raise InvalidRequest(f"unknown policy {self.policy!r}")
+        if self.policy is not None and self.policy not in POLICIES:
+            raise InvalidRequest(
+                f"policy must be one of {POLICIES}, got {self.policy!r}; "
+                "compiler-driven masking is chosen with masking=")
         if not 1 <= self.rounds <= 16:
             raise InvalidRequest("rounds must be in 1..16")
         if not 1 <= self.n_traces <= MAX_TRACES:

@@ -55,11 +55,11 @@ def _jobs(count=2):
 def test_second_acquire_reuses_warm_generation():
     pool = SharedWorkerPool()
     lease = pool.acquire(1)
-    assert lease is not None and not lease.private
+    assert lease is not None
     assert lease.submit(_echo, 17).result(timeout=30) == 17
     lease.release()
     again = pool.acquire(1)
-    assert again is not None and not again.private
+    assert again is not None
     assert again.submit(_echo, 18).result(timeout=30) == 18
     again.release()
     stats = pool.shutdown(grace_s=10.0)
@@ -69,21 +69,23 @@ def test_second_acquire_reuses_warm_generation():
     assert stats["stranded_workers"] == 0
 
 
-def test_concurrent_acquire_overflows_to_private_lease():
-    pool = SharedWorkerPool()
-    holder = pool.acquire(1)
-    overflow = pool.acquire(1)
+def test_concurrent_batch_overflows_to_serial():
+    """While another batch holds the lease, a parallel batch runs
+    serially in-process — bit-identical to a plain serial run."""
+    import numpy as np
+
+    serial = run_jobs(_jobs(), jobs=1)
+    holder = pool_module.acquire_lease(1)
     try:
-        assert holder is not None and not holder.private
-        assert overflow is not None and overflow.private
-        # The overflow lease really works, on its own executor.
-        assert overflow.submit(_echo, 3).result(timeout=30) == 3
+        assert holder is not None
+        overflow = run_jobs(_jobs(), jobs=2)
     finally:
-        overflow.release()
         holder.release()
-    stats = pool.shutdown(grace_s=10.0)
-    assert stats["shared_leases"] == 1
-    assert stats["private_leases"] == 1
+    for a, b in zip(serial, overflow):
+        assert np.array_equal(a.energy, b.energy)
+    stats = pool_module.shutdown_shared_pool(grace_s=10.0)
+    assert stats["leases"] == 1
+    assert stats["serial_overflows"] == 1
     assert stats["stranded_workers"] == 0
 
 
@@ -91,8 +93,7 @@ def test_kill_and_rebuild_forks_a_fresh_generation():
     pool = SharedWorkerPool()
     lease = pool.acquire(1)
     first_generation = pool.stats()["generation"]
-    lease.kill()
-    assert lease.rebuild()
+    assert lease.replace()
     assert pool.stats()["generation"] == first_generation + 1
     assert lease.submit(_echo, 5).result(timeout=30) == 5
     lease.release()
@@ -136,69 +137,27 @@ def test_fingerprint_change_rebuilds_idle_pool(monkeypatch):
     generation = pool.stats()["generation"]
     monkeypatch.setenv("REPRO_FAULT_PLAN", "99:9:crash")  # never matches
     lease = pool.acquire(1)
-    assert lease is not None and not lease.private
+    assert lease is not None
     assert pool.stats()["generation"] == generation + 1
     assert pool.stats()["fingerprint_rebuilds"] == 1
     lease.release()
     pool.shutdown(grace_s=10.0)
 
 
-# -- probes -----------------------------------------------------------------
-
-
-def test_probe_passes_live_pool_and_quarantines_dead_workers():
-    pool = SharedWorkerPool()
-    assert pool.probe(timeout_s=30.0)  # nothing built yet: trivially fine
-    lease = pool.acquire(1)
-    lease.release()
-    assert pool.probe(timeout_s=30.0)
-    # Kill the workers behind the pool's back: the probe must notice and
-    # quarantine the generation instead of leaving it wedged.
-    generation = pool.stats()["generation"]
-    executor = pool._executor
-    for process in list(executor._processes.values()):
-        process.kill()
-    assert not pool.probe(timeout_s=10.0)
-    assert pool.stats()["probe_failures"] == 1
-    lease = pool.acquire(1)
-    assert lease is not None
-    assert pool.stats()["generation"] == generation + 1
-    assert lease.submit(_echo, 2).result(timeout=30) == 2
-    lease.release()
-    pool.shutdown(grace_s=10.0)
-
-
-# -- factory identity -------------------------------------------------------
-
-
-def test_injected_factory_refusal_degrades_instead_of_masking():
-    """A monkeypatched factory returning None must yield serial (None),
-    never be papered over by a warm shared executor."""
-    lease = pool_module.acquire_lease(2, factory=lambda workers: None)
-    assert lease is None
-
-
-def test_canonical_factory_takes_the_shared_path():
-    lease = pool_module.acquire_lease(
-        1, factory=resilience._DEFAULT_POOL_FACTORY)
-    assert lease is not None and not lease.private
-    lease.release()
-
-
 # -- shutdown ---------------------------------------------------------------
 
 
-def test_shutdown_is_idempotent_and_acquire_after_is_private():
-    pool = SharedWorkerPool()
-    lease = pool.acquire(1)
-    lease.release()
-    first = pool.shutdown(grace_s=10.0)
+def test_shutdown_is_idempotent_and_acquire_after_is_serial():
+    pool_module.acquire_lease(1).release()
+    first = pool_module.shutdown_shared_pool(grace_s=10.0)
     assert first["shut_down"] and first["stranded_workers"] == 0
-    assert pool.shutdown(grace_s=10.0)["stranded_workers"] == 0
-    late = pool.acquire(1)
-    assert late is not None and late.private
-    assert late.submit(_echo, 11).result(timeout=30) == 11
-    late.release()
+    again = pool_module.shutdown_shared_pool(grace_s=10.0)
+    assert again["stranded_workers"] == 0
+    assert pool_module.acquire_lease(1) is None
+    # A parallel batch after shutdown still completes, serially.
+    results = run_jobs(_jobs(), jobs=2)
+    assert [result.label for result in results] == ["job[0]", "job[1]"]
+    assert pool_module.pool_stats()["serial_overflows"] == 2
 
 
 # -- resilience integration -------------------------------------------------
@@ -213,7 +172,7 @@ def test_run_jobs_batches_share_one_warm_pool():
         assert (a.energy == b.energy).all()
     stats = pool_module.pool_stats()
     assert stats is not None
-    assert stats["shared_leases"] == 2
+    assert stats["leases"] == 2
     assert stats["warm_acquires"] >= 1
     assert stats["generation"] == 1
 

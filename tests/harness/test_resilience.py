@@ -240,12 +240,14 @@ def test_pool_timeout_under_raise_policy_raises_job_timeout(monkeypatch):
 
 def test_pool_unavailable_degrades_to_serial(monkeypatch, caplog,
                                              no_fault_plan):
-    from repro.harness import resilience
+    from repro.harness import pool
 
     clean = _energies(run_jobs(_batch(4)))
-    monkeypatch.setattr(resilience, "_make_pool", lambda workers: None)
-    with caplog.at_level(logging.WARNING, "repro.harness.resilience"):
+    pool.reset_shared_pool()
+    monkeypatch.setattr(pool, "_build_executor", lambda workers: None)
+    with caplog.at_level(logging.WARNING, "repro.harness.pool"):
         results = run_jobs(_batch(4), jobs=4)
+    assert pool.pool_stats()["leases"] == 0
     for clean_energy, result in zip(clean, results):
         assert np.array_equal(clean_energy, result.energy)
 

@@ -21,7 +21,7 @@ from repro.aes.reference import int_to_state
 from repro.harness.engine import SimJob, run_jobs
 from repro.harness.runner import des_run, run_with_trace
 from repro.isa.assembler import assemble
-from repro.machine import fastpath
+from repro.machine import engines, fastpath
 from repro.machine.exceptions import CycleLimitExceeded
 from repro.masking.policy import MaskingPolicy, apply_policy
 from repro.programs.des_source import DesProgramSpec
@@ -284,16 +284,16 @@ def test_streaming_always_uses_reference_engine(tmp_path):
 
 def test_resolve_engine(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert fastpath.resolve_engine(None) == "fast"
-    assert fastpath.resolve_engine("reference") == "reference"
+    assert engines.resolve(None) == "fast"
+    assert engines.resolve("reference") == "reference"
     monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert fastpath.resolve_engine(None) == "reference"
-    assert fastpath.resolve_engine("fast") == "fast"
+    assert engines.resolve(None) == "reference"
+    assert engines.resolve("fast") == "fast"
     monkeypatch.setenv("REPRO_ENGINE", "warp")
     with pytest.raises(ValueError):
-        fastpath.resolve_engine(None)
+        engines.resolve(None)
     with pytest.raises(ValueError):
-        fastpath.resolve_engine("warp")
+        engines.resolve("warp")
 
 
 def test_schedule_recorded_once(monkeypatch):

@@ -21,7 +21,7 @@ from repro.aes.reference import int_to_state
 from repro.harness.engine import SimJob, run_jobs
 from repro.harness.runner import des_run, run_with_trace
 from repro.isa.assembler import assemble
-from repro.machine import engines, fastpath, vector
+from repro.machine import engines, fastpath, resolve_engine, vector
 from repro.machine.exceptions import CycleLimitExceeded
 from repro.masking.policy import MaskingPolicy, apply_policy
 from repro.programs.des_source import DesProgramSpec
@@ -308,11 +308,8 @@ def test_registry_resolution(monkeypatch):
         engines.resolve(None)
     with pytest.raises(ValueError):
         engines.resolve("warp")
-    # The historical fastpath entry point is a live shim over the registry.
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert fastpath.resolve_engine("vector") == "vector"
-    with pytest.raises(ValueError):
-        fastpath.resolve_engine("warp")
+    # The historical public name is a plain re-export of the registry's.
+    assert resolve_engine is engines.resolve
     assert set(fastpath.ENGINES) == {"fast", "reference", "vector"}
 
 

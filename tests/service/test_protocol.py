@@ -59,6 +59,8 @@ def test_request_program_key_is_stable_and_variant_specific():
     ({"max_cycles": 0}, "max_cycles"),
     ({"frobnicate": 1}, "unknown request fields"),
     ("just a string", "JSON object"),
+    ({"policy": "selective"}, "masking="),
+    ({"policy": "annotate-only"}, "masking="),
 ])
 def test_request_validation_rejects_bad_payloads(payload, match):
     with pytest.raises(InvalidRequest, match=match):
