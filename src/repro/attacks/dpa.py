@@ -109,19 +109,16 @@ def collect_traces(program: Program, key: int, plaintexts: list[int],
 
     ``engine`` picks the execution engine per acquisition (default: the
     ambient ``$REPRO_ENGINE``, else the schedule-replay fast path, which
-    is bit-identical).  Under the fast engine the program's cycle schedule
-    is recorded **once in the parent** before the batch is dispatched, so
-    pool workers inherit it (fork) or load it from the shared disk cache
-    instead of each re-recording it.
+    is bit-identical).  Under a schedule-replaying engine, ``run_jobs``
+    records the program's cycle schedule **once in the parent** before
+    the batch is dispatched to the pool, so workers inherit it (fork) or
+    load it from the shared disk cache instead of each re-recording it.
     """
     # Imported here to avoid a package-level cycle (harness.experiments
     # imports this module).
     from ..harness.engine import SimJob, run_jobs
     from ..harness.resilience import require_results
-    from ..machine import engines, fastpath
 
-    if engines.resolve(engine) in ("fast", "vector"):
-        fastpath.ensure_schedule(program)
     batch = [SimJob(program=program, des_pair=(key, plaintext),
                     params=params, noise_sigma=noise_sigma,
                     noise_seed=index + 1, label=f"trace[{index}]",
@@ -305,11 +302,8 @@ def streaming_dpa_attack(program: Program, key: int, plaintexts: list[int],
     progress reporter is active.
     """
     from ..harness.engine import SimJob, run_stream
-    from ..machine import engines, fastpath
     from ..obs import progress as obs_progress
 
-    if engines.resolve(None) in ("fast", "vector"):
-        fastpath.ensure_schedule(program)
     if checkpoint_every is None:
         checkpoint_every = chunk_size
     batch = [SimJob(program=program, des_pair=(key, plaintext),

@@ -196,10 +196,7 @@ def streaming_assess_des_program(
     including the zero-variance ±inf definite-leak rule.
     """
     from ..harness.engine import SimJob
-    from ..machine import engines, fastpath
 
-    if engines.resolve(None) in ("fast", "vector"):
-        fastpath.ensure_schedule(program)
     if checkpoint_every is None:
         checkpoint_every = max(chunk_size // 2, 1)
     batch = []
@@ -236,10 +233,7 @@ def streaming_key_differential(
     shows the masked device never disclosing within the budget.
     """
     from ..harness.engine import SimJob
-    from ..machine import engines, fastpath
 
-    if engines.resolve(None) in ("fast", "vector"):
-        fastpath.ensure_schedule(program)
     if checkpoint_every is None:
         checkpoint_every = max(chunk_size // 2, 1)
     batch = []

@@ -496,6 +496,10 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
     bit-identical and in submission order.  The engine may decline
     (heterogeneous jobs, unsupported program, divergence), in which case
     the batch silently takes the per-job path below.
+
+    Before a batch fans out across the pool, each distinct program whose
+    jobs replay a cycle schedule has it recorded once here, in the
+    parent, so no worker ever records it (see :func:`_prewarm_schedules`).
     """
     from .resilience import execute_batch, validate_batch_options
 
@@ -528,6 +532,8 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
                 if reporter is not None:
                     reporter.finish()
                 return native
+        if jobs > 1 and len(batch) > 1:
+            _prewarm_schedules(batch)
         results = execute_batch(list(batch), jobs=jobs, progress=progress,
                                 failure_policy=failure_policy,
                                 retries=retries, job_timeout=job_timeout,
@@ -536,6 +542,37 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
     if reporter is not None:
         reporter.finish()
     return results
+
+
+def _prewarm_schedules(batch: Sequence[SimJob]) -> None:
+    """Record (or load) each program's cycle schedule parent-side.
+
+    Called before a pool lease: workers then inherit the schedule on fork
+    or load it from the shared disk cache instead of each recording it.
+    Covers every distinct prebuilt program whose job resolves to a
+    schedule-replaying engine (``SimJob.engine``, else the ambient
+    default); reference-engine jobs and :class:`CompileRequest` jobs,
+    which the workers compile themselves, are left alone.
+    """
+    from ..machine import engines as engine_registry
+    from ..machine import fastpath
+
+    seen = set()
+    for job in batch:
+        program = job.program
+        if not isinstance(program, Program):
+            continue
+        try:
+            engine = engine_registry.resolve(job.engine)
+        except ValueError:
+            continue  # the per-job path raises the canonical error
+        key = (id(program), job.operand_isolation)
+        if engine not in engine_registry.SCHEDULE_ENGINES or key in seen:
+            continue
+        seen.add(key)
+        fastpath.ensure_schedule(program,
+                                 operand_isolation=job.operand_isolation,
+                                 max_cycles=job.max_cycles)
 
 
 def _try_batch_native(batch: Sequence[SimJob],

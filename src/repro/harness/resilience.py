@@ -40,6 +40,7 @@ seed-compatible ``raise`` default.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import logging
 import os
@@ -420,6 +421,12 @@ def job_digest(job) -> bytes:
     if isinstance(program, CompileRequest):
         digest.update(program.cache_key().encode())
     else:
+        if "_fastpath_digest" in vars(program):
+            # The fast path caches its program digest on the instance
+            # (a parent-side schedule pre-warm sets it); identity must
+            # not depend on which process touched the program first.
+            program = copy.copy(program)
+            del program._fastpath_digest
         digest.update(hashlib.sha256(pickle.dumps(program)).digest())
     digest.update(repr((job.inputs, job.des_pair, job.noise_sigma,
                         job.noise_seed, job.label, job.collect_components,

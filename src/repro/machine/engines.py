@@ -38,6 +38,9 @@ from typing import Callable, Optional, Sequence
 
 #: Engine names accepted by ``--engine`` / ``$REPRO_ENGINE``.
 ENGINES: tuple[str, ...] = ("fast", "reference", "vector")
+#: Engines that replay the program's recorded cycle schedule
+#: (:mod:`repro.machine.fastpath`).
+SCHEDULE_ENGINES: tuple[str, ...] = ("fast", "vector")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ pool.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from typing import Optional
 
 from ..fingerprint import source_fingerprint
@@ -144,8 +145,8 @@ class CycleSchedule:
     """The recorded control schedule of one program.
 
     ``records`` holds the unique per-cycle control tuples (interned — a
-    16-round DES run is ~250k cycles but only a few hundred distinct
-    records); ``steps[i]`` indexes the record replayed at cycle ``i``.
+    16-round DES run is 187,845 cycles but only 847 distinct records);
+    ``steps[i]`` indexes the record replayed at cycle ``i``.
     ``stats``/``mix``/``counts`` are the end-of-run performance counters,
     opcode mix, and per-component event counts, all input-independent and
     therefore recordable once.
@@ -281,27 +282,140 @@ def record_schedule(program: Program, operand_isolation: bool = True,
     replay detects it per-trace and falls back.  Raises
     :class:`ScheduleUnavailable` if the recording run itself cannot finish
     (cycle budget, simulation fault).
+
+    Every cycle steps the unmodified reference pipeline, but the control
+    record is looked up by a compact key: the fetch PC, the four latch
+    PCs (a latch's PC fixes its instruction), ``_halt_in_flight``, the
+    previous instruction-bus and IF/ID words (the transition-count
+    baselines), and the EX outcome (next PC, stall and branch-taken
+    deltas).  Those fix every record field, so the record is built only
+    on a key's first occurrence — a 16-round DES run has 187,845 cycles
+    but 847 distinct records.
     """
     pipe = Pipeline(program, Memory(), tracker=None,
                     operand_isolation=operand_isolation, collect_mix=True)
-    text = program.text
     text_base = program.text_base
     iwords = pipe._iwords
-    text_len = len(text)
+    text_len = len(program.text)
 
     steps: list[int] = []
     records: list[tuple] = []
     index_of: dict[tuple, int] = {}
+    #: Per-record input-independent component events:
+    #: ``(ibus, regfile, funits, mem, secure)``.
+    events: list[tuple[int, int, int, int, int]] = []
+    #: Control key -> ``(slot, instruction-bus word after the cycle)``.
+    memo: dict[tuple, tuple[int, int]] = {}
     prev_ibus = 0
-    prev_l0 = 0
-    # Input-independent per-component event counts, accumulated alongside.
-    n_ibus = n_regfile = n_funits = n_mem = n_secure = 0
 
     def ins_index(ins: Instruction, pc: int) -> int:
         if ins is BUBBLE or pc < 0:
             return -1
         return (pc - text_base) >> 2
 
+    def build(if_id, id_ex, ex_mem, mem_wb, pc_before: int,
+              halt_in_flight: bool, stall: bool, taken: bool,
+              prev_ibus: int) -> tuple[int, int]:
+        """Intern the just-stepped cycle's record, resolved exactly as the
+        reference stages resolve it; returns ``(slot, next prev_ibus)``."""
+        id_ins, id_pc = if_id.ins, if_id.pc
+        ex_ins, ex_pc = id_ex.ins, id_ex.pc
+        mem_ins, mem_pc = ex_mem.ins, ex_mem.pc
+        wb_ins, wb_pc = mem_wb.ins, mem_wb.pc
+
+        # -- control outcomes ------------------------------------
+        ex_spec = ex_ins.spec
+        redirect = False
+        ctl = None
+        if ex_spec.is_branch:
+            ctl = ("b", ex_ins.op, taken)
+            redirect = taken
+        elif ex_spec.is_jump:
+            redirect = True
+            if ex_ins.op in ("jr", "jalr"):
+                ctl = ("j", pipe.pc)  # target came from a register
+        ex_link = -1
+        if ex_ins.op in ("jal", "jalr"):
+            ex_link = (ex_pc + 4) & _WORD_MASK
+
+        # -- forwarding selectors (reference EX logic) -----------
+        fwd_mem_dest = mem_ins.dest if not mem_ins.spec.is_load else None
+        fwd_wb_dest = wb_ins.dest
+        a_sel = _forward_selector(id_ex.a_src, fwd_mem_dest, fwd_wb_dest)
+        b_sel = _forward_selector(id_ex.b_src, fwd_mem_dest, fwd_wb_dest)
+        st_sel = _forward_selector(id_ex.store_src, fwd_mem_dest,
+                                   fwd_wb_dest)
+
+        # -- decode plan (reference ID logic incl. isolation) ----
+        if stall:
+            dec = (-1, 0, -1, 0, -1, 0)
+        else:
+            dec = _decode_plan(id_ins, ex_ins.dest, mem_ins.dest,
+                               operand_isolation)
+        a_reg, a_const, b_reg, b_const, st_reg, reads = dec
+        dec_live = not stall and not redirect
+        writes = 1 if wb_ins.dest is not None else 0
+
+        # -- fetch (reference IF logic, pre-squash hook args) ----
+        fetch_active = False
+        fetch_iword = 0
+        if stall:
+            fetch_idx = ins_index(id_ins, id_pc)
+        elif halt_in_flight:
+            fetch_idx = -1
+        else:
+            index = (pc_before - text_base) >> 2
+            if 0 <= index < text_len:
+                fetch_idx = index
+                fetch_iword = iwords[index]
+                fetch_active = True
+            else:
+                fetch_idx = -1
+        ibus_ev = 0
+        if fetch_active:
+            ibus_ev = (fetch_iword & ~prev_ibus & _WORD_MASK).bit_count()
+            prev_ibus = fetch_iword
+
+        # -- post-step latch contents ----------------------------
+        l0_iword = pipe.if_id.iword
+        l0_idx = ins_index(pipe.if_id.ins, pipe.if_id.pc)
+        # if_id is the pre-step latch: its word is the previous l0 word.
+        l0_ev = (l0_iword & ~if_id.iword & _WORD_MASK).bit_count()
+        l1_idx = ins_index(pipe.id_ex.ins, pipe.id_ex.pc)
+        s1 = pipe.id_ex.ins.secure
+        s2 = ex_ins.secure
+        s3 = mem_ins.secure
+
+        unit_i, ex_sec = _unit_for(ex_ins)
+        alu_name = None if ex_spec.alu is AluOp.NONE \
+            else ex_spec.alu.value
+        mem_kind = _mem_kind(mem_ins)
+        wb_dest = wb_ins.dest if wb_ins.dest is not None else -1
+
+        record = (
+            ins_index(wb_ins, wb_pc), wb_dest, wb_ins.secure,
+            ins_index(mem_ins, mem_pc), mem_kind, mem_ins.secure,
+            ins_index(ex_ins, ex_pc), alu_name, unit_i, ex_sec,
+            a_sel, b_sel, st_sel, ex_link, ctl,
+            ins_index(id_ins, id_pc), dec_live,
+            a_reg, a_const, b_reg, b_const, st_reg, reads, writes,
+            fetch_idx, fetch_active, fetch_iword, ibus_ev,
+            l0_idx, l0_iword, l0_ev, l1_idx, s1, s2, s3,
+        )
+        slot = index_of.get(record)
+        if slot is None:
+            slot = len(records)
+            records.append(record)
+            index_of[record] = slot
+            events.append((
+                1 if fetch_active else 0, reads + writes,
+                1 if unit_i != _UNIT_NONE else 0,
+                1 if mem_kind != _MEM_NONE else 0,
+                (1 if wb_ins.secure else 0) + (1 if s1 else 0)
+                + (1 if s2 else 0) + (1 if s3 else 0)))
+        return slot, prev_ibus
+
+    step = pipe.step
     try:
         while not pipe.halted:
             if pipe.cycle >= max_cycles:
@@ -311,111 +425,25 @@ def record_schedule(program: Program, operand_isolation: bool = True,
             # -- pre-step state --------------------------------------
             if_id, id_ex = pipe.if_id, pipe.id_ex
             ex_mem, mem_wb = pipe.ex_mem, pipe.mem_wb
-            id_ins, id_pc = if_id.ins, if_id.pc
-            ex_ins, ex_pc = id_ex.ins, id_ex.pc
-            mem_ins, mem_pc = ex_mem.ins, ex_mem.pc
-            wb_ins, wb_pc = mem_wb.ins, mem_wb.pc
             pc_before = pipe.pc
             halt_in_flight = pipe._halt_in_flight
             stalls_before = pipe.stall_cycles
             taken_before = pipe.branches_taken
 
-            pipe.step()
+            step()
 
-            # -- control outcomes ------------------------------------
-            stall = pipe.stall_cycles > stalls_before
-            ex_spec = ex_ins.spec
-            redirect = False
-            ctl = None
-            if ex_spec.is_branch:
-                taken = pipe.branches_taken > taken_before
-                ctl = ("b", ex_ins.op, taken)
-                redirect = taken
-            elif ex_spec.is_jump:
-                redirect = True
-                if ex_ins.op in ("jr", "jalr"):
-                    ctl = ("j", pipe.pc)  # target came from a register
-            ex_link = -1
-            if ex_ins.op in ("jal", "jalr"):
-                ex_link = (ex_pc + 4) & _WORD_MASK
-
-            # -- forwarding selectors (reference EX logic) -----------
-            fwd_mem_dest = mem_ins.dest if not mem_ins.spec.is_load else None
-            fwd_wb_dest = wb_ins.dest
-            a_sel = _forward_selector(id_ex.a_src, fwd_mem_dest, fwd_wb_dest)
-            b_sel = _forward_selector(id_ex.b_src, fwd_mem_dest, fwd_wb_dest)
-            st_sel = _forward_selector(id_ex.store_src, fwd_mem_dest,
-                                       fwd_wb_dest)
-
-            # -- decode plan (reference ID logic incl. isolation) ----
-            if stall:
-                dec = (-1, 0, -1, 0, -1, 0)
-            else:
-                dec = _decode_plan(id_ins, ex_ins.dest, mem_ins.dest,
-                                   operand_isolation)
-            a_reg, a_const, b_reg, b_const, st_reg, reads = dec
-            dec_live = not stall and not redirect
-            writes = 1 if wb_ins.dest is not None else 0
-
-            # -- fetch (reference IF logic, pre-squash hook args) ----
-            fetch_active = False
-            fetch_iword = 0
-            if stall:
-                fetch_idx = ins_index(id_ins, id_pc)
-            elif halt_in_flight:
-                fetch_idx = -1
-            else:
-                index = (pc_before - text_base) >> 2
-                if 0 <= index < text_len:
-                    fetch_idx = index
-                    fetch_iword = iwords[index]
-                    fetch_active = True
-                else:
-                    fetch_idx = -1
-            ibus_ev = 0
-            if fetch_active:
-                ibus_ev = (fetch_iword & ~prev_ibus & _WORD_MASK).bit_count()
-                prev_ibus = fetch_iword
-
-            # -- post-step latch contents ----------------------------
-            l0_iword = pipe.if_id.iword
-            l0_idx = ins_index(pipe.if_id.ins, pipe.if_id.pc)
-            l0_ev = (l0_iword & ~prev_l0 & _WORD_MASK).bit_count()
-            prev_l0 = l0_iword
-            l1_idx = ins_index(pipe.id_ex.ins, pipe.id_ex.pc)
-            s1 = pipe.id_ex.ins.secure
-            s2 = ex_ins.secure
-            s3 = mem_ins.secure
-
-            unit_i, ex_sec = _unit_for(ex_ins)
-            alu_name = None if ex_spec.alu is AluOp.NONE \
-                else ex_spec.alu.value
-            mem_kind = _mem_kind(mem_ins)
-            wb_dest = wb_ins.dest if wb_ins.dest is not None else -1
-
-            record = (
-                ins_index(wb_ins, wb_pc), wb_dest, wb_ins.secure,
-                ins_index(mem_ins, mem_pc), mem_kind, mem_ins.secure,
-                ins_index(ex_ins, ex_pc), alu_name, unit_i, ex_sec,
-                a_sel, b_sel, st_sel, ex_link, ctl,
-                ins_index(id_ins, id_pc), dec_live,
-                a_reg, a_const, b_reg, b_const, st_reg, reads, writes,
-                fetch_idx, fetch_active, fetch_iword, ibus_ev,
-                l0_idx, l0_iword, l0_ev, l1_idx, s1, s2, s3,
-            )
-            slot = index_of.get(record)
-            if slot is None:
-                slot = len(records)
-                records.append(record)
-                index_of[record] = slot
+            stall = pipe.stall_cycles - stalls_before
+            taken = pipe.branches_taken - taken_before
+            key = (pc_before, if_id.pc, id_ex.pc, ex_mem.pc, mem_wb.pc,
+                   halt_in_flight, prev_ibus, if_id.iword, pipe.pc,
+                   stall, taken)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = build(
+                    if_id, id_ex, ex_mem, mem_wb, pc_before,
+                    halt_in_flight, stall > 0, taken > 0, prev_ibus)
+            slot, prev_ibus = hit
             steps.append(slot)
-
-            n_ibus += 1 if fetch_active else 0
-            n_regfile += reads + writes
-            n_funits += 1 if unit_i != _UNIT_NONE else 0
-            n_mem += 1 if mem_kind != _MEM_NONE else 0
-            n_secure += ((1 if wb_ins.secure else 0) + (1 if s1 else 0)
-                         + (1 if s2 else 0) + (1 if s3 else 0))
     except ScheduleFallback:
         raise
     except SimulationError as error:
@@ -423,6 +451,16 @@ def record_schedule(program: Program, operand_isolation: bool = True,
         raise ScheduleUnavailable(
             f"recording run failed: {error}") from error
 
+    # Input-independent per-component event counts, from each record's
+    # events times the number of cycles that replay it.
+    n_ibus = n_regfile = n_funits = n_mem = n_secure = 0
+    for slot, times in Counter(steps).items():
+        ibus, regfile, funits, mem, secure = events[slot]
+        n_ibus += ibus * times
+        n_regfile += regfile * times
+        n_funits += funits * times
+        n_mem += mem * times
+        n_secure += secure * times
     cycles = pipe.cycle
     counts = {"clock": cycles, "ibus": n_ibus, "regfile": n_regfile,
               "funits": n_funits, "dbus": n_mem, "memport": n_mem,

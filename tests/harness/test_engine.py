@@ -131,6 +131,32 @@ def test_parallel_progress_reaches_total():
     assert [done for done, _ in seen] == [1, 2, 3]
 
 
+def test_pooled_batch_prewarms_schedules_once_in_parent(monkeypatch):
+    """Only a pooled batch of schedule-replaying jobs records parent-side,
+    once per distinct program; in-process and reference batches do not."""
+    from repro.machine import fastpath
+
+    program, other = assemble(ASM), assemble(ASM + "nop\n")
+    calls = []
+    real = fastpath.ensure_schedule
+
+    def spy(prog, **kwargs):
+        calls.append(prog)
+        return real(prog, **kwargs)
+
+    monkeypatch.setattr(fastpath, "ensure_schedule", spy)
+
+    def batch(engine, *programs):
+        return [SimJob(program=prog, engine=engine, label=f"job[{index}]")
+                for index, prog in enumerate(programs)]
+
+    run_jobs(batch("fast", program, program), jobs=1)
+    run_jobs(batch("reference", program, program), jobs=2)
+    assert calls == []
+    run_jobs(batch("fast", program, other, program), jobs=2)
+    assert calls == [program, other]
+
+
 # -- observability ----------------------------------------------------------
 
 

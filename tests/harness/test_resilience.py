@@ -307,6 +307,18 @@ def test_checkpoint_tolerates_truncated_tail(tmp_path, no_fault_plan):
         assert np.array_equal(clean_result.energy, result.energy)
 
 
+def test_batch_digest_ignores_cached_schedule_digest():
+    """A schedule pre-warm caches a digest on the program; the checkpoint
+    identity of the batch must not change with it."""
+    from repro.machine import fastpath
+
+    batch = _batch(2)
+    before = batch_digest(batch)
+    assert fastpath.ensure_schedule(batch[0].program)
+    assert "_fastpath_digest" in vars(batch[0].program)
+    assert batch_digest(batch) == before == batch_digest(_batch(2))
+
+
 def test_checkpoint_compile_requests_digest_by_cache_key(tmp_path):
     request_jobs = [SimJob(program=CompileRequest(spec=TINY_SPEC,
                                                   masking=masking),

@@ -43,8 +43,47 @@ GOLDEN_DIGESTS = {
 }
 
 
+#: sha256 of :func:`_schedule_digest` for recorded schedules, pinned
+#: from the per-cycle record-building recorder: any change to what the
+#: recorder emits — slots, record order, counters, mix, counts — shows.
+GOLDEN_SCHEDULES = {
+    ("des-none", True):
+        "0e8a73e4bb357fa8e446c983eb2540036a4133fd1ee4672c30d43dc9c3c637a6",
+    ("des-none", False):
+        "8ddab337f2563df529877ad53a2d2be2a7a74225c630140d131e94cc037ba7e1",
+    ("des-selective", True):
+        "9b8e6b8b7ffade6c6565f2f121f275b1cbd37418c3aaaf4e72325ec33fcf0ef3",
+    ("des-selective", False):
+        "2698fa981d1be59c8c0f040c9a783f93ed444537e6f811b56b1eb5f88fc98533",
+    ("aes-selective", True):
+        "125688507823dd3ad1ba39b0cd2ee4035a9d7aff657eec05841a3edcb303632f",
+}
+
+
 def _digest(run):
     return hashlib.sha256(run.trace.energy.tobytes()).hexdigest()
+
+
+def _schedule_digest(schedule):
+    """sha256 of a canonical ``repr`` of everything a schedule carries."""
+    canonical = repr((schedule.cycles, schedule.final_pc, schedule.steps,
+                      schedule.records, sorted(schedule.stats.items()),
+                      sorted(schedule.mix.items()),
+                      sorted(schedule.counts.items())))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.fixture
+def fresh_schedule_cache(tmp_path, monkeypatch):
+    """Point the default compile cache at an empty directory and forget
+    every in-process schedule, so the next fast run must record."""
+    from repro.harness import engine as harness_engine
+
+    monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(harness_engine, "_DEFAULT_CACHE", None)
+    fastpath._clear_caches()
+    yield tmp_path
+    fastpath._clear_caches()
 
 
 def _des_inputs(program):
@@ -96,6 +135,25 @@ def test_round1_fast_hits_golden_digest(masking):
     assert run.engine == "fast"
     assert run.cycles == 18432
     assert _digest(run) == GOLDEN_DIGESTS[masking]
+
+
+@pytest.mark.parametrize("workload, operand_isolation",
+                         sorted(GOLDEN_SCHEDULES))
+def test_recorded_schedule_hits_golden_digest(workload, operand_isolation):
+    """The recorder's output is pinned, not just the traces replayed
+    from it: memoizing records must leave every schedule byte-identical."""
+    from repro.programs.workloads import compile_aes
+
+    cipher, masking = workload.split("-")
+    if cipher == "aes":
+        program = compile_aes(masking=masking).program
+    else:
+        program = compile_des(DesProgramSpec(rounds=1),
+                              masking=masking).program
+    schedule = fastpath.record_schedule(
+        program, operand_isolation=operand_isolation)
+    assert _schedule_digest(schedule) == \
+        GOLDEN_SCHEDULES[workload, operand_isolation]
 
 
 # -- differential bit-identity over the experiment programs -------------
@@ -296,11 +354,10 @@ def test_resolve_engine(monkeypatch):
         engines.resolve("warp")
 
 
-def test_schedule_recorded_once(monkeypatch):
+def test_schedule_recorded_once(monkeypatch, fresh_schedule_cache):
     """Repeated fast runs reuse the bound schedule (memo + disk cache)."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
-    fastpath._clear_caches()
     calls = []
     recorded = fastpath.record_schedule
 
@@ -309,14 +366,11 @@ def test_schedule_recorded_once(monkeypatch):
         return recorded(prog, **kwargs)
 
     monkeypatch.setattr(fastpath, "record_schedule", counting)
-    # Force a real recording by ignoring any disk-cached schedule.
-    monkeypatch.setattr(fastpath, "_schedule_cache_key",
-                        lambda digest, iso: "sched-test-" + digest[:8]
-                        + ("-iso" if iso else ""))
     des_run(program, KEY, PLAINTEXT, engine="fast")
     des_run(program, KEY, PLAINTEXT ^ 1, engine="fast")
     des_run(program, KEY ^ (1 << 60), PLAINTEXT, engine="fast")
-    assert len(calls) <= 1
+    assert len(calls) == 1
+    assert list(fresh_schedule_cache.glob("sched-*.pkl"))
 
 
 def test_run_jobs_engine_plumb():

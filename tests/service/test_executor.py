@@ -111,3 +111,23 @@ def test_crash_error_types_feed_the_breaker():
         message="pool broke", attempts=3)])
     assert crash.crashed_workers
     assert "WorkerCrash" in CRASH_ERROR_TYPES
+
+
+def test_pooled_assessment_records_schedule_in_parent(tmp_path, monkeypatch):
+    """Under ``--jobs N`` the schedule is recorded parent-side before the
+    pool lease, so the workers never record it themselves."""
+    from repro.harness import engine as harness_engine
+    from repro.machine import fastpath
+
+    monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
+    monkeypatch.setattr(harness_engine, "_DEFAULT_CACHE", None)
+    fastpath._clear_caches()
+    cache = CompileCache(directory=tmp_path)
+    request = _request(pair_payload())
+    try:
+        execute_assessment(request, cache=cache, jobs=2)
+        program = cache.program_for(request.compile_request())
+        assert (fastpath.program_digest(program), True) in fastpath._BOUND
+    finally:
+        fastpath._clear_caches()

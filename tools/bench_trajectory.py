@@ -3,8 +3,9 @@
 
 Times the same workloads as ``benchmarks/test_perf_simulator.py`` —
 compile, assemble, cycle-accurate simulation with energy, the functional
-interpreter, and the 16-trace parallel collection — with plain
-``perf_counter`` (no pytest-benchmark dependency), then:
+interpreter, cold schedule recording, and the 16-trace parallel
+collection — with plain ``perf_counter`` (no pytest-benchmark
+dependency), then:
 
 * writes ``BENCH_<sha>.json`` through the observability manifest writer,
   so every CI run leaves a machine-readable performance record next to
@@ -42,10 +43,13 @@ from repro import obs  # noqa: E402
 from repro.obs.streaming import WelchTAccumulator  # noqa: E402
 from repro.attacks.dpa import collect_traces, random_plaintexts  # noqa: E402
 from repro.harness.runner import des_run  # noqa: E402
-from repro.machine.fastpath import ensure_schedule  # noqa: E402
+from repro.machine.fastpath import (ensure_schedule,  # noqa: E402
+                                    record_schedule)
 from repro.isa.assembler import assemble  # noqa: E402
 from repro.lang.compiler import compile_source  # noqa: E402
 from repro.machine.interpreter import run_functional  # noqa: E402
+from repro.machine.memory import Memory  # noqa: E402
+from repro.machine.pipeline import Pipeline  # noqa: E402
 from repro.programs.des_source import DesProgramSpec, des_source  # noqa: E402
 from repro.programs.workloads import (compile_des, key_words,  # noqa: E402
                                       plaintext_words)
@@ -53,7 +57,7 @@ from repro.programs.workloads import (compile_des, key_words,  # noqa: E402
 KEY = 0x133457799BBCDFF1
 PT = 0x0123456789ABCDEF
 
-BASELINE_SCHEMA = "repro.bench.baseline/v5"
+BASELINE_SCHEMA = "repro.bench.baseline/v6"
 CALIBRATION_CLAMP = (0.5, 3.0)
 #: Cycles in the round-1 DES workload; turns simulate walls into
 #: simulated-cycles-per-second for the engine throughput gate.
@@ -71,6 +75,12 @@ WARM_DISPATCH_MIN = 5.0
 #: Traces folded through the streaming Welch-t accumulator per bench
 #: round, at round-1 trace width; gates the campaign-statistics hot loop.
 STREAM_TRACES = 256
+#: Recording a program's cycle schedule may cost at most this many bare
+#: reference-pipeline runs of the same program.  Calibration-free: both
+#: sides run back-to-back in this process.
+RECORD_OVERHEAD_MAX = 1.5
+#: Timed runs per side of the record_overhead ratio (median taken).
+RECORD_RUNS = 5
 #: Repeat submissions sampled for the verdict-cache-hit latency p50.
 CACHE_HIT_SAMPLES = 15
 #: Baselines below this are too small for a relative wall-time budget —
@@ -154,6 +164,18 @@ def run_benches(rounds: int) -> dict[str, float]:
         accumulator.t_statistic(definite_leaks=True)
 
     results["streaming_welch_256"] = _best_of(stream_welch, rounds)
+    # Cold schedule recording vs a bare reference run (no tracker) of the
+    # same rounds=4 program — the pair behind the record_overhead gate.
+    # Interleaved, so a host-speed shift hits both sides alike.
+    round4 = compile_des(DesProgramSpec(rounds=4),
+                         masking="selective").program
+    recorded, bare = [], []
+    for _ in range(RECORD_RUNS):
+        recorded.append(_timed(lambda: record_schedule(round4)))
+        bare.append(_timed(
+            lambda: Pipeline(round4, Memory(), tracker=None).run()))
+    results["record_schedule_round4"] = statistics.median(recorded)
+    results["pipeline_run_round4"] = statistics.median(bare)
     # Per-chunk dispatch overhead, cold vs warm: the cold side is what
     # every chunk paid before the shared pool existed (fork two workers,
     # push 16 no-op tasks, tear the pool down); the warm side leases the
@@ -228,6 +250,11 @@ def vector_speedup(measured: dict[str, float]) -> float:
 def warm_dispatch_speedup(measured: dict[str, float]) -> float:
     """How much cheaper a 16-task dispatch is warm than cold."""
     return measured["dispatch16_cold"] / measured["dispatch16_warm"]
+
+
+def record_overhead(measured: dict[str, float]) -> float:
+    """Cold schedule recording cost in bare reference-pipeline runs."""
+    return measured["record_schedule_round4"] / measured["pipeline_run_round4"]
 
 
 def streaming_traces_per_second(measured: dict[str, float]) -> float:
@@ -346,6 +373,16 @@ def compare(measured: dict[str, float], baseline: dict,
             f"{pinned if pinned is not None else 'unpinned'}, "
             f"budget -{max_regress:.0%})")
     record["_warm_dispatch_speedup"] = entry
+    # Schedule-recording gate: a calibration-free ceiling on the ratio.
+    overhead = record_overhead(measured)
+    ceiling = baseline.get("record_overhead_max", RECORD_OVERHEAD_MAX)
+    entry = {"ratio": round(overhead, 3), "max": ceiling,
+             "passed": overhead <= ceiling}
+    if not entry["passed"]:
+        failures.append(
+            f"  record_overhead: recording a schedule costs "
+            f"{overhead:.2f} bare pipeline runs (ceiling {ceiling:.2f})")
+    record["_record_overhead"] = entry
     record["_calibration"] = {"spin_s": round(spin, 4),
                               "baseline_spin_s": baseline["calibration_s"],
                               "factor": round(factor, 4)}
@@ -382,6 +419,8 @@ def main() -> int:
           f"(floor {WARM_DISPATCH_MIN:.1f}x)")
     print(f"streaming_traces_per_s "
           f"{streaming_traces_per_second(measured):9,.0f}")
+    print(f"record_overhead {record_overhead(measured):16.2f}x "
+          f"(ceiling {RECORD_OVERHEAD_MAX:.1f}x)")
 
     if arguments.update_baseline:
         spin = statistics.median(_spin() for _ in range(3))
@@ -398,7 +437,9 @@ def main() -> int:
                  warm_dispatch_speedup(measured), 2),
              "warm_dispatch_min": WARM_DISPATCH_MIN,
              "streaming_traces_per_s": round(
-                 streaming_traces_per_second(measured), 1)},
+                 streaming_traces_per_second(measured), 1),
+             "record_overhead": round(record_overhead(measured), 3),
+             "record_overhead_max": RECORD_OVERHEAD_MAX},
             indent=2) + "\n")
         print(f"baseline pinned -> {arguments.baseline}")
         return 0
