@@ -12,13 +12,14 @@ counters and therefore input-independent too.
 
 This module exploits that:
 
-* :func:`record_schedule` runs the reference :class:`~.pipeline.Pipeline`
-  once (on the program's initial data image, no inputs) and records a
-  compact :class:`CycleSchedule`: one interned control record per cycle
-  holding stage occupancy, forwarding selectors, decode read/gate lists,
-  memory-op kind, pre-computed instruction-bus and IF/ID-latch transition
-  counts (the instruction stream is static), and the secure-bit layout of
-  the four pipeline latches.
+* :func:`record_schedule` runs the program once (on its initial data
+  image, no inputs) and records a compact :class:`CycleSchedule`: one
+  interned control record per cycle holding stage occupancy, forwarding
+  selectors, decode read/gate lists, memory-op kind, pre-computed
+  instruction-bus and IF/ID-latch transition counts (the instruction
+  stream is static), and the secure-bit layout of the four pipeline
+  latches, each built from a step of the reference
+  :class:`~.pipeline.Pipeline`.
 * :class:`ReplayPipeline` replays the schedule for each subsequent trace,
   executing only the data path: operand evaluation through pre-resolved
   per-record handler tuples, transition-sensitive energy accumulated in
@@ -44,7 +45,6 @@ pool.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from typing import Optional
 
 from ..fingerprint import source_fingerprint
@@ -273,9 +273,15 @@ def _forward_selector(src, fwd_mem_dest, fwd_wb_dest) -> int:
     return 0
 
 
+#: Pipeline counters the recorder scales from per-transition deltas.
+_COUNTERS = ("retired", "stall_cycles", "squashed_instructions",
+             "branches_executed", "branches_taken", "loads_executed",
+             "stores_executed", "secure_retired")
+
+
 def record_schedule(program: Program, operand_isolation: bool = True,
                     max_cycles: int = _RECORD_MAX_CYCLES) -> CycleSchedule:
-    """Run the reference pipeline once and record its control schedule.
+    """Record the reference pipeline's control schedule for ``program``.
 
     The recording run executes on the program's initial data image (no
     inputs written); if the program's control flow depends on inputs the
@@ -283,14 +289,15 @@ def record_schedule(program: Program, operand_isolation: bool = True,
     :class:`ScheduleUnavailable` if the recording run itself cannot finish
     (cycle budget, simulation fault).
 
-    Every cycle steps the unmodified reference pipeline, but the control
-    record is looked up by a compact key: the fetch PC, the four latch
-    PCs (a latch's PC fixes its instruction), ``_halt_in_flight``, the
-    previous instruction-bus and IF/ID words (the transition-count
-    baselines), and the EX outcome (next PC, stall and branch-taken
-    deltas).  Those fix every record field, so the record is built only
-    on a key's first occurrence — a 16-round DES run has 187,845 cycles
-    but 847 distinct records.
+    The run walks *control states* — the fetch PC, the four latch PCs (a
+    latch's PC fixes its instruction), ``_halt_in_flight``, the previous
+    instruction-bus and IF/ID words.  A state and its EX outcome (branch
+    taken flag, ``jr``/``jalr`` target, else ``None``) fix the cycle's
+    record, next state and counter deltas: a *transition*.  A known one
+    runs only the data path of :meth:`ReplayPipeline._replay_data_only`; a
+    new state or outcome steps the unmodified reference :class:`Pipeline`
+    once from the state's latches, so every record comes from a real
+    step — 847 steps for the 187,845 cycles of a 16-round DES.
     """
     pipe = Pipeline(program, Memory(), tracker=None,
                     operand_isolation=operand_isolation, collect_mix=True)
@@ -298,15 +305,11 @@ def record_schedule(program: Program, operand_isolation: bool = True,
     iwords = pipe._iwords
     text_len = len(program.text)
 
-    steps: list[int] = []
     records: list[tuple] = []
     index_of: dict[tuple, int] = {}
     #: Per-record input-independent component events:
     #: ``(ibus, regfile, funits, mem, secure)``.
     events: list[tuple[int, int, int, int, int]] = []
-    #: Control key -> ``(slot, instruction-bus word after the cycle)``.
-    memo: dict[tuple, tuple[int, int]] = {}
-    prev_ibus = 0
 
     def ins_index(ins: Instruction, pc: int) -> int:
         if ins is BUBBLE or pc < 0:
@@ -415,35 +418,118 @@ def record_schedule(program: Program, operand_isolation: bool = True,
                 + (1 if s2 else 0) + (1 if s3 else 0)))
         return slot, prev_ibus
 
-    step = pipe.step
+    # Control states: key -> id; per id ``[key, reference latches of the
+    # first visit, EX outcome probe (a_sel, b_sel, branch function or None
+    # for jr/jalr; None until a step shows the outcome matters), outcome ->
+    # transition id]``.  Per transition: fast handler tuple, next state
+    # (None after the halt), slot, counter + event deltas, mix delta; uses.
+    state_ids: dict[tuple, int] = {}
+    states: list[list] = []
+    moves: list[tuple] = []
+    uses: list[int] = []
+
+    def visit(prev_ibus: int) -> int:
+        key = (pipe.pc, pipe.if_id.pc, pipe.id_ex.pc, pipe.ex_mem.pc,
+               pipe.mem_wb.pc, pipe._halt_in_flight, prev_ibus,
+               pipe.if_id.iword)
+        sid = state_ids.setdefault(key, len(states))
+        if sid == len(states):
+            states.append([key, (pipe.if_id, pipe.id_ex, pipe.ex_mem,
+                                 pipe.mem_wb), None, {}])
+        return sid
+
+    regs = pipe.regs._regs
+    read_word, read_byte = pipe.memory.read_word, pipe.memory.read_byte
+    write_word, write_byte = pipe.memory.write_word, pipe.memory.write_byte
+    steps: list[int] = []
+    steps_append = steps.append
+    wb_value = mem_alu = mem_store = idex_a = idex_b = idex_st = 0
+    sid = visit(0)
     try:
-        while not pipe.halted:
-            if pipe.cycle >= max_cycles:
+        while sid is not None:
+            key, latches, probe, table = states[sid]
+            if len(steps) >= max_cycles:
                 raise ScheduleUnavailable(
                     f"recording exceeded max_cycles={max_cycles} "
-                    f"(pc=0x{pipe.pc:08x})")
-            # -- pre-step state --------------------------------------
-            if_id, id_ex = pipe.if_id, pipe.id_ex
-            ex_mem, mem_wb = pipe.ex_mem, pipe.mem_wb
-            pc_before = pipe.pc
-            halt_in_flight = pipe._halt_in_flight
-            stalls_before = pipe.stall_cycles
-            taken_before = pipe.branches_taken
-
-            step()
-
-            stall = pipe.stall_cycles - stalls_before
-            taken = pipe.branches_taken - taken_before
-            key = (pc_before, if_id.pc, id_ex.pc, ex_mem.pc, mem_wb.pc,
-                   halt_in_flight, prev_ibus, if_id.iword, pipe.pc,
-                   stall, taken)
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = build(
-                    if_id, id_ex, ex_mem, mem_wb, pc_before,
-                    halt_in_flight, stall > 0, taken > 0, prev_ibus)
-            slot, prev_ibus = hit
-            steps.append(slot)
+                    f"(pc=0x{key[0]:08x})")
+            outcome = None
+            if probe is not None:
+                a_sel, b_sel, taken_fn = probe
+                outcome = idex_a if a_sel == 0 else (mem_alu if a_sel == 1
+                                                     else wb_value)
+                if taken_fn is not None:
+                    outcome = taken_fn(outcome, idex_b if b_sel == 0 else (
+                        mem_alu if b_sel == 1 else wb_value))
+            tid = table.get(outcome)
+            if tid is None:
+                # -- miss: one reference step from this state's latches --
+                if_id, id_ex, ex_mem, mem_wb = pipe.if_id, pipe.id_ex, \
+                    pipe.ex_mem, pipe.mem_wb = latches
+                id_ex.a, id_ex.b, id_ex.store_val = idex_a, idex_b, idex_st
+                ex_mem.alu_out, ex_mem.store_val = mem_alu, mem_store
+                mem_wb.value = wb_value
+                pipe.pc, pipe._halt_in_flight = key[0], key[5]
+                pipe.cycle, pipe._mix = len(steps), {}
+                for name in _COUNTERS:
+                    setattr(pipe, name, 0)
+                pipe.step()
+                slot, prev_ibus = build(
+                    if_id, id_ex, ex_mem, mem_wb, key[0], key[5],
+                    pipe.stall_cycles > 0, pipe.branches_taken > 0, key[6])
+                fast = _BoundSchedule._bind_fast(records[slot])
+                if fast[10] is not None:
+                    outcome = fast[10][1]
+                    states[sid][2] = (fast[6], fast[7], fast[10][0])
+                tid = table[outcome] = len(moves)
+                moves.append((fast, None if pipe.halted else visit(prev_ibus),
+                               slot, tuple(getattr(pipe, name) for name
+                                           in _COUNTERS) + events[slot],
+                               pipe._mix))
+                uses.append(0)
+                # The data path below repeats the step's register and
+                # memory writes with the same values and so computes the
+                # values the step latched.
+            # -- data path of the transition ----------------------------
+            (wb_wr, mem_kind, _mem_sec, alu_fn, _unit_i, _ex_sec,
+             a_sel, b_sel, st_sel, ex_link, _ctl, dec_live,
+             a_reg, a_const, b_reg, b_const, st_reg, _rw, _ibus_ev, _l0_ev,
+             _s1, _s2, _s3, _sec_idx), sid, slot, _, _ = moves[tid]
+            steps_append(slot)
+            uses[tid] += 1
+            if wb_wr >= 0:
+                regs[wb_wr] = wb_value
+            new_wb = mem_alu
+            if mem_kind:
+                if mem_kind == _MEM_LW:
+                    new_wb = read_word(mem_alu)
+                elif mem_kind == _MEM_LBU:
+                    new_wb = read_byte(mem_alu)
+                elif mem_kind == _MEM_LB:
+                    new_wb = read_byte(mem_alu)
+                    if new_wb & 0x80:
+                        new_wb |= 0xFFFF_FF00
+                elif mem_alu == MARKER_ADDR:
+                    pass  # a phase marker never reaches memory
+                elif mem_kind == _MEM_SW:
+                    write_word(mem_alu, mem_store)
+                else:
+                    write_byte(mem_alu, mem_store)
+            a = idex_a if a_sel == 0 else (mem_alu if a_sel == 1
+                                           else wb_value)
+            b = idex_b if b_sel == 0 else (mem_alu if b_sel == 1
+                                           else wb_value)
+            mem_store = idex_st if st_sel == 0 else (mem_alu if st_sel == 1
+                                                     else wb_value)
+            mem_alu = alu_fn(a, b) if alu_fn is not None else 0
+            if ex_link >= 0:
+                mem_alu = ex_link
+            wb_value = new_wb
+            if dec_live:
+                idex_a = regs[a_reg] if a_reg >= 0 else a_const
+                idex_b = regs[b_reg] if b_reg >= 0 else b_const
+                idex_st = regs[st_reg] if st_reg >= 0 else 0
+            else:
+                idex_a = idex_b = idex_st = 0
     except ScheduleFallback:
         raise
     except SimulationError as error:
@@ -451,17 +537,21 @@ def record_schedule(program: Program, operand_isolation: bool = True,
         raise ScheduleUnavailable(
             f"recording run failed: {error}") from error
 
-    # Input-independent per-component event counts, from each record's
-    # events times the number of cycles that replay it.
-    n_ibus = n_regfile = n_funits = n_mem = n_secure = 0
-    for slot, times in Counter(steps).items():
-        ibus, regfile, funits, mem, secure = events[slot]
-        n_ibus += ibus * times
-        n_regfile += regfile * times
-        n_funits += funits * times
-        n_mem += mem * times
-        n_secure += secure * times
-    cycles = pipe.cycle
+    # Counters, component events and opcode mix: each transition's deltas
+    # times its uses, in first-use order (= the reference mix order); the
+    # counters go back into the pipe so the stat formulas stay there.
+    totals = [0] * (len(_COUNTERS) + 5)
+    mix: dict[tuple[str, bool], int] = {}
+    for (_, _, _, delta, mix_delta), times in zip(moves, uses):
+        totals = [total + value * times
+                  for total, value in zip(totals, delta)]
+        for mix_key, count in mix_delta.items():
+            mix[mix_key] = mix.get(mix_key, 0) + count * times
+    for name, total in zip(_COUNTERS, totals):
+        setattr(pipe, name, total)
+    pipe._mix = mix
+    cycles = pipe.cycle = len(steps)
+    n_ibus, n_regfile, n_funits, n_mem, n_secure = totals[len(_COUNTERS):]
     counts = {"clock": cycles, "ibus": n_ibus, "regfile": n_regfile,
               "funits": n_funits, "dbus": n_mem, "memport": n_mem,
               "latches": 4 * cycles, "secure": n_secure}

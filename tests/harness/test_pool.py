@@ -44,9 +44,11 @@ def fresh_pool(monkeypatch):
 
 
 def _jobs(count=2):
+    """Per-job batches under every ambient engine: ``fast`` has no batch
+    hook, so ``run_jobs(..., jobs=2)`` always reaches the pool."""
     program = assemble(ASM)
     return [SimJob(program=program, noise_sigma=0.5, noise_seed=i + 1,
-                   label=f"job[{i}]") for i in range(count)]
+                   label=f"job[{i}]", engine="fast") for i in range(count)]
 
 
 # -- leasing ----------------------------------------------------------------

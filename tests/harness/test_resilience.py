@@ -40,11 +40,11 @@ halt
 TINY_SPEC = DesProgramSpec(rounds=0, include_ip=False, include_fp=False)
 
 
-def _batch(count=6, sigma=0.8):
+def _batch(count=6, sigma=0.8, engine=None):
     """Noisy tiny jobs: per-seed noise makes bit-identity a real check."""
     program = assemble(ASM)
     return [SimJob(program=program, noise_sigma=sigma, noise_seed=i + 1,
-                   label=f"job[{i}]") for i in range(count)]
+                   label=f"job[{i}]", engine=engine) for i in range(count)]
 
 
 def _energies(results):
@@ -246,7 +246,9 @@ def test_pool_unavailable_degrades_to_serial(monkeypatch, caplog,
     pool.reset_shared_pool()
     monkeypatch.setattr(pool, "_build_executor", lambda workers: None)
     with caplog.at_level(logging.WARNING, "repro.harness.pool"):
-        results = run_jobs(_batch(4), jobs=4)
+        # ``fast`` has no batch hook, so the batch asks the pool for a
+        # lease under every ambient engine.
+        results = run_jobs(_batch(4, engine="fast"), jobs=4)
     assert pool.pool_stats()["leases"] == 0
     for clean_energy, result in zip(clean, results):
         assert np.array_equal(clean_energy, result.energy)

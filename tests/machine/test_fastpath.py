@@ -44,8 +44,12 @@ GOLDEN_DIGESTS = {
 
 
 #: sha256 of :func:`_schedule_digest` for recorded schedules, pinned
-#: from the per-cycle record-building recorder: any change to what the
-#: recorder emits — slots, record order, counters, mix, counts — shows.
+#: from a recorder that stepped the reference pipeline every cycle: any
+#: change to what the recorder emits — slots, record order, counters,
+#: mix, counts — shows.  ``des16-selective`` leaves its loops through
+#: outcomes new at already-seen control states; ``call`` and the
+#: ``divergent`` programs cover jal/jr/jalr targets, byte loads and
+#: stores, a phase marker, a counted loop and a branch each way.
 GOLDEN_SCHEDULES = {
     ("des-none", True):
         "0e8a73e4bb357fa8e446c983eb2540036a4133fd1ee4672c30d43dc9c3c637a6",
@@ -57,7 +61,50 @@ GOLDEN_SCHEDULES = {
         "2698fa981d1be59c8c0f040c9a783f93ed444537e6f811b56b1eb5f88fc98533",
     ("aes-selective", True):
         "125688507823dd3ad1ba39b0cd2ee4035a9d7aff657eec05841a3edcb303632f",
+    ("des16-selective", True):
+        "2bcf2d585668ebe52d552a18791af94ce5a012b0687f927b2156dffaa16b1406",
+    ("des16-selective", False):
+        "3959a6339b966b27fb12228c21cd770b7cb55da10be6dc0c70b7211be47a7bfb",
+    ("call", True):
+        "23214131d1d58420e382a00a5143d9fd297fed5a594af2e5027b0334c0f57d85",
+    ("call", False):
+        "ec8d790b8aeeca24ba4ff4cab5924275682ec106e9628050d664f617cf4ed569",
+    ("divergent-0", True):
+        "a545f664d3d01729bfd66781562ebdd8198df976a4104ca712398cd0e76c0982",
+    ("divergent-1", True):
+        "a357a671fc76b6e1cbfc6c93977fe97efcb5de9609ca5a59e18f4e40fa4bcb70",
 }
+
+#: A call-heavy program: ``jal`` + ``jr $ra`` back to two call sites (one
+#: in a loop), ``jalr``, ``lb``/``lbu``/``sb``, a store to the phase
+#: marker address and a counted ``bne`` loop.
+CALL_SOURCE = """
+.data
+buf: .word 0x80402010, 0
+.text
+main:
+    la $s0, buf
+    li $s1, 4
+    li $t9, 0xFF00
+    la $s2, leaf2
+    jal leaf
+loop:
+    jal leaf
+    lb $t1, 3($s0)
+    lbu $t2, 3($s0)
+    sb $t1, 4($s0)
+    jalr $s2
+    sw $t4, 0($t9)
+    addi $s1, $s1, -1
+    bne $s1, $zero, loop
+    halt
+leaf:
+    addi $t3, $t3, 1
+    jr $ra
+leaf2:
+    xor $t4, $t4, $t3
+    jr $ra
+"""
 
 
 def _digest(run):
@@ -141,15 +188,23 @@ def test_round1_fast_hits_golden_digest(masking):
                          sorted(GOLDEN_SCHEDULES))
 def test_recorded_schedule_hits_golden_digest(workload, operand_isolation):
     """The recorder's output is pinned, not just the traces replayed
-    from it: memoizing records must leave every schedule byte-identical."""
+    from it: walking control states must leave every schedule
+    byte-identical."""
     from repro.programs.workloads import compile_aes
 
-    cipher, masking = workload.split("-")
-    if cipher == "aes":
-        program = compile_aes(masking=masking).program
+    name, variant = workload.split("-") if "-" in workload \
+        else (workload, None)
+    if name == "call":
+        program = assemble(CALL_SOURCE)
+    elif name == "divergent":
+        program = assemble(DIVERGENT_SOURCE.replace(
+            "inval: .word 0", f"inval: .word {variant}"))
+    elif name == "aes":
+        program = compile_aes(masking=variant).program
     else:
-        program = compile_des(DesProgramSpec(rounds=1),
-                              masking=masking).program
+        rounds = 16 if name == "des16" else 1
+        program = compile_des(DesProgramSpec(rounds=rounds),
+                              masking=variant).program
     schedule = fastpath.record_schedule(
         program, operand_isolation=operand_isolation)
     assert _schedule_digest(schedule) == \
@@ -320,6 +375,20 @@ main:
         run_with_trace(program, engine="fast", max_cycles=500)
     assert fast.value.cycles == reference.value.cycles == 500
     assert fast.value.pc == reference.value.pc
+
+
+def test_recording_budget_message_pins_the_pc():
+    """An endless loop exhausts the recording budget with the same
+    message the per-cycle recorder gave, naming the fetch pc."""
+    program = assemble("""
+.text
+main:
+    j main
+""")
+    with pytest.raises(fastpath.ScheduleUnavailable) as error:
+        fastpath.record_schedule(program, max_cycles=500)
+    assert str(error.value) == \
+        "recording exceeded max_cycles=500 (pc=0x00000008)"
 
 
 def test_streaming_always_uses_reference_engine(tmp_path):
