@@ -551,16 +551,19 @@ def _prewarm_schedules(batch: Sequence[SimJob]) -> None:
     or load it from the shared disk cache instead of each recording it.
     Covers every distinct prebuilt program whose job resolves to a
     schedule-replaying engine (``SimJob.engine``, else the ambient
-    default); reference-engine jobs and :class:`CompileRequest` jobs,
+    default); reference-engine jobs, attribution jobs (which the runner
+    pins to the reference engine) and :class:`CompileRequest` jobs,
     which the workers compile themselves, are left alone.
     """
     from ..machine import engines as engine_registry
     from ..machine import fastpath
 
+    if obs.attribution_enabled():
+        return
     seen = set()
     for job in batch:
         program = job.program
-        if not isinstance(program, Program):
+        if not isinstance(program, Program) or job.attribute:
             continue
         try:
             engine = engine_registry.resolve(job.engine)

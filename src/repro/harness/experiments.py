@@ -54,15 +54,6 @@ class ExperimentResult:
     leakage: Optional[LeakageReport] = None
 
 
-def _round1_window(run: RunResult) -> tuple[int, int]:
-    """Cycle span of round 1 (start of round 0-indexed 0 to its end)."""
-    start = run.trace.marker_cycles(mk.M_ROUND_BASE)[0]
-    later = [c for c, v in run.trace.markers
-             if c > start and v in (mk.M_ROUND_BASE + 1, mk.M_FP_START)]
-    end = min(later) if later else len(run.trace)
-    return start, end
-
-
 def _secure_region(run: RunResult) -> tuple[int, int]:
     """Everything from the first key use (PC-1) to the final permutation."""
     start = run.trace.marker_cycles(mk.M_KEYPERM_START)[0]

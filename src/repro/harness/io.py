@@ -192,7 +192,7 @@ def experiment_to_dict(result: ExperimentResult) -> dict:
         "summary": {key: (value.item()
                           if isinstance(value, np.generic) else value)
                     for key, value in result.summary.items()},
-        "series": {name: values.tolist()
+        "series": {name: np.asarray(values).tolist()
                    for name, values in result.series.items()},
         "rows": [list(row) for row in result.rows],
         "notes": result.notes,

@@ -73,11 +73,11 @@ def run_with_trace(program: Program,
     down the registry's fallback chain (``vector`` -> ``fast`` ->
     ``reference``); nothing from an abandoned attempt leaks into the
     result, and the final :attr:`RunResult.engine` is labeled
-    ``"<requested>-fallback"``.  Streaming runs (``stream`` set) always
-    use the reference engine so a mid-run divergence can never leave a
-    partially written trace behind; attribution runs substitute each
-    engine's declared ``hooked`` engine, since replaying per-cycle hooks
-    is what attribution needs.
+    ``"<requested>-fallback"``.  Streaming runs (``stream`` set) and
+    attribution runs (:func:`repro.obs.attribution_enabled`) always use
+    the reference engine: both need its per-cycle tracker hooks, and a
+    streamed trace can then never be left half written by a mid-run
+    divergence.
 
     When the observability sink is enabled (:func:`repro.obs.enabled`),
     the run executes under an ``execute`` span, collects the dynamic
@@ -97,12 +97,8 @@ def run_with_trace(program: Program,
     entirely (the returned result then has an empty energy vector).
     """
     resolved = engines.resolve(engine)
-    if stream is not None:
+    if stream is not None or obs.attribution_enabled():
         resolved = "reference"
-    elif obs.attribution_enabled():
-        hooked = engines.get(resolved).hooked
-        if hooked is not None:
-            resolved = hooked
     requested = resolved
     engine_label = None
     while True:

@@ -60,10 +60,6 @@ def _split_operands(rest: str) -> list[str]:
     return [part.strip() for part in rest.split(",")]
 
 
-def _is_register(token: str) -> bool:
-    return token.startswith("$")
-
-
 class _DataSegment:
     """Accumulates the .data image byte-by-byte, emitting 32-bit words."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -145,13 +145,6 @@ class HaltOp(IRInstr):
 
 Instr = Union[Const, Bin, LoadVar, StoreVar, LoadArr, StoreArr, Label, Jump,
               BranchZero, MarkerOp, Call, FuncBegin, ReturnOp, HaltOp]
-
-
-def defs_of(instr: Instr) -> Optional[Temp]:
-    """The temp defined by an instruction, if any."""
-    if isinstance(instr, (Const, Bin, LoadVar, LoadArr)):
-        return instr.dest
-    return None
 
 
 def uses_of(instr: Instr) -> tuple[Temp, ...]:

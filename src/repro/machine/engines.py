@@ -9,10 +9,13 @@ vectorized trace-batch engine) plugs in without touching every caller:
   ``"fast"``), raising :class:`ValueError` for unknown names;
 * :class:`EngineSpec` describes one backend: how to build a CPU-like
   executor (``factory``), which engine serves a run the backend declines
-  (``fallback`` — walked transitively by the harness runner), which
-  engine substitutes when the run needs the per-cycle tracker hooks for
-  attribution (``hooked``), and an optional whole-batch entry point
-  (``batch``) for engines that natively execute many traces at once.
+  (``fallback`` — walked transitively by the harness runner), and an
+  optional whole-batch entry point (``batch``) for engines that natively
+  execute many traces at once.
+
+Attribution and streaming runs need the per-cycle tracker hooks, which
+only the reference engine drives; the harness runner pins those runs to
+``reference`` whichever engine was requested.
 
 The registered engines:
 
@@ -53,9 +56,6 @@ class EngineSpec:
     :class:`~repro.machine.fastpath.ScheduleFallback` to decline the run,
     in which case the harness retries on ``fallback`` (transitively).
 
-    ``hooked`` names the engine that substitutes when attribution is
-    enabled and this backend cannot drive the per-cycle tracker hooks.
-
     ``batch(jobs, program, cache_hit)`` — optional — executes a
     homogeneous list of :class:`~repro.harness.engine.SimJob` natively
     and returns their :class:`~repro.harness.engine.JobResult` list, or
@@ -65,7 +65,6 @@ class EngineSpec:
     name: str
     factory: Callable[..., object]
     fallback: Optional[str] = None
-    hooked: Optional[str] = None
     batch: Optional[Callable[..., Optional[list]]] = None
 
 
@@ -150,4 +149,4 @@ def _vector_batch(jobs: Sequence, program, cache_hit=None) -> Optional[list]:
 register(EngineSpec("fast", _fast_factory, fallback="reference"))
 register(EngineSpec("reference", _reference_factory))
 register(EngineSpec("vector", _vector_factory, fallback="fast",
-                    hooked="fast", batch=_vector_batch))
+                    batch=_vector_batch))

@@ -24,9 +24,11 @@ This module exploits that:
   executing only the data path: operand evaluation through pre-resolved
   per-record handler tuples, transition-sensitive energy accumulated in
   flat per-component floats, committed to the tracker once at the end
-  (:meth:`~repro.energy.tracker.EnergyTracker.commit_fastpath`).  With an
-  attribution sink attached it instead drives the standard tracker hooks
-  in the reference call order, so attribution snapshots are identical.
+  (:meth:`~repro.energy.tracker.EnergyTracker.commit_fastpath`).  It
+  never drives the per-cycle tracker hooks: a run with no tracker, an
+  attribution sink or a stream raises :class:`ScheduleUnavailable`, and
+  the harness runner pins attribution and streaming runs to the
+  reference engine, whose hooks are the ground truth for both.
 * Every recorded branch/indirect-jump outcome is checked during replay;
   a mismatch raises :class:`ScheduleDivergence` and the harness runner
   transparently re-runs the trace on the reference engine, so correctness
@@ -60,10 +62,6 @@ _WORD_MASK = 0xFFFF_FFFF
 #: Bump when the record layout or replay semantics change; part of the
 #: on-disk cache key, so stale schedules can only miss, never replay wrong.
 SCHEDULE_VERSION = 1
-
-#: Engine names accepted by ``--engine`` / ``REPRO_ENGINE``.  Re-exported
-#: from the engine registry for backwards compatibility.
-from .engines import ENGINES  # noqa: E402  (historical import site)
 
 #: Cycle budget for the one-time recording run when the caller does not
 #: bound it tighter.
@@ -294,10 +292,11 @@ def record_schedule(program: Program, operand_isolation: bool = True,
     instruction-bus and IF/ID words.  A state and its EX outcome (branch
     taken flag, ``jr``/``jalr`` target, else ``None``) fix the cycle's
     record, next state and counter deltas: a *transition*.  A known one
-    runs only the data path of :meth:`ReplayPipeline._replay_data_only`; a
-    new state or outcome steps the unmodified reference :class:`Pipeline`
-    once from the state's latches, so every record comes from a real
-    step — 847 steps for the 187,845 cycles of a 16-round DES.
+    runs only the data path, the operand, memory and register statements
+    of :meth:`ReplayPipeline._replay_fast`; a new state or outcome steps
+    the unmodified reference :class:`Pipeline` once from the state's
+    latches, so every record comes from a real step — 847 steps for the
+    187,845 cycles of a 16-round DES.
     """
     pipe = Pipeline(program, Memory(), tracker=None,
                     operand_isolation=operand_isolation, collect_mix=True)
@@ -600,18 +599,15 @@ _BRANCH_FUNCS = {
 
 
 class _BoundSchedule:
-    """A :class:`CycleSchedule` resolved against a program's instruction
-    objects: per-record handler tuples for the inline fast loop, plus
-    (lazily) the instruction-bearing tuples the hooked loop needs."""
+    """A :class:`CycleSchedule` resolved into per-record handler tuples
+    for the inline replay loop."""
 
-    __slots__ = ("schedule", "fast", "_hooked", "_program")
+    __slots__ = ("schedule", "fast")
 
-    def __init__(self, schedule: CycleSchedule, program: Program):
+    def __init__(self, schedule: CycleSchedule):
         self.schedule = schedule
-        self._program = program
         self.fast = [self._bind_fast(record)
                      for record in schedule.records]
-        self._hooked: Optional[list[tuple]] = None
 
     @staticmethod
     def _bind_fast(record: tuple) -> tuple:
@@ -633,47 +629,6 @@ class _BoundSchedule:
                 a_sel, b_sel, st_sel, ex_link, ctl, dec_live,
                 a_reg, a_const, b_reg, b_const, st_reg, reads + writes,
                 ibus_ev, l0_ev, s1, s2, s3, sec_idx)
-
-    @property
-    def hooked(self) -> list[tuple]:
-        if self._hooked is None:
-            self._hooked = [self._bind_hooked(record)
-                            for record in self.schedule.records]
-        return self._hooked
-
-    def _bind_hooked(self, record: tuple) -> tuple:
-        (wb_idx, wb_dest, _wb_sec, mem_idx, mem_kind, _mem_sec,
-         ex_idx, alu_name, _unit_i, _ex_sec, a_sel, b_sel, st_sel,
-         ex_link, ctl, id_idx, dec_live, a_reg, a_const, b_reg, b_const,
-         st_reg, reads, writes, fetch_idx, fetch_active, fetch_iword,
-         _ibus_ev, l0_idx, l0_iword, _l0_ev, l1_idx, s1, s2, s3) = record
-        text = self._program.text
-        base = self._program.text_base
-
-        def resolve(index: int) -> tuple[Instruction, int]:
-            if index < 0:
-                return BUBBLE, -1
-            return text[index], base + (index << 2)
-
-        if ctl is not None:
-            if ctl[0] == "b":
-                ctl = (_BRANCH_FUNCS[ctl[1]], ctl[2])
-            else:
-                ctl = (None, ctl[1])
-        alu_fn = _ALU_FUNCS[alu_name] if alu_name is not None else None
-        wb_ins, wb_pc = resolve(wb_idx)
-        mem_ins, mem_pc = resolve(mem_idx)
-        ex_ins, ex_pc = resolve(ex_idx)
-        id_ins, id_pc = resolve(id_idx)
-        fetch_ins, fetch_pc = resolve(fetch_idx)
-        l0_ins, l0_pc = resolve(l0_idx)
-        l1_ins, l1_pc = resolve(l1_idx)
-        return (wb_ins, wb_pc, wb_dest, mem_ins, mem_pc, mem_kind,
-                ex_ins, ex_pc, alu_fn, a_sel, b_sel, st_sel, ex_link, ctl,
-                dec_live, a_reg, a_const, b_reg, b_const, st_reg,
-                reads, writes, id_ins, id_pc, fetch_iword, fetch_active,
-                fetch_ins, fetch_pc, l0_ins, l0_pc, l0_iword,
-                l1_ins, l1_pc, s1, s2, s3)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +691,7 @@ def bound_schedule_for(program: Program, operand_isolation: bool = True,
                                          _UNRECORDABLE.get(key, 0))
                 raise
             cache.store_artifact(cache_key, schedule)
-        bound = _BoundSchedule(schedule, program)
+        bound = _BoundSchedule(schedule)
         _BOUND[key] = bound
     if bound.schedule.cycles > max_cycles:
         raise ScheduleUnavailable(
@@ -798,14 +753,13 @@ class ReplayPipeline(Pipeline):
         if self.halted or self.cycle:
             raise SimulationError("ReplayPipeline.run is one-shot")
         tracker = self.tracker
+        if tracker is None or tracker.attribution is not None \
+                or tracker.stream is not None:
+            raise ScheduleUnavailable(
+                "replay needs a tracker without attribution or streaming; "
+                "using reference engine")
         try:
-            if tracker is None:
-                self._replay_data_only()
-            elif tracker.attribution is not None \
-                    or tracker.stream is not None:
-                self._replay_hooked(tracker)
-            else:
-                self._replay_fast(tracker)
+            self._replay_fast(tracker)
         except ScheduleDivergence:
             _DIVERGENT.add((program_digest(self.program),
                             self.operand_isolation))
@@ -826,77 +780,6 @@ class ReplayPipeline(Pipeline):
         if self._mix is not None:
             self._mix.update(schedule.mix)
         return self.cycle
-
-    # -- data path core (shared by all three loops) ---------------------
-
-    def _replay_data_only(self) -> None:
-        """Architectural state + markers only (no tracker attached)."""
-        records = self._bound.fast
-        steps = self._bound.schedule.steps
-        regs = self.regs._regs
-        memory = self.memory
-        read_word = memory.read_word
-        read_byte = memory.read_byte
-        write_word = memory.write_word
-        write_byte = memory.write_byte
-        markers_append = self.markers.append
-
-        wb_value = 0
-        mem_alu = 0
-        mem_store = 0
-        idex_a = idex_b = idex_st = 0
-        cyc = 0
-        for slot in steps:
-            (wb_wr, mem_kind, _mem_sec, alu_fn, _unit_i, _ex_sec,
-             a_sel, b_sel, st_sel, ex_link, ctl, dec_live,
-             a_reg, a_const, b_reg, b_const, st_reg, _rw,
-             _ibus_ev, _l0_ev, _s1, _s2, _s3, _sec_idx) = records[slot]
-            if wb_wr >= 0:
-                regs[wb_wr] = wb_value
-            new_wb = mem_alu
-            if mem_kind:
-                if mem_kind == _MEM_LW:
-                    new_wb = read_word(mem_alu)
-                elif mem_kind == _MEM_LBU:
-                    new_wb = read_byte(mem_alu)
-                elif mem_kind == _MEM_LB:
-                    value = read_byte(mem_alu)
-                    if value & 0x80:
-                        value |= 0xFFFF_FF00
-                    new_wb = value
-                elif mem_alu == MARKER_ADDR:
-                    markers_append((cyc, mem_store))
-                elif mem_kind == _MEM_SW:
-                    write_word(mem_alu, mem_store)
-                else:
-                    write_byte(mem_alu, mem_store)
-            a = idex_a if a_sel == 0 else (mem_alu if a_sel == 1
-                                           else wb_value)
-            b = idex_b if b_sel == 0 else (mem_alu if b_sel == 1
-                                           else wb_value)
-            store = idex_st if st_sel == 0 else (mem_alu if st_sel == 1
-                                                 else wb_value)
-            alu_out = alu_fn(a, b) if alu_fn is not None else 0
-            if ex_link >= 0:
-                alu_out = ex_link
-            if ctl is not None:
-                taken_fn, expected = ctl
-                if taken_fn is not None:
-                    if taken_fn(a, b) != expected:
-                        raise ScheduleDivergence(cyc)
-                elif a != expected:
-                    raise ScheduleDivergence(cyc)
-            if dec_live:
-                next_a = regs[a_reg] if a_reg >= 0 else a_const
-                next_b = regs[b_reg] if b_reg >= 0 else b_const
-                next_st = regs[st_reg] if st_reg >= 0 else 0
-            else:
-                next_a = next_b = next_st = 0
-            wb_value = new_wb
-            mem_alu = alu_out
-            mem_store = store
-            idex_a, idex_b, idex_st = next_a, next_b, next_st
-            cyc += 1
 
     def _replay_fast(self, tracker) -> None:
         """Inline data + energy loop; flat accumulators, one tracker commit.
@@ -1102,108 +985,6 @@ class ReplayPipeline(Pipeline):
         tracker.commit_fastpath(
             cycle_energy if keep_trace else [],
             components, totals, counts, cyc)
-
-    def _replay_hooked(self, tracker) -> None:
-        """Replay driving the standard tracker hooks (attribution or
-        streaming active): same call order and arguments as the reference
-        ``Pipeline.step``, with control decisions pre-resolved."""
-        records = self._bound.hooked
-        steps = self._bound.schedule.steps
-        regs = self.regs._regs
-        memory = self.memory
-        read_word = memory.read_word
-        read_byte = memory.read_byte
-        write_word = memory.write_word
-        write_byte = memory.write_byte
-        markers_append = self.markers.append
-        begin_cycle = tracker.begin_cycle
-        wb_stage = tracker.wb_stage
-        mem_stage = tracker.mem_stage
-        ex_stage = tracker.ex_stage
-        regfile_access = tracker.regfile_access
-        fetch = tracker.fetch
-        latch = tracker.latch
-        end_cycle = tracker.end_cycle
-
-        wb_value = 0
-        mem_alu = 0
-        mem_store = 0
-        idex_a = idex_b = idex_st = 0
-        cyc = 0
-        for slot in steps:
-            (wb_ins, wb_pc, wb_dest, mem_ins, mem_pc, mem_kind,
-             ex_ins, ex_pc, alu_fn, a_sel, b_sel, st_sel, ex_link, ctl,
-             dec_live, a_reg, a_const, b_reg, b_const, st_reg,
-             reads, writes, id_ins, id_pc, fetch_iword, fetch_active,
-             fetch_ins, fetch_pc, l0_ins, l0_pc, l0_iword,
-             l1_ins, l1_pc, s1, s2, s3) = records[slot]
-            begin_cycle()
-            # ---- WB ----
-            if wb_dest > 0:
-                regs[wb_dest] = wb_value
-            wb_stage(wb_ins, wb_value, wb_pc)
-            # ---- MEM ----
-            new_wb = mem_alu
-            bus_value = 0
-            if mem_kind:
-                if mem_kind == _MEM_LW:
-                    new_wb = bus_value = read_word(mem_alu)
-                elif mem_kind == _MEM_LBU:
-                    new_wb = bus_value = read_byte(mem_alu)
-                elif mem_kind == _MEM_LB:
-                    value = read_byte(mem_alu)
-                    if value & 0x80:
-                        value |= 0xFFFF_FF00
-                    new_wb = bus_value = value
-                else:
-                    if mem_alu == MARKER_ADDR:
-                        markers_append((cyc, mem_store))
-                    elif mem_kind == _MEM_SW:
-                        write_word(mem_alu, mem_store)
-                    else:
-                        write_byte(mem_alu, mem_store)
-                    bus_value = mem_store
-            mem_stage(mem_ins, bus_value, bool(mem_kind), mem_pc)
-            # ---- EX ----
-            a = idex_a if a_sel == 0 else (mem_alu if a_sel == 1
-                                           else wb_value)
-            b = idex_b if b_sel == 0 else (mem_alu if b_sel == 1
-                                           else wb_value)
-            store = idex_st if st_sel == 0 else (mem_alu if st_sel == 1
-                                                 else wb_value)
-            alu_out = alu_fn(a, b) if alu_fn is not None else 0
-            if ex_link >= 0:
-                alu_out = ex_link
-            if ctl is not None:
-                taken_fn, expected = ctl
-                if taken_fn is not None:
-                    if taken_fn(a, b) != expected:
-                        raise ScheduleDivergence(cyc)
-                elif a != expected:
-                    raise ScheduleDivergence(cyc)
-            ex_stage(ex_ins, a, b, alu_out, ex_pc)
-            # ---- ID ----
-            if dec_live:
-                next_a = regs[a_reg] if a_reg >= 0 else a_const
-                next_b = regs[b_reg] if b_reg >= 0 else b_const
-                next_st = regs[st_reg] if st_reg >= 0 else 0
-            else:
-                next_a = next_b = next_st = 0
-            regfile_access(reads, writes, id_ins, id_pc, wb_ins, wb_pc)
-            # ---- IF (hook args are pre-squash, as in the reference) ----
-            fetch(fetch_iword, fetch_active, fetch_ins, fetch_pc)
-            # ---- latch commit (post-squash contents) ----
-            latch(0, (l0_iword,), l0_ins.secure, l0_ins, l0_pc)
-            latch(1, (next_a, next_b, next_st), s1, l1_ins, l1_pc)
-            latch(2, (alu_out, store), s2, ex_ins, ex_pc)
-            latch(3, (new_wb,), s3, mem_ins, mem_pc)
-            end_cycle()
-            # ---- state rotation ----
-            wb_value = new_wb
-            mem_alu = alu_out
-            mem_store = store
-            idex_a, idex_b, idex_st = next_a, next_b, next_st
-            cyc += 1
 
 
 class ReplayCPU(CPU):

@@ -229,17 +229,6 @@ def rollup_classes(snapshot: dict) -> dict[str, dict]:
     return out
 
 
-def rollup_secure(snapshot: dict) -> dict[str, dict]:
-    """Split by the secure bit of the owning instruction."""
-    out: dict[str, dict] = {}
-    for pc, _, _, secure, pj, events in _iter_cells(snapshot):
-        name = "overhead" if pc < 0 else ("secure" if secure else "insecure")
-        slot = out.setdefault(name, {"pj": 0.0, "events": 0})
-        slot["pj"] += pj
-        slot["events"] += events
-    return out
-
-
 def rollup_pcs(snapshot: dict) -> dict[int, dict]:
     """Per-PC {pj, events, asm, line, sliced}, annotated when known."""
     info = snapshot.get("pc_info", {})

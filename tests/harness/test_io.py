@@ -78,6 +78,17 @@ def test_experiment_json_roundtrip(tmp_path):
     assert loaded["rows"] == [["x", "1"], ["y", "2"]]
 
 
+def test_experiment_json_roundtrip_list_series(tmp_path):
+    """Streaming experiments store plain Python lists as series."""
+    result = make_result()
+    result.series["curve"] = [0.5, 1.25, 3.0]
+    path = tmp_path / "r.json"
+    save_experiment_json(result, path)
+    loaded = load_experiment_json(path)
+    assert loaded["series"]["curve"] == [0.5, 1.25, 3.0]
+    assert loaded["series"]["diff"] == [0.0, 1.0]
+
+
 def test_experiment_json_without_series(tmp_path):
     path = tmp_path / "r.json"
     save_experiment_json(make_result(), path, include_series=False)

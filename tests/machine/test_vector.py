@@ -180,28 +180,6 @@ def test_opcode_mix_identical():
         vectored.cpu.pipeline.opcode_mix
 
 
-def test_attribution_substitutes_hooked_engine():
-    """Attribution needs per-cycle hooks; the registry substitutes the
-    vector engine's declared ``hooked`` engine (fast) transparently."""
-    program = compile_des(DesProgramSpec(rounds=1),
-                          masking="selective").program
-
-    def attributed(engine):
-        was_enabled = obs.enabled()
-        with obs.scope():
-            obs.enable_attribution()
-            try:
-                return des_run(program, KEY, PLAINTEXT, engine=engine)
-            finally:
-                obs.disable_attribution()
-                if not was_enabled:
-                    obs.disable()
-
-    reference, vectored = attributed("reference"), attributed("vector")
-    assert vectored.engine == "fast"
-    assert reference.attribution.cells == vectored.attribution.cells
-
-
 # -- divergence and fallback --------------------------------------------
 
 DIVERGENT_SOURCE = """
@@ -310,7 +288,7 @@ def test_registry_resolution(monkeypatch):
         engines.resolve("warp")
     # The historical public name is a plain re-export of the registry's.
     assert resolve_engine is engines.resolve
-    assert set(fastpath.ENGINES) == {"fast", "reference", "vector"}
+    assert set(engines.ENGINES) == {"fast", "reference", "vector"}
 
 
 def test_registry_specs():

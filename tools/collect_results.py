@@ -7,6 +7,9 @@ Produces, under the output directory:
 * ``summary.csv``          — long-format (experiment, key, value) table;
 * ``SUMMARY.txt``          — the human-readable report.
 
+Every output is deterministic (wall times go to stdout only), so CI
+regenerates the directory and fails on any ``git diff``.
+
 This is the script behind EXPERIMENTS.md: run it after any change to the
 energy model, compiler, or workloads and diff the outputs.
 
@@ -61,8 +64,7 @@ def main() -> int:
         save_experiment_json(result,
                              output_dir / f"{experiment_id}.json",
                              include_series=True)
-        report_lines.append(f"[{result.experiment_id}] {result.title} "
-                            f"({elapsed:.1f}s)")
+        report_lines.append(f"[{result.experiment_id}] {result.title}")
         for key, value in result.summary.items():
             formatted = f"{value:,.4f}" if isinstance(value, float) \
                 else str(value)
