@@ -31,6 +31,8 @@ import os
 import sys
 from pathlib import Path
 
+from .machine.engines import ENGINES
+
 
 def _read(path: str) -> str:
     return Path(path).read_text()
@@ -561,14 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stream the per-cycle trace to PATH while "
                             "running (.csv -> CSV, else NDJSON; memory "
                             "use stays bounded regardless of length)")
-    p_run.add_argument("--engine", default=None,
-                       choices=["reference", "fast", "vector"],
+    p_run.add_argument("--engine", default=None, choices=ENGINES,
                        help="execution engine: 'fast' replays the "
                             "recorded cycle schedule (bit-identical, "
-                            "~3x faster), 'vector' replays it with "
-                            "NumPy batch arithmetic (bit-identical, "
-                            "fastest on trace batches), 'reference' "
-                            "steps the pipeline cycle by cycle "
+                            "~7x faster), 'reference' steps the pipeline "
+                            "cycle by cycle, 'vector' is the batch "
+                            "engine (one NumPy pass per trace batch; a "
+                            "single run like this one replays on fast) "
                             "(default: $REPRO_ENGINE, else fast)")
     p_run.set_defaults(func=cmd_run)
 
@@ -590,13 +591,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="journal completed batch jobs to PATH so an "
                             "interrupted experiment resumes by recomputing "
                             "only unfinished jobs")
-    p_exp.add_argument("--engine", default=None,
-                       choices=["reference", "fast", "vector"],
+    p_exp.add_argument("--engine", default=None, choices=ENGINES,
                        help="execution engine for every simulation in the "
-                            "experiment (exported as $REPRO_ENGINE for "
-                            "the duration of the command so worker "
-                            "processes inherit it; default: ambient "
-                            "$REPRO_ENGINE, else fast)")
+                            "experiment: 'fast' (schedule replay), "
+                            "'reference' (cycle by cycle) or 'vector' "
+                            "(the batch engine: trace batches run in one "
+                            "NumPy pass, single runs replay on fast); "
+                            "exported as $REPRO_ENGINE for the duration "
+                            "of the command so worker processes inherit "
+                            "it; default: ambient $REPRO_ENGINE, else "
+                            "fast")
     p_exp.add_argument("--streaming", action="store_true",
                        help="use the bounded-memory streaming campaign "
                             "path where the experiment supports it "
@@ -754,8 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--noise-sigma", type=float, default=0.0,
                           dest="noise_sigma")
     p_submit.add_argument("--seed", type=int, default=1234)
-    p_submit.add_argument("--engine", default=None,
-                          choices=["reference", "fast", "vector"])
+    p_submit.add_argument("--engine", default=None, choices=ENGINES)
     p_submit.add_argument("--client", default="cli",
                           help="client identity for fair scheduling")
     p_submit.add_argument("--priority", default="normal",

@@ -310,9 +310,9 @@ class SimJob:
     max_cycles: int = 50_000_000
     #: Execution engine: a :mod:`repro.machine.engines` registry name
     #: (``"fast"`` — schedule replay with automatic reference fallback,
-    #: ``"vector"`` — batch-native NumPy replay, ``"reference"``), or
-    #: ``None`` for the ambient default (``$REPRO_ENGINE``, else
-    #: ``"fast"``).
+    #: ``"vector"`` — batch-native NumPy replay of whole batches, whose
+    #: per-job runs replay on ``"fast"``, ``"reference"``), or ``None``
+    #: for the ambient default (``$REPRO_ENGINE``, else ``"fast"``).
     engine: Optional[str] = None
     #: Force the observability sink on for this job regardless of the
     #: process-wide flag.  Rides on the pickled job, so pool workers —
@@ -357,10 +357,10 @@ class JobResult:
     counts: dict[str, int] = field(default_factory=dict)
     #: Scoped per-job attribution snapshot (attribution enabled only).
     attribution: Optional[dict] = None
-    #: Engine that actually produced the trace: a registry name
-    #: (``"fast"``, ``"vector"``, ``"reference"``) or
-    #: ``"<requested>-fallback"`` when the requested engine declined the
-    #: run and it was re-run down the fallback chain.
+    #: Engine that actually produced the trace: ``"vector"`` for a
+    #: batch-native result, ``"fast"`` or ``"reference"`` for a per-job
+    #: run, or ``"fast-fallback"`` when the fast replay declined the run
+    #: and it was re-run on the reference engine.
     engine: str = "reference"
 
     @property
@@ -495,7 +495,9 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
     handed to it in one call instead of per-job dispatch — results stay
     bit-identical and in submission order.  The engine may decline
     (heterogeneous jobs, unsupported program, divergence), in which case
-    the batch silently takes the per-job path below.
+    the batch silently takes the per-job path below, where a batch-only
+    engine's jobs replay on its registry ``fallback`` (``vector`` ->
+    ``fast``).
 
     Before a batch fans out across the pool, each distinct program whose
     jobs replay a cycle schedule has it recorded once here, in the

@@ -22,11 +22,11 @@ class RunResult:
                  engine: str = "reference"):
         self.cpu = cpu
         self.tracker = tracker
-        #: Engine that produced the trace: a registry name (``"fast"``,
-        #: ``"vector"``, ``"reference"``) or ``"<name>-fallback"`` when the
-        #: requested engine declined the run (recorded schedule diverged or
-        #: the program fell outside the engine's model) and the trace was
-        #: re-run down the registry's fallback chain.
+        #: Engine that produced the trace: ``"fast"`` or ``"reference"``
+        #: (single traces never run on the batch-only ``"vector"``), or
+        #: ``"fast-fallback"`` when the fast replay declined the run
+        #: (recorded schedule diverged or the program fell outside its
+        #: model) and the trace was re-run on the reference engine.
         self.engine = engine
         #: Per-run attribution sink (None unless attribution was enabled).
         self.attribution = tracker.attribution
@@ -63,17 +63,18 @@ def run_with_trace(program: Program,
     ``engine`` selects the execution engine from the registry
     (:mod:`repro.machine.engines`): ``"fast"`` replays the program's
     recorded cycle schedule (bit-identical output; see
-    :mod:`repro.machine.fastpath`), ``"vector"`` replays it through the
-    batch-native NumPy engine (also bit-identical; see
-    :mod:`repro.machine.vector`), ``"reference"`` steps the five-stage
-    pipeline cycle by cycle.  ``None`` resolves ``$REPRO_ENGINE`` and
-    defaults to ``"fast"``.  A run whose engine declines it — the recorded
-    control path diverges (input-dependent branching) or the program falls
-    outside the engine's model — is transparently re-run with fresh state
-    down the registry's fallback chain (``vector`` -> ``fast`` ->
-    ``reference``); nothing from an abandoned attempt leaks into the
-    result, and the final :attr:`RunResult.engine` is labeled
-    ``"<requested>-fallback"``.  Streaming runs (``stream`` set) and
+    :mod:`repro.machine.fastpath`), ``"reference"`` steps the five-stage
+    pipeline cycle by cycle.  ``"vector"`` is batch-only (it serves
+    whole :func:`~repro.harness.engine.run_jobs` batches), so a single
+    trace requested on it runs on ``"fast"`` and is labelled exactly as
+    if ``"fast"`` had been requested.  ``None`` resolves
+    ``$REPRO_ENGINE`` and defaults to ``"fast"``.  A run whose engine
+    declines it — the recorded control path diverges (input-dependent
+    branching) or the program falls outside the engine's model — is
+    transparently re-run with fresh state down the registry's fallback
+    chain (``fast`` -> ``reference``); nothing from an abandoned attempt
+    leaks into the result, and the final :attr:`RunResult.engine` is
+    labeled ``"<requested>-fallback"``.  Streaming runs (``stream`` set) and
     attribution runs (:func:`repro.obs.attribution_enabled`) always use
     the reference engine: both need its per-cycle tracker hooks, and a
     streamed trace can then never be left half written by a mid-run
@@ -96,7 +97,7 @@ def run_with_trace(program: Program,
     ``keep_trace=False`` alongside it to drop the in-memory trace
     entirely (the returned result then has an empty energy vector).
     """
-    resolved = engines.resolve(engine)
+    resolved = engines.single_trace_engine(engines.resolve(engine))
     if stream is not None or obs.attribution_enabled():
         resolved = "reference"
     requested = resolved

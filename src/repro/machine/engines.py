@@ -8,10 +8,11 @@ vectorized trace-batch engine) plugs in without touching every caller:
   ``$REPRO_ENGINE`` variable onto a registered engine name (default
   ``"fast"``), raising :class:`ValueError` for unknown names;
 * :class:`EngineSpec` describes one backend: how to build a CPU-like
-  executor (``factory``), which engine serves a run the backend declines
-  (``fallback`` — walked transitively by the harness runner), and an
-  optional whole-batch entry point (``batch``) for engines that natively
-  execute many traces at once.
+  executor for a single trace (``factory``), which engine serves a run the
+  backend declines (``fallback`` — walked transitively by the harness
+  runner), and an optional whole-batch entry point (``batch``) for engines
+  that natively execute many traces at once.  A batch-only engine has no
+  ``factory``: its single traces replay on its ``fallback`` engine.
 
 Attribution and streaming runs need the per-cycle tracker hooks, which
 only the reference engine drives; the harness runner pins those runs to
@@ -25,7 +26,8 @@ name       execution model                               fallback
 fast       schedule replay, one trace per call           reference
 reference  cycle-accurate five-stage pipeline            —
 vector     schedule replay over a whole NumPy trace      fast
-           batch (``[n_traces, ...]`` state arrays)
+           batch (``[n_traces, ...]`` state arrays);
+           batch-only — its single traces run on fast
 ========== ============================================= ==========
 
 Factories import their backend modules lazily, so importing this module
@@ -55,6 +57,9 @@ class EngineSpec:
     ``run`` / ``pipeline`` surface); it may raise
     :class:`~repro.machine.fastpath.ScheduleFallback` to decline the run,
     in which case the harness retries on ``fallback`` (transitively).
+    ``factory=None`` marks a batch-only engine: the runner serves each of
+    its single traces on ``fallback`` from the first attempt, exactly as
+    if that engine had been requested (see :func:`single_trace_engine`).
 
     ``batch(jobs, program, cache_hit)`` — optional — executes a
     homogeneous list of :class:`~repro.harness.engine.SimJob` natively
@@ -63,7 +68,7 @@ class EngineSpec:
     """
 
     name: str
-    factory: Callable[..., object]
+    factory: Optional[Callable[..., object]]
     fallback: Optional[str] = None
     batch: Optional[Callable[..., Optional[list]]] = None
 
@@ -107,6 +112,13 @@ def resolve(engine: Optional[str] = None) -> str:
     return "fast"
 
 
+def single_trace_engine(name: str) -> str:
+    """The engine that runs one trace requested on ``name``: ``name``
+    itself, or for a batch-only engine its ``fallback``."""
+    spec = get(name)
+    return name if spec.factory is not None else spec.fallback
+
+
 # ---------------------------------------------------------------------------
 # Built-in backends (lazy imports: no engine code loads until first use)
 # ---------------------------------------------------------------------------
@@ -131,15 +143,6 @@ def _reference_factory(program, tracker, *, operand_isolation: bool,
                operand_isolation=operand_isolation, collect_mix=collect_mix)
 
 
-def _vector_factory(program, tracker, *, operand_isolation: bool,
-                    collect_mix: bool, max_cycles: int):
-    from . import vector
-
-    return vector.VectorCPU(program, tracker=tracker,
-                            operand_isolation=operand_isolation,
-                            collect_mix=collect_mix, max_cycles=max_cycles)
-
-
 def _vector_batch(jobs: Sequence, program, cache_hit=None) -> Optional[list]:
     from . import vector
 
@@ -148,5 +151,5 @@ def _vector_batch(jobs: Sequence, program, cache_hit=None) -> Optional[list]:
 
 register(EngineSpec("fast", _fast_factory, fallback="reference"))
 register(EngineSpec("reference", _reference_factory))
-register(EngineSpec("vector", _vector_factory, fallback="fast",
+register(EngineSpec("vector", factory=None, fallback="fast",
                     batch=_vector_batch))

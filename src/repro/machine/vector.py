@@ -32,12 +32,17 @@ Like the fast engine, correctness never depends on the data-independence
 heuristic: every recorded branch/indirect-jump outcome is re-checked
 against the batch (vectorized, after the data sweep — sound because replay
 is unconditional and nothing is committed on failure) and a mismatch
-raises :class:`~repro.machine.fastpath.ScheduleDivergence` for the caller
-to re-run on a scalar engine.  Programs the vector model cannot express —
-data-dependent addresses leaving the modeled memory window, computed store
-addresses that could alias the marker port — raise
-:class:`VectorUnsupported`, which the engine registry's fallback chain
-turns into a transparent ``fast`` (then ``reference``) retry.
+raises :class:`~repro.machine.fastpath.ScheduleDivergence`.  Programs the
+vector model cannot express — data-dependent addresses leaving the
+modeled memory window, computed store addresses that could alias the
+marker port — raise :class:`VectorUnsupported`.  Either way
+:func:`run_job_batch` declines the batch and the harness runs it per job
+on the scalar engines.
+
+The engine is batch-only: its one entry point is :func:`run_job_batch`
+(the engine registry's ``batch`` hook).  A single trace requested on
+``vector`` replays on the fast engine, which matches it warm at width 1
+and pays neither the plan compile nor the batch working set.
 """
 
 from __future__ import annotations
@@ -52,14 +57,11 @@ from ..energy.models import BusModel, FunctionalUnitModel, LatchModel
 from ..energy.tracker import COMPONENTS
 from ..isa.instructions import AluOp
 from ..isa.program import Program
-from .exceptions import SimulationError
 from .fastpath import (_ALU_FUNCS, _BRANCH_FUNCS, _MEM_LB, _MEM_LBU,
                        _MEM_LW, _MEM_SW, _WORD_MASK, ScheduleDivergence,
                        ScheduleFallback, ScheduleUnavailable, _BoundSchedule,
                        bound_schedule_for, mark_divergent, program_digest)
-from .memory import Memory
 from .pipeline import MARKER_ADDR
-from .regfile import RegisterFile
 
 _MASK32 = np.uint32(0xFFFF_FFFF)
 #: Slack above/below the statically known data extent, so small pointer
@@ -261,13 +263,13 @@ class _VectorPlan:
 
     __slots__ = (
         "cycles", "n_loads", "w0", "window_words", "data_rel", "data_image",
-        "ops", "checks", "marker_syms", "const_store_rels",
+        "ops", "checks", "marker_syms",
         "out_fill_rows", "out_fill_vals",
         "rec_ibus_ev", "rec_rw", "rec_l0_ev", "rec_sec_idx", "rec_mem",
         "steps", "col_s1", "col_s2", "col_s3",
         "mem_cycles", "mem_sec", "bus_gather",
         "units", "st_gather", "na_gather", "nb_gather", "nst_gather",
-        "wbv_gather", "final_regs", "bytes_per_trace",
+        "wbv_gather", "bytes_per_trace",
     )
 
 
@@ -435,7 +437,6 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
 
     # ---- finalize runtime ops ------------------------------------------
     ops: list[tuple] = []
-    const_store_rels: list[int] = []
     for raw in raw_ops:
         if raw[0] == "alu":
             _t, c, alu_name, a_sym, b_sym = raw
@@ -458,7 +459,6 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
             _t, kind, addr_sym, val_sym = raw
             if addr_sym[0] == _CONST:
                 rel = (addr_sym[1] >> 2) - lo
-                const_store_rels.append(rel)
                 if kind == _MEM_SW:
                     ops.append((_OP_SW_C, rel, _enc(val_sym)))
                 else:
@@ -480,7 +480,6 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
     plan.ops = ops
     plan.checks = checks
     plan.marker_syms = [(c, _enc(sym)) for c, sym in marker_syms]
-    plan.const_store_rels = const_store_rels
     # OUT rows not produced by an op hold schedule constants; filling them
     # in-place turns OUT into the materialized EX-result stream.
     fill_rows = [c for c, sym in enumerate(out_syms) if sym[0] == _CONST]
@@ -517,7 +516,6 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
     plan.nb_gather = _Gather(nb_syms)
     plan.nst_gather = _Gather(nst_syms)
     plan.wbv_gather = _Gather(wbv_syms)
-    plan.final_regs = [_enc(sym) for sym in regs_sym]
     # uint32 state matrices (OUT/ST/NA/NB/NST/WBV + loads + window) plus
     # float64 energy matrices (latches, funits, dbus, total).
     plan.bytes_per_trace = (window_words * 4 + n_loads * 4
@@ -562,8 +560,7 @@ def _resolve(operand, out: np.ndarray, loads: np.ndarray):
 class _BatchRun:
     """Raw results of one vector batch execution."""
 
-    __slots__ = ("n", "out", "loads", "memmat", "touched", "marker_values",
-                 "energy")
+    __slots__ = ("n", "out", "loads", "marker_values")
 
     def markers_for(self, t: int) -> tuple[tuple[int, int], ...]:
         return tuple((c, int(v[t]) if isinstance(v, np.ndarray) else int(v))
@@ -615,8 +612,7 @@ def _prev_chain(values: np.ndarray, secure: np.ndarray) -> np.ndarray:
 
 def _execute(program: Program, plan: _VectorPlan, n: int,
              inputs_list: list[list[tuple[int, list[int]]]],
-             operand_isolation: bool,
-             want_state: bool = False) -> _BatchRun:
+             operand_isolation: bool) -> _BatchRun:
     """Run the plan for ``n`` traces; raises :class:`ScheduleDivergence`
     (after marking the program divergent) or :class:`VectorUnsupported`."""
     window = plan.window_words
@@ -639,7 +635,6 @@ def _execute(program: Program, plan: _VectorPlan, n: int,
 
     out = np.empty((plan.cycles, n), np.uint32)
     loads = np.empty((plan.n_loads, n), np.uint32)
-    touched: list[np.ndarray] = []
     rows = np.arange(n)
     u3 = np.uint32(3)
     u255 = np.uint32(0xFF)
@@ -691,8 +686,6 @@ def _execute(program: Program, plan: _VectorPlan, n: int,
         elif tag == _OP_SW_V:
             wi = var_index(_resolve(op[1], out, loads), True, True)
             memmat[rows, wi] = _resolve(op[2], out, loads)
-            if want_state:
-                touched.append(wi)
         elif tag == _OP_SB_C:
             _t, rel, shift, val_op = op
             keep = np.uint32(~(0xFF << shift) & _WORD_MASK)
@@ -708,8 +701,6 @@ def _execute(program: Program, plan: _VectorPlan, n: int,
             memmat[rows, wi] = \
                 (memmat[rows, wi] & ~(u255 << shift)) \
                 | ((value & u255) << shift)
-            if want_state:
-                touched.append(wi)
 
     if plan.out_fill_rows.size:
         out[plan.out_fill_rows] = plan.out_fill_vals[:, None]
@@ -744,8 +735,6 @@ def _execute(program: Program, plan: _VectorPlan, n: int,
     run.n = n
     run.out = out
     run.loads = loads
-    run.memmat = memmat
-    run.touched = touched
     run.marker_values = [(c, _resolve(operand, out, loads))
                          for c, operand in plan.marker_syms]
     return run
@@ -1017,176 +1006,3 @@ def run_job_batch(jobs, program: Program,
     for result in results:
         result.wall_time_s = wall
     return results
-
-
-# ---------------------------------------------------------------------------
-# Single-run adapter (engine registry `factory` hook)
-# ---------------------------------------------------------------------------
-
-class _VectorPipeline:
-    """Post-run :class:`~repro.machine.pipeline.Pipeline` surface for a
-    vector-replayed trace (stats/markers/regs/counters, no stepping)."""
-
-    def __init__(self, program: Program, schedule, collect_mix: bool):
-        self.program = program
-        self.regs = RegisterFile()
-        self.markers: list[tuple[int, int]] = []
-        self.pc = program.entry
-        self.cycle = 0
-        self.halted = False
-        self.retired = 0
-        self.stall_cycles = 0
-        self.squashed_instructions = 0
-        self.branches_executed = 0
-        self.branches_taken = 0
-        self.loads_executed = 0
-        self.stores_executed = 0
-        self.secure_retired = 0
-        self._schedule = schedule
-        self._collect_mix = collect_mix
-
-    @property
-    def stats(self) -> dict[str, int | float]:
-        return {
-            "cycles": self.cycle,
-            "retired": self.retired,
-            "cpi": self.cycle / max(1, self.retired),
-            "stall_cycles": self.stall_cycles,
-            "squashed_instructions": self.squashed_instructions,
-            "branches_executed": self.branches_executed,
-            "branches_taken": self.branches_taken,
-            "loads_executed": self.loads_executed,
-            "stores_executed": self.stores_executed,
-            "secure_retired": self.secure_retired,
-            "secure_fraction_dynamic":
-                self.secure_retired / max(1, self.retired),
-        }
-
-    @property
-    def opcode_mix(self) -> dict[tuple[str, bool], int]:
-        return dict(self._schedule.mix) if self._collect_mix else {}
-
-    def _finish(self) -> None:
-        stats = self._schedule.stats
-        self.cycle = self._schedule.cycles
-        self.pc = self._schedule.final_pc
-        self.halted = True
-        self.retired = stats["retired"]
-        self.stall_cycles = stats["stall_cycles"]
-        self.squashed_instructions = stats["squashed_instructions"]
-        self.branches_executed = stats["branches_executed"]
-        self.branches_taken = stats["branches_taken"]
-        self.loads_executed = stats["loads_executed"]
-        self.stores_executed = stats["stores_executed"]
-        self.secure_retired = stats["secure_retired"]
-
-
-class VectorCPU:
-    """CPU-surface adapter running one trace as a batch of one.
-
-    Exists so ``--engine vector`` covers *every* run shape (the tier-1
-    suite runs under ``REPRO_ENGINE=vector`` in CI), not just DPA batches;
-    the harness runner drives it exactly like :class:`~repro.machine.cpu
-    .CPU`.  Raises :class:`~repro.machine.fastpath.ScheduleFallback`
-    flavors from the constructor or :meth:`run` for the registry's
-    fallback chain to handle.
-    """
-
-    def __init__(self, program: Program, tracker=None,
-                 operand_isolation: bool = True, collect_mix: bool = False,
-                 max_cycles: int = 50_000_000):
-        self.program = program
-        self.memory = Memory()
-        self._tracker = tracker
-        self._operand_isolation = operand_isolation
-        self._bound = bound_schedule_for(program,
-                                         operand_isolation=operand_isolation,
-                                         max_cycles=max_cycles)
-        self._plan = plan_for(program, self._bound)
-        self.pipeline = _VectorPipeline(program, self._bound.schedule,
-                                        collect_mix)
-        self._inputs: list[tuple[int, list[int]]] = []
-
-    @property
-    def regs(self):
-        return self.pipeline.regs
-
-    @property
-    def cycles(self) -> int:
-        return self.pipeline.cycle
-
-    @property
-    def retired(self) -> int:
-        return self.pipeline.retired
-
-    @property
-    def cpi(self) -> float:
-        return self.pipeline.cycle / max(1, self.pipeline.retired)
-
-    def write_symbol_words(self, symbol: str, values: list[int],
-                           offset: int = 0) -> None:
-        """Buffer words for ``symbol + offset``; applied when :meth:`run`
-        builds the batch memory image."""
-        base = self.program.address_of(symbol) + offset
-        self._inputs.append((base, list(values)))
-
-    def read_symbol_words(self, symbol: str, count: int,
-                          offset: int = 0) -> list[int]:
-        base = self.program.address_of(symbol) + offset
-        return self.memory.read_words(base, count)
-
-    def run(self, max_cycles: int = 50_000_000) -> int:
-        schedule = self._bound.schedule
-        if schedule.cycles > max_cycles:
-            raise ScheduleUnavailable(
-                f"schedule needs {schedule.cycles} cycles "
-                f"> max_cycles={max_cycles}")
-        if self.pipeline.halted:
-            raise SimulationError("VectorCPU.run is one-shot")
-        plan = self._plan
-        run = _execute(self.program, plan, 1, [self._inputs],
-                       self._operand_isolation, want_state=True)
-        tracker = self._tracker
-        if tracker is not None:
-            energy = _energy_postpass(plan, tracker.params, run)
-            trace = energy.total[:, 0].copy()
-            totals = energy.totals_for(0)
-            counts = dict(schedule.counts)
-            counts["noise"] = 0
-            if tracker.noise_sigma > 0:
-                # Drain the tracker's own pre-drawn buffer + rng so the
-                # stream matches the reference draw-for-draw.
-                buffered = tracker._noise_buffer[tracker._noise_index:]
-                draws = np.concatenate(
-                    [buffered,
-                     _noise_draws(tracker._noise_rng, tracker.noise_sigma,
-                                  max(0, plan.cycles - buffered.size))]
-                )[:plan.cycles]
-                trace += draws
-                totals["noise"] = float(np.cumsum(draws)[-1])
-                counts["noise"] = plan.cycles
-            components = list(energy.components_for(0)) \
-                if tracker.collect_components else []
-            tracker.commit_fastpath(
-                trace if tracker.keep_trace else [],
-                components, totals, counts, plan.cycles)
-        # ---- architectural end state ----
-        self.pipeline.markers = list(run.markers_for(0))
-        final = [int(_resolve(operand, run.out, run.loads)[0])
-                 if isinstance(_resolve(operand, run.out, run.loads),
-                               np.ndarray)
-                 else int(_resolve(operand, run.out, run.loads))
-                 for operand in plan.final_regs]
-        self.pipeline.regs.load(final)
-        rels = set(range(plan.data_rel,
-                         plan.data_rel + plan.data_image.size))
-        for addr, words in self._inputs:
-            rel = (addr >> 2) - plan.w0
-            rels.update(range(rel, rel + len(words)))
-        rels.update(plan.const_store_rels)
-        for wi in run.touched:
-            rels.add(int(wi[0]))
-        self.memory._words = {plan.w0 + rel: int(run.memmat[0, rel])
-                              for rel in sorted(rels)}
-        self.pipeline._finish()
-        return self.pipeline.cycle

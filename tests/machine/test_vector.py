@@ -4,13 +4,15 @@ The vector engine inherits the fast engine's absolute contract: for every
 program whose control path is data-independent, replaying the recorded
 schedule — here as one NumPy pass over a whole batch — must reproduce
 the reference pipeline's output *bit for bit*: per-cycle energies (same
-floats, same accumulation order), component matrices, totals/counts,
-final architectural state, markers, and performance counters.  These
-tests enforce that contract over the full set of experiment programs
-(mirroring ``test_fastpath.py``), plus the batch-native dispatch in
-``run_jobs``, the registry fallback chain, and engine resolution.
+floats, same accumulation order), component matrices, totals/counts and
+markers.  The engine is batch-only, so these tests drive it the way it
+runs: ``run_jobs`` batches of at least two jobs, over the full set of
+experiment programs (mirroring ``test_fastpath.py``).  They also pin the
+routing rule that single traces requested on ``vector`` replay on
+``fast``, the registry fallback chain, and engine resolution.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -40,6 +42,9 @@ GOLDEN_DIGESTS = {
         "5d1a41d858d421defc6f4dc3650af5951f026157ea5baca802c971d1c83ce954",
 }
 
+#: (key, plaintext) pairs of the two-job DES batches.
+DES_PAIRS = ((KEY, PLAINTEXT), (KEY ^ (1 << 60), PLAINTEXT ^ 0xFF))
+
 
 def _digest(run):
     return hashlib.sha256(run.trace.energy.tobytes()).hexdigest()
@@ -52,36 +57,37 @@ def _des_inputs(program):
     return inputs
 
 
-def _assert_identical(reference, vectored):
-    """Every observable of the two runs must match exactly."""
-    assert _digest(reference) == _digest(vectored)
-    assert reference.cycles == vectored.cycles
-    assert reference.cpu.pipeline.regs.dump() == \
-        vectored.cpu.pipeline.regs.dump()
-    assert reference.cpu.memory._words == vectored.cpu.memory._words
-    assert reference.cpu.pipeline.markers == vectored.cpu.pipeline.markers
-    assert reference.cpu.pipeline.stats == vectored.cpu.pipeline.stats
-    assert reference.tracker.totals == vectored.tracker.totals
-    assert reference.tracker.counts == vectored.tracker.counts
-    if reference.tracker.component_energy:
-        assert np.array_equal(
-            np.asarray(reference.tracker.component_energy),
-            np.asarray(vectored.tracker.component_energy))
+def _batch_differential(program, inputs=None, **job_kwargs):
+    """Run one batch on the reference and the vector engine; the vector
+    batch must be served natively and match the reference job for job.
 
-
-def _differential(program, operand_isolation=True, inputs=None,
-                  **run_kwargs):
+    ``inputs`` lists one symbol-input dict per job; by default the jobs
+    run :data:`DES_PAIRS`.
+    """
     if inputs is None:
-        inputs = _des_inputs(program)
-    reference = run_with_trace(program, inputs=inputs, engine="reference",
-                               operand_isolation=operand_isolation,
-                               collect_components=True, **run_kwargs)
-    vectored = run_with_trace(program, inputs=inputs, engine="vector",
-                              operand_isolation=operand_isolation,
-                              collect_components=True, **run_kwargs)
-    assert vectored.engine == "vector"
-    assert reference.engine == "reference"
-    _assert_identical(reference, vectored)
+        per_job = [{"des_pair": pair} for pair in DES_PAIRS]
+    else:
+        per_job = [{"inputs": job_inputs} for job_inputs in inputs]
+
+    def batch():
+        return [SimJob(program=program, collect_components=True,
+                       label=f"job[{i}]", **job, **job_kwargs)
+                for i, job in enumerate(per_job)]
+
+    reference = run_jobs(batch(), engine="reference")
+    vectored = run_jobs(batch(), engine="vector")
+    assert len(vectored) >= 2
+    for ref_result, vec_result in zip(reference, vectored, strict=True):
+        assert ref_result.engine == "reference"
+        assert vec_result.engine == "vector"
+        assert ref_result.label == vec_result.label
+        assert ref_result.cycles == vec_result.cycles
+        assert ref_result.energy.tobytes() == vec_result.energy.tobytes()
+        assert ref_result.markers == vec_result.markers
+        assert ref_result.totals == vec_result.totals
+        assert ref_result.counts == vec_result.counts
+        assert np.array_equal(np.asarray(ref_result.components),
+                              np.asarray(vec_result.components))
     return reference, vectored
 
 
@@ -90,10 +96,10 @@ def _differential(program, operand_isolation=True, inputs=None,
 @pytest.mark.parametrize("masking", ["none", "selective"])
 def test_round1_vector_hits_golden_digest(masking):
     program = compile_des(DesProgramSpec(rounds=1), masking=masking).program
-    run = des_run(program, KEY, PLAINTEXT, engine="vector")
-    assert run.engine == "vector"
-    assert run.cycles == 18432
-    assert _digest(run) == GOLDEN_DIGESTS[masking]
+    _reference, vectored = _batch_differential(program)
+    assert vectored[0].cycles == 18432
+    assert hashlib.sha256(vectored[0].energy.tobytes()).hexdigest() \
+        == GOLDEN_DIGESTS[masking]
 
 
 # -- differential bit-identity over the experiment programs -------------
@@ -101,32 +107,32 @@ def test_round1_vector_hits_golden_digest(masking):
 @pytest.mark.parametrize("masking", ["none", "selective"])
 def test_full_des_bit_identical(masking):
     program = compile_des(DesProgramSpec(rounds=16), masking=masking).program
-    _differential(program)
+    _batch_differential(program)
 
 
 @pytest.mark.parametrize("masking", ["none", "selective", "annotate-only"])
 def test_round1_bit_identical(masking):
     program = compile_des(DesProgramSpec(rounds=1), masking=masking).program
-    _differential(program)
+    _batch_differential(program)
 
 
 def test_keyschedule_only_bit_identical():
     spec = DesProgramSpec(rounds=0, include_keyschedule=True)
     program = compile_des(spec, masking="selective").program
-    _differential(program)
+    _batch_differential(program)
 
 
 @pytest.mark.parametrize("policy", [MaskingPolicy.ALL_LOADS_STORES,
                                     MaskingPolicy.ALL])
 def test_whole_program_policies_bit_identical(policy):
     base = compile_des(DesProgramSpec(rounds=2), masking="none").program
-    _differential(apply_policy(base, policy))
+    _batch_differential(apply_policy(base, policy))
 
 
 def test_no_operand_isolation_bit_identical():
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
-    _differential(program, operand_isolation=False)
+    _batch_differential(program, operand_isolation=False)
 
 
 @pytest.mark.parametrize("masking", ["none", "selective"])
@@ -134,47 +140,43 @@ def test_aes_bit_identical(masking):
     from repro.programs.workloads import compile_aes
 
     program = compile_aes(masking=masking).program
-    _differential(program, inputs={"key": int_to_state(AES_KEY),
-                                   "plaintext": int_to_state(AES_PLAINTEXT)})
+    _batch_differential(program, inputs=[
+        {"key": int_to_state(AES_KEY),
+         "plaintext": int_to_state(AES_PLAINTEXT ^ i)} for i in range(2)])
 
 
 def test_noise_bit_identical():
     """Same noise seed -> the vector post-pass replays the tracker's
-    chunked draw stream draw-for-draw."""
+    chunked draw stream draw-for-draw (the two jobs share the seed, so
+    only their inputs tell them apart)."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
-    _differential(program, noise_sigma=0.1, noise_seed=7)
+    _batch_differential(program, noise_sigma=0.1, noise_seed=7)
 
 
 def test_coupled_bus_bit_identical():
     """The vectorized dual-rail coupling math (spread/interleave popcount)
     matches the scalar CoupledBusModel event for event."""
-    import dataclasses
-
     from repro.energy.params import DEFAULT_PARAMS
 
     params = dataclasses.replace(DEFAULT_PARAMS, c_coupling=0.12)
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
-    _differential(program, params=params)
+    _batch_differential(program, params=params)
 
 
 def test_opcode_mix_identical():
+    """An observed single run requested on vector replays on fast and
+    installs the reference engine's dynamic instruction mix."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
 
     def observed(engine):
-        was_enabled = obs.enabled()
-        with obs.scope():
-            obs.enable()
-            try:
-                return des_run(program, KEY, PLAINTEXT, engine=engine)
-            finally:
-                if not was_enabled:
-                    obs.disable()
+        with obs.scope(force=True):
+            return des_run(program, KEY, PLAINTEXT, engine=engine)
 
     reference, vectored = observed("reference"), observed("vector")
-    assert vectored.engine == "vector"
+    assert vectored.engine == "fast"
     assert reference.cpu.pipeline.opcode_mix
     assert reference.cpu.pipeline.opcode_mix == \
         vectored.cpu.pipeline.opcode_mix
@@ -197,37 +199,56 @@ skip:
 """
 
 
+def _assert_identical(reference, replayed):
+    """Every observable of two single runs must match exactly."""
+    assert _digest(reference) == _digest(replayed)
+    assert reference.cycles == replayed.cycles
+    assert reference.cpu.pipeline.regs.dump() == \
+        replayed.cpu.pipeline.regs.dump()
+    assert reference.cpu.memory._words == replayed.cpu.memory._words
+    assert reference.cpu.pipeline.markers == replayed.cpu.pipeline.markers
+    assert reference.cpu.pipeline.stats == replayed.cpu.pipeline.stats
+    assert reference.tracker.totals == replayed.tracker.totals
+    assert reference.tracker.counts == replayed.tracker.counts
+
+
+def _fallbacks(context) -> float:
+    return context.registry.counter("engine_fallbacks").total()
+
+
 def test_divergence_falls_back_bit_identically():
-    """An input that flips a recorded branch re-runs down the fallback
-    chain with completely fresh state, labeled with the requested engine."""
+    """A single vector-requested trace whose input flips a recorded
+    branch replays on fast, which declines it: the trace re-runs on the
+    reference engine with fresh state, labelled as a fast fallback."""
     program = assemble(DIVERGENT_SOURCE)
     fastpath._clear_caches()
     vector._clear_caches()
     reference = run_with_trace(program, inputs={"inval": [1]},
                                engine="reference", collect_components=True)
-    vectored = run_with_trace(program, inputs={"inval": [1]},
-                              engine="vector", collect_components=True)
-    assert vectored.engine == "vector-fallback"
+    with obs.scope(force=True) as context:
+        vectored = run_with_trace(program, inputs={"inval": [1]},
+                                  engine="vector", collect_components=True)
+        assert _fallbacks(context) == 1
+    assert vectored.engine == "fast-fallback"
     _assert_identical(reference, vectored)
     assert (fastpath.program_digest(program), True) in fastpath._DIVERGENT
+    assert not vector._PLANS
 
 
 def test_matching_input_replays_before_any_divergence():
+    """Until an input flips a recorded branch, a batch of the divergent
+    program is served natively and matches the reference."""
     program = assemble(DIVERGENT_SOURCE)
     fastpath._clear_caches()
     vector._clear_caches()
-    reference = run_with_trace(program, inputs={"inval": [0]},
-                               engine="reference")
-    vectored = run_with_trace(program, inputs={"inval": [0]},
-                              engine="vector")
-    assert vectored.engine == "vector"
-    _assert_identical(reference, vectored)
+    _batch_differential(program, inputs=[{"inval": [0]}, {"inval": [0]}])
 
 
 def test_divergent_batch_falls_back_per_job():
     """One divergent trace poisons the whole batch (whole-program
     divergence marking, like the fast engine); every job still comes back
-    bit-identical via the per-job fallback chain."""
+    bit-identical via the per-job path, where vector jobs replay on fast
+    and fast falls back to the reference engine."""
     program = assemble(DIVERGENT_SOURCE)
     fastpath._clear_caches()
     vector._clear_caches()
@@ -235,14 +256,24 @@ def test_divergent_batch_falls_back_per_job():
     jobs = [SimJob(program=program, inputs={"inval": [v]}, label=f"j{i}",
                    engine="vector") for i, v in enumerate(values)]
     results = run_jobs(jobs)
-    assert [r.engine for r in results] == ["vector-fallback"] * 4
+    assert [r.engine for r in results] == ["fast-fallback"] * 4
     for result, value in zip(results, values):
         ref = run_with_trace(program, inputs={"inval": [value]},
                              engine="reference")
         assert np.array_equal(result.energy, ref.trace.energy)
 
 
+def _batch_overrun(program, engine, max_cycles, **job_kwargs):
+    jobs = [SimJob(program=program, label=f"job[{i}]", max_cycles=max_cycles,
+                   **job_kwargs) for i in range(2)]
+    with pytest.raises(CycleLimitExceeded) as excinfo:
+        run_jobs(jobs, engine=engine)
+    return excinfo.value
+
+
 def test_cycle_limit_parity():
+    """A batch that never halts raises the reference engine's
+    CycleLimitExceeded, at the same cycle and pc."""
     program = assemble("""
 .text
 main:
@@ -250,12 +281,23 @@ main:
 """)
     fastpath._clear_caches()
     vector._clear_caches()
-    with pytest.raises(CycleLimitExceeded) as reference:
-        run_with_trace(program, engine="reference", max_cycles=500)
-    with pytest.raises(CycleLimitExceeded) as vectored:
-        run_with_trace(program, engine="vector", max_cycles=500)
-    assert vectored.value.cycles == reference.value.cycles == 500
-    assert vectored.value.pc == reference.value.pc
+    reference = _batch_overrun(program, "reference", 500)
+    vectored = _batch_overrun(program, "vector", 500)
+    assert vectored.cycles == reference.cycles == 500
+    assert vectored.pc == reference.pc
+
+
+def test_cycle_budget_below_schedule_parity():
+    """A batch whose budget ends one cycle short of the recorded schedule
+    is declined by the vector engine and overruns exactly like the
+    reference engine."""
+    program = compile_des(DesProgramSpec(rounds=1), masking="none").program
+    reference = _batch_overrun(program, "reference", 18431,
+                               des_pair=DES_PAIRS[0])
+    vectored = _batch_overrun(program, "vector", 18431,
+                              des_pair=DES_PAIRS[0])
+    assert vectored.cycles == reference.cycles == 18431
+    assert vectored.pc == reference.pc
 
 
 def test_streaming_always_uses_reference_engine(tmp_path):
@@ -270,6 +312,24 @@ def test_streaming_always_uses_reference_engine(tmp_path):
     finally:
         stream.close()
     assert run.engine == "reference"
+
+
+@pytest.mark.parametrize("via", ["explicit", "env"])
+def test_single_trace_vector_run_replays_on_fast(monkeypatch, via):
+    """Vector is batch-only: a single trace requested on it runs on fast
+    from the first attempt, compiles no plan, and is not a fallback."""
+    program = compile_des(DesProgramSpec(rounds=1),
+                          masking="selective").program
+    vector._clear_caches()
+    if via == "env":
+        monkeypatch.setenv("REPRO_ENGINE", "vector")
+    with obs.scope(force=True) as context:
+        run = des_run(program, KEY, PLAINTEXT,
+                      engine="vector" if via == "explicit" else None)
+        assert _fallbacks(context) == 0
+    assert run.engine == "fast"
+    assert _digest(run) == GOLDEN_DIGESTS["selective"]
+    assert not vector._PLANS
 
 
 # -- engine registry and resolution -------------------------------------
@@ -297,6 +357,10 @@ def test_registry_specs():
     assert engines.get("reference").fallback is None
     assert engines.get("vector").batch is not None
     assert engines.get("fast").batch is None
+    assert engines.get("vector").factory is None
+    assert engines.single_trace_engine("vector") == "fast"
+    assert engines.single_trace_engine("fast") == "fast"
+    assert engines.single_trace_engine("reference") == "reference"
     with pytest.raises(ValueError):
         engines.get("warp")
 
@@ -341,7 +405,7 @@ def test_run_jobs_batch_native_noise_and_components():
 
 def test_run_jobs_mixed_engines_fall_back_to_per_job():
     """A batch that mixes engines cannot go batch-native; results still
-    come back correct, each under its own engine."""
+    come back correct, the vector job replayed on fast."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
     jobs = [SimJob(program=program, des_pair=(KEY, PLAINTEXT),
@@ -349,7 +413,7 @@ def test_run_jobs_mixed_engines_fall_back_to_per_job():
             SimJob(program=program, des_pair=(KEY, PLAINTEXT),
                    label="b", engine="reference")]
     results = run_jobs(jobs)
-    assert results[0].engine == "vector"
+    assert results[0].engine == "fast"
     assert results[1].engine == "reference"
     assert np.array_equal(results[0].energy, results[1].energy)
 
@@ -368,31 +432,9 @@ def test_collect_traces_vector_bit_identical():
     assert np.array_equal(reference.traces, vectored.traces)
 
 
-def test_final_state_is_input_dependent():
-    """The vector replay applies *this batch's* data flow, not the
-    recorded run's: different plaintexts -> different ciphertexts."""
-    program = compile_des(DesProgramSpec(rounds=1),
-                          masking="none").program
-    first = des_run(program, KEY, PLAINTEXT, engine="vector")
-    second = des_run(program, KEY, PLAINTEXT ^ 0xFF, engine="vector")
-    assert first.engine == second.engine == "vector"
-    assert first.cpu.read_symbol_words("ciphertext", 64) != \
-        second.cpu.read_symbol_words("ciphertext", 64)
-    assert _digest(first) != _digest(second)
-
-
-def test_vector_cpu_is_one_shot():
-    program = compile_des(DesProgramSpec(rounds=1),
-                          masking="none").program
-    run = des_run(program, KEY, PLAINTEXT, engine="vector")
-    from repro.machine.exceptions import SimulationError
-
-    with pytest.raises(SimulationError):
-        run.cpu.run()
-
-
 def test_plan_compiled_once(monkeypatch):
-    """Repeated vector runs of the same program reuse the compiled plan."""
+    """Repeated vector batches of the same program reuse the compiled
+    plan."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
     fastpath._clear_caches()
@@ -405,7 +447,28 @@ def test_plan_compiled_once(monkeypatch):
         return compile_plan(prog, bound)
 
     monkeypatch.setattr(vector, "_compile_plan", counting)
-    des_run(program, KEY, PLAINTEXT, engine="vector")
-    des_run(program, KEY, PLAINTEXT ^ 1, engine="vector")
-    des_run(program, KEY ^ (1 << 60), PLAINTEXT, engine="vector")
+    for flip in (0, 1, 2):
+        results = run_jobs([SimJob(program=program,
+                                   des_pair=(KEY, PLAINTEXT ^ flip ^ i))
+                            for i in range(2)], engine="vector")
+        assert [r.engine for r in results] == ["vector"] * 2
     assert len(calls) == 1
+
+
+def test_observed_vector_batch_replays_on_fast(monkeypatch):
+    """Traced jobs need per-job scopes, so an observed vector batch runs
+    per job: each job replays on fast and no plan is compiled."""
+    program = compile_des(DesProgramSpec(rounds=1),
+                          masking="none").program
+    vector._clear_caches()
+    calls = []
+    monkeypatch.setattr(vector, "_compile_plan",
+                        lambda *args: calls.append(1))
+    results = run_jobs([SimJob(program=program, des_pair=pair, observe=True,
+                               label=f"job[{i}]")
+                        for i, pair in enumerate(DES_PAIRS)],
+                       engine="vector")
+    assert [r.engine for r in results] == ["fast"] * 2
+    assert all(r.spans for r in results)
+    assert not calls
+    assert not vector._PLANS
