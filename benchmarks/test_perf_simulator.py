@@ -67,8 +67,10 @@ def test_simulate_with_energy(benchmark, round1_program):
 def test_simulate_fast_replay(benchmark, round1_program):
     """Schedule-replay engine: same workload, warm schedule cache.
 
-    Asserts the tentpole's speedup floor in-process (fast vs reference on
-    this host), which is robust to absolute machine speed.
+    Asserts the fast engine's speedup floor in-process (fast vs reference
+    on this host), which is robust to absolute machine speed.  The floor
+    leaves 1.67x headroom below the median measured on a 2-vCPU host
+    (15x).
     """
     from repro.machine.fastpath import ensure_schedule
 
@@ -86,7 +88,7 @@ def test_simulate_fast_replay(benchmark, round1_program):
     speedup = reference_s / fast_s
     print(f"\nschedule replay: reference {reference_s:.3f}s, "
           f"fast {fast_s:.3f}s, speedup {speedup:.2f}x")
-    assert speedup >= 3.0
+    assert speedup >= 9.0
 
 
 def _timed(function):

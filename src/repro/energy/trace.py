@@ -31,7 +31,7 @@ class EnergyTrace:
     def from_tracker(cls, tracker, markers: Sequence[tuple[int, int]] = (),
                      label: str = "") -> "EnergyTrace":
         components = None
-        if tracker.component_energy:
+        if len(tracker.component_energy):
             components = np.asarray(tracker.component_energy, dtype=np.float64)
         return cls(energy=np.asarray(tracker.cycle_energy, dtype=np.float64),
                    markers=tuple(markers), components=components, label=label)

@@ -35,6 +35,8 @@ COMPONENTS = ("clock", "ibus", "regfile", "funits", "dbus", "memport",
               "latches", "secure")
 
 _SHIFT_OPS = (AluOp.SLL, AluOp.SRL, AluOp.SRA)
+#: Gaussian noise is drawn in chunks of this many samples.
+_NOISE_CHUNK = 4096
 
 
 class EnergyTracker:
@@ -76,7 +78,7 @@ class EnergyTracker:
 
             self._noise_rng = np.random.default_rng(noise_seed)
             self._noise_buffer = self._noise_rng.normal(
-                0.0, noise_sigma, size=4096)
+                0.0, noise_sigma, size=_NOISE_CHUNK)
 
         #: Optional provenance sink; every energy increment is mirrored to
         #: :meth:`AttributionSink.book_ins`/``book_overhead`` when set.
@@ -115,8 +117,10 @@ class EnergyTracker:
         )
 
         #: Per-cycle total energy (pJ); empty when ``keep_trace=False``.
+        #: A list when the hooks fill it, an array after a replay.
         self.cycle_energy: list[float] = []
-        #: Per-cycle per-component energy; filled when collect_components.
+        #: Per-cycle per-component energy; filled when collect_components
+        #: (rows of a ``[cycles, components]`` array after a replay).
         self.component_energy: list[tuple[float, ...]] = []
         #: Running totals per component, plus the injected "noise" term.
         self.totals: dict[str, float] = {name: 0.0 for name in COMPONENTS}
@@ -266,34 +270,51 @@ class EnergyTracker:
         buffer = self._noise_buffer
         if self._noise_index >= buffer.shape[0]:
             buffer = self._noise_rng.normal(0.0, self.noise_sigma,
-                                            size=4096)
+                                            size=_NOISE_CHUNK)
             self._noise_buffer = buffer
             self._noise_index = 0
         noise = float(buffer[self._noise_index])
         self._noise_index += 1
         return noise
 
+    def noise_draws(self, count: int):
+        """The next ``count`` noise draws as one array: the values
+        ``count`` calls of :meth:`_next_noise` return, in order."""
+        import numpy as np
+
+        parts = []
+        while count > 0:
+            if self._noise_index >= self._noise_buffer.shape[0]:
+                self._noise_buffer = self._noise_rng.normal(
+                    0.0, self.noise_sigma, size=_NOISE_CHUNK)
+                self._noise_index = 0
+            index = self._noise_index
+            take = min(count, self._noise_buffer.shape[0] - index)
+            parts.append(self._noise_buffer[index:index + take])
+            self._noise_index = index + take
+            count -= take
+        return np.concatenate(parts) if parts else np.zeros(0)
+
     # -- schedule-replay fast path ----------------------------------------
 
-    def commit_fastpath(self, cycle_energy: list[float],
-                        component_energy: list[tuple[float, ...]],
+    def commit_fastpath(self, cycle_energy, component_energy,
                         totals: dict[str, float], counts: dict[str, int],
                         cycles: int) -> None:
         """Adopt the results of a schedule-replay run in one shot.
 
-        The replay loop (:mod:`repro.machine.fastpath`) performs the same
-        floating-point accumulations as the per-cycle hooks, in the same
-        order, against this tracker's own component models — this method
-        only installs the finished vectors and running sums.  Attribution
-        and streaming runs never come through here; they replay through
-        the standard hook sequence instead.
+        The replay (:mod:`repro.machine.fastpath`, scored by
+        :mod:`repro.machine.scoring`) performs the same floating-point
+        accumulations as the per-cycle hooks, in the same order, against
+        this tracker's own component models and carrying in its running
+        totals — this method only installs the finished arrays and
+        totals.  Attribution and streaming runs never come through here;
+        they run the standard hook sequence on the reference engine.
         """
         if self.keep_trace:
             self.cycle_energy = cycle_energy
         if self.collect_components:
             self.component_energy = component_energy
-        for name, value in totals.items():
-            self.totals[name] += value
+        self.totals.update(totals)
         for name, value in counts.items():
             self.counts[name] += value
         self._cycle_count += cycles

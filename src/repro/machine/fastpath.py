@@ -20,10 +20,14 @@ This module exploits that:
   stream is static), and the secure-bit layout of the four pipeline
   latches, each built from a step of the reference
   :class:`~.pipeline.Pipeline`.
-* :class:`ReplayPipeline` replays the schedule for each subsequent trace,
-  executing only the data path: operand evaluation through pre-resolved
-  per-record handler tuples, transition-sensitive energy accumulated in
-  flat per-component floats, committed to the tracker once at the end
+* :class:`ReplayPipeline` replays the schedule for each subsequent trace.
+  Its per-cycle loop executes only the data path — operand evaluation
+  through pre-resolved per-record handler tuples, memory traffic and the
+  recorded control checks — and buffers the six latched values.  After
+  each block of cycles the shared :class:`~.scoring.EnergyScorer`
+  turns them into transition-sensitive energy in one NumPy pass (the
+  same scorer the batch engine uses), and the results are committed to
+  the tracker once at the end
   (:meth:`~repro.energy.tracker.EnergyTracker.commit_fastpath`).  It
   never drives the per-cycle tracker hooks: a run with no tracker, an
   attribution sink or a stream raises :class:`ScheduleUnavailable`, and
@@ -36,7 +40,8 @@ This module exploits that:
 
 The contract is **bit identity** with the reference engine: the replay
 performs the exact same floating-point accumulations in the exact same
-order (see the differential suite in ``tests/machine/test_fastpath.py``).
+order (see :mod:`.scoring` and the differential suite in
+``tests/machine/test_fastpath.py``).
 
 Schedules are persisted through the harness :class:`CompileCache` keyed by
 a digest of the program text/data plus a fingerprint of the simulator
@@ -47,8 +52,12 @@ pool.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from typing import Optional
 
+import numpy as np
+
+from ..energy.tracker import COMPONENTS
 from ..fingerprint import source_fingerprint
 from ..isa.instructions import AluOp, Format, Instruction
 from ..isa.program import Program
@@ -56,8 +65,13 @@ from .cpu import CPU
 from .exceptions import SimulationError
 from .memory import Memory
 from .pipeline import BUBBLE, MARKER_ADDR, Pipeline
+from .scoring import (MEM_LOAD, MEM_STORE, SCORE_BLOCK, STREAMS, UNIT_ALU,
+                      UNIT_NONE, UNIT_SHIFT, UNIT_XOR, EnergyScorer,
+                      running_total)
 
 _WORD_MASK = 0xFFFF_FFFF
+#: ``array`` typecode of an unsigned 32-bit word.
+_U32 = "I" if array("I").itemsize == 4 else "L"
 
 #: Bump when the record layout or replay semantics change; part of the
 #: on-disk cache key, so stale schedules can only miss, never replay wrong.
@@ -175,7 +189,6 @@ class CycleSchedule:
 
 
 _MEM_NONE, _MEM_LW, _MEM_LBU, _MEM_LB, _MEM_SW, _MEM_SB = range(6)
-_UNIT_NONE, _UNIT_ALU, _UNIT_XOR, _UNIT_SHIFT = range(4)
 _SHIFT_OPS = (AluOp.SLL, AluOp.SRL, AluOp.SRA)
 
 
@@ -196,14 +209,14 @@ def _unit_for(ins: Instruction) -> tuple[int, bool]:
     spec = ins.spec
     alu_op = spec.alu
     if alu_op is AluOp.NONE:
-        return _UNIT_NONE, False
+        return UNIT_NONE, False
     if spec.is_load or spec.is_store:
-        return _UNIT_ALU, ins.secure and spec.is_indexing
+        return UNIT_ALU, ins.secure and spec.is_indexing
     if alu_op is AluOp.XOR:
-        return _UNIT_XOR, ins.secure
+        return UNIT_XOR, ins.secure
     if alu_op in _SHIFT_OPS:
-        return _UNIT_SHIFT, ins.secure
-    return _UNIT_ALU, ins.secure
+        return UNIT_SHIFT, ins.secure
+    return UNIT_ALU, ins.secure
 
 
 def _decode_plan(ins: Instruction, ex_dest, mem_dest,
@@ -411,7 +424,7 @@ def record_schedule(program: Program, operand_isolation: bool = True,
             index_of[record] = slot
             events.append((
                 1 if fetch_active else 0, reads + writes,
-                1 if unit_i != _UNIT_NONE else 0,
+                1 if unit_i != UNIT_NONE else 0,
                 1 if mem_kind != _MEM_NONE else 0,
                 (1 if wb_ins.secure else 0) + (1 if s1 else 0)
                 + (1 if s2 else 0) + (1 if s3 else 0)))
@@ -476,9 +489,9 @@ def record_schedule(program: Program, operand_isolation: bool = True,
                     if_id, id_ex, ex_mem, mem_wb, key[0], key[5],
                     pipe.stall_cycles > 0, pipe.branches_taken > 0, key[6])
                 fast = _BoundSchedule._bind_fast(records[slot])
-                if fast[10] is not None:
-                    outcome = fast[10][1]
-                    states[sid][2] = (fast[6], fast[7], fast[10][0])
+                if fast[7] is not None:
+                    outcome = fast[7][1]
+                    states[sid][2] = (fast[3], fast[4], fast[7][0])
                 tid = table[outcome] = len(moves)
                 moves.append((fast, None if pipe.halted else visit(prev_ibus),
                                slot, tuple(getattr(pipe, name) for name
@@ -489,10 +502,9 @@ def record_schedule(program: Program, operand_isolation: bool = True,
                 # memory writes with the same values and so computes the
                 # values the step latched.
             # -- data path of the transition ----------------------------
-            (wb_wr, mem_kind, _mem_sec, alu_fn, _unit_i, _ex_sec,
-             a_sel, b_sel, st_sel, ex_link, _ctl, dec_live,
-             a_reg, a_const, b_reg, b_const, st_reg, _rw, _ibus_ev, _l0_ev,
-             _s1, _s2, _s3, _sec_idx), sid, slot, _, _ = moves[tid]
+            (wb_wr, mem_kind, alu_fn, a_sel, b_sel, st_sel, ex_link, _ctl,
+             dec_live, a_reg, a_const, b_reg, b_const, st_reg), sid, slot, \
+                _, _ = moves[tid]
             steps_append(slot)
             uses[tid] += 1
             if wb_wr >= 0:
@@ -599,23 +611,31 @@ _BRANCH_FUNCS = {
 
 
 class _BoundSchedule:
-    """A :class:`CycleSchedule` resolved into per-record handler tuples
-    for the inline replay loop."""
+    """A :class:`CycleSchedule` resolved for replay.
 
-    __slots__ = ("schedule", "fast")
+    ``fast`` holds one data-path handler tuple per record for the replay
+    loops; ``columns`` the records' input-independent energy fields as a
+    ``[13, records]`` matrix (rows named in :mod:`.scoring`) and
+    ``steps`` the step index as an array, both for the energy scorer.
+    """
+
+    __slots__ = ("schedule", "fast", "columns", "steps")
 
     def __init__(self, schedule: CycleSchedule):
         self.schedule = schedule
         self.fast = [self._bind_fast(record)
                      for record in schedule.records]
+        self.columns = np.array(
+            [self._energy_columns(record) for record in schedule.records],
+            np.int8).T.copy()
+        self.steps = np.asarray(schedule.steps, np.int32)
 
     @staticmethod
     def _bind_fast(record: tuple) -> tuple:
-        (_wb_idx, wb_dest, wb_sec, _mem_idx, mem_kind, mem_sec,
-         _ex_idx, alu_name, unit_i, ex_sec, a_sel, b_sel, st_sel,
+        (_wb_idx, wb_dest, _wb_sec, _mem_idx, mem_kind, _mem_sec,
+         _ex_idx, alu_name, _unit_i, _ex_sec, a_sel, b_sel, st_sel,
          ex_link, ctl, _id_idx, dec_live, a_reg, a_const, b_reg, b_const,
-         st_reg, reads, writes, _fetch_idx, _fetch_active, _fetch_iword,
-         ibus_ev, _l0_idx, _l0_iword, l0_ev, _l1_idx, s1, s2, s3) = record
+         st_reg, *_energy) = record
         if ctl is not None:
             if ctl[0] == "b":
                 ctl = (_BRANCH_FUNCS[ctl[1]], ctl[2])
@@ -623,12 +643,23 @@ class _BoundSchedule:
                 ctl = (None, ctl[1])
         alu_fn = _ALU_FUNCS[alu_name] if alu_name is not None else None
         wb_wr = wb_dest if wb_dest > 0 else -1
+        return (wb_wr, mem_kind, alu_fn, a_sel, b_sel, st_sel, ex_link, ctl,
+                dec_live, a_reg, a_const, b_reg, b_const, st_reg)
+
+    @staticmethod
+    def _energy_columns(record: tuple) -> tuple:
+        (_wb_idx, _wb_dest, wb_sec, _mem_idx, mem_kind, mem_sec,
+         _ex_idx, _alu_name, unit_i, ex_sec, a_sel, b_sel, _st_sel,
+         _ex_link, _ctl, _id_idx, _dec_live, _a_reg, _a_const, _b_reg,
+         _b_const, _st_reg, reads, writes, _fetch_idx, _fetch_active,
+         _fetch_iword, ibus_ev, _l0_idx, _l0_iword, l0_ev, _l1_idx,
+         s1, s2, s3) = record
+        mem = MEM_LOAD if _MEM_NONE < mem_kind <= _MEM_LB \
+            else MEM_STORE if mem_kind else 0
         sec_idx = ((8 if wb_sec else 0) | (4 if s1 else 0)
                    | (2 if s2 else 0) | (1 if s3 else 0))
-        return (wb_wr, mem_kind, mem_sec, alu_fn, unit_i, ex_sec,
-                a_sel, b_sel, st_sel, ex_link, ctl, dec_live,
-                a_reg, a_const, b_reg, b_const, st_reg, reads + writes,
-                ibus_ev, l0_ev, s1, s2, s3, sec_idx)
+        return (ibus_ev, l0_ev, reads + writes, mem, mem_sec, unit_i, ex_sec,
+                a_sel, b_sel, s1, s2, s3, sec_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -782,17 +813,22 @@ class ReplayPipeline(Pipeline):
         return self.cycle
 
     def _replay_fast(self, tracker) -> None:
-        """Inline data + energy loop; flat accumulators, one tracker commit.
+        """Data-path loop; energy scored a block at a time, one commit.
 
-        Floating-point additions happen in the exact order the reference
-        hook sequence performs them (component order within a cycle, cycle
-        order across the run, noise folded in draw order afterwards), so
-        traces and totals are bit-identical.
+        Per cycle the loop runs only the data path and the recorded
+        control checks, storing the six latched values in
+        :data:`SCORE_BLOCK`-cycle buffers whose slot 0 holds the value
+        of the cycle before the block.  After each block the
+        :class:`~.scoring.EnergyScorer` scores them with the tracker's
+        own component models, in the reference hook order, and the
+        block's noise is folded in from the tracker's stream, so traces
+        and totals are bit-identical.  A divergence abandons the tracker
+        mid-run; the caller re-runs on a fresh one.
         """
         records = self._bound.fast
-        schedule = self._bound.schedule
-        steps = schedule.steps
-        params = tracker.params
+        steps = self._bound.schedule.steps
+        cycles = len(steps)
+        scorer = EnergyScorer(self._bound, tracker)
 
         regs = self.regs._regs
         memory = self.memory
@@ -802,189 +838,101 @@ class ReplayPipeline(Pipeline):
         write_byte = memory.write_byte
         markers_append = self.markers.append
 
-        e_clock = params.e_clock_cycle
-        e_port = params.e_regfile_port
-        e_mem = params.e_memory_access
-        e_ibus = tracker.ibus.event_energy
-        e_latch = params.event_energy_latch
-        dbus_transfer = tracker.dbus.transfer
-        unit_fns = (None, tracker.alu.execute, tracker.xor_unit.execute,
-                    tracker.shifter.execute)
-        l1_secure = tracker.latches[1].secure_energy
-        l2_secure = tracker.latches[2].secure_energy
-        l3_secure = tracker.latches[3].secure_energy
-        # 16-entry secure-energy table: bit3 = WB dummy load, bits 2..0 =
-        # dual-rail ID/EX, EX/MEM, MEM/WB latches; accumulation order
-        # matches the reference hook sequence (wb_stage, then latches).
-        e_dummy = params.e_dummy_load
-        e_sec_clk = params.e_secure_clock
-        sec_table = []
-        for sec_idx in range(16):
-            value = 0.0
-            if sec_idx & 8:
-                value += e_dummy
-            if sec_idx & 4:
-                value += e_sec_clk
-            if sec_idx & 2:
-                value += e_sec_clk
-            if sec_idx & 1:
-                value += e_sec_clk
-            sec_table.append(value)
-
-        keep_trace = tracker.keep_trace
-        collect_components = tracker.collect_components
-        cycle_energy: list[float] = []
-        trace_append = cycle_energy.append
-        components: list[tuple[float, ...]] = []
-        comp_append = components.append
-
-        t_clock = t_ibus = t_regfile = t_funits = 0.0
-        t_dbus = t_memport = t_latches = t_secure = 0.0
-
-        # ID/EX latch previous values (latch 1, fields a/b/store), EX/MEM
-        # (latch 2, fields alu_out/store), MEM/WB (latch 3, field value).
-        p1a = p1b = p1st = 0
-        p2a = p2st = 0
-        p3 = 0
+        # ID/EX a, b, store; EX/MEM alu_out, store; MEM/WB value.
+        buffers = [array(_U32, bytes(4 * (SCORE_BLOCK + 1)))
+                   for _ in range(6)]
+        na_buf, nb_buf, nst_buf, out_buf, st_buf, wbv_buf = buffers
+        views = [np.frombuffer(buffer, np.uint32) for buffer in buffers]
+        streams = np.empty((STREAMS, SCORE_BLOCK + 1, 1), np.uint32)
+        trace = np.empty(cycles) if tracker.keep_trace else []
+        components = np.empty((cycles, len(COMPONENTS))) \
+            if tracker.collect_components else []
+        noisy = tracker.noise_sigma > 0
+        t_noise = tracker.totals["noise"]
 
         wb_value = 0
         mem_alu = 0
         mem_store = 0
         idex_a = idex_b = idex_st = 0
-        cyc = 0
-        for slot in steps:
-            (wb_wr, mem_kind, mem_sec, alu_fn, unit_i, ex_sec,
-             a_sel, b_sel, st_sel, ex_link, ctl, dec_live,
-             a_reg, a_const, b_reg, b_const, st_reg, rw,
-             ibus_ev, l0_ev, s1, s2, s3, sec_idx) = records[slot]
-            # ---- WB ----
-            if wb_wr >= 0:
-                regs[wb_wr] = wb_value
-            # ---- MEM ----
-            new_wb = mem_alu
-            if mem_kind:
-                if mem_kind == _MEM_LW:
-                    new_wb = bus_value = read_word(mem_alu)
-                elif mem_kind == _MEM_LBU:
-                    new_wb = bus_value = read_byte(mem_alu)
-                elif mem_kind == _MEM_LB:
-                    value = read_byte(mem_alu)
-                    if value & 0x80:
-                        value |= 0xFFFF_FF00
-                    new_wb = bus_value = value
-                else:
-                    if mem_alu == MARKER_ADDR:
-                        markers_append((cyc, mem_store))
+        for start in range(0, cycles, SCORE_BLOCK):
+            na_buf[0], nb_buf[0], nst_buf[0] = idex_a, idex_b, idex_st
+            out_buf[0], st_buf[0], wbv_buf[0] = mem_alu, mem_store, wb_value
+            for k, slot in enumerate(steps[start:start + SCORE_BLOCK], 1):
+                (wb_wr, mem_kind, alu_fn, a_sel, b_sel, st_sel, ex_link,
+                 ctl, dec_live, a_reg, a_const, b_reg, b_const,
+                 st_reg) = records[slot]
+                # ---- WB ----
+                if wb_wr >= 0:
+                    regs[wb_wr] = wb_value
+                # ---- MEM ----
+                new_wb = mem_alu
+                if mem_kind:
+                    if mem_kind == _MEM_LW:
+                        new_wb = read_word(mem_alu)
+                    elif mem_kind == _MEM_LBU:
+                        new_wb = read_byte(mem_alu)
+                    elif mem_kind == _MEM_LB:
+                        new_wb = read_byte(mem_alu)
+                        if new_wb & 0x80:
+                            new_wb |= 0xFFFF_FF00
+                    elif mem_alu == MARKER_ADDR:
+                        markers_append((start + k - 1, mem_store))
                     elif mem_kind == _MEM_SW:
                         write_word(mem_alu, mem_store)
                     else:
                         write_byte(mem_alu, mem_store)
-                    bus_value = mem_store
-                dbus_e = dbus_transfer(bus_value, mem_sec)
-                memport_e = e_mem
-            else:
-                dbus_e = memport_e = 0.0
-            # ---- EX (forwarding pre-resolved) ----
-            a = idex_a if a_sel == 0 else (mem_alu if a_sel == 1
-                                           else wb_value)
-            b = idex_b if b_sel == 0 else (mem_alu if b_sel == 1
-                                           else wb_value)
-            store = idex_st if st_sel == 0 else (mem_alu if st_sel == 1
-                                                 else wb_value)
-            alu_out = alu_fn(a, b) if alu_fn is not None else 0
-            if ex_link >= 0:
-                alu_out = ex_link
-            if ctl is not None:
-                taken_fn, expected = ctl
-                if taken_fn is not None:
-                    if taken_fn(a, b) != expected:
-                        raise ScheduleDivergence(cyc)
-                elif a != expected:
-                    raise ScheduleDivergence(cyc)
-            if unit_i:
-                funits_e = unit_fns[unit_i](a, b, alu_out, ex_sec)
-            else:
-                funits_e = 0.0
-            # ---- ID (reads pre-gated; write-before-read holds: the WB
-            # write above already landed in regs) ----
-            if dec_live:
-                next_a = regs[a_reg] if a_reg >= 0 else a_const
-                next_b = regs[b_reg] if b_reg >= 0 else b_const
-                next_st = regs[st_reg] if st_reg >= 0 else 0
-            else:
-                next_a = next_b = next_st = 0
-            regfile_e = rw * e_port
-            # ---- IF (static instruction stream: events precomputed) ----
-            ibus_e = ibus_ev * e_ibus
-            # ---- latch commit ----
-            latches_e = l0_ev * e_latch
-            if s1:
-                p1a = p1b = p1st = _WORD_MASK
-                latches_e += l1_secure
-            else:
-                events = ((next_a & ~p1a & _WORD_MASK).bit_count()
-                          + (next_b & ~p1b & _WORD_MASK).bit_count()
-                          + (next_st & ~p1st & _WORD_MASK).bit_count())
-                p1a, p1b, p1st = next_a, next_b, next_st
-                latches_e += events * e_latch
-            if s2:
-                p2a = p2st = _WORD_MASK
-                latches_e += l2_secure
-            else:
-                events = ((alu_out & ~p2a & _WORD_MASK).bit_count()
-                          + (store & ~p2st & _WORD_MASK).bit_count())
-                p2a, p2st = alu_out, store
-                latches_e += events * e_latch
-            if s3:
-                p3 = _WORD_MASK
-                latches_e += l3_secure
-            else:
-                events = (new_wb & ~p3 & _WORD_MASK).bit_count()
-                p3 = new_wb
-                latches_e += events * e_latch
-            secure_e = sec_table[sec_idx]
-            # Reference end_cycle: total = 0.0 + clock + ibus + regfile
-            # + funits + dbus + memport + latches + secure, in order.
-            total = (e_clock + ibus_e + regfile_e + funits_e + dbus_e
-                     + memport_e + latches_e + secure_e)
-            t_clock += e_clock
-            t_ibus += ibus_e
-            t_regfile += regfile_e
-            t_funits += funits_e
-            t_dbus += dbus_e
-            t_memport += memport_e
-            t_latches += latches_e
-            t_secure += secure_e
-            trace_append(total)
-            if collect_components:
-                comp_append((e_clock, ibus_e, regfile_e, funits_e, dbus_e,
-                             memport_e, latches_e, secure_e))
-            # ---- state rotation ----
-            wb_value = new_wb
-            mem_alu = alu_out
-            mem_store = store
-            idex_a, idex_b, idex_st = next_a, next_b, next_st
-            cyc += 1
+                # ---- EX (forwarding pre-resolved) ----
+                a = idex_a if a_sel == 0 else (mem_alu if a_sel == 1
+                                               else wb_value)
+                b = idex_b if b_sel == 0 else (mem_alu if b_sel == 1
+                                               else wb_value)
+                mem_store = st_buf[k] = (
+                    idex_st if st_sel == 0
+                    else (mem_alu if st_sel == 1 else wb_value))
+                mem_alu = alu_fn(a, b) if alu_fn is not None else 0
+                if ex_link >= 0:
+                    mem_alu = ex_link
+                out_buf[k] = mem_alu
+                if ctl is not None:
+                    taken_fn, expected = ctl
+                    if taken_fn is not None:
+                        if taken_fn(a, b) != expected:
+                            raise ScheduleDivergence(start + k - 1)
+                    elif a != expected:
+                        raise ScheduleDivergence(start + k - 1)
+                wb_value = wbv_buf[k] = new_wb
+                # ---- ID (reads pre-gated; write-before-read holds: the
+                # WB write above already landed in regs) ----
+                if dec_live:
+                    idex_a = regs[a_reg] if a_reg >= 0 else a_const
+                    idex_b = regs[b_reg] if b_reg >= 0 else b_const
+                    idex_st = regs[st_reg] if st_reg >= 0 else 0
+                else:
+                    idex_a = idex_b = idex_st = 0
+                na_buf[k] = idex_a
+                nb_buf[k] = idex_b
+                nst_buf[k] = idex_st
+            for stream, view in zip(streams, views):
+                stream[:k + 1, 0] = view[:k + 1]
+            total, parts = scorer.score(start, streams[:, :k + 1])
+            stop = start + k
+            if noisy:
+                # The reference adds each draw after the component sum.
+                draws = tracker.noise_draws(k)
+                total[:, 0] += draws
+                t_noise = running_total(t_noise, draws)
+            if tracker.keep_trace:
+                trace[start:stop] = total[:, 0]
+            if tracker.collect_components:
+                components[start:stop] = np.concatenate(parts, axis=1)
 
-        # Noise post-pass: the per-cycle schedule is noise-free; the
-        # reference adds each draw after the component sum, so folding the
-        # same draw sequence in afterwards is bit-identical.
-        totals = {"clock": t_clock, "ibus": t_ibus, "regfile": t_regfile,
-                  "funits": t_funits, "dbus": t_dbus, "memport": t_memport,
-                  "latches": t_latches, "secure": t_secure}
-        counts = dict(schedule.counts)
-        if tracker.noise_sigma > 0:
-            next_noise = tracker._next_noise
-            t_noise = 0.0
-            for index in range(cyc):
-                noise = next_noise()
-                cycle_energy[index] = cycle_energy[index] + noise
-                t_noise += noise
-            totals["noise"] = t_noise
-            counts["noise"] = cyc
-        tracker.commit_fastpath(
-            cycle_energy if keep_trace else [],
-            components, totals, counts, cyc)
+        totals = {name: float(value[0]) for name, value
+                  in zip(COMPONENTS, scorer.totals)}
+        counts = dict(self._bound.schedule.counts)
+        if noisy:
+            totals["noise"] = float(t_noise)
+            counts["noise"] = cycles
+        tracker.commit_fastpath(trace, components, totals, counts, cycles)
 
 
 class ReplayCPU(CPU):

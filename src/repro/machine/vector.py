@@ -15,16 +15,15 @@ the *whole batch at once*:
 * at run time the plan executes as a flat list of NumPy ops over
   ``[n_traces]`` operand vectors, with data memory held as one dense
   ``[n_traces, window_words]`` matrix;
-* the energy post-pass materializes the latch/bus/functional-unit value
-  streams as ``[n_cycles, n_traces]`` matrices and scores Hamming-distance
-  events via vectorized ``value & ~prev`` + popcount, emitting per-cycle
-  energy for every trace in one pass.
+* the energy post-pass materializes the six latched value streams as
+  ``[n_cycles + 1, n_traces]`` matrices and hands them, a block of
+  cycles at a time, to the :class:`~.scoring.EnergyScorer` the fast
+  engine also uses, which emits per-cycle energy for every trace.
 
 The accuracy contract is the same **bit identity** the fast engine claims:
-every floating-point addition happens in the order the reference hook
-sequence performs it (component order within a cycle via left-associated
-elementwise adds, cycle order via ``np.cumsum`` — a sequential, not
-pairwise, reduction), and the injected noise stream replays draw-for-draw.
+the shared scorer performs every floating-point addition in the order the
+reference hook sequence performs it (see :mod:`.scoring`), and each job's
+noise is drawn from its own tracker stream, draw for draw.
 ``tests/machine/test_vector.py`` enforces this differentially against the
 reference engine for every experiment workload.
 
@@ -52,9 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..energy.coupling import CoupledBusModel
-from ..energy.models import BusModel, FunctionalUnitModel, LatchModel
-from ..energy.tracker import COMPONENTS
+from ..energy.tracker import COMPONENTS, EnergyTracker
 from ..isa.instructions import AluOp
 from ..isa.program import Program
 from .fastpath import (_ALU_FUNCS, _BRANCH_FUNCS, _MEM_LB, _MEM_LBU,
@@ -62,8 +59,10 @@ from .fastpath import (_ALU_FUNCS, _BRANCH_FUNCS, _MEM_LB, _MEM_LBU,
                        ScheduleFallback, ScheduleUnavailable, _BoundSchedule,
                        bound_schedule_for, mark_divergent, program_digest)
 from .pipeline import MARKER_ADDR
+from .scoring import (SCORE_BLOCK, STREAM_NA, STREAM_NB, STREAM_NST,
+                      STREAM_OUT, STREAM_ST, STREAM_WBV, STREAMS, EnergyScorer,
+                      running_total)
 
-_MASK32 = np.uint32(0xFFFF_FFFF)
 #: Slack above/below the statically known data extent, so small pointer
 #: arithmetic past an array stays inside the modeled window.
 _WINDOW_MARGIN_WORDS = 64
@@ -71,9 +70,6 @@ _WINDOW_MARGIN_WORDS = 64
 _MAX_WINDOW_WORDS = 1 << 22
 #: Whole-batch working-set ceiling; larger batches fall back to scalar.
 _MAX_BATCH_BYTES = 1 << 30
-#: The tracker draws Gaussian noise in chunks of this size; replaying the
-#: same chunking reproduces its stream draw-for-draw.
-_NOISE_CHUNK = 4096
 
 
 class VectorUnsupported(ScheduleUnavailable):
@@ -82,37 +78,8 @@ class VectorUnsupported(ScheduleUnavailable):
 
 
 # ---------------------------------------------------------------------------
-# Bit-twiddling primitives
+# Vector ALU
 # ---------------------------------------------------------------------------
-
-if hasattr(np, "bitwise_count"):
-    _popcount = np.bitwise_count
-else:  # pragma: no cover - NumPy < 2.0 fallback
-    def _popcount(values: np.ndarray) -> np.ndarray:
-        """SWAR popcount for uint32/uint64 arrays."""
-        if values.dtype == np.uint64:
-            v = values.copy()
-            v -= (v >> 1) & 0x5555555555555555
-            v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
-            v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0F
-            return ((v * 0x0101010101010101) >> 56).astype(np.uint8)
-        v = values.astype(np.uint32)
-        v -= (v >> 1) & 0x55555555
-        v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-        v = (v + (v >> 4)) & 0x0F0F0F0F
-        return ((v * 0x01010101) >> 24).astype(np.uint8)
-
-
-def _spread64(v32: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.energy.coupling._spread_bits_32_to_64`."""
-    v = v32.astype(np.uint64)
-    v = (v | (v << 16)) & 0x0000FFFF0000FFFF
-    v = (v | (v << 8)) & 0x00FF00FF00FF00FF
-    v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0F
-    v = (v | (v << 2)) & 0x3333333333333333
-    v = (v | (v << 1)) & 0x5555555555555555
-    return v
-
 
 def _i32(x):
     """Signed reinterpretation of a uint32 vector or scalar operand."""
@@ -187,18 +154,18 @@ def _v_pass_a(a, b, out):
     out[...] = a
 
 
-_VALU = {
-    AluOp.ADD.value: _v_add, AluOp.SUB.value: _v_sub,
-    AluOp.AND.value: _v_and, AluOp.OR.value: _v_or,
-    AluOp.XOR.value: _v_xor, AluOp.NOR.value: _v_nor,
-    AluOp.SLT.value: _v_slt, AluOp.SLTU.value: _v_sltu,
-    AluOp.SLL.value: _v_sll, AluOp.SRL.value: _v_srl,
-    AluOp.SRA.value: _v_sra, AluOp.LUI.value: _v_lui,
-    AluOp.PASS_A.value: _v_pass_a,
-}
+#: Scalar ALU handler (a bound record's ``alu_fn``) -> its vector twin.
+_VALU = {_ALU_FUNCS[op.value]: fn for op, fn in (
+    (AluOp.ADD, _v_add), (AluOp.SUB, _v_sub), (AluOp.AND, _v_and),
+    (AluOp.OR, _v_or), (AluOp.XOR, _v_xor), (AluOp.NOR, _v_nor),
+    (AluOp.SLT, _v_slt), (AluOp.SLTU, _v_sltu), (AluOp.SLL, _v_sll),
+    (AluOp.SRL, _v_srl), (AluOp.SRA, _v_sra), (AluOp.LUI, _v_lui),
+    (AluOp.PASS_A, _v_pass_a))}
 
-#: Branch-check kinds (indices into the vector predicate dispatch).
-_BR_KINDS = {"beq": 0, "bne": 1, "blez": 2, "bgtz": 3, "bltz": 4, "bgez": 5}
+#: Branch predicate (a bound record's ``taken_fn``) -> check kind (index
+#: into the vector predicate dispatch).
+_BR_KINDS = {_BRANCH_FUNCS[name]: kind for kind, name in enumerate(
+    ("beq", "bne", "blez", "bgtz", "bltz", "bgez"))}
 _BR_JR = 6
 
 # Symbol tags: a latched value is a constant, an ALU output row, or a
@@ -216,20 +183,21 @@ _ZERO = (_CONST, 0)
 # ---------------------------------------------------------------------------
 
 class _Gather:
-    """Materializer for one per-row symbol list -> ``[rows, n]`` uint32."""
+    """Materializer for one per-cycle symbol list into rows ``1..cycles``
+    of a ``[cycles + 1, n]`` uint32 stream (row 0 is the state before
+    cycle 0, the layout :meth:`~.scoring.EnergyScorer.score` takes)."""
 
-    __slots__ = ("rows", "const_rows", "const_vals", "out_rows", "out_src",
+    __slots__ = ("const_rows", "const_vals", "out_rows", "out_src",
                  "load_rows", "load_src")
 
     def __init__(self, syms: list[tuple[int, int]]):
-        self.rows = len(syms)
         const_rows: list[int] = []
         const_vals: list[int] = []
         out_rows: list[int] = []
         out_src: list[int] = []
         load_rows: list[int] = []
         load_src: list[int] = []
-        for row, (tag, value) in enumerate(syms):
+        for row, (tag, value) in enumerate(syms, 1):
             if tag == _CONST:
                 const_rows.append(row)
                 const_vals.append(value & _WORD_MASK)
@@ -247,15 +215,13 @@ class _Gather:
         self.load_src = np.asarray(load_src, np.int64)
 
     def materialize(self, out: np.ndarray, loads: np.ndarray,
-                    n: int) -> np.ndarray:
-        dest = np.empty((self.rows, n), np.uint32)
+                    dest: np.ndarray) -> None:
         if self.const_rows.size:
             dest[self.const_rows] = self.const_vals[:, None]
         if self.out_rows.size:
             dest[self.out_rows] = out[self.out_src]
         if self.load_rows.size:
             dest[self.load_rows] = loads[self.load_src]
-        return dest
 
 
 class _VectorPlan:
@@ -265,10 +231,7 @@ class _VectorPlan:
         "cycles", "n_loads", "w0", "window_words", "data_rel", "data_image",
         "ops", "checks", "marker_syms",
         "out_fill_rows", "out_fill_vals",
-        "rec_ibus_ev", "rec_rw", "rec_l0_ev", "rec_sec_idx", "rec_mem",
-        "steps", "col_s1", "col_s2", "col_s3",
-        "mem_cycles", "mem_sec", "bus_gather",
-        "units", "st_gather", "na_gather", "nb_gather", "nst_gather",
+        "st_gather", "na_gather", "nb_gather", "nst_gather",
         "wbv_gather", "bytes_per_trace",
     )
 
@@ -284,32 +247,9 @@ def _enc(sym: tuple[int, int]):
 
 def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
     schedule = bound.schedule
-    records = schedule.records
-    steps = schedule.steps
     n_cycles = schedule.cycles
     if n_cycles == 0:
         raise VectorUnsupported("empty schedule")
-
-    # Per-record structural fields (raw record layout; see fastpath).
-    recs = []
-    rec_ibus_ev, rec_rw, rec_l0_ev = [], [], []
-    rec_sec_idx, rec_mem = [], []
-    for record in records:
-        (_wb_idx, wb_dest, wb_sec, _mem_idx, mem_kind, mem_sec,
-         _ex_idx, alu_name, unit_i, ex_sec, a_sel, b_sel, st_sel,
-         ex_link, ctl, _id_idx, dec_live, a_reg, a_const, b_reg, b_const,
-         st_reg, reads, writes, _fetch_idx, _fetch_active, _fetch_iword,
-         ibus_ev, _l0_idx, _l0_iword, l0_ev, _l1_idx, s1, s2, s3) = record
-        recs.append((wb_dest if wb_dest > 0 else -1, mem_kind, mem_sec,
-                     alu_name, unit_i, ex_sec, a_sel, b_sel, st_sel,
-                     ex_link, ctl, dec_live, a_reg, a_const, b_reg, b_const,
-                     st_reg, s1, s2, s3))
-        rec_ibus_ev.append(ibus_ev)
-        rec_rw.append(reads + writes)
-        rec_l0_ev.append(l0_ev)
-        rec_sec_idx.append((8 if wb_sec else 0) | (4 if s1 else 0)
-                           | (2 if s2 else 0) | (1 if s3 else 0))
-        rec_mem.append(bool(mem_kind))
 
     # ---- symbolic data-path sweep --------------------------------------
     regs_sym: list[tuple[int, int]] = [_ZERO] * 32
@@ -322,20 +262,16 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
     nb_syms: list[tuple[int, int]] = []
     nst_syms: list[tuple[int, int]] = []
     wbv_syms: list[tuple[int, int]] = []
-    bus_syms: list[tuple[int, int]] = []
-    mem_cycles: list[int] = []
-    mem_secs: list[bool] = []
-    unit_data: dict[int, list] = {1: [], 2: [], 3: []}
     raw_ops: list[tuple] = []
     checks: list[tuple] = []
     marker_syms: list[tuple] = []
     const_addrs: list[tuple[int, int]] = []
     n_loads = 0
 
-    for c, slot in enumerate(steps):
-        (wb_wr, mem_kind, mem_sec, alu_name, unit_i, ex_sec,
-         a_sel, b_sel, st_sel, ex_link, ctl, dec_live,
-         a_reg, a_const, b_reg, b_const, st_reg, s1, s2, s3) = recs[slot]
+    records = bound.fast
+    for c, slot in enumerate(schedule.steps):
+        (wb_wr, mem_kind, alu_fn, a_sel, b_sel, st_sel, ex_link, ctl,
+         dec_live, a_reg, a_const, b_reg, b_const, st_reg) = records[slot]
         # ---- WB ----
         if wb_wr >= 0:
             regs_sym[wb_wr] = wb_sym
@@ -349,19 +285,13 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
                 if addr_sym[0] == _CONST:
                     const_addrs.append((addr_sym[1], mem_kind))
                 new_wb = (_LOAD, n_loads)
-                bus_syms.append(new_wb)
                 n_loads += 1
+            elif addr_sym[0] == _CONST and addr_sym[1] == MARKER_ADDR:
+                marker_syms.append((c, memstore_sym))
             else:
-                if addr_sym[0] == _CONST and addr_sym[1] == MARKER_ADDR:
-                    marker_syms.append((c, memstore_sym))
-                else:
-                    raw_ops.append(("store", mem_kind, addr_sym,
-                                    memstore_sym))
-                    if addr_sym[0] == _CONST:
-                        const_addrs.append((addr_sym[1], mem_kind))
-                bus_syms.append(memstore_sym)
-            mem_cycles.append(c)
-            mem_secs.append(mem_sec)
+                raw_ops.append(("store", mem_kind, addr_sym, memstore_sym))
+                if addr_sym[0] == _CONST:
+                    const_addrs.append((addr_sym[1], mem_kind))
         # ---- EX (forwarding pre-resolved) ----
         a_sym = idexa_sym if a_sel == 0 else (memalu_sym if a_sel == 1
                                               else wb_sym)
@@ -371,34 +301,30 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
                                                   else wb_sym)
         if ex_link >= 0:
             out_sym = (_CONST, ex_link)
-        elif alu_name is None:
+        elif alu_fn is None:
             out_sym = _ZERO
         elif a_sym[0] == _CONST and b_sym[0] == _CONST:
-            out_sym = (_CONST, _ALU_FUNCS[alu_name](a_sym[1], b_sym[1]))
+            out_sym = (_CONST, alu_fn(a_sym[1], b_sym[1]))
         else:
             out_sym = (_OUT, c)
-            raw_ops.append(("alu", c, alu_name, a_sym, b_sym))
+            raw_ops.append(("alu", c, alu_fn, a_sym, b_sym))
         if ctl is not None:
-            if ctl[0] == "b":
-                _kind, op_name, expected = ctl
+            taken_fn, expected = ctl
+            if taken_fn is not None:
                 if a_sym[0] == _CONST and b_sym[0] == _CONST:
-                    if _BRANCH_FUNCS[op_name](a_sym[1], b_sym[1]) \
+                    if taken_fn(a_sym[1], b_sym[1]) \
                             != expected:  # pragma: no cover - defensive
                         raise VectorUnsupported(
                             "constant branch disagrees with recording")
                 else:
-                    checks.append((c, _BR_KINDS[op_name], _enc(a_sym),
+                    checks.append((c, _BR_KINDS[taken_fn], _enc(a_sym),
                                    _enc(b_sym), expected))
+            elif a_sym[0] == _CONST:
+                if a_sym[1] != expected:  # pragma: no cover - defensive
+                    raise VectorUnsupported(
+                        "constant jump target disagrees with recording")
             else:
-                target = ctl[1]
-                if a_sym[0] == _CONST:
-                    if a_sym[1] != target:  # pragma: no cover - defensive
-                        raise VectorUnsupported(
-                            "constant jump target disagrees with recording")
-                else:
-                    checks.append((c, _BR_JR, _enc(a_sym), None, target))
-        if unit_i:
-            unit_data[unit_i].append((c, ex_sec, a_sym, b_sym))
+                checks.append((c, _BR_JR, _enc(a_sym), None, expected))
         # ---- ID ----
         if dec_live:
             next_a = regs_sym[a_reg] if a_reg >= 0 else (_CONST, a_const)
@@ -439,8 +365,8 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
     ops: list[tuple] = []
     for raw in raw_ops:
         if raw[0] == "alu":
-            _t, c, alu_name, a_sym, b_sym = raw
-            ops.append((_OP_ALU, c, _VALU[alu_name], _enc(a_sym),
+            _t, c, alu_fn, a_sym, b_sym = raw
+            ops.append((_OP_ALU, c, _VALU[alu_fn], _enc(a_sym),
                         _enc(b_sym)))
         elif raw[0] == "load":
             _t, kind, addr_sym, k = raw
@@ -486,38 +412,14 @@ def _compile_plan(program: Program, bound: _BoundSchedule) -> _VectorPlan:
     plan.out_fill_rows = np.asarray(fill_rows, np.int64)
     plan.out_fill_vals = np.asarray(
         [out_syms[c][1] & _WORD_MASK for c in fill_rows], np.uint32)
-    plan.rec_ibus_ev = np.asarray(rec_ibus_ev, np.int64)
-    plan.rec_rw = np.asarray(rec_rw, np.int64)
-    plan.rec_l0_ev = np.asarray(rec_l0_ev, np.int64)
-    plan.rec_sec_idx = np.asarray(rec_sec_idx, np.int64)
-    plan.rec_mem = np.asarray(rec_mem, bool)
-    plan.steps = np.asarray(steps, np.int64)
-    rec_s1 = np.asarray([r[17] for r in recs], bool)
-    rec_s2 = np.asarray([r[18] for r in recs], bool)
-    rec_s3 = np.asarray([r[19] for r in recs], bool)
-    plan.col_s1 = rec_s1[plan.steps]
-    plan.col_s2 = rec_s2[plan.steps]
-    plan.col_s3 = rec_s3[plan.steps]
-    plan.mem_cycles = np.asarray(mem_cycles, np.int64)
-    plan.mem_sec = np.asarray(mem_secs, bool)
-    plan.bus_gather = _Gather(bus_syms)
-    plan.units = {}
-    for unit, entries in unit_data.items():
-        if not entries:
-            continue
-        plan.units[unit] = (
-            np.asarray([e[0] for e in entries], np.int64),
-            np.asarray([e[1] for e in entries], bool),
-            _Gather([e[2] for e in entries]),
-            _Gather([e[3] for e in entries]),
-        )
     plan.st_gather = _Gather(st_syms)
     plan.na_gather = _Gather(na_syms)
     plan.nb_gather = _Gather(nb_syms)
     plan.nst_gather = _Gather(nst_syms)
     plan.wbv_gather = _Gather(wbv_syms)
     # uint32 state matrices (OUT/ST/NA/NB/NST/WBV + loads + window) plus
-    # float64 energy matrices (latches, funits, dbus, total).
+    # float64 energy matrices (total; funits, dbus, latches when the
+    # batch collects components).
     plan.bytes_per_trace = (window_words * 4 + n_loads * 4
                             + n_cycles * (6 * 4 + 4 * 8))
     return plan
@@ -558,9 +460,14 @@ def _resolve(operand, out: np.ndarray, loads: np.ndarray):
 
 
 class _BatchRun:
-    """Raw results of one vector batch execution."""
+    """Raw results of one vector batch execution.
 
-    __slots__ = ("n", "out", "loads", "marker_values")
+    ``streams`` is the scorer's ``[STREAMS, cycles + 1, n]`` stream
+    array with a zero row 0; :func:`_execute` fills the EX/MEM
+    ``alu_out`` stream, the energy pass the other five.
+    """
+
+    __slots__ = ("n", "streams", "loads", "marker_values")
 
     def markers_for(self, t: int) -> tuple[tuple[int, int], ...]:
         return tuple((c, int(v[t]) if isinstance(v, np.ndarray) else int(v))
@@ -568,46 +475,23 @@ class _BatchRun:
 
 
 class _BatchEnergy:
-    """Per-cycle, per-trace energy plus exact sequential totals."""
+    """Per-cycle, per-trace energy plus exact sequential totals.
 
-    __slots__ = ("cycles", "e_clock", "total", "fun", "dbus", "lat",
-                 "col_ibus", "col_regfile", "col_memport", "col_secure",
-                 "totals_common", "fun_totals", "dbus_totals", "lat_totals")
+    ``totals`` and ``parts`` (the component columns, kept only when a job
+    collects components) follow :meth:`~.scoring.EnergyScorer.score`:
+    one column for an input-independent component, else one per trace.
+    """
+
+    __slots__ = ("total", "totals", "parts")
 
     def totals_for(self, t: int) -> dict[str, float]:
-        totals = dict(self.totals_common)
-        totals["funits"] = float(self.fun_totals[t])
-        totals["dbus"] = float(self.dbus_totals[t])
-        totals["latches"] = float(self.lat_totals[t])
-        totals["noise"] = 0.0
-        return {name: totals[name] for name in COMPONENTS} \
+        return {name: float(total[min(t, total.shape[0] - 1)])
+                for name, total in zip(COMPONENTS, self.totals)} \
             | {"noise": 0.0}
 
     def components_for(self, t: int) -> np.ndarray:
-        comp = np.empty((self.cycles, len(COMPONENTS)))
-        comp[:, 0] = self.e_clock
-        comp[:, 1] = self.col_ibus
-        comp[:, 2] = self.col_regfile
-        comp[:, 3] = self.fun[:, t]
-        comp[:, 4] = self.dbus[:, t]
-        comp[:, 5] = self.col_memport
-        comp[:, 6] = self.lat[:, t]
-        comp[:, 7] = self.col_secure
-        return comp
-
-
-def _prev_chain(values: np.ndarray, secure: np.ndarray) -> np.ndarray:
-    """Previous-state matrix for a latched value stream: row k holds the
-    state *before* cycle k (zero initially; all-ones after a secure
-    commit, mirroring the models' pre-charged resting state)."""
-    prev = np.empty_like(values)
-    prev[0] = 0
-    if values.shape[0] > 1:
-        prev[1:] = values[:-1]
-        reset = np.nonzero(secure[:-1])[0] + 1
-        if reset.size:
-            prev[reset] = _MASK32
-    return prev
+        return np.column_stack([part[:, min(t, part.shape[1] - 1)]
+                                for part in self.parts])
 
 
 def _execute(program: Program, plan: _VectorPlan, n: int,
@@ -633,7 +517,9 @@ def _execute(program: Program, plan: _VectorPlan, n: int,
             memmat[t, rel:rel + len(words)] = np.asarray(
                 [w & _WORD_MASK for w in words], np.uint32)
 
-    out = np.empty((plan.cycles, n), np.uint32)
+    streams = np.empty((STREAMS, plan.cycles + 1, n), np.uint32)
+    streams[:, 0] = 0
+    out = streams[STREAM_OUT, 1:]
     loads = np.empty((plan.n_loads, n), np.uint32)
     rows = np.arange(n)
     u3 = np.uint32(3)
@@ -733,7 +619,7 @@ def _execute(program: Program, plan: _VectorPlan, n: int,
 
     run = _BatchRun()
     run.n = n
-    run.out = out
+    run.streams = streams
     run.loads = loads
     run.marker_values = [(c, _resolve(operand, out, loads))
                          for c, operand in plan.marker_syms]
@@ -744,180 +630,38 @@ def _execute(program: Program, plan: _VectorPlan, n: int,
 # Energy post-pass
 # ---------------------------------------------------------------------------
 
-def _transition_energy(values: np.ndarray, secure: np.ndarray):
-    """Rising-bit counts (uint8) for a latched stream with secure resets."""
-    prev = _prev_chain(values, secure)
-    return _popcount(np.bitwise_and(values, np.invert(prev)))
-
-
-def _energy_postpass(plan: _VectorPlan, params, run: _BatchRun,
-                     ) -> _BatchEnergy:
-    """Score the batch: per-cycle ``[n_cycles, n_traces]`` energy, with
-    every float addition in the reference engine's order (see module
-    docstring for why this is bit-identical)."""
+def _energy_postpass(plan: _VectorPlan, bound: _BoundSchedule, params,
+                     run: _BatchRun, components: bool) -> _BatchEnergy:
+    """Score the batch with the shared :class:`~.scoring.EnergyScorer`,
+    :data:`~.scoring.SCORE_BLOCK` cycles at a time, over the six latched
+    value streams materialized as ``[cycles + 1, n]`` matrices."""
     n = run.n
-    out, loads = run.out, run.loads
-    n_cycles = plan.cycles
-    steps = plan.steps
-
-    e_clock = params.e_clock_cycle
-    e_port = params.e_regfile_port
-    e_mem = params.e_memory_access
-    e_latch = params.event_energy_latch
-    ibus = BusModel(params.event_energy_instr_bus, params.width)
-    if params.c_coupling > 0:
-        dbus_model = CoupledBusModel(params.event_energy_data_bus,
-                                     params.event_energy_coupling,
-                                     params.width)
-    else:
-        dbus_model = BusModel(params.event_energy_data_bus, params.width)
-    unit_models = {
-        1: FunctionalUnitModel(params.event_energy_alu,
-                               1.5 * params.event_energy_alu, params.width),
-        2: FunctionalUnitModel(params.event_energy_xor_static,
-                               params.event_energy_xor, params.width),
-        3: FunctionalUnitModel(params.event_energy_shift,
-                               1.5 * params.event_energy_shift,
-                               params.width),
-    }
-    latch_secure = {
-        1: LatchModel(e_latch, 3, params.width).secure_energy,
-        2: LatchModel(e_latch, 2, params.width).secure_energy,
-        3: LatchModel(e_latch, 1, params.width).secure_energy,
-    }
-    # Same successive accumulation as the scalar fast path's sec_table.
-    sec_table = []
-    for sec_idx in range(16):
-        value = 0.0
-        if sec_idx & 8:
-            value += params.e_dummy_load
-        if sec_idx & 4:
-            value += params.e_secure_clock
-        if sec_idx & 2:
-            value += params.e_secure_clock
-        if sec_idx & 1:
-            value += params.e_secure_clock
-        sec_table.append(value)
-
-    col_ibus = (plan.rec_ibus_ev * ibus.event_energy)[steps]
-    col_regfile = (plan.rec_rw * e_port)[steps]
-    col_memport = np.where(plan.rec_mem, e_mem, 0.0)[steps]
-    col_secure = np.asarray(sec_table)[plan.rec_sec_idx][steps]
-    col_l0 = (plan.rec_l0_ev * e_latch)[steps]
-
-    # ---- pipeline latches (latch 0 + dual-rail latches 1..3) -----------
-    lat = np.empty((n_cycles, n))
-    lat[:] = col_l0[:, None]
-    na = plan.na_gather.materialize(out, loads, n)
-    nb = plan.nb_gather.materialize(out, loads, n)
-    nst = plan.nst_gather.materialize(out, loads, n)
-    ev1 = (_popcount(np.bitwise_and(na, np.invert(
-        _prev_chain(na, plan.col_s1))))
-        + _popcount(np.bitwise_and(nb, np.invert(
-            _prev_chain(nb, plan.col_s1))))
-        + _popcount(np.bitwise_and(nst, np.invert(
-            _prev_chain(nst, plan.col_s1)))))
-    lat += np.where(plan.col_s1[:, None], latch_secure[1], ev1 * e_latch)
-    stv = plan.st_gather.materialize(out, loads, n)
-    ev2 = (_transition_energy(out, plan.col_s2)
-           + _transition_energy(stv, plan.col_s2))
-    lat += np.where(plan.col_s2[:, None], latch_secure[2], ev2 * e_latch)
-    wbv = plan.wbv_gather.materialize(out, loads, n)
-    ev3 = _transition_energy(wbv, plan.col_s3)
-    lat += np.where(plan.col_s3[:, None], latch_secure[3], ev3 * e_latch)
-
-    # ---- functional units ----------------------------------------------
-    fun = np.zeros((n_cycles, n))
-    for unit, (cyc_u, sec_u, a_gather, b_gather) in plan.units.items():
-        model = unit_models[unit]
-        a_u = a_gather.materialize(out, loads, n)
-        b_u = b_gather.materialize(out, loads, n)
-        o_u = out[cyc_u]
-        rising = (_popcount(np.bitwise_and(a_u, np.invert(
-            _prev_chain(a_u, sec_u))))
-            + _popcount(np.bitwise_and(b_u, np.invert(
-                _prev_chain(b_u, sec_u))))
-            + _popcount(np.bitwise_and(o_u, np.invert(
-                _prev_chain(o_u, sec_u)))))
-        fun[cyc_u] = np.where(sec_u[:, None], model.secure_energy,
-                              rising * model.static_event_energy)
-
-    # ---- data bus -------------------------------------------------------
-    dbus = np.zeros((n_cycles, n))
-    if plan.mem_cycles.size:
-        bus = plan.bus_gather.materialize(out, loads, n)
-        sec_m = plan.mem_sec
-        prev = _prev_chain(bus, sec_m)
-        rising = np.bitwise_and(bus, np.invert(prev))
-        coupling = getattr(dbus_model, "coupling_event_energy", 0.0)
-        normal = _popcount(rising) * dbus_model.event_energy
-        if coupling:
-            falling = np.bitwise_and(np.invert(bus), prev)
-            maskw = np.uint32((1 << (params.width - 1)) - 1)
-            switching = rising | falling
-            exactly_one = (switching ^ (switching >> np.uint32(1))) & maskw
-            opposite = ((rising & (falling >> np.uint32(1)))
-                        | (falling & (rising >> np.uint32(1)))) & maskw
-            events = _popcount(exactly_one) + 2 * _popcount(opposite)
-            normal = normal + events * coupling
-            falling64 = _spread64(np.invert(bus)) \
-                | (_spread64(bus) << np.uint64(1))
-            mask2w = np.uint64((1 << (2 * params.width - 1)) - 1)
-            sec_events = _popcount(
-                (falling64 ^ (falling64 >> np.uint64(1))) & mask2w)
-            secure_e = dbus_model.base_secure_energy \
-                + (2 * sec_events) * coupling
-        else:
-            secure_base = dbus_model.base_secure_energy \
-                if isinstance(dbus_model, CoupledBusModel) \
-                else dbus_model.secure_energy
-            secure_e = secure_base
-        dbus[plan.mem_cycles] = np.where(sec_m[:, None], secure_e, normal)
-
-    # ---- total, in the reference end_cycle's addition order -------------
-    base = e_clock + col_ibus
-    base = base + col_regfile
-    total = base[:, None] + fun
-    total += dbus
-    total += col_memport[:, None]
-    total += lat
-    total += col_secure[:, None]
-
+    streams = run.streams
+    out = streams[STREAM_OUT, 1:]
+    for stream, gather in ((STREAM_NA, plan.na_gather),
+                           (STREAM_NB, plan.nb_gather),
+                           (STREAM_NST, plan.nst_gather),
+                           (STREAM_ST, plan.st_gather),
+                           (STREAM_WBV, plan.wbv_gather)):
+        gather.materialize(out, run.loads, streams[stream])
+    scorer = EnergyScorer(bound, EnergyTracker(params))
+    total = np.empty((plan.cycles, n))
+    parts = None
+    for start in range(0, plan.cycles, SCORE_BLOCK):
+        stop = min(start + SCORE_BLOCK, plan.cycles)
+        total[start:stop], block_parts = scorer.score(
+            start, streams[:, start:stop + 1])
+        if components:
+            if parts is None:
+                parts = [np.empty((plan.cycles, part.shape[1]))
+                         for part in block_parts]
+            for part, block in zip(parts, block_parts):
+                part[start:stop] = block
     energy = _BatchEnergy()
-    energy.cycles = n_cycles
-    energy.e_clock = e_clock
     energy.total = total
-    energy.col_ibus = col_ibus
-    energy.col_regfile = col_regfile
-    energy.col_memport = col_memport
-    energy.col_secure = col_secure
-    # Sequential (cumsum, not pairwise-sum) totals: exact float parity
-    # with the scalar running accumulators.
-    energy.totals_common = {
-        "clock": float(np.cumsum(np.full(n_cycles, e_clock))[-1]),
-        "ibus": float(np.cumsum(col_ibus)[-1]),
-        "regfile": float(np.cumsum(col_regfile)[-1]),
-        "memport": float(np.cumsum(col_memport)[-1]),
-        "secure": float(np.cumsum(col_secure)[-1]),
-    }
-    energy.fun = fun.copy()
-    energy.dbus = dbus.copy()
-    energy.lat = lat.copy()
-    energy.fun_totals = np.cumsum(fun, axis=0, out=fun)[-1].copy()
-    energy.dbus_totals = np.cumsum(dbus, axis=0, out=dbus)[-1].copy()
-    energy.lat_totals = np.cumsum(lat, axis=0, out=lat)[-1].copy()
+    energy.totals = scorer.totals
+    energy.parts = parts
     return energy
-
-
-def _noise_draws(rng, sigma: float, count: int) -> np.ndarray:
-    """Replay the tracker's chunked draw sequence for ``count`` cycles."""
-    parts = []
-    drawn = 0
-    while drawn < count:
-        parts.append(rng.normal(0.0, sigma, _NOISE_CHUNK))
-        drawn += _NOISE_CHUNK
-    return np.concatenate(parts)[:count] if parts \
-        else np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +720,9 @@ def run_job_batch(jobs, program: Program,
     try:
         run = _execute(program, plan, n, inputs_list,
                        job0.operand_isolation)
-        energy = _energy_postpass(plan, job0.params, run)
+        energy = _energy_postpass(
+            plan, bound, job0.params, run,
+            any(job.collect_components for job in jobs))
     except ScheduleFallback:
         # Divergence is already marked; the per-job retry will route the
         # whole batch through the scalar engines.
@@ -990,10 +736,11 @@ def run_job_batch(jobs, program: Program,
         counts = dict(schedule.counts)
         counts["noise"] = 0
         if sigma > 0:
-            rng = np.random.default_rng(job.noise_seed)
-            draws = _noise_draws(rng, sigma, plan.cycles)
+            draws = EnergyTracker(job0.params, noise_sigma=sigma,
+                                  noise_seed=job.noise_seed) \
+                .noise_draws(plan.cycles)
             trace += draws
-            totals["noise"] = float(np.cumsum(draws)[-1])
+            totals["noise"] = float(running_total(0.0, draws))
             counts["noise"] = plan.cycles
         components = energy.components_for(t) \
             if job.collect_components else None

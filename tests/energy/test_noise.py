@@ -81,3 +81,19 @@ def test_noise_buffer_refills_for_long_runs():
     energy = np.asarray(tracker.cycle_energy)
     tail = energy[4096:] - tracker.params.e_clock_cycle
     assert np.std(tail) > 0.5  # still noisy after the refill
+
+
+@pytest.mark.parametrize("lead", [0, 100, 4096])
+def test_noise_draws_match_single_draws(lead):
+    """``noise_draws(count)`` returns exactly the values ``count`` calls
+    of ``_next_noise()`` return, across the 4096-sample chunk edges."""
+    batched = EnergyTracker(noise_sigma=2.0, noise_seed=11)
+    single = EnergyTracker(noise_sigma=2.0, noise_seed=11)
+    for _ in range(lead):
+        assert batched._next_noise() == single._next_noise()
+    for count in (1, 3000, 5000, 0, 9000):
+        draws = batched.noise_draws(count)
+        assert draws.shape == (count,)
+        assert draws.tolist() == [single._next_noise()
+                                  for _ in range(count)]
+    assert batched._next_noise() == single._next_noise()

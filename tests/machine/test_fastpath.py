@@ -12,6 +12,7 @@ AES, operand isolation on and off, with and without noise) plus the
 divergence / budget / caching edge cases.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -20,6 +21,7 @@ import pytest
 
 from repro import obs
 from repro.aes.reference import int_to_state
+from repro.energy.params import DEFAULT_PARAMS
 from repro.harness.engine import SimJob, run_jobs
 from repro.harness.runner import des_run, run_with_trace
 from repro.isa.assembler import assemble
@@ -153,26 +155,34 @@ def _assert_identical(reference, fast):
     assert reference.cpu.pipeline.stats == fast.cpu.pipeline.stats
     assert reference.tracker.totals == fast.tracker.totals
     assert reference.tracker.counts == fast.tracker.counts
-    if reference.tracker.component_energy:
+    assert len(reference.tracker.component_energy) == \
+        len(fast.tracker.component_energy)
+    if len(reference.tracker.component_energy):
         assert np.array_equal(
             np.asarray(reference.tracker.component_energy),
             np.asarray(fast.tracker.component_energy))
+    else:
+        assert fast.trace.components is None
 
 
 def _differential(program, operand_isolation=True, inputs=None,
                   **run_kwargs):
+    """Reference vs fast, with the per-component matrix collected and
+    without it (the configuration every workload runs)."""
     if inputs is None:
         inputs = _des_inputs(program)
-    reference = run_with_trace(program, inputs=inputs, engine="reference",
-                               operand_isolation=operand_isolation,
-                               collect_components=True, **run_kwargs)
-    fast = run_with_trace(program, inputs=inputs, engine="fast",
-                          operand_isolation=operand_isolation,
-                          collect_components=True, **run_kwargs)
-    assert fast.engine == "fast"
-    assert reference.engine == "reference"
-    _assert_identical(reference, fast)
-    return reference, fast
+    for components in (True, False):
+        reference = run_with_trace(program, inputs=inputs,
+                                   engine="reference",
+                                   operand_isolation=operand_isolation,
+                                   collect_components=components,
+                                   **run_kwargs)
+        fast = run_with_trace(program, inputs=inputs, engine="fast",
+                              operand_isolation=operand_isolation,
+                              collect_components=components, **run_kwargs)
+        assert fast.engine == "fast"
+        assert reference.engine == "reference"
+        _assert_identical(reference, fast)
 
 
 # -- golden digests -----------------------------------------------------
@@ -261,6 +271,26 @@ def test_aes_bit_identical(masking):
 
 def test_noise_bit_identical():
     """Same noise seed -> same post-pass draws -> identical noisy trace."""
+    program = compile_des(DesProgramSpec(rounds=1),
+                          masking="selective").program
+    _differential(program, noise_sigma=0.1, noise_seed=7)
+
+
+def test_coupled_bus_bit_identical():
+    """The scorer's coupled-bus math (adjacent-line and interleaved
+    dual-rail coupling events) matches the scalar CoupledBusModel."""
+    params = dataclasses.replace(DEFAULT_PARAMS, c_coupling=0.12)
+    program = compile_des(DesProgramSpec(rounds=1),
+                          masking="selective").program
+    _differential(program, params=params)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_score_blocks_carry_state(monkeypatch, block):
+    """Tiny score blocks put secure commits, unit runs, memory cycles
+    and the 4096-draw noise chunk edge across block edges: the carried
+    model state, running totals and noise stream stay bit-identical."""
+    monkeypatch.setattr(fastpath, "SCORE_BLOCK", block)
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
     _differential(program, noise_sigma=0.1, noise_seed=7)

@@ -165,6 +165,15 @@ def test_coupled_bus_bit_identical():
     _batch_differential(program, params=params)
 
 
+def test_score_blocks_carry_state(monkeypatch):
+    """A 7-cycle score block carries each trace's model state, running
+    totals and noise across block edges bit-identically."""
+    monkeypatch.setattr(vector, "SCORE_BLOCK", 7)
+    program = compile_des(DesProgramSpec(rounds=1),
+                          masking="selective").program
+    _batch_differential(program, noise_sigma=0.1, noise_seed=7)
+
+
 def test_opcode_mix_identical():
     """An observed single run requested on vector replays on fast and
     installs the reference engine's dynamic instruction mix."""
