@@ -402,6 +402,8 @@ def cmd_serve(arguments: argparse.Namespace) -> int:
     """Run the leakage-assessment daemon until SIGTERM/SIGINT."""
     import json
 
+    from .obs.events import DEFAULT_MAX_BYTES as EVENT_LOG_MAX_BYTES
+    from .service.cache import DEFAULT_MAX_BYTES as VERDICT_CACHE_BYTES
     from .service.core import ServiceConfig
     from .service.server import serve
 
@@ -416,9 +418,12 @@ def cmd_serve(arguments: argparse.Namespace) -> int:
         drain_grace_s=arguments.drain_grace,
         journal=arguments.journal, manifest_out=arguments.manifest_out,
         event_log=arguments.event_log,
-        event_log_max_bytes=arguments.event_log_max_bytes,
+        event_log_max_bytes=(EVENT_LOG_MAX_BYTES
+                             if arguments.event_log_max_bytes is None
+                             else arguments.event_log_max_bytes),
         trace_requests=not arguments.no_request_tracing,
-        verdict_cache_bytes=(0 if arguments.no_verdict_cache
+        verdict_cache_bytes=(VERDICT_CACHE_BYTES
+                             if arguments.verdict_cache_bytes is None
                              else arguments.verdict_cache_bytes),
         quota_rps=arguments.quota_rps,
         quota_burst=arguments.quota_burst)
@@ -686,9 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds to let in-flight requests finish on "
                               "SIGTERM before cancelling (default 30)")
     p_serve.add_argument("--journal", metavar="PATH",
-                         help="durable JSON-lines request journal; on "
-                              "restart GET /v1/recovery accounts for every "
-                              "request the previous daemon accepted")
+                         help="durable request journal: one fsync'd "
+                              "repro.obs.events line per submission and "
+                              "per terminal state; on restart GET "
+                              "/v1/recovery accounts for every request "
+                              "the previous daemon accepted")
     p_serve.add_argument("--manifest-out", metavar="PATH",
                          dest="manifest_out",
                          help="write the SLO metrics manifest here during "
@@ -699,26 +706,22 @@ def build_parser() -> argparse.ArgumentParser:
                               "line per request lifecycle transition "
                               "(replayable with repro.obs.events)")
     p_serve.add_argument("--event-log-max-bytes", type=int,
-                         dest="event_log_max_bytes",
-                         default=4 * 1024 * 1024,
+                         dest="event_log_max_bytes", default=None,
                          help="rotate the event log to PATH.1 past this "
-                              "size (default 4 MiB)")
+                              "size (default: "
+                              "repro.obs.events.DEFAULT_MAX_BYTES)")
     p_serve.add_argument("--no-request-tracing", action="store_true",
                          dest="no_request_tracing",
-                         help="disable per-request span trees and "
-                              "timelines (trace endpoints answer with "
-                              "empty documents)")
+                         help="drop per-request span trees (trace "
+                              "documents keep their lifecycle timelines "
+                              "but carry no spans)")
     p_serve.add_argument("--verdict-cache-bytes", type=int,
-                         dest="verdict_cache_bytes",
-                         default=32 * 1024 * 1024,
+                         dest="verdict_cache_bytes", default=None,
                          help="LRU byte budget of the content-addressed "
-                              "verdict cache (default 32 MiB); repeat "
-                              "submissions of an identical request "
+                              "verdict cache (default: repro.service.cache."
+                              "DEFAULT_MAX_BYTES; 0 disables it); "
+                              "repeat submissions of an identical request "
                               "answer from memory, bit-identical")
-    p_serve.add_argument("--no-verdict-cache", action="store_true",
-                         dest="no_verdict_cache",
-                         help="disable the verdict cache (every request "
-                              "simulates, even exact repeats)")
     p_serve.add_argument("--quota-rps", type=float, dest="quota_rps",
                          default=None,
                          help="per-tenant admission quota in requests/s "

@@ -46,8 +46,8 @@ from .attribution import AttributionSink
 from .flamegraph import aggregate_spans, flamegraph_html, svg_flamegraph
 from .manifest import (aggregate_manifests, build_manifest, diff_totals,
                        load_manifest, summarize_manifest, write_manifest)
-from .progress import (ProgressReporter, ProgressSink, reporter_from_env,
-                       sink_from_env)
+from .events import EventLog
+from .progress import ProgressReporter, reporter_from_env, sink_from_env
 from .registry import (CardinalityError, Counter, Gauge, Histogram,
                        MetricsRegistry, bucket_quantile, snapshot_totals)
 from .spans import SpanRecord, Tracer, render_tree
@@ -57,8 +57,8 @@ from .streaming import (CorrelationAccumulator, DisclosureCurve,
 
 __all__ = [
     "AttributionSink", "CardinalityError", "CorrelationAccumulator",
-    "Counter", "DisclosureCurve", "Gauge", "Histogram", "MeanAccumulator",
-    "MetricsRegistry", "ObsContext", "ProgressReporter", "ProgressSink",
+    "Counter", "DisclosureCurve", "EventLog", "Gauge", "Histogram",
+    "MeanAccumulator", "MetricsRegistry", "ObsContext", "ProgressReporter",
     "SpanRecord", "Tracer", "WelchTAccumulator", "WelfordAccumulator",
     "aggregate_manifests", "aggregate_spans", "attribution",
     "attribution_enabled", "bucket_quantile", "build_manifest",

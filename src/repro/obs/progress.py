@@ -3,12 +3,13 @@
 A million-trace TVLA run is silent for hours with only post-hoc
 manifests to show for it.  This module adds the mid-flight view:
 
-* :class:`ProgressSink` — an opt-in JSON-lines writer (stderr or an
-  append-only file) that receives one record per heartbeat;
 * :class:`ProgressReporter` — rate-limited heartbeats carrying jobs
   done/failed/retried, traces/sec, ETA and arbitrary statistic
-  watermarks (e.g. the current max |t|), published both to the sink and
-  to the metrics registry when observability is enabled;
+  watermarks (e.g. the current max |t|), written as
+  :mod:`repro.obs.events` records (``heartbeat``, ``finished``) to an
+  opt-in :class:`~repro.obs.events.EventLog` (stderr or an append-only
+  file) and published to the metrics registry when observability is
+  enabled;
 * a module-level *current reporter* stack so the resilience layer can
   report failures/retries without threading a reporter through every
   call signature (mirrors the obs context stack).
@@ -21,14 +22,11 @@ are bit-identical to a build without this module.
 from __future__ import annotations
 
 import contextlib
-import json
-import logging
 import os
-import sys
 import time
-from typing import Callable, Optional, TextIO
+from typing import Callable, Optional
 
-logger = logging.getLogger("repro.obs.progress")
+from .events import EventLog, make_record
 
 #: Opt-in env var: ``-`` or ``stderr`` streams heartbeats to stderr, any
 #: other value is treated as a path opened in append mode.
@@ -37,70 +35,6 @@ PROGRESS_ENV = "REPRO_PROGRESS"
 INTERVAL_ENV = "REPRO_PROGRESS_INTERVAL"
 
 DEFAULT_INTERVAL_S = 1.0
-
-
-class ProgressSink:
-    """Writes heartbeat records as JSON lines, one object per line.
-
-    ``target`` is ``"-"``/``"stderr"`` for stderr or a filesystem path
-    (opened lazily in append mode so parallel campaigns interleave whole
-    lines rather than truncating each other).
-
-    Telemetry must never kill the campaign it narrates: a consumer that
-    goes away mid-run (``tail`` killed → EPIPE, disk full, file deleted)
-    disables the sink after the first write error — subsequent records
-    are counted in :attr:`dropped` and the batch runs to completion.
-    """
-
-    def __init__(self, target: str):
-        self.target = target
-        self._stream: Optional[TextIO] = None
-        self._owns_stream = False
-        #: Set after the first write error; the sink is dead from then on.
-        self.disabled = False
-        #: Heartbeats discarded because the sink was disabled.
-        self.dropped = 0
-
-    def _ensure_stream(self) -> TextIO:
-        if self._stream is None:
-            if self.target in ("-", "stderr"):
-                self._stream = sys.stderr
-            else:
-                self._stream = open(self.target, "a", encoding="utf-8")
-                self._owns_stream = True
-        return self._stream
-
-    def emit(self, record: dict) -> None:
-        if self.disabled:
-            self.dropped += 1
-            return
-        try:
-            stream = self._ensure_stream()
-            stream.write(json.dumps(record, sort_keys=True) + "\n")
-            stream.flush()
-        except (OSError, ValueError) as error:
-            # ValueError covers writes to a stream something else closed.
-            self.disabled = True
-            self.dropped += 1
-            logger.warning("progress sink %s: write failed (%s); progress "
-                           "telemetry disabled for the rest of the run",
-                           self.target, error)
-            from repro import obs
-
-            if obs.enabled():
-                obs.counter("progress_sink_errors",
-                            "progress sinks disabled after a write error") \
-                    .inc()
-            self.close()
-
-    def close(self) -> None:
-        if self._owns_stream and self._stream is not None:
-            try:
-                self._stream.close()
-            except OSError:
-                pass  # a broken pipe may refuse even the close flush
-        self._stream = None
-        self._owns_stream = False
 
 
 class ProgressReporter:
@@ -114,7 +48,7 @@ class ProgressReporter:
     """
 
     def __init__(self, total: int, label: str = "batch",
-                 sink: Optional[ProgressSink] = None,
+                 sink: Optional[EventLog] = None,
                  interval_s: float = DEFAULT_INTERVAL_S,
                  clock: Callable[[], float] = time.monotonic):
         self.total = int(total)
@@ -155,8 +89,7 @@ class ProgressReporter:
         rate = self.done / elapsed if elapsed > 0 else 0.0
         remaining = max(self.total - self.done, 0)
         eta = remaining / rate if rate > 0 else None
-        record = {
-            "event": event,
+        fields = {
             "label": self.label,
             "done": self.done,
             "failed": self.failed,
@@ -167,9 +100,9 @@ class ProgressReporter:
             "eta_s": round(eta, 3) if eta is not None else None,
         }
         for name, value in sorted(self.watermarks.items()):
-            record[name] = value if abs(value) != float("inf") \
+            fields[name] = value if abs(value) != float("inf") \
                 else repr(value)
-        return record
+        return make_record(event, **fields)
 
     def heartbeat(self, force: bool = False) -> Optional[dict]:
         """Emit a heartbeat if the interval elapsed (or ``force``)."""
@@ -181,7 +114,7 @@ class ProgressReporter:
         self.heartbeats += 1
         record = self._record("heartbeat")
         if self.sink is not None:
-            self.sink.emit(record)
+            self.sink.write(record)
         # Imported lazily: this module is re-exported by the package
         # __init__, which is still initializing at our import time.
         from repro import obs
@@ -200,7 +133,7 @@ class ProgressReporter:
         self.heartbeats += 1
         record = self._record("finished")
         if self.sink is not None:
-            self.sink.emit(record)
+            self.sink.write(record)
             self.sink.close()
         return record
 
@@ -235,11 +168,12 @@ def active(reporter: Optional[ProgressReporter]):
         _reporter_stack.pop()
 
 
-def sink_from_env() -> Optional[ProgressSink]:
+def sink_from_env() -> Optional[EventLog]:
+    """The heartbeat sink ``REPRO_PROGRESS`` names (never rotated)."""
     target = os.environ.get(PROGRESS_ENV, "").strip()
     if not target:
         return None
-    return ProgressSink(target)
+    return EventLog(target, max_bytes=None)
 
 
 def interval_from_env() -> float:

@@ -18,7 +18,7 @@ Layering (each importable alone)::
                 per-tenant token-bucket quotas
     cache       content-addressed, single-flight verdict/result cache
     breaker     per-program circuit breaker
-    journal     durable JSON-lines request journal + restart replay
+    journal     restart journal (accounting events) + restart replay
     executor    request -> result on the batch engine (bit-identical
                 to ``repro submit --local``)
     core        LeakageService: lifecycle orchestration, SLO metrics
@@ -35,7 +35,7 @@ from .errors import (AdmissionRejected, DeadlineExceeded, InvalidRequest,
                      RequestNotFound, ServiceError, ShuttingDown,
                      error_from_dict)
 from .executor import execute_assessment
-from .journal import RecoveryReport, RequestJournal
+from .journal import RecoveryReport
 from .protocol import (AssessRequest, RequestRecord, TERMINAL_STATES)
 from .queue import AdmissionQueue, RateLimiter, TokenBucket
 from .server import ServiceServer, serve
@@ -44,8 +44,8 @@ __all__ = [
     "AdmissionQueue", "AdmissionRejected", "AssessRequest",
     "CircuitBreaker", "DeadlineExceeded", "InvalidRequest",
     "LeakageService", "ProgramQuarantined", "QuotaExceeded",
-    "RateLimiter", "RecoveryReport", "RequestFailed", "RequestJournal",
-    "RequestNotFound", "RequestRecord", "ServiceClient",
+    "RateLimiter", "RecoveryReport", "RequestFailed", "RequestNotFound",
+    "RequestRecord", "ServiceClient",
     "ServiceConfig", "ServiceError", "ServiceServer", "ShuttingDown",
     "TERMINAL_STATES", "TokenBucket", "VerdictCache", "error_from_dict",
     "execute_assessment", "serve", "verdict_key",

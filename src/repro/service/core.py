@@ -6,7 +6,7 @@ over it, and tests drive it in-process.  The invariant it maintains is
 the one the chaos suite asserts: **every submitted request ends in
 exactly one terminal state** — a result, a typed admission rejection, a
 typed timeout, a typed failure, or a typed shutdown error — and each
-transition is journaled durably.
+submission and terminal state is journaled durably.
 
 Request flow::
 
@@ -48,12 +48,12 @@ from ..obs import events as obs_events
 from ..obs.flamegraph import aggregate_spans
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import count_spans
+from . import journal as request_journal
 from . import protocol
 from .breaker import CircuitBreaker
 from .cache import DEFAULT_MAX_BYTES, VerdictCache, verdict_key
 from .errors import (RequestNotFound, ServiceError, ShuttingDown)
 from .executor import ExecutionFailed, execute_assessment
-from .journal import RequestJournal
 from .protocol import AssessRequest, RequestRecord, make_trace_id
 from .queue import AdmissionQueue
 
@@ -123,8 +123,11 @@ class LeakageService:
         self.breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s)
-        self.journal = RequestJournal(self.config.journal) \
-            if self.config.journal else None
+        self.journal: Optional[obs_events.EventLog] = None
+        self.recovery: Optional[request_journal.RecoveryReport] = None
+        if self.config.journal:
+            self.journal, self.recovery = \
+                request_journal.open_journal(self.config.journal)
         self.events = obs_events.EventLog(
             self.config.event_log,
             max_bytes=self.config.event_log_max_bytes) \
@@ -186,19 +189,20 @@ class LeakageService:
 
     # -- observability helpers ------------------------------------------
 
-    def _event(self, event: str, record: RequestRecord, **detail) -> None:
-        """One fsync'd event-log line for a lifecycle transition."""
-        if self.events is not None:
-            detail.setdefault("state", record.state)
-            self.events.emit(event, id=record.id,
-                             trace_id=record.trace_id, **detail)
-
     def _transition(self, event: str, record: RequestRecord,
                     **detail) -> None:
-        """Record a lifecycle transition on both the in-memory timeline
-        and the durable event log."""
-        record.mark(event, **detail)
-        self._event(event, record, **detail)
+        """Build one event record for a lifecycle transition and hand it
+        to the in-memory timeline, the event log and, for accounting
+        events, the journal."""
+        line = obs_events.make_record(event, id=record.id,
+                                      trace_id=record.trace_id,
+                                      state=record.state, **detail)
+        record.mark(line)
+        if self.events is not None:
+            self.events.write(line)
+        if self.journal is not None \
+                and event in request_journal.ACCOUNTING_EVENTS:
+            self.journal.write(line)
 
     def _tag_error(self, record: RequestRecord,
                    error: Optional[ServiceError]) -> None:
@@ -226,13 +230,10 @@ class LeakageService:
             else AssessRequest.from_dict(payload)
         record = RequestRecord(request=request,
                                trace_id=make_trace_id(trace_id))
-        self._transition("received", record, client=request.client,
-                         priority=request.priority)
         program_key = request.program_key()
-        if self.journal is not None:
-            self.journal.submitted(record.id, request.client,
-                                   request.priority, program_key,
-                                   trace_id=record.trace_id)
+        self._transition("received", record, client=request.client,
+                         priority=request.priority,
+                         program=program_key[:12])
         try:
             if self._draining.is_set():
                 raise ShuttingDown("service is draining; request not "
@@ -246,10 +247,8 @@ class LeakageService:
                           else protocol.SHUTDOWN
                           if error.code == "shutting_down"
                           else protocol.REJECTED, error=error)
-            self._transition("terminal", record, state=record.state,
-                             code=error.code)
+            self._transition("terminal", record, code=error.code)
             self._remember(record)
-            self._journal_terminal(record)
             self._count("service_rejections_total",
                         "submissions rejected before execution",
                         reason=error.code)
@@ -268,16 +267,21 @@ class LeakageService:
         with self._records_lock:
             self._records[record.id] = record
             self._order.append(record.id)
-            while len(self._order) > self.config.history_limit:
-                stale_id = self._order.pop(0)
-                stale = self._records.get(stale_id)
-                # Never evict a request that has not reached its
-                # terminal state: accounting beats memory here.
-                if stale is not None and stale.terminal.is_set():
-                    del self._records[stale_id]
+            excess = len(self._order) - self.config.history_limit
+            if excess <= 0:
+                return
+            # Evict the oldest terminal records, skipping any still in
+            # flight: a request that has not reached its terminal state
+            # is never evicted (accounting beats memory here).
+            kept = []
+            for request_id in self._order:
+                if excess > 0 \
+                        and self._records[request_id].terminal.is_set():
+                    del self._records[request_id]
+                    excess -= 1
                 else:
-                    self._order.insert(0, stale_id)
-                    break
+                    kept.append(request_id)
+            self._order = kept
 
     def get(self, request_id: str) -> RequestRecord:
         with self._records_lock:
@@ -490,9 +494,8 @@ class LeakageService:
                 error: Optional[ServiceError] = None) -> None:
         self._tag_error(record, error)
         record.finish(state, result=result, error=error)
-        self._transition("terminal", record, state=record.state,
+        self._transition("terminal", record,
                          **({"code": error.code} if error else {}))
-        self._journal_terminal(record)
         latency = record.latency_s or 0.0
         self.queue.observe_service_time(latency)
         self._observe("service_request_seconds", latency,
@@ -503,12 +506,6 @@ class LeakageService:
             self._count("service_goodput_traces_total",
                         "traces delivered inside successful results",
                         value=result["n_traces"] if result else 0)
-
-    def _journal_terminal(self, record: RequestRecord) -> None:
-        if self.journal is None:
-            return
-        detail = record.error.code if record.error is not None else None
-        self.journal.terminal(record.id, record.state, detail=detail)
 
     # -- health / introspection ----------------------------------------
 
@@ -552,9 +549,9 @@ class LeakageService:
             return self.registry.snapshot()
 
     def recovery_report(self) -> Optional[dict]:
-        if self.journal is None:
+        if self.recovery is None:
             return None
-        return self.journal.recovery.to_dict()
+        return self.recovery.to_dict()
 
     # -- verdict cache --------------------------------------------------
 
@@ -602,9 +599,7 @@ class LeakageService:
                 "resubmit to a live instance")
             self._tag_error(record, error)
             record.finish(protocol.SHUTDOWN, error=error)
-            self._transition("terminal", record, state=protocol.SHUTDOWN,
-                             code=error.code)
-            self._journal_terminal(record)
+            self._transition("terminal", record, code=error.code)
             self._count("service_terminal_total", state=protocol.SHUTDOWN)
         deadline = time.monotonic() + max(grace, 0.0)
         for thread in self._threads:
@@ -638,6 +633,7 @@ class LeakageService:
         if self.config.manifest_out:
             summary["manifest"] = str(self._write_manifest(pool_summary))
         if self.journal is not None:
+            self.journal.emit("session_end")
             self.journal.close()
         if self.events is not None:
             self.events.close()

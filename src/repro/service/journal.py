@@ -1,37 +1,38 @@
 """Durable request journal: what a killed daemon can still account for.
 
-Every admitted (or rejected) request writes two JSON-lines frames to an
-append-only file — one at submission, one at its terminal state — each
-flushed and fsync'd, so after a SIGKILL the journal tail is at worst a
-truncated final line (ignored on load), never silent loss.  On restart
-the daemon replays the journal and produces a :class:`RecoveryReport`:
-requests with both frames are *accounted*, requests with only the
-submission frame were *interrupted* by the kill — the daemon reports
-them (``/v1/recovery``) instead of pretending they never happened.
+The journal is an :class:`~repro.obs.events.EventLog` that never
+rotates and receives only the accounting events — ``session_start``
+(with the ``recovered_interrupted`` IDs), ``received`` and ``terminal``
+per request, ``session_end`` — each line flushed and fsync'd, so after
+a SIGKILL the journal tail is at worst a truncated final line, never
+silent loss.  On restart the daemon replays the journal into a
+:class:`RecoveryReport`: requests with both lines are *accounted*,
+requests with only ``received`` were *interrupted* by the kill — the
+daemon reports them (``/v1/recovery``) instead of pretending they never
+happened.
 
-Frames are self-describing JSON objects (no pickle: the journal is a
-forensic artifact an operator reads with ``jq``), versioned by the
-``schema`` field.  A journal written by a different schema version is
-preserved but not replayed — recovery is best-effort forensics, never a
-correctness dependency of new requests.
+Lines are :mod:`repro.obs.events` records (no pickle: the journal is a
+forensic artifact an operator reads with ``jq``).  A line of any other
+schema is preserved but not replayed, only counted as malformed —
+recovery is best-effort forensics, never a correctness dependency of
+new requests.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import os
-import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
+from ..obs.events import EventLog, read_events
 from .protocol import TERMINAL_STATES
 
-logger = logging.getLogger("repro.service.journal")
+#: Schema tag of the ``/v1/recovery`` document.
+REPORT_SCHEMA = "repro.service.journal/v1"
 
-SCHEMA = "repro.service.journal/v1"
+#: Per-request events the journal receives (two lines per request).
+ACCOUNTING_EVENTS = ("received", "terminal")
 
 
 @dataclass
@@ -43,7 +44,8 @@ class RecoveryReport:
     completed: dict[str, int] = field(default_factory=dict)
     #: Requests submitted but never finished (killed mid-flight/queued).
     interrupted: list[str] = field(default_factory=list)
-    #: Journal lines that failed to parse (truncated tail, corruption).
+    #: Journal lines that failed to parse (truncated tail, corruption,
+    #: another schema).
     malformed_lines: int = 0
     sessions: int = 0
 
@@ -52,7 +54,7 @@ class RecoveryReport:
         return sum(self.completed.values()) + len(self.interrupted)
 
     def to_dict(self) -> dict:
-        return {"schema": SCHEMA, "path": self.path,
+        return {"schema": REPORT_SCHEMA, "path": self.path,
                 "completed": dict(sorted(self.completed.items())),
                 "interrupted": list(self.interrupted),
                 "malformed_lines": self.malformed_lines,
@@ -60,113 +62,40 @@ class RecoveryReport:
                 "total_submitted": self.total_submitted}
 
 
-class RequestJournal:
-    """Append-only, fsync'd JSON-lines lifecycle journal."""
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._stream = None
-        self.recovery = replay(self.path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._stream = self.path.open("a", encoding="utf-8")
-        self._write({"event": "session_start",
-                     "pid": os.getpid(),
-                     "recovered_interrupted":
-                         list(self.recovery.interrupted)})
-
-    def _write(self, record: dict) -> None:
-        """Append one frame; best-effort durable (fsync), never raises
-        into the request path — a journal on a dead disk degrades to
-        logging, it does not take the daemon down with it."""
-        record = {"schema": SCHEMA, "ts": round(time.time(), 3), **record}
-        line = json.dumps(record, sort_keys=True)
-        with self._lock:
-            if self._stream is None:
-                return
-            try:
-                self._stream.write(line + "\n")
-                self._stream.flush()
-                os.fsync(self._stream.fileno())
-            except (OSError, ValueError) as error:
-                logger.warning("request journal %s: append failed (%s); "
-                               "journaling disabled", self.path, error)
-                try:
-                    self._stream.close()
-                except OSError:
-                    pass
-                self._stream = None
-
-    # -- lifecycle frames ----------------------------------------------
-
-    def submitted(self, request_id: str, client: str, priority: str,
-                  program_key: str,
-                  trace_id: Optional[str] = None) -> None:
-        record = {"event": "submitted", "id": request_id,
-                  "client": client, "priority": priority,
-                  "program": program_key[:12]}
-        if trace_id:
-            record["trace_id"] = trace_id
-        self._write(record)
-
-    def terminal(self, request_id: str, state: str,
-                 detail: Optional[str] = None) -> None:
-        assert state in TERMINAL_STATES, state
-        record = {"event": "terminal", "id": request_id, "state": state}
-        if detail:
-            record["detail"] = detail
-        self._write(record)
-
-    def close(self) -> None:
-        self._write({"event": "session_end"})
-        with self._lock:
-            if self._stream is not None:
-                try:
-                    self._stream.close()
-                except OSError:
-                    pass
-                self._stream = None
+def open_journal(path: Union[str, Path]) \
+        -> tuple[EventLog, RecoveryReport]:
+    """Replay the journal at ``path``, then reopen it for a new session
+    whose ``session_start`` line records what the replay recovered."""
+    recovery = replay(path)
+    journal = EventLog(path, max_bytes=None)
+    journal.emit("session_start", pid=os.getpid(),
+                 recovered_interrupted=list(recovery.interrupted))
+    return journal, recovery
 
 
 def replay(path: Union[str, Path]) -> RecoveryReport:
     """Fold an existing journal into a :class:`RecoveryReport`.
 
     Tolerates a truncated or corrupt tail (the SIGKILL case) by counting
-    malformed lines instead of raising; unknown schemas and events are
-    skipped, so old daemons' journals never wedge a new one.
+    malformed lines instead of raising; unknown events are skipped, so
+    old daemons' journals never wedge a new one.
     """
-    path = Path(path)
     report = RecoveryReport(path=str(path))
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return report
-    submitted: dict[str, None] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            report.malformed_lines += 1
-            continue
-        if not isinstance(record, dict) \
-                or record.get("schema") != SCHEMA:
-            report.malformed_lines += 1
-            continue
+    events, report.malformed_lines = read_events(path)
+    received: dict[str, None] = {}
+    for record in events:
         event = record.get("event")
         if event == "session_start":
             report.sessions += 1
-        elif event == "submitted" and isinstance(record.get("id"), str):
-            submitted.setdefault(record["id"], None)
+        elif event == "received" and isinstance(record.get("id"), str):
+            received.setdefault(record["id"], None)
         elif event == "terminal" and isinstance(record.get("id"), str):
             state = record.get("state")
             if state in TERMINAL_STATES:
-                submitted.pop(record["id"], None)
+                received.pop(record["id"], None)
                 report.completed[state] = \
                     report.completed.get(state, 0) + 1
             else:
                 report.malformed_lines += 1
-    report.interrupted = list(submitted)
+    report.interrupted = list(received)
     return report

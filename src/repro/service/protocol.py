@@ -26,9 +26,10 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..obs.events import timeline_entry
 from .errors import InvalidRequest, ServiceError
 
-#: Wire schema identifier carried on results and journal frames.
+#: Wire schema identifier carried on results and trace documents.
 SCHEMA = "repro.service/v1"
 
 #: Assessment modes (what verdict the request asks for).
@@ -270,7 +271,7 @@ class RequestRecord:
 
     Beyond the state machine, the record carries the request's
     observability: the trace ID (client-supplied or minted), a
-    **timeline** of lifecycle marks (:meth:`mark` — received, admitted,
+    **timeline** of lifecycle events (:meth:`mark` — received, admitted,
     started, chunks, deadline checks, terminal), and — when request
     tracing is on — the grafted span tree and attribution snapshot the
     executor captured.  :meth:`trace_document` is the JSON the
@@ -288,8 +289,9 @@ class RequestRecord:
     terminal: threading.Event = field(default_factory=threading.Event,
                                       repr=False, compare=False)
     trace_id: str = field(default_factory=make_trace_id)
-    #: Lifecycle marks: ``{"event", "t_s" (relative to submission),
-    #: "ts" (wall clock), **detail}`` in occurrence order.
+    #: Lifecycle events in occurrence order, each the
+    #: :func:`~repro.obs.events.timeline_entry` of its event record
+    #: (``t_s`` relative to submission).
     timeline: list = field(default_factory=list, compare=False)
     #: Request-scoped span forest (request tracing enabled only).
     spans: Optional[list] = field(default=None, compare=False)
@@ -337,14 +339,10 @@ class RequestRecord:
             return None
         return self.started_monotonic - self.submitted_monotonic
 
-    def mark(self, event: str, **detail) -> None:
-        """Record one lifecycle transition on the timeline."""
-        entry = {"event": event,
-                 "t_s": round(time.monotonic()
-                              - self.submitted_monotonic, 6),
-                 "ts": round(time.time(), 6)}
-        entry.update(detail)
-        self.timeline.append(entry)
+    def mark(self, event_record: dict) -> None:
+        """Append one lifecycle event record to the timeline."""
+        self.timeline.append(timeline_entry(
+            event_record, time.monotonic() - self.submitted_monotonic))
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until terminal (or timeout); True when terminal."""

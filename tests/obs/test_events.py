@@ -1,11 +1,10 @@
 """JSONL event log: emit/replay, rotation, torn tails, timelines."""
 
 import json
+import logging
 import threading
 
-import pytest
-
-from repro.obs.events import (SCHEMA, EventLog, replay_events,
+from repro.obs.events import (SCHEMA, EventLog, read_events, replay_events,
                               timeline_from_events)
 
 
@@ -77,19 +76,55 @@ def test_timeline_from_events_filters_and_rebases(tmp_path):
         ["received", "admitted", "terminal"]
     assert timeline[0]["t_s"] == 0.0
     assert all(entry["t_s"] >= 0.0 for entry in timeline)
-    # detail fields survive, transport fields do not
+    # detail fields and the wall stamp survive, transport fields do not
     assert timeline[1]["queue_depth"] == 1
-    assert "trace_id" not in timeline[0] and "ts" not in timeline[0]
+    assert "trace_id" not in timeline[0] and "ts" in timeline[0]
+    assert "schema" not in timeline[0] and "id" not in timeline[0]
 
 
-def test_unwritable_path_degrades_to_warning(tmp_path):
+def test_unwritable_path_degrades_to_warning(tmp_path, caplog):
     blocked = tmp_path / "dir-not-file"
     blocked.mkdir()
-    with pytest.warns(RuntimeWarning):
-        log = EventLog(blocked)  # opening a directory fails
-    log.emit("received", id="req-1")  # silently dropped, no raise
-    assert log.events_written == 0
+    log = EventLog(blocked)
+    with caplog.at_level(logging.WARNING, "repro.obs.events"):
+        log.emit("received", id="req-1")  # opening a directory fails
+    assert "disabled for the rest of the run" in caplog.text
+    log.emit("received", id="req-2")  # silently dropped, no raise
+    assert log.events_written == 0 and log.dropped == 2
     log.close()
+
+
+def test_unrotated_log_grows_past_the_threshold(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    with EventLog(path, max_bytes=None) as log:
+        for index in range(200):
+            log.emit("tick", id=f"req-{index}", padding="x" * 64)
+    assert log.rotations == 0 and not log.rotated_path.exists()
+    assert path.stat().st_size > 4096
+    assert len(replay_events(path)) == 200
+
+
+def test_closed_log_counts_later_records_as_dropped(tmp_path):
+    path = tmp_path / "events.jsonl"
+    log = EventLog(path)
+    log.emit("received", id="req-1")
+    log.close()
+    log.emit("terminal", id="req-1")  # after close: dropped, not reopened
+    assert log.dropped == 1
+    assert [event["event"] for event in replay_events(path)] == \
+        ["received"]
+
+
+def test_read_events_counts_rejected_lines(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with EventLog(path) as log:
+        log.emit("received", id="req-1")
+    with open(path, "ab") as stream:
+        stream.write(b'{"schema": "other/v9", "event": "noise"}\n')
+        stream.write(b"\n[1, 2]\n{torn")
+    events, rejected = read_events(path)
+    assert [event["id"] for event in events] == ["req-1"]
+    assert rejected == 3
 
 
 def test_concurrent_emitters_keep_lines_whole(tmp_path):

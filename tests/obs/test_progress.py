@@ -1,12 +1,14 @@
-"""Progress telemetry: sinks, heartbeat rate limiting, reporter stack,
-environment wiring."""
+"""Progress telemetry: the heartbeat sink (an events ``EventLog``),
+heartbeat rate limiting, reporter stack, environment wiring."""
 
 import json
+import sys
 
 import pytest
 
 from repro import obs
 from repro.obs import progress
+from repro.obs.events import SCHEMA, EventLog
 
 
 class FakeClock:
@@ -27,25 +29,28 @@ def read_jsonl(path):
 
 def test_sink_appends_json_lines(tmp_path):
     target = tmp_path / "progress.jsonl"
-    sink = progress.ProgressSink(str(target))
-    sink.emit({"b": 2, "a": 1})
-    sink.emit({"event": "x"})
+    sink = EventLog(target, max_bytes=None)
+    sink.emit("x", b=2, a=1)
+    sink.emit("x")
     sink.close()
     lines = target.read_text().splitlines()
-    assert json.loads(lines[0]) == {"a": 1, "b": 2}
+    first = json.loads(lines[0])
+    assert first["a"] == 1 and first["b"] == 2
+    assert first["schema"] == SCHEMA and first["ts"] > 0
     assert lines[0].index('"a"') < lines[0].index('"b"')  # sorted keys
     # Append mode: a second sink extends rather than truncates.
-    again = progress.ProgressSink(str(target))
-    again.emit({"event": "y"})
+    again = EventLog(target, max_bytes=None)
+    again.emit("y")
     again.close()
     assert len(read_jsonl(target)) == 3
 
 
 def test_sink_stderr_aliases(capsys):
     for target in ("-", "stderr"):
-        sink = progress.ProgressSink(target)
-        sink.emit({"event": "hb"})
+        sink = EventLog(target)
+        sink.emit("hb")
         sink.close()                         # must not close sys.stderr
+        assert not sys.stderr.closed
     err = capsys.readouterr().err
     assert err.count('"event": "hb"') == 2
 
@@ -57,7 +62,7 @@ def test_reporter_rate_limits_heartbeats(tmp_path):
     clock = FakeClock()
     target = tmp_path / "hb.jsonl"
     reporter = progress.ProgressReporter(
-        10, label="tvla", sink=progress.ProgressSink(str(target)),
+        10, label="tvla", sink=EventLog(target, max_bytes=None),
         interval_s=1.0, clock=clock)
     reporter.job_done(1)                     # first beat always emits
     reporter.job_done(2)                     # suppressed: interval not up
@@ -68,6 +73,7 @@ def test_reporter_rate_limits_heartbeats(tmp_path):
     records = read_jsonl(target)
     assert [r["event"] for r in records] == \
         ["heartbeat", "heartbeat", "heartbeat", "finished"]
+    assert all(r["schema"] == SCHEMA and "ts" in r for r in records)
     assert records[1]["done"] == 3
     assert records[-1]["total"] == 10
 
@@ -95,7 +101,7 @@ def test_reporter_record_fields_and_watermarks():
 def test_reporter_finish_is_idempotent(tmp_path):
     target = tmp_path / "hb.jsonl"
     reporter = progress.ProgressReporter(
-        2, sink=progress.ProgressSink(str(target)), clock=FakeClock())
+        2, sink=EventLog(target, max_bytes=None), clock=FakeClock())
     reporter.finish()
     reporter.finish()
     assert len(read_jsonl(target)) == 1
@@ -156,6 +162,7 @@ def test_reporter_from_env_builds_configured_reporter(monkeypatch, tmp_path):
     assert reporter.total == 16
     assert reporter.interval_s == 0.25
     assert reporter.sink.target == str(target)
+    assert reporter.sink.max_bytes is None   # heartbeats never rotate
 
 
 def test_reporter_from_env_yields_none_when_reporter_active(monkeypatch):
@@ -185,51 +192,58 @@ def test_sink_survives_closed_stream_and_counts_drops(tmp_path, caplog):
     import logging
 
     target = tmp_path / "progress.jsonl"
-    sink = progress.ProgressSink(str(target))
-    sink.emit({"event": "hb"})
+    sink = EventLog(target, max_bytes=None)
+    sink.emit("hb")
     sink._stream.close()                     # consumer vanished
-    with caplog.at_level(logging.WARNING, "repro.obs.progress"):
-        sink.emit({"event": "hb"})           # must not raise
+    with caplog.at_level(logging.WARNING, "repro.obs.events"):
+        sink.emit("hb")                      # must not raise
     assert sink.disabled and sink.dropped == 1
-    assert "telemetry disabled" in caplog.text
-    sink.emit({"event": "hb"})               # silent, counted
+    assert "disabled for the rest of the run" in caplog.text
+    sink.emit("hb")                          # silent, counted
     assert sink.dropped == 2
     assert len(caplog.records) == 1          # warned exactly once
     assert len(read_jsonl(target)) == 1      # only the pre-failure record
 
 
-def test_sink_survives_real_epipe(tmp_path):
-    """An actual broken pipe (``tail`` killed mid-run): write into a pipe
-    whose read end is gone."""
+def test_sink_survives_real_epipe(monkeypatch):
+    """An actual broken pipe (``repro ... --progress - | head`` with the
+    reader gone): stderr is a pipe whose read end is closed."""
     import os
 
     read_fd, write_fd = os.pipe()
     fifo_stream = os.fdopen(write_fd, "w", encoding="utf-8")
-    sink = progress.ProgressSink(str(tmp_path / "unused"))
-    sink._stream = fifo_stream               # simulate an open consumer
-    sink._owns_stream = True
-    sink.emit({"event": "hb"})
-    os.close(read_fd)                        # consumer dies
-    sink.emit({"padding": "x" * 65536})      # overflow the pipe buffer
-    sink.emit({"event": "hb"})
+    monkeypatch.setattr(sys, "stderr", fifo_stream)
+    sink = EventLog("-")
+    try:
+        sink.emit("hb")
+        os.close(read_fd)                    # consumer dies
+        sink.emit("hb", padding="x" * 65536)  # overflow the pipe buffer
+        sink.emit("hb")
+    finally:
+        monkeypatch.undo()
+        try:
+            fifo_stream.close()
+        except OSError:
+            pass                             # unflushable after EPIPE
     assert sink.disabled
+    assert sink.events_written == 1
     assert sink.dropped == 2
 
 
 def test_sink_error_publishes_obs_counter(tmp_path, obs_on):
     target = tmp_path / "progress.jsonl"
-    sink = progress.ProgressSink(str(target))
-    sink.emit({"event": "hb"})
+    sink = EventLog(target, max_bytes=None)
+    sink.emit("hb")
     sink._stream.close()
-    sink.emit({"event": "hb"})
-    assert obs.registry().counter("progress_sink_errors").value() == 1
+    sink.emit("hb")
+    assert obs.registry().counter("event_sink_errors").value() == 1
 
 
 def test_reporter_finishes_cleanly_on_a_dead_sink(tmp_path):
     """The reporter keeps working after its sink dies: heartbeats and the
     terminal record are dropped, not raised into the batch."""
     target = tmp_path / "hb.jsonl"
-    sink = progress.ProgressSink(str(target))
+    sink = EventLog(target, max_bytes=None)
     reporter = progress.ProgressReporter(4, sink=sink, interval_s=0.0,
                                          clock=FakeClock())
     reporter.job_done(1)

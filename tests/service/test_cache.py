@@ -244,7 +244,7 @@ def test_restarted_daemon_counts_cached_completions_once(tmp_path):
     frames = [json.loads(line)
               for line in journal_path.read_text().splitlines()]
     submitted = [frame for frame in frames
-                 if frame.get("event") == "submitted"]
+                 if frame.get("event") == "received"]
     terminal = [frame for frame in frames
                 if frame.get("event") == "terminal"]
     assert len(submitted) == 2 and len(terminal) == 2

@@ -8,7 +8,7 @@ from repro.service.errors import (AdmissionRejected, RequestNotFound,
                                   ShuttingDown)
 from repro.service.executor import execute_assessment
 from repro.service.protocol import (DONE, SHUTDOWN, TIMED_OUT,
-                                    AssessRequest)
+                                    AssessRequest, RequestRecord)
 
 from .conftest import pair_payload, population_payload
 
@@ -139,6 +139,27 @@ def test_journal_accounts_for_the_whole_session(make_service, tmp_path):
     recovery = second.recovery_report()
     assert recovery["completed"] == {"done": 1}
     assert recovery["sessions"] == 1
+
+
+def test_history_limit_evicts_terminal_records_past_an_inflight_one(
+        make_service):
+    """An in-flight oldest record must not stop eviction of the finished
+    records behind it; the in-flight one itself is never evicted."""
+    service = make_service(workers=1, history_limit=4)
+    request = AssessRequest.from_dict(pair_payload())
+    inflight = RequestRecord(request=request)
+    service._remember(inflight)
+    finished = []
+    for _ in range(100):
+        record = RequestRecord(request=request)
+        record.finish(DONE)
+        service._remember(record)
+        finished.append(record)
+    kept = service.records()
+    assert len(kept) == 4
+    assert kept[0] is inflight
+    assert kept[1:] == finished[-3:]  # the newest terminal records stay
+    assert service.get(inflight.id) is inflight
 
 
 def test_manifest_written_on_drain(make_service, tmp_path):

@@ -163,17 +163,33 @@ def test_failed_request_keeps_partial_spans_and_failing_phase(
 # -- event log --------------------------------------------------------------
 
 
+def _without_t_s(timeline):
+    return [{key: value for key, value in entry.items() if key != "t_s"}
+            for entry in timeline]
+
+
 def test_event_log_replay_matches_live_timeline(make_service, tmp_path):
+    """One record per transition: the event-log line and the live
+    timeline entry carry the same fields, so a replayed timeline equals
+    the live one except ``t_s`` (monotonic live, wall-clock replayed)."""
     log_path = tmp_path / "events.jsonl"
     service = make_service(workers=1, event_log=log_path)
     record = service.submit(pair_payload())
     assert record.wait(60.0) and record.state == DONE
+    cached = service.submit(pair_payload())  # verdict_cache_hit path too
+    assert cached.wait(60.0) and cached.state == DONE
     service.drain(grace_s=30.0)
-    replayed = timeline_from_events(replay_events(log_path), record.id)
-    assert [entry["event"] for entry in replayed] == _events(record)
+    events = replay_events(log_path)
+    for live in (record, cached):
+        replayed = timeline_from_events(events, live.id)
+        assert [entry["event"] for entry in replayed] == _events(live)
+        assert _without_t_s(replayed) == _without_t_s(live.timeline)
     # the replayed timeline carries the same detail payloads
-    terminal = replayed[-1]
-    assert terminal["state"] == DONE
+    replayed = timeline_from_events(events, record.id)
+    assert replayed[-1]["state"] == DONE
+    assert replayed[0]["program"] == \
+        AssessRequest.from_dict(pair_payload()).program_key()[:12]
+    assert "verdict_cache_hit" in _events(cached)
 
 
 # -- trace-ID minting and propagation ---------------------------------------

@@ -16,12 +16,12 @@ promises to survive, and exits nonzero if any promise is broken:
    is 0;
 5. the drain writes the SLO manifest (latency quantiles, rejection and
    terminal-state counters) and the request journal accounts for every
-   submission exactly once;
+   submission exactly once, in exactly two lines per submission;
 6. ``GET /metrics?format=prometheus`` parses and agrees sample-for-
    sample with the JSON snapshot; a completed request's trace and HTML
    report are retrievable; a 429 rejection carries a request ID whose
-   timeline stays queryable; the JSONL event log replays into the same
-   lifecycle the live timeline recorded.
+   timeline stays queryable; the JSONL event log replays into the live
+   timeline, field for field except ``t_s``.
 
 Usage: ``PYTHONPATH=src python tools/service_smoke.py [--keep DIR]``.
 The manifest/journal/trace/report/prometheus artifacts land in ``DIR``
@@ -42,7 +42,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.obs import prom                              # noqa: E402
-from repro.obs.events import (replay_events,            # noqa: E402
+from repro.obs.events import (SCHEMA, replay_events,    # noqa: E402
                               timeline_from_events)
 from repro.service.client import ServiceClient          # noqa: E402
 from repro.service.errors import AdmissionRejected      # noqa: E402
@@ -234,15 +234,30 @@ def main() -> int:
           f"journal accounting {report.completed} != {expected}")
     check(report.total_submitted == sum(expected.values()),
           "journal total_submitted mismatch")
+    journal_lines = [json.loads(line)
+                     for line in journal_path.read_text().splitlines()]
+    check(all(line.get("schema") == SCHEMA for line in journal_lines),
+          "journal holds lines outside the events schema")
+    request_lines = [line for line in journal_lines
+                     if line["event"] in ("received", "terminal")]
+    check(len(request_lines) == 2 * report.total_submitted
+          and len(journal_lines) == len(request_lines) + 2,
+          f"journal is not two lines per submission plus the session "
+          f"lines: {[line['event'] for line in journal_lines]}")
 
     # 6. event-log replay matches the live timeline -------------------
     print("smoke: event-log replay ...", flush=True)
     check(event_log_path.exists(), "daemon wrote no event log")
     replayed = timeline_from_events(replay_events(event_log_path),
                                     detailed["id"])
-    check([entry["event"] for entry in replayed]
-          == [entry["event"] for entry in trace["timeline"]],
-          "event-log replay disagrees with the live timeline")
+
+    def without_t_s(timeline):
+        return [{key: value for key, value in entry.items()
+                 if key != "t_s"} for entry in timeline]
+
+    check(without_t_s(replayed) == without_t_s(trace["timeline"]),
+          f"event-log replay disagrees with the live timeline:\n"
+          f"{replayed}\n!=\n{trace['timeline']}")
 
     print(f"service smoke OK: {report.total_submitted} requests, "
           f"each in exactly one terminal state "
