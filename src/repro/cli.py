@@ -264,7 +264,7 @@ def _write_observability(arguments: argparse.Namespace, result,
         "checkpoint": arguments.checkpoint,
         "streaming": arguments.streaming,
         "progress": arguments.progress,
-        #: Effective execution engine ("fast", "vector" or "reference")
+        #: Effective execution engine ("fast" or "reference")
         #: after resolving --engine against $REPRO_ENGINE and the default.
         "engine": getattr(arguments, "engine_effective", "reference"),
         "energy_params": asdict(DEFAULT_PARAMS),
@@ -572,10 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution engine: 'fast' replays the "
                             "recorded cycle schedule (bit-identical, "
                             "~7x faster), 'reference' steps the pipeline "
-                            "cycle by cycle, 'vector' is the batch "
-                            "engine (one NumPy pass per trace batch; a "
-                            "single run like this one replays on fast) "
-                            "(default: $REPRO_ENGINE, else fast)")
+                            "cycle by cycle (default: $REPRO_ENGINE, "
+                            "else fast)")
     p_run.set_defaults(func=cmd_run)
 
     p_exp = subparsers.add_parser("experiment",
@@ -598,14 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "only unfinished jobs")
     p_exp.add_argument("--engine", default=None, choices=ENGINES,
                        help="execution engine for every simulation in the "
-                            "experiment: 'fast' (schedule replay), "
-                            "'reference' (cycle by cycle) or 'vector' "
-                            "(the batch engine: trace batches run in one "
-                            "NumPy pass, single runs replay on fast); "
-                            "exported as $REPRO_ENGINE for the duration "
-                            "of the command so worker processes inherit "
-                            "it; default: ambient $REPRO_ENGINE, else "
-                            "fast")
+                            "experiment: 'fast' (schedule replay) or "
+                            "'reference' (cycle by cycle); exported as "
+                            "$REPRO_ENGINE for the duration of the "
+                            "command so worker processes inherit it; "
+                            "default: ambient $REPRO_ENGINE, else fast")
     p_exp.add_argument("--streaming", action="store_true",
                        help="use the bounded-memory streaming campaign "
                             "path where the experiment supports it "

@@ -310,9 +310,8 @@ class SimJob:
     max_cycles: int = 50_000_000
     #: Execution engine: a :mod:`repro.machine.engines` registry name
     #: (``"fast"`` — schedule replay with automatic reference fallback,
-    #: ``"vector"`` — batch-native NumPy replay of whole batches, whose
-    #: per-job runs replay on ``"fast"``, ``"reference"``), or ``None``
-    #: for the ambient default (``$REPRO_ENGINE``, else ``"fast"``).
+    #: ``"reference"``), or ``None`` for the ambient default
+    #: (``$REPRO_ENGINE``, else ``"fast"``).
     engine: Optional[str] = None
     #: Force the observability sink on for this job regardless of the
     #: process-wide flag.  Rides on the pickled job, so pool workers —
@@ -357,10 +356,9 @@ class JobResult:
     counts: dict[str, int] = field(default_factory=dict)
     #: Scoped per-job attribution snapshot (attribution enabled only).
     attribution: Optional[dict] = None
-    #: Engine that actually produced the trace: ``"vector"`` for a
-    #: batch-native result, ``"fast"`` or ``"reference"`` for a per-job
-    #: run, or ``"fast-fallback"`` when the fast replay declined the run
-    #: and it was re-run on the reference engine.
+    #: Engine that actually produced the trace: ``"fast"`` or
+    #: ``"reference"``, or ``"fast-fallback"`` when the fast replay
+    #: declined the run and it was re-run on the reference engine.
     engine: str = "reference"
 
     @property
@@ -490,22 +488,12 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
     job's own setting (and the ambient ``$REPRO_ENGINE`` default) in
     effect.
 
-    When every job in the batch resolves to the same engine and that
-    engine declares a whole-batch entry point (``vector``), the batch is
-    handed to it in one call instead of per-job dispatch — results stay
-    bit-identical and in submission order.  The engine may decline
-    (heterogeneous jobs, unsupported program, divergence), in which case
-    the batch silently takes the per-job path below, where a batch-only
-    engine's jobs replay on its registry ``fallback`` (``vector`` ->
-    ``fast``).
-
     Before a batch fans out across the pool, each distinct program whose
     jobs replay a cycle schedule has it recorded once here, in the
     parent, so no worker ever records it (see :func:`_prewarm_schedules`).
     """
-    from .resilience import execute_batch, validate_batch_options
+    from .resilience import execute_batch
 
-    validate_batch_options(failure_policy, retries)
     batch = list(batch)
     if engine is not None:
         from ..machine.engines import resolve
@@ -528,12 +516,6 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
                 _chained(done, total)
 
     with obs_progress.active(reporter):
-        if checkpoint is None and job_timeout is None:
-            native = _try_batch_native(batch, progress)
-            if native is not None:
-                if reporter is not None:
-                    reporter.finish()
-                return native
         if jobs > 1 and len(batch) > 1:
             _prewarm_schedules(batch)
         results = execute_batch(list(batch), jobs=jobs, progress=progress,
@@ -551,11 +533,11 @@ def _prewarm_schedules(batch: Sequence[SimJob]) -> None:
 
     Called before a pool lease: workers then inherit the schedule on fork
     or load it from the shared disk cache instead of each recording it.
-    Covers every distinct prebuilt program whose job resolves to a
-    schedule-replaying engine (``SimJob.engine``, else the ambient
-    default); reference-engine jobs, attribution jobs (which the runner
-    pins to the reference engine) and :class:`CompileRequest` jobs,
-    which the workers compile themselves, are left alone.
+    Covers every distinct prebuilt program whose job resolves to the
+    ``fast`` engine (``SimJob.engine``, else the ambient default);
+    reference-engine jobs, attribution jobs (which the runner pins to the
+    reference engine) and :class:`CompileRequest` jobs, which the workers
+    compile themselves, are left alone.
     """
     from ..machine import engines as engine_registry
     from ..machine import fastpath
@@ -572,80 +554,12 @@ def _prewarm_schedules(batch: Sequence[SimJob]) -> None:
         except ValueError:
             continue  # the per-job path raises the canonical error
         key = (id(program), job.operand_isolation)
-        if engine not in engine_registry.SCHEDULE_ENGINES or key in seen:
+        if engine != "fast" or key in seen:
             continue
         seen.add(key)
         fastpath.ensure_schedule(program,
                                  operand_isolation=job.operand_isolation,
                                  max_cycles=job.max_cycles)
-
-
-def _try_batch_native(batch: Sequence[SimJob],
-                      progress: Optional[Callable[[int, int], None]],
-                      ) -> Optional[list]:
-    """Hand the whole batch to a batch-native engine, if one can take it.
-
-    Returns submission-ordered :class:`JobResult` lists, or ``None`` when
-    the batch must go through the per-job path: fewer than two jobs,
-    observability/attribution enabled (those need per-job scopes and
-    spans), mixed engines, an engine with no ``batch`` hook, jobs that
-    disagree on the energy model or run limits, distinct program images,
-    or the engine itself declining (divergence, unsupported program).
-    Per-trace seeds, labels, and input pairs may vary freely — that is
-    the batch shape DPA produces.
-    """
-    from ..machine import engines as engine_registry
-    from .resilience import FAULT_PLAN_ENV
-
-    if len(batch) < 2:
-        return None
-    if obs.enabled() or obs.attribution_enabled():
-        return None
-    if any(job.observe or job.attribute for job in batch):
-        # Per-request tracing travels on the jobs themselves; those need
-        # per-job scopes and spans, which the batch hook cannot record.
-        return None
-    if os.environ.get(FAULT_PLAN_ENV):
-        # Deterministic fault injection targets per-job execution; keep
-        # the resilience machinery in the loop when a plan is active.
-        return None
-    try:
-        resolved = {engine_registry.resolve(job.engine) for job in batch}
-    except ValueError:
-        return None  # per-job path raises the canonical error
-    if len(resolved) != 1:
-        return None
-    spec = engine_registry.get(resolved.pop())
-    if spec.batch is None:
-        return None
-    job0 = batch[0]
-    for job in batch[1:]:
-        if (job.params != job0.params
-                or job.noise_sigma != job0.noise_sigma
-                or job.operand_isolation != job0.operand_isolation
-                or job.collect_components != job0.collect_components
-                or job.max_cycles != job0.max_cycles):
-            return None
-    cache_hit = None
-    programs = []
-    for job in batch:
-        if isinstance(job.program, CompileRequest):
-            cache = default_cache()
-            hits_before = cache.stats.hits
-            programs.append(cache.program_for(job.program))
-            if cache_hit is None:
-                cache_hit = cache.stats.hits > hits_before
-        else:
-            programs.append(job.program)
-    program = programs[0]
-    if any(other is not program for other in programs[1:]):
-        return None
-    results = spec.batch(batch, program, cache_hit)
-    if results is not None and progress is not None:
-        total = len(batch)
-        for done in range(total):
-            progress(done + 1, total)
-    return results
 
 
 def run_stream(batch: Sequence[SimJob],

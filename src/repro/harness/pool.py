@@ -97,7 +97,7 @@ def _warm_worker() -> None:  # pragma: no cover - runs inside workers
         pass
     try:
         from . import engine
-        from ..machine import engines, fastpath, vector  # noqa: F401
+        from ..machine import engines, fastpath  # noqa: F401
 
         engine.default_cache()
     except Exception:

@@ -6,21 +6,19 @@ Breaks a run's energy down two ways:
   program marks IP, key permutation, each round, and FP);
 * **by datapath component**, using the tracker's per-component totals.
 
-Also the observability surface of the batch engine: per-job wall times and
-compile-cache hit/miss counters, aggregated from a batch of
-:class:`~repro.harness.engine.JobResult` records.
+Also ranks a batch's :class:`~repro.harness.engine.JobResult` records by
+per-job wall time (:func:`job_timings`).
 
 Used by the trace-inspection example and by ablation analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..energy.trace import EnergyTrace
 from ..energy.tracker import COMPONENTS
-from ..obs.registry import MetricsRegistry
 from .runner import RunResult
 
 
@@ -92,87 +90,6 @@ def component_breakdown(run: RunResult) -> list[tuple[str, float, float]]:
     return [(name, totals.get(name, 0.0),
              totals.get(name, 0.0) / grand_total if grand_total else 0.0)
             for name in names]
-
-
-@dataclass
-class BatchProfile:
-    """Aggregated observability for one engine batch.
-
-    Built **on top of the metrics registry** (:mod:`repro.obs.registry`):
-    :func:`profile_batch` folds every job into a scratch registry — a
-    ``job_wall_seconds`` histogram plus ``compile_cache_lookups`` /
-    ``jobs_prebuilt`` counters — and the profile's scalar fields are read
-    back from it.  ``metrics`` carries the full registry snapshot so the
-    profile can be embedded in a run manifest or merged with others.
-
-    ``cache_hits``/``cache_misses`` count jobs resolved through the
-    compile cache; ``cache_untracked`` counts jobs that shipped a prebuilt
-    program (no cache involved).  Wall times are per-job, as measured
-    inside the worker.
-    """
-
-    jobs: int
-    total_wall_s: float
-    mean_wall_s: float
-    max_wall_s: float
-    cache_hits: int
-    cache_misses: int
-    cache_untracked: int
-    metrics: dict = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def from_registry(cls, registry: MetricsRegistry) -> "BatchProfile":
-        """Derive the scalar profile from a registry filled per job."""
-        wall = registry.histogram("job_wall_seconds").summary()
-        lookups = registry.counter("compile_cache_lookups")
-        prebuilt = registry.counter("jobs_prebuilt")
-        return cls(jobs=int(wall["count"]),
-                   total_wall_s=wall["sum"],
-                   mean_wall_s=wall["mean"],
-                   max_wall_s=wall["max"],
-                   cache_hits=int(lookups.value(result="hit")),
-                   cache_misses=int(lookups.value(result="miss")),
-                   cache_untracked=int(prebuilt.value()),
-                   metrics=registry.snapshot())
-
-    def rows(self) -> list[tuple[str, str]]:
-        """Human-readable (metric, value) rows for report tables."""
-        return [
-            ("jobs", str(self.jobs)),
-            ("total wall", f"{self.total_wall_s:.3f} s"),
-            ("mean wall/job", f"{self.mean_wall_s:.3f} s"),
-            ("max wall/job", f"{self.max_wall_s:.3f} s"),
-            ("compile cache", f"{self.cache_hits} hit / "
-                              f"{self.cache_misses} miss / "
-                              f"{self.cache_untracked} n/a"),
-        ]
-
-
-def profile_batch(results: Sequence) -> BatchProfile:
-    """Aggregate :class:`~repro.harness.engine.JobResult` observability.
-
-    Raises :class:`ValueError` on an empty batch: an all-zero profile is
-    indistinguishable from a batch of instantaneous jobs, so callers must
-    not silently receive one.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("profile_batch: empty batch (no JobResults); "
-                         "nothing to profile")
-    registry = MetricsRegistry()
-    wall = registry.histogram("job_wall_seconds",
-                              "per-job wall time inside the worker")
-    lookups = registry.counter("compile_cache_lookups",
-                               "compile cache resolutions by outcome")
-    prebuilt = registry.counter("jobs_prebuilt",
-                                "jobs that shipped a prebuilt program")
-    for result in results:
-        wall.observe(result.wall_time_s)
-        if result.cache_hit is None:
-            prebuilt.inc()
-        else:
-            lookups.inc(result="hit" if result.cache_hit else "miss")
-    return BatchProfile.from_registry(registry)
 
 
 def job_timings(results: Sequence) -> list[tuple[str, float]]:

@@ -668,17 +668,6 @@ class _BatchState:
             reporter.note_retry()
 
 
-def validate_batch_options(failure_policy: str, retries: int) -> None:
-    """Reject invalid batch options before any job executes (shared by
-    :func:`execute_batch` and the batch-native dispatch that bypasses it).
-    """
-    if failure_policy not in ("raise", "collect", "retry"):
-        raise ValueError(f"unknown failure_policy {failure_policy!r}; "
-                         "choose 'raise', 'collect', or 'retry'")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-
-
 def execute_batch(batch: Sequence, jobs: int = 1, progress=None,
                   failure_policy: str = "raise", retries: int = 2,
                   job_timeout: Optional[float] = None,
@@ -695,7 +684,11 @@ def execute_batch(batch: Sequence, jobs: int = 1, progress=None,
     :class:`BatchInterrupted` is raised instead of the process dying
     mid-write.
     """
-    validate_batch_options(failure_policy, retries)
+    if failure_policy not in ("raise", "collect", "retry"):
+        raise ValueError(f"unknown failure_policy {failure_policy!r}; "
+                         "choose 'raise', 'collect', or 'retry'")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
     max_attempts = 1 + (retries if failure_policy == "retry" else 0)
     journal = CheckpointJournal.open(checkpoint, batch) \
         if checkpoint is not None else None

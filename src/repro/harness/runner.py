@@ -22,9 +22,8 @@ class RunResult:
                  engine: str = "reference"):
         self.cpu = cpu
         self.tracker = tracker
-        #: Engine that produced the trace: ``"fast"`` or ``"reference"``
-        #: (single traces never run on the batch-only ``"vector"``), or
-        #: ``"fast-fallback"`` when the fast replay declined the run
+        #: Engine that produced the trace: ``"fast"`` or ``"reference"``,
+        #: or ``"fast-fallback"`` when the fast replay declined the run
         #: (recorded schedule diverged or the program fell outside its
         #: model) and the trace was re-run on the reference engine.
         self.engine = engine
@@ -64,17 +63,14 @@ def run_with_trace(program: Program,
     (:mod:`repro.machine.engines`): ``"fast"`` replays the program's
     recorded cycle schedule (bit-identical output; see
     :mod:`repro.machine.fastpath`), ``"reference"`` steps the five-stage
-    pipeline cycle by cycle.  ``"vector"`` is batch-only (it serves
-    whole :func:`~repro.harness.engine.run_jobs` batches), so a single
-    trace requested on it runs on ``"fast"`` and is labelled exactly as
-    if ``"fast"`` had been requested.  ``None`` resolves
-    ``$REPRO_ENGINE`` and defaults to ``"fast"``.  A run whose engine
-    declines it — the recorded control path diverges (input-dependent
-    branching) or the program falls outside the engine's model — is
-    transparently re-run with fresh state down the registry's fallback
-    chain (``fast`` -> ``reference``); nothing from an abandoned attempt
-    leaks into the result, and the final :attr:`RunResult.engine` is
-    labeled ``"<requested>-fallback"``.  Streaming runs (``stream`` set) and
+    pipeline cycle by cycle.  ``None`` resolves ``$REPRO_ENGINE`` and
+    defaults to ``"fast"``.  A run whose engine declines it — the
+    recorded control path diverges (input-dependent branching) or the
+    program falls outside the engine's model — is transparently re-run
+    with fresh state down the registry's fallback chain (``fast`` ->
+    ``reference``); nothing from an abandoned attempt leaks into the
+    result, and the final :attr:`RunResult.engine` is labeled
+    ``"<requested>-fallback"``.  Streaming runs (``stream`` set) and
     attribution runs (:func:`repro.obs.attribution_enabled`) always use
     the reference engine: both need its per-cycle tracker hooks, and a
     streamed trace can then never be left half written by a mid-run
@@ -97,7 +93,7 @@ def run_with_trace(program: Program,
     ``keep_trace=False`` alongside it to drop the in-memory trace
     entirely (the returned result then has an empty energy vector).
     """
-    resolved = engines.single_trace_engine(engines.resolve(engine))
+    resolved = engines.resolve(engine)
     if stream is not None or obs.attribution_enabled():
         resolved = "reference"
     requested = resolved

@@ -14,20 +14,19 @@ This module exploits that:
 
 * :func:`record_schedule` runs the program once (on its initial data
   image, no inputs) and records a compact :class:`CycleSchedule`: one
-  interned control record per cycle holding stage occupancy, forwarding
-  selectors, decode read/gate lists, memory-op kind, pre-computed
-  instruction-bus and IF/ID-latch transition counts (the instruction
-  stream is static), and the secure-bit layout of the four pipeline
-  latches, each built from a step of the reference
+  interned control record per cycle holding the write-back register,
+  ALU operation, forwarding selectors, decode read/gate lists, memory-op
+  kind, pre-computed instruction-bus and IF/ID-latch transition counts
+  (the instruction stream is static), and the secure-bit layout of the
+  four pipeline latches, each built from a step of the reference
   :class:`~.pipeline.Pipeline`.
 * :class:`ReplayPipeline` replays the schedule for each subsequent trace.
   Its per-cycle loop executes only the data path — operand evaluation
   through pre-resolved per-record handler tuples, memory traffic and the
   recorded control checks — and buffers the six latched values.  After
-  each block of cycles the shared :class:`~.scoring.EnergyScorer`
-  turns them into transition-sensitive energy in one NumPy pass (the
-  same scorer the batch engine uses), and the results are committed to
-  the tracker once at the end
+  each block of cycles the :class:`~.scoring.EnergyScorer` turns them
+  into transition-sensitive energy in one NumPy pass, and the results
+  are committed to the tracker once at the end
   (:meth:`~repro.energy.tracker.EnergyTracker.commit_fastpath`).  It
   never drives the per-cycle tracker hooks: a run with no tracker, an
   attribution sink or a stream raises :class:`ScheduleUnavailable`, and
@@ -64,7 +63,7 @@ from ..isa.program import Program
 from .cpu import CPU
 from .exceptions import SimulationError
 from .memory import Memory
-from .pipeline import BUBBLE, MARKER_ADDR, Pipeline
+from .pipeline import MARKER_ADDR, Pipeline
 from .scoring import (MEM_LOAD, MEM_STORE, SCORE_BLOCK, STREAMS, UNIT_ALU,
                       UNIT_NONE, UNIT_SHIFT, UNIT_XOR, EnergyScorer,
                       running_total)
@@ -75,7 +74,7 @@ _U32 = "I" if array("I").itemsize == 4 else "L"
 
 #: Bump when the record layout or replay semantics change; part of the
 #: on-disk cache key, so stale schedules can only miss, never replay wrong.
-SCHEDULE_VERSION = 1
+SCHEDULE_VERSION = 2
 
 #: Cycle budget for the one-time recording run when the caller does not
 #: bound it tighter.
@@ -319,24 +318,18 @@ def record_schedule(program: Program, operand_isolation: bool = True,
 
     records: list[tuple] = []
     index_of: dict[tuple, int] = {}
-    #: Per-record input-independent component events:
-    #: ``(ibus, regfile, funits, mem, secure)``.
-    events: list[tuple[int, int, int, int, int]] = []
-
-    def ins_index(ins: Instruction, pc: int) -> int:
-        if ins is BUBBLE or pc < 0:
-            return -1
-        return (pc - text_base) >> 2
 
     def build(if_id, id_ex, ex_mem, mem_wb, pc_before: int,
               halt_in_flight: bool, stall: bool, taken: bool,
-              prev_ibus: int) -> tuple[int, int]:
+              prev_ibus: int) -> tuple[int, int, tuple]:
         """Intern the just-stepped cycle's record, resolved exactly as the
-        reference stages resolve it; returns ``(slot, next prev_ibus)``."""
-        id_ins, id_pc = if_id.ins, if_id.pc
+        reference stages resolve it; returns ``(slot, next prev_ibus,
+        events)`` with the cycle's input-independent component events
+        ``(ibus, regfile, funits, mem, secure)``."""
+        id_ins = if_id.ins
         ex_ins, ex_pc = id_ex.ins, id_ex.pc
-        mem_ins, mem_pc = ex_mem.ins, ex_mem.pc
-        wb_ins, wb_pc = mem_wb.ins, mem_wb.pc
+        mem_ins = ex_mem.ins
+        wb_ins = mem_wb.ins
 
         # -- control outcomes ------------------------------------
         ex_spec = ex_ins.spec
@@ -373,30 +366,18 @@ def record_schedule(program: Program, operand_isolation: bool = True,
 
         # -- fetch (reference IF logic, pre-squash hook args) ----
         fetch_active = False
-        fetch_iword = 0
-        if stall:
-            fetch_idx = ins_index(id_ins, id_pc)
-        elif halt_in_flight:
-            fetch_idx = -1
-        else:
+        ibus_ev = 0
+        if not stall and not halt_in_flight:
             index = (pc_before - text_base) >> 2
             if 0 <= index < text_len:
-                fetch_idx = index
-                fetch_iword = iwords[index]
                 fetch_active = True
-            else:
-                fetch_idx = -1
-        ibus_ev = 0
-        if fetch_active:
-            ibus_ev = (fetch_iword & ~prev_ibus & _WORD_MASK).bit_count()
-            prev_ibus = fetch_iword
+                fetch_iword = iwords[index]
+                ibus_ev = (fetch_iword & ~prev_ibus & _WORD_MASK).bit_count()
+                prev_ibus = fetch_iword
 
         # -- post-step latch contents ----------------------------
-        l0_iword = pipe.if_id.iword
-        l0_idx = ins_index(pipe.if_id.ins, pipe.if_id.pc)
         # if_id is the pre-step latch: its word is the previous l0 word.
-        l0_ev = (l0_iword & ~if_id.iword & _WORD_MASK).bit_count()
-        l1_idx = ins_index(pipe.id_ex.ins, pipe.id_ex.pc)
+        l0_ev = (pipe.if_id.iword & ~if_id.iword & _WORD_MASK).bit_count()
         s1 = pipe.id_ex.ins.secure
         s2 = ex_ins.secure
         s3 = mem_ins.secure
@@ -408,27 +389,20 @@ def record_schedule(program: Program, operand_isolation: bool = True,
         wb_dest = wb_ins.dest if wb_ins.dest is not None else -1
 
         record = (
-            ins_index(wb_ins, wb_pc), wb_dest, wb_ins.secure,
-            ins_index(mem_ins, mem_pc), mem_kind, mem_ins.secure,
-            ins_index(ex_ins, ex_pc), alu_name, unit_i, ex_sec,
-            a_sel, b_sel, st_sel, ex_link, ctl,
-            ins_index(id_ins, id_pc), dec_live,
-            a_reg, a_const, b_reg, b_const, st_reg, reads, writes,
-            fetch_idx, fetch_active, fetch_iword, ibus_ev,
-            l0_idx, l0_iword, l0_ev, l1_idx, s1, s2, s3,
+            wb_dest, wb_ins.secure, mem_kind, mem_ins.secure,
+            alu_name, unit_i, ex_sec, a_sel, b_sel, st_sel, ex_link, ctl,
+            dec_live, a_reg, a_const, b_reg, b_const, st_reg, reads, writes,
+            ibus_ev, l0_ev, s1, s2, s3,
         )
-        slot = index_of.get(record)
-        if slot is None:
-            slot = len(records)
+        slot = index_of.setdefault(record, len(records))
+        if slot == len(records):
             records.append(record)
-            index_of[record] = slot
-            events.append((
-                1 if fetch_active else 0, reads + writes,
-                1 if unit_i != UNIT_NONE else 0,
-                1 if mem_kind != _MEM_NONE else 0,
-                (1 if wb_ins.secure else 0) + (1 if s1 else 0)
-                + (1 if s2 else 0) + (1 if s3 else 0)))
-        return slot, prev_ibus
+        events = (1 if fetch_active else 0, reads + writes,
+                  1 if unit_i != UNIT_NONE else 0,
+                  1 if mem_kind != _MEM_NONE else 0,
+                  (1 if wb_ins.secure else 0) + (1 if s1 else 0)
+                  + (1 if s2 else 0) + (1 if s3 else 0))
+        return slot, prev_ibus, events
 
     # Control states: key -> id; per id ``[key, reference latches of the
     # first visit, EX outcome probe (a_sel, b_sel, branch function or None
@@ -485,7 +459,7 @@ def record_schedule(program: Program, operand_isolation: bool = True,
                 for name in _COUNTERS:
                     setattr(pipe, name, 0)
                 pipe.step()
-                slot, prev_ibus = build(
+                slot, prev_ibus, events = build(
                     if_id, id_ex, ex_mem, mem_wb, key[0], key[5],
                     pipe.stall_cycles > 0, pipe.branches_taken > 0, key[6])
                 fast = _BoundSchedule._bind_fast(records[slot])
@@ -495,7 +469,7 @@ def record_schedule(program: Program, operand_isolation: bool = True,
                 tid = table[outcome] = len(moves)
                 moves.append((fast, None if pipe.halted else visit(prev_ibus),
                                slot, tuple(getattr(pipe, name) for name
-                                           in _COUNTERS) + events[slot],
+                                           in _COUNTERS) + events,
                                pipe._mix))
                 uses.append(0)
                 # The data path below repeats the step's register and
@@ -632,10 +606,9 @@ class _BoundSchedule:
 
     @staticmethod
     def _bind_fast(record: tuple) -> tuple:
-        (_wb_idx, wb_dest, _wb_sec, _mem_idx, mem_kind, _mem_sec,
-         _ex_idx, alu_name, _unit_i, _ex_sec, a_sel, b_sel, st_sel,
-         ex_link, ctl, _id_idx, dec_live, a_reg, a_const, b_reg, b_const,
-         st_reg, *_energy) = record
+        (wb_dest, _wb_sec, mem_kind, _mem_sec, alu_name, _unit_i, _ex_sec,
+         a_sel, b_sel, st_sel, ex_link, ctl, dec_live, a_reg, a_const,
+         b_reg, b_const, st_reg, *_energy) = record
         if ctl is not None:
             if ctl[0] == "b":
                 ctl = (_BRANCH_FUNCS[ctl[1]], ctl[2])
@@ -648,12 +621,10 @@ class _BoundSchedule:
 
     @staticmethod
     def _energy_columns(record: tuple) -> tuple:
-        (_wb_idx, _wb_dest, wb_sec, _mem_idx, mem_kind, mem_sec,
-         _ex_idx, _alu_name, unit_i, ex_sec, a_sel, b_sel, _st_sel,
-         _ex_link, _ctl, _id_idx, _dec_live, _a_reg, _a_const, _b_reg,
-         _b_const, _st_reg, reads, writes, _fetch_idx, _fetch_active,
-         _fetch_iword, ibus_ev, _l0_idx, _l0_iword, l0_ev, _l1_idx,
-         s1, s2, s3) = record
+        (_wb_dest, wb_sec, mem_kind, mem_sec, _alu_name, unit_i, ex_sec,
+         a_sel, b_sel, _st_sel, _ex_link, _ctl, _dec_live, _a_reg,
+         _a_const, _b_reg, _b_const, _st_reg, reads, writes, ibus_ev,
+         l0_ev, s1, s2, s3) = record
         mem = MEM_LOAD if _MEM_NONE < mem_kind <= _MEM_LB \
             else MEM_STORE if mem_kind else 0
         sec_idx = ((8 if wb_sec else 0) | (4 if s1 else 0)
@@ -729,11 +700,6 @@ def bound_schedule_for(program: Program, operand_isolation: bool = True,
             f"schedule needs {bound.schedule.cycles} cycles "
             f"> max_cycles={max_cycles}")
     return bound
-
-
-def mark_divergent(program: Program, operand_isolation: bool = True) -> None:
-    """Route future runs of this program straight to the reference engine."""
-    _DIVERGENT.add((program_digest(program), operand_isolation))
 
 
 def ensure_schedule(program: Program, operand_isolation: bool = True,
@@ -843,7 +809,7 @@ class ReplayPipeline(Pipeline):
                    for _ in range(6)]
         na_buf, nb_buf, nst_buf, out_buf, st_buf, wbv_buf = buffers
         views = [np.frombuffer(buffer, np.uint32) for buffer in buffers]
-        streams = np.empty((STREAMS, SCORE_BLOCK + 1, 1), np.uint32)
+        streams = np.empty((STREAMS, SCORE_BLOCK + 1), np.uint32)
         trace = np.empty(cycles) if tracker.keep_trace else []
         components = np.empty((cycles, len(COMPONENTS))) \
             if tracker.collect_components else []
@@ -913,21 +879,20 @@ class ReplayPipeline(Pipeline):
                 nb_buf[k] = idex_b
                 nst_buf[k] = idex_st
             for stream, view in zip(streams, views):
-                stream[:k + 1, 0] = view[:k + 1]
+                stream[:k + 1] = view[:k + 1]
             total, parts = scorer.score(start, streams[:, :k + 1])
             stop = start + k
             if noisy:
                 # The reference adds each draw after the component sum.
                 draws = tracker.noise_draws(k)
-                total[:, 0] += draws
+                total += draws
                 t_noise = running_total(t_noise, draws)
             if tracker.keep_trace:
-                trace[start:stop] = total[:, 0]
+                trace[start:stop] = total
             if tracker.collect_components:
-                components[start:stop] = np.concatenate(parts, axis=1)
+                components[start:stop] = np.column_stack(parts)
 
-        totals = {name: float(value[0]) for name, value
-                  in zip(COMPONENTS, scorer.totals)}
+        totals = dict(zip(COMPONENTS, scorer.totals))
         counts = dict(self._bound.schedule.counts)
         if noisy:
             totals["noise"] = float(t_noise)

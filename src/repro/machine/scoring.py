@@ -1,6 +1,6 @@
 """Energy scoring of replayed value streams: one NumPy pass per block.
 
-Both replay engines execute only the data path per cycle and leave six
+The fast replay executes only the data path per cycle and leaves six
 latched value streams behind: the ID/EX operands ``a``/``b``/``store``,
 the EX/MEM ``alu_out``/``store`` and the MEM/WB ``value``.  Everything
 else the reference energy hooks see follows from those streams and the
@@ -26,10 +26,7 @@ The contract is **bit identity** with the reference hook sequence:
   :class:`~repro.energy.models.FunctionalUnitModel` and
   :class:`~repro.energy.models.LatchModel` objects.
 
-The fast engine scores one trace (``n == 1``) a block at a time while
-it replays; the vector engine scores ``n`` traces side by side, in the
-same blocks, over its whole-run ``[STREAMS, cycles + 1, n]`` stream
-array.
+The fast engine scores its trace a block at a time while it replays.
 """
 
 from __future__ import annotations
@@ -117,23 +114,18 @@ def _spread64(v32: np.ndarray) -> np.ndarray:
 # Stream helpers
 # ---------------------------------------------------------------------------
 
-def running_total(carry, values: np.ndarray):
-    """``carry + values[0] + values[1] + ...`` summed sequentially along
-    axis 0, exactly as a per-cycle ``total += value`` loop sums it.
+def running_total(carry: float, values: np.ndarray) -> float:
+    """``carry + values[0] + values[1] + ...`` summed sequentially,
+    exactly as a per-cycle ``total += value`` loop sums it.
 
-    ``values`` (float64) is borrowed: its first row holds the carried sum
-    while the sum runs and is restored after.
+    ``values`` (1-D float64) is borrowed: its first entry holds the
+    carried sum while the sum runs and is restored after.
     """
-    first = values[0].copy()
+    first = values[0]
     values[0] += carry
-    total = np.cumsum(values, axis=0)[-1]
+    total = float(np.cumsum(values)[-1])
     values[0] = first
     return total
-
-
-def _state(row: np.ndarray):
-    """A model state value: an ``int`` for one trace, a row for a batch."""
-    return int(row[0]) if row.shape[0] == 1 else row.copy()
 
 
 def _rising(streams, secure: np.ndarray, carries):
@@ -147,18 +139,17 @@ def _rising(streams, secure: np.ndarray, carries):
     events = None
     for values, carry in zip(streams, carries):
         rising = np.empty_like(values)
-        rising[0] = carry
-        np.invert(rising[0], out=rising[0])
+        rising[0] = ~carry & _WORD_MASK
         np.invert(values[:-1], out=rising[1:])
         rising &= values
         if events is None:
             events = popcount(rising)
         else:
             events += popcount(rising)
-    events[1:] *= ~secure[:-1, None]
+    events[1:] *= ~secure[:-1]
     if secure[-1]:
         return events, [_WORD_MASK] * len(streams)
-    return events, [_state(values[-1]) for values in streams]
+    return events, [int(values[-1]) for values in streams]
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +163,7 @@ class EnergyScorer:
     step index); ``tracker`` supplies the energy parameters and the
     component models that carry state from block to block.  ``totals``
     holds the eight running component totals in :data:`COMPONENTS`
-    order, carried in from the tracker's own; each is a length-1 array
-    for a component that is the same for every trace, else one entry
-    per trace.
+    order, carried in from the tracker's own.
     """
 
     def __init__(self, bound, tracker):
@@ -205,27 +194,23 @@ class EnergyScorer:
             np.where(columns[COL_MEM] != 0, params.e_memory_access, 0.0),
             np.asarray(sec_table)[columns[COL_SEC]],
             columns[COL_L0] * params.event_energy_latch))
-        self.totals = [np.array([tracker.totals[name]], np.float64)
-                       for name in COMPONENTS]
+        self.totals = [tracker.totals[name] for name in COMPONENTS]
 
     def score(self, start: int, streams: np.ndarray):
         """Score ``cycles`` cycles from cycle ``start`` on.
 
-        ``streams`` is ``[STREAMS, cycles + 1, n]`` uint32 (order
-        :data:`STREAM_NA` ... :data:`STREAM_WBV`) whose row 0 holds each
-        stream's value in the cycle before ``start`` (zero before cycle
-        0).  Returns the per-cycle totals ``[cycles, n]`` and the eight
-        component columns in :data:`COMPONENTS` order (``[cycles, 1]``
-        where the component is input-independent, else
-        ``[cycles, n]``), and advances :attr:`totals`.
+        ``streams`` is ``[STREAMS, cycles + 1]`` uint32 (order
+        :data:`STREAM_NA` ... :data:`STREAM_WBV`) whose column 0 holds
+        each stream's value in the cycle before ``start`` (zero before
+        cycle 0).  Returns the per-cycle totals ``[cycles]`` and the
+        eight per-cycle component columns in :data:`COMPONENTS` order,
+        and advances :attr:`totals`.
         """
         tracker = self.tracker
         cycles = streams.shape[1] - 1
-        n = streams.shape[2]
         steps = self.steps[start:start + cycles]
         col = self.columns[:, steps]
-        base, ibus, regfile, memport, secure, l0 = \
-            self.static[:, steps][:, :, None]
+        base, ibus, regfile, memport, secure, l0 = self.static[:, steps]
         latched = streams[:, 1:]
 
         # ---- pipeline latches (IF/ID + dual-rail ID/EX, EX/MEM, MEM/WB)
@@ -239,7 +224,7 @@ class EnergyScorer:
         # ---- functional units: operands forwarded from the cycle before
         # (stream row ``r``), grouped by unit so each unit's cycles form
         # one contiguous run
-        funits = np.zeros((cycles, n))
+        funits = np.zeros(cycles)
         rows = np.flatnonzero(col[COL_UNIT])
         if rows.size:
             rows = rows[np.argsort(col[COL_UNIT, rows], kind="stable")]
@@ -250,7 +235,7 @@ class EnergyScorer:
             edges = np.searchsorted(col[COL_UNIT, rows],
                                     (UNIT_ALU, UNIT_XOR, UNIT_SHIFT,
                                      UNIT_SHIFT + 1))
-            energy = np.empty((rows.size, n))
+            energy = np.empty(rows.size)
             for model, lo, hi in zip(
                     (tracker.alu, tracker.xor_unit, tracker.shifter),
                     edges[:-1], edges[1:]):
@@ -260,13 +245,13 @@ class EnergyScorer:
                 events, (model.prev_a, model.prev_b, model.prev_out) = \
                     _rising((a[run], b[run], out[run]), sec[run],
                             (model.prev_a, model.prev_b, model.prev_out))
-                energy[run] = np.where(sec[run, None], model.secure_energy,
+                energy[run] = np.where(sec[run], model.secure_energy,
                                        events * model.static_event_energy)
             funits[rows] = energy
 
         # ---- data bus: a load drives the new MEM/WB value, a store the
         # store value latched the cycle before
-        dbus = np.zeros((cycles, n))
+        dbus = np.zeros(cycles)
         rows = np.flatnonzero(col[COL_MEM])
         if rows.size:
             load = col[COL_MEM, rows] == MEM_LOAD
@@ -282,7 +267,7 @@ class EnergyScorer:
         total += lat
         total += secure
 
-        parts = (np.full((cycles, 1), self.e_clock), ibus, regfile, funits,
+        parts = (np.full(cycles, self.e_clock), ibus, regfile, funits,
                  dbus, memport, lat, secure)
         self.totals = [running_total(carry, part)
                        for carry, part in zip(self.totals, parts)]
@@ -293,7 +278,7 @@ class EnergyScorer:
         """Energy of one dual-rail latch; ``fields`` are its streams."""
         secure = secure_col != 0
         events, model.prev = _rising(fields, secure, model.prev)
-        return np.where(secure[:, None], model.secure_energy,
+        return np.where(secure, model.secure_energy,
                         events * model.event_energy)
 
     @staticmethod
@@ -305,7 +290,7 @@ class EnergyScorer:
         prev[0] = model.prev
         prev[1:] = values[:-1]
         prev[1:][secure[:-1]] = _MASK32
-        model.prev = _WORD_MASK if secure[-1] else _state(values[-1])
+        model.prev = _WORD_MASK if secure[-1] else int(values[-1])
         rising = values & ~prev
         energy = popcount(rising) * model.event_energy
         coupling = 0.0
@@ -331,4 +316,4 @@ class EnergyScorer:
                                      & mask2)
             secure_energy = model.base_secure_energy \
                 + (2 * secure_events) * coupling
-        return np.where(secure[:, None], secure_energy, energy)
+        return np.where(secure, secure_energy, energy)

@@ -252,6 +252,8 @@ class LeakageService:
             self._count("service_rejections_total",
                         "submissions rejected before execution",
                         reason=error.code)
+            self._count("service_terminal_total",
+                        "requests by terminal state", state=record.state)
             self._set_gauges()
             raise
         self._transition("admitted", record,
@@ -509,13 +511,20 @@ class LeakageService:
 
     # -- health / introspection ----------------------------------------
 
+    def _terminal_counts(self) -> dict[str, int]:
+        """Requests per terminal state over the whole session, read from
+        the ``service_terminal_total`` counter (retained records are
+        capped by ``history_limit``; the counter is not)."""
+        with self._metrics_lock:
+            if "service_terminal_total" not in self.registry:
+                return {}
+            counter = self.registry.counter("service_terminal_total")
+            return {dict(labels)["state"]: int(value)
+                    for labels, value in sorted(counter.series())}
+
     def health(self) -> dict:
         with self._records_lock:
             inflight = self._inflight
-        terminal = {}
-        for record in self.records():
-            if record.terminal.is_set():
-                terminal[record.state] = terminal.get(record.state, 0) + 1
         health = {
             "status": "draining" if self._draining.is_set() else "ok",
             "uptime_s": round(time.monotonic() - self._started, 3),
@@ -525,7 +534,7 @@ class LeakageService:
             "workers": len(self._threads),
             "workers_alive": sum(1 for thread in self._threads
                                  if thread.is_alive()),
-            "terminal": dict(sorted(terminal.items())),
+            "terminal": self._terminal_counts(),
             "breaker_open": self.breaker.open_count(),
         }
         if self.verdict_cache is not None:
@@ -620,9 +629,8 @@ class LeakageService:
         summary = {
             "drained": True,
             "queued_failed_typed": len(abandoned),
-            "inflight_finished": sum(
-                1 for record in self.records()
-                if record.state == protocol.DONE),
+            "inflight_finished":
+                self._terminal_counts().get(protocol.DONE, 0),
             "workers_alive": sum(1 for thread in self._threads
                                  if thread.is_alive()),
         }

@@ -118,10 +118,21 @@ def test_experiment_engine_env_restored_on_failure(monkeypatch):
     assert "REPRO_ENGINE" not in os.environ
 
 
-def test_run_accepts_vector_engine(asm_file, capsys):
-    assert main(["run", asm_file, "--engine", "vector", "--dump",
-                 "out"]) == 0
-    assert "out = [7]" in capsys.readouterr().out
+def test_vector_engine_is_rejected_as_unknown(asm_file, capsys):
+    """The deleted vector engine is an unknown name on every surface:
+    the registry, the CLI and the service request schema."""
+    from repro.machine import engines
+    from repro.service.errors import InvalidRequest
+    from repro.service.protocol import AssessRequest
+
+    with pytest.raises(ValueError, match="unknown engine 'vector'"):
+        engines.resolve("vector")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", asm_file, "--engine", "vector"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'vector'" in capsys.readouterr().err
+    with pytest.raises(InvalidRequest, match="unknown engine 'vector'"):
+        AssessRequest(engine="vector")
 
 
 def test_experiment_jobs_flag_parses():

@@ -6,7 +6,7 @@ import pytest
 from repro.attacks.dpa import collect_traces, random_plaintexts
 from repro.harness.engine import (CompileCache, CompileRequest, SimJob,
                                   execute_job, run_jobs)
-from repro.harness.profiling import job_timings, profile_batch
+from repro.harness.profiling import job_timings
 from repro.harness.sweeps import measure_policies, sensitivity_sweep
 from repro.isa.assembler import assemble
 from repro.programs.des_source import DesProgramSpec
@@ -160,20 +160,16 @@ def test_pooled_batch_prewarms_schedules_once_in_parent(monkeypatch):
 # -- observability ----------------------------------------------------------
 
 
-def test_profile_batch_and_timings():
+def test_job_timings_and_cache_hits():
     request = CompileRequest(spec=TINY_SPEC, masking="none")
     results = run_jobs([
         SimJob(program=request, des_pair=(KEY, 0), label="first"),
         SimJob(program=request, des_pair=(KEY, 0), label="second"),
         SimJob(program=assemble(ASM), label="raw"),
     ])
-    profile = profile_batch(results)
-    assert profile.jobs == 3
-    assert profile.cache_hits >= 1   # second request reuses the first
-    assert profile.cache_untracked == 1
-    assert profile.total_wall_s >= profile.max_wall_s > 0
-    assert profile.mean_wall_s == pytest.approx(profile.total_wall_s / 3)
-    assert len(profile.rows()) == 5
+    assert results[1].cache_hit is True   # second request reuses the first
+    assert results[2].cache_hit is None   # prebuilt program: no cache
+    assert all(result.wall_time_s > 0 for result in results)
 
     timings = job_timings(results)
     assert {label for label, _ in timings} == {"first", "second", "raw"}

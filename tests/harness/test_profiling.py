@@ -50,25 +50,6 @@ def test_phase_energy_zero_length_marker_span_kept():
     assert sum(p.energy_pj for p in phases) == trace.total_pj
 
 
-def test_profile_batch_empty_raises():
-    from repro.harness.profiling import profile_batch
-
-    with pytest.raises(ValueError, match="empty batch"):
-        profile_batch([])
-
-
-def test_batch_profile_carries_registry_snapshot():
-    from repro.harness.engine import SimJob, run_jobs
-    from repro.harness.profiling import profile_batch
-    from repro.isa.assembler import assemble
-
-    program = assemble(".text\nnop\nhalt\n")
-    profile = profile_batch(run_jobs([SimJob(program=program)] * 2))
-    assert profile.jobs == 2
-    assert profile.metrics["job_wall_seconds"]["series"][0]["count"] == 2
-    assert profile.metrics["jobs_prebuilt"]["series"][0]["value"] == 2
-
-
 def test_des_phase_labels():
     labels = des_phase_labels(rounds=2)
     assert labels[1] == "initial permutation"

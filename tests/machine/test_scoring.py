@@ -1,9 +1,9 @@
-"""The shared energy scorer's bit-twiddling primitives.
+"""The energy scorer's bit-twiddling primitives.
 
 The scorer's bit identity with the reference engine is enforced by the
-differential suites (``test_fastpath.py``, ``test_vector.py``); these
-tests pin its popcount, including the SWAR fallback NumPy < 2.0 runs,
-against Python's ``int.bit_count``.
+differential suite (``test_fastpath.py``); these tests pin its popcount,
+including the SWAR fallback NumPy < 2.0 runs, against Python's
+``int.bit_count``.
 """
 
 import numpy as np

@@ -1,15 +1,16 @@
-"""Vector trace-batch engine: bit-identity against the reference engine.
+"""Batch replay: ``run_jobs`` batches on the schedule engine against the
+reference engine.
 
-The vector engine inherits the fast engine's absolute contract: for every
-program whose control path is data-independent, replaying the recorded
-schedule — here as one NumPy pass over a whole batch — must reproduce
-the reference pipeline's output *bit for bit*: per-cycle energies (same
-floats, same accumulation order), component matrices, totals/counts and
-markers.  The engine is batch-only, so these tests drive it the way it
-runs: ``run_jobs`` batches of at least two jobs, over the full set of
-experiment programs (mirroring ``test_fastpath.py``).  They also pin the
-routing rule that single traces requested on ``vector`` replay on
-``fast``, the registry fallback chain, and engine resolution.
+These tests once pinned the batch-only ``vector`` engine, which served a
+homogeneous batch in one NumPy pass.  That engine is gone: every batch
+now runs job by job through ``run_jobs`` -> ``execute_batch`` on the
+``fast`` schedule replay, falling back to ``reference`` per job.  The
+tests keep their ids and drive that path instead, with the contract
+unchanged: over the full set of experiment programs, a batch of at least
+two jobs must reproduce the reference batch *bit for bit* — per-cycle
+energies, component matrices, totals/counts and markers — and divergent
+inputs, cycle budgets, streaming and the removed engine name must behave
+exactly as on a single run.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from repro.aes.reference import int_to_state
 from repro.harness.engine import SimJob, run_jobs
 from repro.harness.runner import des_run, run_with_trace
 from repro.isa.assembler import assemble
-from repro.machine import engines, fastpath, resolve_engine, vector
+from repro.machine import engines, fastpath, resolve_engine
 from repro.machine.exceptions import CycleLimitExceeded
 from repro.masking.policy import MaskingPolicy, apply_policy
 from repro.programs.des_source import DesProgramSpec
@@ -57,9 +58,14 @@ def _des_inputs(program):
     return inputs
 
 
-def _batch_differential(program, inputs=None, **job_kwargs):
-    """Run one batch on the reference and the vector engine; the vector
-    batch must be served natively and match the reference job for job.
+def _fallbacks(context) -> float:
+    return context.registry.counter("engine_fallbacks").total()
+
+
+def _batch_differential(program, inputs=None, expect="fast", **job_kwargs):
+    """Run one batch on the reference and the fast engine; every fast job
+    must report the engine ``expect`` and match the reference job for
+    job.
 
     ``inputs`` lists one symbol-input dict per job; by default the jobs
     run :data:`DES_PAIRS`.
@@ -75,20 +81,20 @@ def _batch_differential(program, inputs=None, **job_kwargs):
                 for i, job in enumerate(per_job)]
 
     reference = run_jobs(batch(), engine="reference")
-    vectored = run_jobs(batch(), engine="vector")
-    assert len(vectored) >= 2
-    for ref_result, vec_result in zip(reference, vectored, strict=True):
+    replayed = run_jobs(batch(), engine="fast")
+    assert len(replayed) >= 2
+    for ref_result, result in zip(reference, replayed, strict=True):
         assert ref_result.engine == "reference"
-        assert vec_result.engine == "vector"
-        assert ref_result.label == vec_result.label
-        assert ref_result.cycles == vec_result.cycles
-        assert ref_result.energy.tobytes() == vec_result.energy.tobytes()
-        assert ref_result.markers == vec_result.markers
-        assert ref_result.totals == vec_result.totals
-        assert ref_result.counts == vec_result.counts
+        assert result.engine == expect
+        assert ref_result.label == result.label
+        assert ref_result.cycles == result.cycles
+        assert ref_result.energy.tobytes() == result.energy.tobytes()
+        assert ref_result.markers == result.markers
+        assert ref_result.totals == result.totals
+        assert ref_result.counts == result.counts
         assert np.array_equal(np.asarray(ref_result.components),
-                              np.asarray(vec_result.components))
-    return reference, vectored
+                              np.asarray(result.components))
+    return reference, replayed
 
 
 # -- golden digests -----------------------------------------------------
@@ -96,9 +102,9 @@ def _batch_differential(program, inputs=None, **job_kwargs):
 @pytest.mark.parametrize("masking", ["none", "selective"])
 def test_round1_vector_hits_golden_digest(masking):
     program = compile_des(DesProgramSpec(rounds=1), masking=masking).program
-    _reference, vectored = _batch_differential(program)
-    assert vectored[0].cycles == 18432
-    assert hashlib.sha256(vectored[0].energy.tobytes()).hexdigest() \
+    _reference, replayed = _batch_differential(program)
+    assert replayed[0].cycles == 18432
+    assert hashlib.sha256(replayed[0].energy.tobytes()).hexdigest() \
         == GOLDEN_DIGESTS[masking]
 
 
@@ -146,9 +152,9 @@ def test_aes_bit_identical(masking):
 
 
 def test_noise_bit_identical():
-    """Same noise seed -> the vector post-pass replays the tracker's
-    chunked draw stream draw-for-draw (the two jobs share the seed, so
-    only their inputs tell them apart)."""
+    """Same noise seed -> each replayed job draws the tracker's chunked
+    noise stream draw-for-draw (the two jobs share the seed, so only
+    their inputs tell them apart)."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
     _batch_differential(program, noise_sigma=0.1, noise_seed=7)
@@ -166,29 +172,31 @@ def test_coupled_bus_bit_identical():
 
 
 def test_score_blocks_carry_state(monkeypatch):
-    """A 7-cycle score block carries each trace's model state, running
+    """A 7-cycle score block carries each job's model state, running
     totals and noise across block edges bit-identically."""
-    monkeypatch.setattr(vector, "SCORE_BLOCK", 7)
+    monkeypatch.setattr(fastpath, "SCORE_BLOCK", 7)
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
     _batch_differential(program, noise_sigma=0.1, noise_seed=7)
 
 
 def test_opcode_mix_identical():
-    """An observed single run requested on vector replays on fast and
-    installs the reference engine's dynamic instruction mix."""
+    """Observed replayed jobs publish the reference engine's dynamic
+    instruction mix in their per-job metrics."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
 
     def observed(engine):
-        with obs.scope(force=True):
-            return des_run(program, KEY, PLAINTEXT, engine=engine)
+        return run_jobs([SimJob(program=program, des_pair=pair, observe=True,
+                                label=f"job[{i}]")
+                         for i, pair in enumerate(DES_PAIRS)], engine=engine)
 
-    reference, vectored = observed("reference"), observed("vector")
-    assert vectored.engine == "fast"
-    assert reference.cpu.pipeline.opcode_mix
-    assert reference.cpu.pipeline.opcode_mix == \
-        vectored.cpu.pipeline.opcode_mix
+    for ref_result, result in zip(observed("reference"), observed("fast"),
+                                  strict=True):
+        assert result.engine == "fast"
+        mix = ref_result.metrics["instructions_executed"]
+        assert mix["series"]
+        assert result.metrics["instructions_executed"] == mix
 
 
 # -- divergence and fallback --------------------------------------------
@@ -208,64 +216,41 @@ skip:
 """
 
 
-def _assert_identical(reference, replayed):
-    """Every observable of two single runs must match exactly."""
-    assert _digest(reference) == _digest(replayed)
-    assert reference.cycles == replayed.cycles
-    assert reference.cpu.pipeline.regs.dump() == \
-        replayed.cpu.pipeline.regs.dump()
-    assert reference.cpu.memory._words == replayed.cpu.memory._words
-    assert reference.cpu.pipeline.markers == replayed.cpu.pipeline.markers
-    assert reference.cpu.pipeline.stats == replayed.cpu.pipeline.stats
-    assert reference.tracker.totals == replayed.tracker.totals
-    assert reference.tracker.counts == replayed.tracker.counts
-
-
-def _fallbacks(context) -> float:
-    return context.registry.counter("engine_fallbacks").total()
-
-
 def test_divergence_falls_back_bit_identically():
-    """A single vector-requested trace whose input flips a recorded
-    branch replays on fast, which declines it: the trace re-runs on the
-    reference engine with fresh state, labelled as a fast fallback."""
+    """A batch whose inputs flip a recorded branch: the first job is
+    declined by fast and the program marked divergent, so the second goes
+    straight to reference.  Each job counts one fallback and matches the
+    reference batch."""
     program = assemble(DIVERGENT_SOURCE)
     fastpath._clear_caches()
-    vector._clear_caches()
-    reference = run_with_trace(program, inputs={"inval": [1]},
-                               engine="reference", collect_components=True)
     with obs.scope(force=True) as context:
-        vectored = run_with_trace(program, inputs={"inval": [1]},
-                                  engine="vector", collect_components=True)
-        assert _fallbacks(context) == 1
-    assert vectored.engine == "fast-fallback"
-    _assert_identical(reference, vectored)
+        reference, replayed = _batch_differential(
+            program, inputs=[{"inval": [1]}, {"inval": [2]}],
+            expect="fast-fallback")
+        assert _fallbacks(context) == 2
     assert (fastpath.program_digest(program), True) in fastpath._DIVERGENT
-    assert not vector._PLANS
 
 
 def test_matching_input_replays_before_any_divergence():
     """Until an input flips a recorded branch, a batch of the divergent
-    program is served natively and matches the reference."""
+    program replays on fast and matches the reference."""
     program = assemble(DIVERGENT_SOURCE)
     fastpath._clear_caches()
-    vector._clear_caches()
     _batch_differential(program, inputs=[{"inval": [0]}, {"inval": [0]}])
 
 
 def test_divergent_batch_falls_back_per_job():
-    """One divergent trace poisons the whole batch (whole-program
-    divergence marking, like the fast engine); every job still comes back
-    bit-identical via the per-job path, where vector jobs replay on fast
-    and fast falls back to the reference engine."""
+    """In a batch, jobs before the first divergent input replay on fast;
+    the divergent job and every later one (the program is then marked
+    divergent) re-run on the reference engine, all bit-identical."""
     program = assemble(DIVERGENT_SOURCE)
     fastpath._clear_caches()
-    vector._clear_caches()
     values = (0, 0, 1, 0)
-    jobs = [SimJob(program=program, inputs={"inval": [v]}, label=f"j{i}",
-                   engine="vector") for i, v in enumerate(values)]
-    results = run_jobs(jobs)
-    assert [r.engine for r in results] == ["fast-fallback"] * 4
+    jobs = [SimJob(program=program, inputs={"inval": [v]}, label=f"j{i}")
+            for i, v in enumerate(values)]
+    results = run_jobs(jobs, engine="fast")
+    assert [r.engine for r in results] == \
+        ["fast", "fast", "fast-fallback", "fast-fallback"]
     for result, value in zip(results, values):
         ref = run_with_trace(program, inputs={"inval": [value]},
                              engine="reference")
@@ -289,35 +274,37 @@ main:
     j main
 """)
     fastpath._clear_caches()
-    vector._clear_caches()
     reference = _batch_overrun(program, "reference", 500)
-    vectored = _batch_overrun(program, "vector", 500)
-    assert vectored.cycles == reference.cycles == 500
-    assert vectored.pc == reference.pc
+    replayed = _batch_overrun(program, "fast", 500)
+    assert replayed.cycles == reference.cycles == 500
+    assert replayed.pc == reference.pc
 
 
 def test_cycle_budget_below_schedule_parity():
     """A batch whose budget ends one cycle short of the recorded schedule
-    is declined by the vector engine and overruns exactly like the
+    is declined by the fast engine and overruns exactly like the
     reference engine."""
     program = compile_des(DesProgramSpec(rounds=1), masking="none").program
     reference = _batch_overrun(program, "reference", 18431,
                                des_pair=DES_PAIRS[0])
-    vectored = _batch_overrun(program, "vector", 18431,
+    replayed = _batch_overrun(program, "fast", 18431,
                               des_pair=DES_PAIRS[0])
-    assert vectored.cycles == reference.cycles == 18431
-    assert vectored.pc == reference.pc
+    assert replayed.cycles == reference.cycles == 18431
+    assert replayed.pc == reference.pc
 
 
-def test_streaming_always_uses_reference_engine(tmp_path):
+def test_streaming_always_uses_reference_engine(tmp_path, monkeypatch):
+    """A streaming run takes the reference engine even when the ambient
+    default names the schedule engine."""
     from repro.harness.io import StreamingTraceWriter
 
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
     stream = StreamingTraceWriter(tmp_path / "trace.csv")
     try:
         run = run_with_trace(program, inputs=_des_inputs(program),
-                             stream=stream, engine="vector")
+                             stream=stream)
     finally:
         stream.close()
     assert run.engine == "reference"
@@ -325,74 +312,56 @@ def test_streaming_always_uses_reference_engine(tmp_path):
 
 @pytest.mark.parametrize("via", ["explicit", "env"])
 def test_single_trace_vector_run_replays_on_fast(monkeypatch, via):
-    """Vector is batch-only: a single trace requested on it runs on fast
-    from the first attempt, compiles no plan, and is not a fallback."""
+    """A single trace on the schedule engine, named by argument or by
+    ``$REPRO_ENGINE``, replays from the first attempt: no fallback."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="selective").program
-    vector._clear_caches()
-    if via == "env":
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
+    monkeypatch.setenv("REPRO_ENGINE",
+                       "fast" if via == "env" else "reference")
     with obs.scope(force=True) as context:
         run = des_run(program, KEY, PLAINTEXT,
-                      engine="vector" if via == "explicit" else None)
+                      engine="fast" if via == "explicit" else None)
         assert _fallbacks(context) == 0
     assert run.engine == "fast"
     assert _digest(run) == GOLDEN_DIGESTS["selective"]
-    assert not vector._PLANS
 
 
 # -- engine registry and resolution -------------------------------------
 
 def test_registry_resolution(monkeypatch):
+    """``vector`` is no longer an engine name, by argument or by env."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     assert engines.resolve(None) == "fast"
-    assert engines.resolve("vector") == "vector"
+    with pytest.raises(ValueError):
+        engines.resolve("vector")
     monkeypatch.setenv("REPRO_ENGINE", "vector")
-    assert engines.resolve(None) == "vector"
-    assert engines.resolve("reference") == "reference"
-    monkeypatch.setenv("REPRO_ENGINE", "warp")
     with pytest.raises(ValueError):
         engines.resolve(None)
-    with pytest.raises(ValueError):
-        engines.resolve("warp")
+    assert engines.resolve("reference") == "reference"
     # The historical public name is a plain re-export of the registry's.
     assert resolve_engine is engines.resolve
-    assert set(engines.ENGINES) == {"fast", "reference", "vector"}
+    assert set(engines.ENGINES) == set(engines.names()) == \
+        {"fast", "reference"}
 
 
 def test_registry_specs():
-    assert engines.get("vector").fallback == "fast"
     assert engines.get("fast").fallback == "reference"
     assert engines.get("reference").fallback is None
-    assert engines.get("vector").batch is not None
-    assert engines.get("fast").batch is None
-    assert engines.get("vector").factory is None
-    assert engines.single_trace_engine("vector") == "fast"
-    assert engines.single_trace_engine("fast") == "fast"
-    assert engines.single_trace_engine("reference") == "reference"
-    with pytest.raises(ValueError):
-        engines.get("warp")
+    for name in ("vector", "warp"):
+        with pytest.raises(ValueError):
+            engines.get(name)
 
 
-# -- batch-native dispatch ----------------------------------------------
+# -- the per-job batch path ---------------------------------------------
 
 def test_run_jobs_batch_native_bit_identical():
-    """A homogeneous vector batch is served in one vectorized pass and
-    matches the reference per-job path result for result."""
+    """A homogeneous four-job batch replays every job on fast and matches
+    the reference batch result for result."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
-    batch = lambda: [SimJob(program=program, des_pair=(KEY, PLAINTEXT ^ i),
-                            label=f"job[{i}]") for i in range(4)]
-    reference = run_jobs(batch(), engine="reference")
-    vectored = run_jobs(batch(), engine="vector")
-    for ref_result, vec_result in zip(reference, vectored):
-        assert vec_result.engine == "vector"
-        assert ref_result.cycles == vec_result.cycles
-        assert np.array_equal(ref_result.energy, vec_result.energy)
-        assert ref_result.markers == vec_result.markers
-        assert ref_result.totals == vec_result.totals
-        assert ref_result.counts == vec_result.counts
-        assert ref_result.label == vec_result.label
+    _batch_differential(program, inputs=[
+        {"key": key_words(KEY), "plaintext": plaintext_words(PLAINTEXT ^ i)}
+        for i in range(4)])
 
 
 def test_run_jobs_batch_native_noise_and_components():
@@ -404,21 +373,22 @@ def test_run_jobs_batch_native_noise_and_components():
                             collect_components=True, label=f"job[{i}]")
                      for i in range(3)]
     reference = run_jobs(batch(), engine="reference")
-    vectored = run_jobs(batch(), engine="vector")
-    for ref_result, vec_result in zip(reference, vectored):
-        assert np.array_equal(ref_result.energy, vec_result.energy)
-        assert ref_result.totals == vec_result.totals
+    replayed = run_jobs(batch(), engine="fast")
+    for ref_result, result in zip(reference, replayed, strict=True):
+        assert result.engine == "fast"
+        assert np.array_equal(ref_result.energy, result.energy)
+        assert ref_result.totals == result.totals
         assert np.array_equal(np.asarray(ref_result.components),
-                              np.asarray(vec_result.components))
+                              np.asarray(result.components))
 
 
 def test_run_jobs_mixed_engines_fall_back_to_per_job():
-    """A batch that mixes engines cannot go batch-native; results still
-    come back correct, the vector job replayed on fast."""
+    """Each job of a batch runs on its own engine; a fast and a reference
+    job of the same input agree."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
     jobs = [SimJob(program=program, des_pair=(KEY, PLAINTEXT),
-                   label="a", engine="vector"),
+                   label="a", engine="fast"),
             SimJob(program=program, des_pair=(KEY, PLAINTEXT),
                    label="b", engine="reference")]
     results = run_jobs(jobs)
@@ -428,8 +398,8 @@ def test_run_jobs_mixed_engines_fall_back_to_per_job():
 
 
 def test_collect_traces_vector_bit_identical():
-    """DPA collection via the batch-native vector path matches the
-    reference engine trace matrix exactly."""
+    """DPA collection on the schedule engine matches the reference
+    engine trace matrix exactly."""
     from repro.attacks.dpa import collect_traces, random_plaintexts
 
     program = compile_des(DesProgramSpec(rounds=1),
@@ -437,47 +407,38 @@ def test_collect_traces_vector_bit_identical():
     plaintexts = random_plaintexts(6)
     reference = collect_traces(program, KEY, plaintexts,
                                engine="reference")
-    vectored = collect_traces(program, KEY, plaintexts, engine="vector")
-    assert np.array_equal(reference.traces, vectored.traces)
+    replayed = collect_traces(program, KEY, plaintexts, engine="fast")
+    assert np.array_equal(reference.traces, replayed.traces)
 
 
-def test_plan_compiled_once(monkeypatch):
-    """Repeated vector batches of the same program reuse the compiled
-    plan."""
+def test_plan_compiled_once(monkeypatch, fresh_schedule_cache):
+    """Repeated batches of the same program record its schedule once."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
-    fastpath._clear_caches()
-    vector._clear_caches()
     calls = []
-    compile_plan = vector._compile_plan
+    recorded = fastpath.record_schedule
 
-    def counting(prog, bound):
+    def counting(prog, **kwargs):
         calls.append(1)
-        return compile_plan(prog, bound)
+        return recorded(prog, **kwargs)
 
-    monkeypatch.setattr(vector, "_compile_plan", counting)
+    monkeypatch.setattr(fastpath, "record_schedule", counting)
     for flip in (0, 1, 2):
         results = run_jobs([SimJob(program=program,
                                    des_pair=(KEY, PLAINTEXT ^ flip ^ i))
-                            for i in range(2)], engine="vector")
-        assert [r.engine for r in results] == ["vector"] * 2
+                            for i in range(2)], engine="fast")
+        assert [r.engine for r in results] == ["fast"] * 2
     assert len(calls) == 1
 
 
-def test_observed_vector_batch_replays_on_fast(monkeypatch):
-    """Traced jobs need per-job scopes, so an observed vector batch runs
-    per job: each job replays on fast and no plan is compiled."""
+def test_observed_vector_batch_replays_on_fast():
+    """Traced jobs need per-job scopes; an observed batch still replays
+    each job on fast and returns its span tree."""
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
-    vector._clear_caches()
-    calls = []
-    monkeypatch.setattr(vector, "_compile_plan",
-                        lambda *args: calls.append(1))
     results = run_jobs([SimJob(program=program, des_pair=pair, observe=True,
                                label=f"job[{i}]")
                         for i, pair in enumerate(DES_PAIRS)],
-                       engine="vector")
+                       engine="fast")
     assert [r.engine for r in results] == ["fast"] * 2
     assert all(r.spans for r in results)
-    assert not calls
-    assert not vector._PLANS

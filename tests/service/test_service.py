@@ -162,6 +162,31 @@ def test_history_limit_evicts_terminal_records_past_an_inflight_one(
     assert service.get(inflight.id) is inflight
 
 
+def test_health_and_drain_count_every_terminal_past_history_limit(
+        make_service, tmp_path):
+    """Terminal outcomes are counted over the whole session, not over
+    the ``history_limit`` records the service still retains."""
+    import json
+
+    from repro.service.errors import QuotaExceeded
+
+    manifest_path = tmp_path / "service-manifest.json"
+    service = make_service(workers=1, history_limit=4, quota_rps=0.001,
+                           quota_burst=10, manifest_out=manifest_path)
+    for seed in range(10):
+        record = service.submit(pair_payload(seed=seed))
+        assert record.wait(60.0) and record.state == DONE
+    with pytest.raises(QuotaExceeded):
+        service.submit(pair_payload())
+    assert len(service.records()) == 4  # the rest were evicted
+    assert service.health()["terminal"] == {"done": 10, "rejected": 1}
+    summary = service.drain(grace_s=30.0)
+    assert summary["inflight_finished"] == 10
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["summary"]["terminal_done"] == 10
+    assert manifest["summary"]["terminal_rejected"] == 1
+
+
 def test_manifest_written_on_drain(make_service, tmp_path):
     import json
 

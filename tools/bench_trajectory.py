@@ -62,12 +62,8 @@ CALIBRATION_CLAMP = (0.5, 3.0)
 #: Cycles in the round-1 DES workload; turns simulate walls into
 #: simulated-cycles-per-second for the engine throughput gate.
 ROUND1_CYCLES = 18_432
-#: Traces in the DPA batch benches (the vector engine's headline shape).
+#: Traces (or no-op tasks) in the DPA batch and pool-dispatch benches.
 BATCH_TRACES = 16
-#: The vector engine must collect a 16-trace DPA batch at least this many
-#: times faster than serial fast-replay collection.  Calibration-free:
-#: both sides of the ratio run on the same host in the same process.
-VECTOR_SPEEDUP_MIN = 5.0
 #: Dispatching a 16-task batch through the warm shared pool must beat
 #: per-chunk pool creation (fork + warm-up + teardown, the pre-pool cost
 #: of every chunk) by at least this factor.  Calibration-free ratio.
@@ -142,15 +138,10 @@ def run_benches(rounds: int) -> dict[str, float]:
     results = {name: _best_of(fn, rounds) for name, fn in benches.items()}
     results["parallel_traces_16"] = _timed(
         lambda: collect_traces(program, KEY, plaintexts, jobs=jobs))
-    # Batch collection, serial fast replay vs one vector pass — the pair
-    # behind the vector_speedup gate (both warm: schedule recorded above,
-    # vector plan compiled by one untimed batch).
+    # Serial batch collection on the fast replay (warm: schedule
+    # recorded above).
     results["batch16_fast_serial"] = _best_of(
         lambda: collect_traces(program, KEY, plaintexts, engine="fast"),
-        rounds)
-    collect_traces(program, KEY, plaintexts, engine="vector")
-    results["batch16_vector"] = _best_of(
-        lambda: collect_traces(program, KEY, plaintexts, engine="vector"),
         rounds)
     # Streaming-accumulator throughput: fold a synthetic two-group
     # campaign (round-1 trace width) through the Welch-t accumulator —
@@ -235,18 +226,12 @@ def _bench_verdict_cache_hit() -> float:
 
 
 def cycles_per_second(measured: dict[str, float]) -> dict[str, float]:
-    """Simulated-cycles-per-second per single-trace engine, from the
-    simulate benches (the batch-only vector engine is gated by
-    :func:`vector_speedup` instead)."""
+    """Simulated-cycles-per-second per engine, from the simulate
+    benches."""
     return {
         "reference": ROUND1_CYCLES / measured["simulate_with_energy"],
         "fast": ROUND1_CYCLES / measured["simulate_fast_replay"],
     }
-
-
-def vector_speedup(measured: dict[str, float]) -> float:
-    """Traces-per-second ratio of the vector batch over serial fast."""
-    return measured["batch16_fast_serial"] / measured["batch16_vector"]
 
 
 def warm_dispatch_speedup(measured: dict[str, float]) -> float:
@@ -344,19 +329,8 @@ def compare(measured: dict[str, float], baseline: dict,
                 f"{calibrated:,.0f}) vs baseline {pinned:,.0f} "
                 f"= {-delta:+.1%} (budget -{max_regress:.0%})")
     record["_streaming_traces_per_s"] = entry
-    # Vector batch-throughput gate: the ratio is host-independent, so no
-    # calibration is applied and no regression budget softens it.
-    speedup = vector_speedup(measured)
-    floor = baseline.get("vector_speedup_min", VECTOR_SPEEDUP_MIN)
-    entry = {"speedup": round(speedup, 2), "min": floor,
-             "passed": speedup >= floor}
-    if not entry["passed"]:
-        failures.append(
-            f"  vector_speedup: {speedup:.2f}x over serial fast replay "
-            f"on a {BATCH_TRACES}-trace batch (floor {floor:.1f}x)")
-    record["_vector_speedup"] = entry
-    # Warm-pool dispatch gate: same calibration-free shape — both sides
-    # of the ratio ran back-to-back in this process on this host.
+    # Warm-pool dispatch gate: calibration-free — both sides of the
+    # ratio ran back-to-back in this process on this host.
     dispatch = warm_dispatch_speedup(measured)
     floor = baseline.get("warm_dispatch_min", WARM_DISPATCH_MIN)
     entry = {"speedup": round(dispatch, 2), "min": floor,
@@ -415,8 +389,6 @@ def main() -> int:
     for engine, cps in sorted(throughput.items()):
         print(f"cycles_per_s[{engine}]{'':>{max(0, 9 - len(engine))}s} "
               f"{cps:>12,.0f}")
-    print(f"vector_speedup {vector_speedup(measured):17.2f}x "
-          f"(floor {VECTOR_SPEEDUP_MIN:.1f}x)")
     print(f"warm_dispatch_speedup {warm_dispatch_speedup(measured):10.2f}x "
           f"(floor {WARM_DISPATCH_MIN:.1f}x)")
     print(f"streaming_traces_per_s "
@@ -433,8 +405,6 @@ def main() -> int:
                  measured.items())},
              "cycles_per_s": {k: round(v, 1) for k, v in sorted(
                  throughput.items())},
-             "vector_speedup": round(vector_speedup(measured), 2),
-             "vector_speedup_min": VECTOR_SPEEDUP_MIN,
              "warm_dispatch_speedup": round(
                  warm_dispatch_speedup(measured), 2),
              "warm_dispatch_min": WARM_DISPATCH_MIN,
