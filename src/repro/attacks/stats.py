@@ -39,12 +39,6 @@ def difference_of_means(traces: np.ndarray, partition: np.ndarray,
     return traces[ones].mean(axis=0) - traces[zeros].mean(axis=0)
 
 
-def max_bias(traces: np.ndarray, partition: np.ndarray) -> float:
-    """Peak absolute difference-of-means over all cycles."""
-    delta = difference_of_means(traces, partition)
-    return float(np.abs(delta).max()) if delta.size else 0.0
-
-
 def welch_t_statistic(traces: np.ndarray, partition: np.ndarray,
                       streaming: bool = False) -> np.ndarray:
     """Per-cycle Welch t-statistic between the two partitions.

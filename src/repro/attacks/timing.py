@@ -35,10 +35,6 @@ class TimingAttackResult:
     conclusive: bool = False
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def fully_recovered(self) -> bool:
-        return self.conclusive and all(d is not None for d in self.recovered)
-
 
 def measure_cycles(program: Program, guess_symbol: str, guess: list[int],
                    fixed_inputs: Optional[dict[str, list[int]]] = None,

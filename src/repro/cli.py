@@ -93,7 +93,7 @@ def cmd_run(arguments: argparse.Namespace) -> int:
         program = assemble(source)
     inputs = _parse_inputs(arguments.input or [])
 
-    if arguments.fast:
+    if arguments.functional:
         interpreter = run_functional(program, inputs=inputs,
                                      max_instructions=arguments.max_cycles)
         print(f"instructions:      {interpreter.executed} "
@@ -403,7 +403,6 @@ def cmd_serve(arguments: argparse.Namespace) -> int:
     import json
 
     from .obs.events import DEFAULT_MAX_BYTES as EVENT_LOG_MAX_BYTES
-    from .service.cache import DEFAULT_MAX_BYTES as VERDICT_CACHE_BYTES
     from .service.core import ServiceConfig
     from .service.server import serve
 
@@ -422,9 +421,6 @@ def cmd_serve(arguments: argparse.Namespace) -> int:
                              if arguments.event_log_max_bytes is None
                              else arguments.event_log_max_bytes),
         trace_requests=not arguments.no_request_tracing,
-        verdict_cache_bytes=(VERDICT_CACHE_BYTES
-                             if arguments.verdict_cache_bytes is None
-                             else arguments.verdict_cache_bytes),
         quota_rps=arguments.quota_rps,
         quota_burst=arguments.quota_burst)
 
@@ -562,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dump", action="append", metavar="SYM[:COUNT]",
                        help="print a data symbol after the run")
     p_run.add_argument("--max-cycles", type=int, default=50_000_000)
-    p_run.add_argument("--fast", action="store_true",
+    p_run.add_argument("--functional", action="store_true",
                        help="functional interpreter (no timing/energy)")
     p_run.add_argument("--trace-out", metavar="PATH", dest="trace_out",
                        help="stream the per-cycle trace to PATH while "
@@ -571,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", default=None, choices=ENGINES,
                        help="execution engine: 'fast' replays the "
                             "recorded cycle schedule (bit-identical, "
-                            "~7x faster), 'reference' steps the pipeline "
+                            "~15x faster), 'reference' steps the pipeline "
                             "cycle by cycle (default: $REPRO_ENGINE, "
                             "else fast)")
     p_run.set_defaults(func=cmd_run)
@@ -710,13 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="drop per-request span trees (trace "
                               "documents keep their lifecycle timelines "
                               "but carry no spans)")
-    p_serve.add_argument("--verdict-cache-bytes", type=int,
-                         dest="verdict_cache_bytes", default=None,
-                         help="LRU byte budget of the content-addressed "
-                              "verdict cache (default: repro.service.cache."
-                              "DEFAULT_MAX_BYTES; 0 disables it); "
-                              "repeat submissions of an identical request "
-                              "answer from memory, bit-identical")
     p_serve.add_argument("--quota-rps", type=float, dest="quota_rps",
                          default=None,
                          help="per-tenant admission quota in requests/s "

@@ -83,16 +83,3 @@ class PrechargedXorCell:
             # neither charges nor discharges.
         return CycleEnergy(precharge_events=precharge,
                            discharge_events=discharge)
-
-
-def secure_cycle_energy_is_constant(samples: list[tuple[int, int]]) -> bool:
-    """Check the masking property over an input sequence.
-
-    Returns True iff, after the first cycle, every secure cycle consumes the
-    same number of charging events regardless of the input pair sequence.
-    """
-    cell = PrechargedXorCell()
-    energies = [cell.step(a, b, secure=True).charging_events
-                for a, b in samples]
-    steady = energies[1:]
-    return len(set(steady)) <= 1

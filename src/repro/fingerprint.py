@@ -1,4 +1,4 @@
-"""Source fingerprints: cache keys that change whenever the code does."""
+"""The one key rule of the artifact store: keys change whenever code does."""
 
 from __future__ import annotations
 
@@ -8,25 +8,36 @@ from pathlib import Path
 
 
 @lru_cache(maxsize=None)
-def source_fingerprint(subpackages: tuple[str, ...]) -> str:
-    """Digest of the named subpackages' sources (sizes + mtimes), computed
-    once per process.
+def source_fingerprint() -> str:
+    """Digest of every ``*.py`` in the ``repro`` package (relative paths,
+    sizes and mtimes), computed once per process.
 
-    A cache keyed on this digest can only ever miss after an edit to
-    those sources — never serve an artifact built by outdated code.
+    A store keyed on this digest can only ever miss after an edit to the
+    package, never serve an artifact built by outdated code.
     """
     package_root = Path(__file__).resolve().parent
     digest = hashlib.sha256()
-    for subpackage in subpackages:
+    for entry in sorted(package_root.rglob("*.py")):
         try:
-            entries = sorted((package_root / subpackage).glob("*.py"))
-        except OSError:  # pragma: no cover - unreadable install
+            stat = entry.stat()
+        except OSError:  # pragma: no cover
             continue
-        for entry in entries:
-            try:
-                stat = entry.stat()
-            except OSError:  # pragma: no cover
-                continue
-            digest.update(f"{entry.name}:{stat.st_size}:"
-                          f"{stat.st_mtime_ns};".encode())
+        name = entry.relative_to(package_root).as_posix()
+        digest.update(f"{name}:{stat.st_size}:{stat.st_mtime_ns};".encode())
     return digest.hexdigest()[:16]
+
+
+def artifact_key(kind: str, *parts: object) -> str:
+    """``<kind>-<digest>``: the store key of one artifact.
+
+    The digest covers the package version, :func:`source_fingerprint`,
+    ``kind`` and the ``str`` of every part, so programs, schedules and
+    verdicts share one invalidation rule.  The ``kind`` prefix lets a
+    caller drop one kind with :meth:`~repro.harness.engine.CompileCache.
+    discard`.
+    """
+    from . import __version__
+
+    text = "|".join((__version__, source_fingerprint(), kind,
+                     *(str(part) for part in parts)))
+    return f"{kind}-{hashlib.sha256(text.encode()).hexdigest()[:32]}"

@@ -12,10 +12,12 @@ while keeping the results **bit-identical** to the serial path:
   injected Gaussian noise stream never depends on scheduling order;
 * results come back as :class:`JobResult` in **submission order**, whatever
   order the workers finish in;
-* a :class:`CompileCache` memoizes compile/assemble artifacts per process
-  *and* on disk (atomic writes), so a pool of workers compiles each
-  ``(spec, masking, policy, optimize)`` variant once instead of once per
-  sweep point per process;
+* a :class:`CompileCache` is the one artifact store: compiled programs,
+  bound cycle schedules and verdict documents share one byte-budgeted
+  memory LRU over an on-disk layer (atomic writes) and one key rule
+  (:func:`~repro.fingerprint.artifact_key`), so a pool of workers
+  compiles each ``(spec, masking, policy, optimize)`` variant once
+  instead of once per sweep point per process;
 * batches survive faults: ``failure_policy``/``retries``/``job_timeout``
   and the ``checkpoint`` journal delegate to
   :mod:`repro.harness.resilience`, so one crashed worker, one runaway
@@ -27,12 +29,14 @@ in-process with behavior identical to calling the runner directly.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import pickle
 import tempfile
+import threading
 import time
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -43,16 +47,16 @@ from .. import obs
 from ..obs import progress as obs_progress
 from ..energy.params import DEFAULT_PARAMS, EnergyParams
 from ..energy.trace import EnergyTrace
-from ..fingerprint import source_fingerprint
+from ..fingerprint import artifact_key
 from ..isa.program import Program
 from ..masking.policy import MaskingPolicy, apply_policy
 
 logger = logging.getLogger("repro.harness.engine")
 
-
-#: Toolchain subpackages: editing the compiler, assembler, source
-#: generators, or masking policies invalidates every on-disk artifact.
-TOOLCHAIN_SOURCES = ("lang", "isa", "programs", "masking", "des", "aes")
+#: Memory budget of one :class:`CompileCache`, in pickled bytes, shared
+#: by programs, bound schedules and verdict documents (a 16-round DES
+#: schedule pickles to well under 1 MiB, a verdict to ~1 KiB).
+DEFAULT_MAX_BYTES = 32 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,9 @@ class CompileRequest:
 
     def cache_key(self) -> str:
         """Stable digest of everything the compiled artifact depends on."""
-        from .. import __version__
-
         policy = self.policy.name if self.policy is not None else "-"
-        text = "|".join((__version__, source_fingerprint(TOOLCHAIN_SOURCES),
-                         self.cipher, repr(self.spec), self.masking, policy,
-                         str(self.optimize)))
-        return hashlib.sha256(text.encode()).hexdigest()[:32]
+        return artifact_key("program", self.cipher, repr(self.spec),
+                            self.masking, policy, self.optimize)
 
     def compile(self) -> Program:
         """Compile (uncached) the requested program image."""
@@ -116,23 +116,108 @@ class CacheStats:
     #: degrades the instance to memory-only writes.
     disk_errors: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
+
+class ArtifactMemory:
+    """The store's memory layer: live artifacts in LRU order, bounded by
+    the pickled size of each entry.
+
+    One lock guards it; callers never hold it across disk I/O, a compile
+    or a schedule recording.  :meth:`clear` resets the byte total too, so
+    the accounting survives a direct ``cache.memory.clear()``.
+    """
+
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
+        if max_bytes < 1:
+            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
+        self.max_bytes = max_bytes
+        self.bytes = 0
+        self.evictions = 0
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[str, tuple[object, int]] = OrderedDict()
+        _MEMORIES.add(self)
+
+    def _after_fork(self) -> None:
+        """A pool worker forked while another thread held the lock would
+        inherit it held forever: the child starts with a fresh lock and
+        a byte total recounted from its entries."""
+        self._lock = threading.Lock()
+        self.bytes = sum(size for _, size in self._entries.values())
+
+    def get(self, key: str) -> Optional[object]:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: str, value: object, size: int) -> int:
+        """Keep ``value`` as the newest entry; returns how many older
+        entries were evicted.  An entry larger than the whole budget is
+        not kept (and evicts nothing)."""
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.bytes -= old[1]
+            if size > self.max_bytes:
+                return 0
+            self._entries[key] = (value, size)
+            self.bytes += size
+            evicted = 0
+            while self.bytes > self.max_bytes:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.bytes -= dropped
+                evicted += 1
+            self.evictions += evicted
+            return evicted
+
+    def discard(self, prefix: str) -> int:
+        """Drop every entry whose key starts with ``prefix``."""
+        with self._lock:
+            doomed = [key for key in self._entries if key.startswith(prefix)]
+            for key in doomed:
+                self.bytes -= self._entries.pop(key)[1]
+            return len(doomed)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._entries
+
+
+#: Every live memory layer, for :func:`_reset_after_fork`.
+_MEMORIES: "weakref.WeakSet[ArtifactMemory]" = weakref.WeakSet()
+
+
+def _reset_after_fork() -> None:
+    for memory in list(_MEMORIES):
+        memory._after_fork()
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 class CompileCache:
-    """Process-safe compile/assemble artifact cache.
+    """Process-safe artifact store: compiled programs, bound cycle
+    schedules and verdict documents.
 
-    Two layers: a per-process memo dict, and a shared on-disk layer of
-    pickled :class:`~repro.isa.program.Program` images written atomically
-    (temp file + ``os.replace``) so concurrent pool workers never observe a
-    partial artifact.  Keys include the package version, a fingerprint of
-    the toolchain sources, and the full ``repr`` of the program spec, so a
-    stale cache directory can only ever miss, not serve wrong code.  The
-    directory defaults to ``$REPRO_COMPILE_CACHE_DIR`` or
-    ``<tmpdir>/repro-compile-cache``; setting the variable to an empty
-    string disables the disk layer (memory memoization only).
+    Two layers: an :class:`ArtifactMemory` LRU bounded by ``max_bytes``,
+    and a shared on-disk layer of pickled artifacts written atomically
+    (temp file + ``os.replace``) so concurrent pool workers never observe
+    a partial artifact.  Each entry is pickled once on store; those bytes
+    set its memory size and go to disk.  Every key comes from
+    :func:`~repro.fingerprint.artifact_key` (package version, a
+    fingerprint of the package sources, the artifact kind and its
+    identity), so a stale cache directory can only ever miss, not serve
+    wrong code.  The directory defaults to ``$REPRO_COMPILE_CACHE_DIR``
+    or ``<tmpdir>/repro-compile-cache``; setting the variable to an empty
+    string disables the disk layer (memory only).
 
     Corrupt artifacts are **quarantined**: an entry that exists but does
     not unpickle is renamed to ``<key>.corrupt`` (best-effort) so every
@@ -152,7 +237,8 @@ class CompileCache:
     #: writer (a live writer holds its temp file for milliseconds).
     STALE_TMP_S = 300.0
 
-    def __init__(self, directory: Optional[Path] = None):
+    def __init__(self, directory: Optional[Path] = None,
+                 max_bytes: int = DEFAULT_MAX_BYTES):
         if directory is None:
             configured = os.environ.get("REPRO_COMPILE_CACHE_DIR")
             if configured == "":
@@ -163,7 +249,7 @@ class CompileCache:
                 directory = Path(tempfile.gettempdir()) \
                     / "repro-compile-cache"
         self.directory = Path(directory) if directory is not None else None
-        self.memory: dict[str, object] = {}
+        self.memory = ArtifactMemory(max_bytes)
         self.stats = CacheStats()
         #: Set after the first disk write failure; writes stop, reads
         #: continue (see the class docstring).
@@ -189,40 +275,50 @@ class CompileCache:
     def program_for(self, request: CompileRequest) -> Program:
         """Return the compiled image, from memory, disk, or a fresh build."""
         key = request.cache_key()
-        program = self.memory.get(key)
+        program = self.artifact(key)
         if program is not None:
             self.stats.hits += 1
             return program
-        program = self._load(key)
-        if program is not None:
-            self.stats.hits += 1
-        else:
-            program = request.compile()
-            self.stats.misses += 1
-            self._store(key, program)
-        self.memory[key] = program
+        program = request.compile()
+        self.stats.misses += 1
+        self.store_artifact(key, program)
         return program
 
     def artifact(self, key: str) -> Optional[object]:
-        """Look up a non-compile artifact (e.g. a recorded cycle schedule)
-        by its full cache key; memory first, then the disk layer.  Misses
-        return ``None`` and are not counted in :attr:`stats` — artifact
-        producers handle their own build-on-miss.
+        """Look up an artifact by its full key; memory first, then the
+        disk layer.  Misses return ``None`` and are not counted in
+        :attr:`stats` — artifact producers handle their own
+        build-on-miss.
         """
         artifact = self.memory.get(key)
         if artifact is not None:
             return artifact
-        artifact = self._load(key)
-        if artifact is not None:
-            self.memory[key] = artifact
+        loaded = self._load(key)
+        if loaded is None:
+            return None
+        artifact, size = loaded
+        self.memory.put(key, artifact, size)
         return artifact
 
-    def store_artifact(self, key: str, artifact: object) -> None:
-        """Store a non-compile artifact under ``key`` (memory + disk)."""
-        self.memory[key] = artifact
-        self._store(key, artifact)
+    def store_artifact(self, key: str, artifact: object,
+                       durable: bool = True) -> int:
+        """Store ``artifact`` under ``key`` in memory and, when
+        ``durable``, on disk; returns how many memory entries the store
+        evicted."""
+        payload = pickle.dumps(artifact)
+        evicted = self.memory.put(key, artifact, len(payload))
+        if durable:
+            self._store(key, payload)
+        return evicted
 
-    def _load(self, key: str) -> Optional[object]:
+    def discard(self, prefix: str) -> int:
+        """Drop the memory entries whose key starts with ``prefix`` (an
+        artifact kind such as ``"verdict-"``, or a longer key prefix);
+        returns how many went."""
+        return self.memory.discard(prefix)
+
+    def _load(self, key: str) -> Optional[tuple[object, int]]:
+        """``(artifact, pickled size)`` from the disk layer, or ``None``."""
         if self.directory is None:
             return None
         path = self.directory / f"{key}.pkl"
@@ -231,7 +327,7 @@ class CompileCache:
         except OSError:
             return None  # plain miss (or unreadable: nothing to salvage)
         try:
-            return pickle.loads(payload)
+            return pickle.loads(payload), len(payload)
         except (pickle.PickleError, EOFError, AttributeError, ValueError,
                 TypeError, IndexError, ImportError):
             self._quarantine(path)
@@ -251,7 +347,7 @@ class CompileCache:
         except OSError:
             pass
 
-    def _store(self, key: str, artifact: object) -> None:
+    def _store(self, key: str, payload: bytes) -> None:
         if self.directory is None or self.disk_write_disabled:
             return
         try:
@@ -259,7 +355,7 @@ class CompileCache:
             handle, temp_name = tempfile.mkstemp(dir=self.directory,
                                                  suffix=".tmp")
             with os.fdopen(handle, "wb") as stream:
-                pickle.dump(artifact, stream)
+                stream.write(payload)
             os.replace(temp_name, self.directory / f"{key}.pkl")
         except OSError as error:
             # Caching is best-effort (the compile already succeeded), but
@@ -308,7 +404,7 @@ class SimJob:
     collect_components: bool = False
     operand_isolation: bool = True
     max_cycles: int = 50_000_000
-    #: Execution engine: a :mod:`repro.machine.engines` registry name
+    #: Execution engine: a :mod:`repro.machine.engines` name
     #: (``"fast"`` — schedule replay with automatic reference fallback,
     #: ``"reference"``), or ``None`` for the ambient default
     #: (``$REPRO_ENGINE``, else ``"fast"``).
@@ -483,7 +579,7 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
     if the pool cannot be created at all the batch degrades to serial
     execution with a logged warning.
 
-    ``engine`` (a :mod:`repro.machine.engines` registry name) overrides
+    ``engine`` (a :mod:`repro.machine.engines` name) overrides
     the execution engine of every job in the batch; ``None`` leaves each
     job's own setting (and the ambient ``$REPRO_ENGINE`` default) in
     effect.
@@ -539,8 +635,7 @@ def _prewarm_schedules(batch: Sequence[SimJob]) -> None:
     reference engine) and :class:`CompileRequest` jobs, which the workers
     compile themselves, are left alone.
     """
-    from ..machine import engines as engine_registry
-    from ..machine import fastpath
+    from ..machine import engines, fastpath
 
     if obs.attribution_enabled():
         return
@@ -550,7 +645,7 @@ def _prewarm_schedules(batch: Sequence[SimJob]) -> None:
         if not isinstance(program, Program) or job.attribute:
             continue
         try:
-            engine = engine_registry.resolve(job.engine)
+            engine = engines.resolve(job.engine)
         except ValueError:
             continue  # the per-job path raises the canonical error
         key = (id(program), job.operand_isolation)

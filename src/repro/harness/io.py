@@ -1,4 +1,4 @@
-"""Persistence for traces, trace sets, and experiment results.
+"""Persistence for traces and experiment results.
 
 Energy traces are the expensive artifact in this system (seconds of
 simulation each); saving them lets attack development iterate offline, and
@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..attacks.dpa import TraceSet
 from ..energy.tracker import COMPONENTS
 from ..energy.trace import EnergyTrace
 from .experiments import ExperimentResult
@@ -123,23 +122,6 @@ class StreamingTraceWriter:
         self.close()
 
 
-def stream_trace(trace: EnergyTrace, path: PathLike,
-                 fmt: Optional[str] = None,
-                 buffer_cycles: int = 4096) -> int:
-    """Export an in-memory :class:`EnergyTrace` through the streaming
-    writer; returns the number of cycles written."""
-    with StreamingTraceWriter(path, fmt=fmt,
-                              buffer_cycles=buffer_cycles) as writer:
-        components = trace.components
-        for index, total in enumerate(trace.energy):
-            writer.write_cycle(
-                index, float(total),
-                tuple(float(v) for v in components[index])
-                if components is not None else None)
-        writer.write_markers(trace.markers)
-        return writer.cycles_written
-
-
 def save_trace(trace: EnergyTrace, path: PathLike) -> None:
     """Save an EnergyTrace to ``.npz`` (energy, markers, components)."""
     markers = np.asarray(trace.markers, dtype=np.int64).reshape(-1, 2)
@@ -159,29 +141,6 @@ def load_trace(path: PathLike) -> EnergyTrace:
         return EnergyTrace(energy=data["energy"], markers=markers,
                            components=components,
                            label=str(data["label"]))
-
-
-def save_trace_set(trace_set: TraceSet, path: PathLike) -> None:
-    """Save a DPA/CPA trace set to ``.npz``."""
-    # 128-bit plaintexts exceed int64; store as high/low halves.
-    high = np.array([p >> 64 for p in trace_set.plaintexts],
-                    dtype=np.uint64)
-    low = np.array([p & ((1 << 64) - 1) for p in trace_set.plaintexts],
-                   dtype=np.uint64)
-    np.savez_compressed(Path(path), traces=trace_set.traces,
-                        plaintexts_high=high, plaintexts_low=low,
-                        window=np.asarray(trace_set.window, dtype=np.int64))
-
-
-def load_trace_set(path: PathLike) -> TraceSet:
-    """Load a trace set saved by :func:`save_trace_set`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        plaintexts = [(int(h) << 64) | int(l)
-                      for h, l in zip(data["plaintexts_high"],
-                                      data["plaintexts_low"])]
-        window = tuple(int(v) for v in data["window"])
-        return TraceSet(plaintexts=plaintexts, traces=data["traces"],
-                        window=window)
 
 
 def experiment_to_dict(result: ExperimentResult) -> dict:
@@ -210,11 +169,6 @@ def save_experiment_json(result: ExperimentResult, path: PathLike,
         payload["series"] = {name: f"<{len(values)} values omitted>"
                              for name, values in result.series.items()}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_experiment_json(path: PathLike) -> dict:
-    """Load a saved experiment result (as a plain dict)."""
-    return json.loads(Path(path).read_text())
 
 
 def save_summary_csv(results: list[ExperimentResult],

@@ -53,7 +53,7 @@ import traceback as traceback_module
 import zlib
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union

@@ -59,7 +59,7 @@ def run_with_trace(program: Program,
                    engine: Optional[str] = None) -> RunResult:
     """Assembled program + symbol inputs -> executed RunResult with trace.
 
-    ``engine`` selects the execution engine from the registry
+    ``engine`` selects the execution engine
     (:mod:`repro.machine.engines`): ``"fast"`` replays the program's
     recorded cycle schedule (bit-identical output; see
     :mod:`repro.machine.fastpath`), ``"reference"`` steps the five-stage
@@ -67,10 +67,9 @@ def run_with_trace(program: Program,
     defaults to ``"fast"``.  A run whose engine declines it — the
     recorded control path diverges (input-dependent branching) or the
     program falls outside the engine's model — is transparently re-run
-    with fresh state down the registry's fallback chain (``fast`` ->
-    ``reference``); nothing from an abandoned attempt leaks into the
-    result, and the final :attr:`RunResult.engine` is labeled
-    ``"<requested>-fallback"``.  Streaming runs (``stream`` set) and
+    with fresh state on ``reference``; nothing from an abandoned attempt
+    leaks into the result, and :attr:`RunResult.engine` is labeled
+    ``"fast-fallback"``.  Streaming runs (``stream`` set) and
     attribution runs (:func:`repro.obs.attribution_enabled`) always use
     the reference engine: both need its per-cycle tracker hooks, and a
     streamed trace can then never be left half written by a mid-run
@@ -96,25 +95,19 @@ def run_with_trace(program: Program,
     resolved = engines.resolve(engine)
     if stream is not None or obs.attribution_enabled():
         resolved = "reference"
-    requested = resolved
-    engine_label = None
-    while True:
-        try:
-            return _run_with_trace_once(
-                program, inputs, params, collect_components, label,
-                max_cycles, noise_sigma, noise_seed, operand_isolation,
-                stream, keep_trace, engine=resolved,
-                engine_label=engine_label)
-        except fastpath.ScheduleFallback:
-            fallback = engines.get(resolved).fallback
-            if fallback is None:
-                raise
-            if obs.enabled():
-                obs.counter("engine_fallbacks",
-                            "runs served by a fallback engine instead of "
-                            "the requested one").inc()
-            resolved = fallback
-            engine_label = f"{requested}-fallback"
+    run = (program, inputs, params, collect_components, label, max_cycles,
+           noise_sigma, noise_seed, operand_isolation, stream, keep_trace)
+    if resolved == "reference":
+        return _run_with_trace_once(*run, engine="reference")
+    try:
+        return _run_with_trace_once(*run, engine="fast")
+    except fastpath.ScheduleFallback:
+        if obs.enabled():
+            obs.counter("engine_fallbacks",
+                        "runs served by a fallback engine instead of "
+                        "the requested one").inc()
+    return _run_with_trace_once(*run, engine="reference",
+                                engine_label="fast-fallback")
 
 
 def _run_with_trace_once(program, inputs, params, collect_components,
@@ -138,10 +131,9 @@ def _run_with_trace_once(program, inputs, params, collect_components,
                             noise_sigma=noise_sigma, noise_seed=noise_seed,
                             attribution=attribution, stream=stream,
                             keep_trace=keep_trace)
-    cpu = engines.get(engine).factory(program, tracker,
-                                      operand_isolation=operand_isolation,
-                                      collect_mix=observing,
-                                      max_cycles=max_cycles)
+    cpu = engines.build_cpu(engine, program, tracker,
+                            operand_isolation=operand_isolation,
+                            collect_mix=observing, max_cycles=max_cycles)
     if inputs:
         for symbol, words in inputs.items():
             cpu.write_symbol_words(symbol, words)

@@ -91,14 +91,6 @@ class OpSpec:
     unsigned_imm: bool = False
     halts: bool = False
 
-    @property
-    def writes_register(self) -> bool:
-        if self.halts or self.fmt in (Format.NONE, Format.STORE, Format.BRANCH1,
-                                      Format.BRANCH2, Format.JR, Format.JUMP):
-            # `jal` is Format.JUMP but writes $ra; handled via name check.
-            return self.name in ("jal",)
-        return True
-
 
 def _specs() -> dict[str, OpSpec]:
     table: dict[str, OpSpec] = {}

@@ -4,7 +4,7 @@ from .ast import ProgramAst
 from .cfg import CFG, BasicBlock
 from .codegen import CodegenError, CodegenOptions, generate
 from .compiler import CompileResult, compile_source
-from .ir import BinOp, Temp, format_ir
+from .ir import BinOp, Temp
 from .lexer import LexError, Token, tokenize
 from .lowering import LoweringError, lower
 from .parser import ParseError, parse
@@ -16,5 +16,5 @@ __all__ = [
     "CodegenOptions", "CompileResult", "Diagnostic", "ForwardSlicer",
     "LexError", "LoweringError", "ParseError", "ProgramAst", "SemanticError",
     "SliceResult", "Symbol", "SymbolTable", "Temp", "Token", "analyze",
-    "compile_source", "format_ir", "generate", "lower", "parse", "tokenize",
+    "compile_source", "generate", "lower", "parse", "tokenize",
 ]

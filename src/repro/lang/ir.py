@@ -162,40 +162,3 @@ def uses_of(instr: Instr) -> tuple[Temp, ...]:
     if isinstance(instr, MarkerOp):
         return (instr.src,)
     return ()
-
-
-def format_ir(instructions: list[Instr]) -> str:
-    """Readable IR dump for debugging and golden tests."""
-    lines = []
-    for instr in instructions:
-        if isinstance(instr, Label):
-            lines.append(f"{instr.name}:")
-        elif isinstance(instr, Const):
-            lines.append(f"  {instr.dest} = {instr.value}")
-        elif isinstance(instr, Bin):
-            lines.append(f"  {instr.dest} = {instr.op.value} {instr.a}, {instr.b}")
-        elif isinstance(instr, LoadVar):
-            lines.append(f"  {instr.dest} = load {instr.var}")
-        elif isinstance(instr, StoreVar):
-            lines.append(f"  store {instr.var} = {instr.src}")
-        elif isinstance(instr, LoadArr):
-            suffix = " [secure-index]" if instr.secure_index else ""
-            lines.append(
-                f"  {instr.dest} = load {instr.array}[{instr.index}]{suffix}")
-        elif isinstance(instr, StoreArr):
-            lines.append(f"  store {instr.array}[{instr.index}] = {instr.src}")
-        elif isinstance(instr, Jump):
-            lines.append(f"  jump {instr.target}")
-        elif isinstance(instr, BranchZero):
-            lines.append(f"  bz {instr.cond}, {instr.target}")
-        elif isinstance(instr, MarkerOp):
-            lines.append(f"  marker {instr.src}")
-        elif isinstance(instr, Call):
-            lines.append(f"  call {instr.name}")
-        elif isinstance(instr, FuncBegin):
-            lines.append(f"func {instr.name}:")
-        elif isinstance(instr, ReturnOp):
-            lines.append(f"  return [{instr.name}]")
-        elif isinstance(instr, HaltOp):
-            lines.append("  halt")
-    return "\n".join(lines)

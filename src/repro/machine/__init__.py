@@ -3,7 +3,6 @@
 from .alu import alu_execute
 from .cpu import CPU, run_to_halt
 from .exceptions import CpuError, MemoryError_, SimulationError
-from .engines import resolve as resolve_engine
 from .fastpath import (CycleSchedule, ReplayCPU, ReplayPipeline,
                        ScheduleDivergence, ScheduleFallback,
                        ScheduleUnavailable, record_schedule)
@@ -17,5 +16,5 @@ __all__ = [
     "Pipeline", "Interpreter", "RegisterFile", "ReplayCPU",
     "ReplayPipeline", "ScheduleDivergence", "ScheduleFallback",
     "ScheduleUnavailable", "SimulationError", "alu_execute",
-    "record_schedule", "resolve_engine", "run_functional", "run_to_halt",
+    "record_schedule", "run_functional", "run_to_halt",
 ]

@@ -42,10 +42,11 @@ performs the exact same floating-point accumulations in the exact same
 order (see :mod:`.scoring` and the differential suite in
 ``tests/machine/test_fastpath.py``).
 
-Schedules are persisted through the harness :class:`CompileCache` keyed by
-a digest of the program text/data plus a fingerprint of the simulator
-sources, so a DPA batch pays schedule construction once across a process
-pool.
+Bound schedules live in the harness artifact store
+(:class:`~repro.harness.engine.CompileCache`), keyed through
+:func:`~repro.fingerprint.artifact_key` by a digest of the program
+text/data, so a DPA batch pays schedule construction once across a
+process pool.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from ..energy.tracker import COMPONENTS
-from ..fingerprint import source_fingerprint
+from ..fingerprint import artifact_key
 from ..isa.instructions import AluOp, Format, Instruction
 from ..isa.program import Program
 from .cpu import CPU
@@ -103,14 +104,8 @@ class ScheduleDivergence(ScheduleFallback):
 
 
 # ---------------------------------------------------------------------------
-# Program digest + schedule cache keys
+# Program digest + schedule store keys
 # ---------------------------------------------------------------------------
-
-#: Simulator subpackages.  The compile cache's toolchain fingerprint
-#: covers the compiler side; schedules additionally depend on the machine
-#: model and the energy bookkeeping they pre-compute (ibus/latch
-#: transition counts).
-SIMULATOR_SOURCES = ("machine", "energy", "isa")
 
 
 def program_digest(program: Program) -> str:
@@ -142,10 +137,8 @@ def program_digest(program: Program) -> str:
 
 
 def _schedule_cache_key(digest: str, operand_isolation: bool) -> str:
-    text = "|".join(("schedule", str(SCHEDULE_VERSION),
-                     source_fingerprint(SIMULATOR_SOURCES), digest,
-                     "iso" if operand_isolation else "noiso"))
-    return "sched-" + hashlib.sha256(text.encode()).hexdigest()[:32]
+    return artifact_key("sched", SCHEDULE_VERSION, digest,
+                        "iso" if operand_isolation else "noiso")
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +584,8 @@ class _BoundSchedule:
     loops; ``columns`` the records' input-independent energy fields as a
     ``[13, records]`` matrix (rows named in :mod:`.scoring`) and
     ``steps`` the step index as an array, both for the energy scorer.
+    It pickles as its :class:`CycleSchedule`, so loading it from the
+    artifact store's disk layer binds it again.
     """
 
     __slots__ = ("schedule", "fast", "columns", "steps")
@@ -603,6 +598,9 @@ class _BoundSchedule:
             [self._energy_columns(record) for record in schedule.records],
             np.int8).T.copy()
         self.steps = np.asarray(schedule.steps, np.int32)
+
+    def __reduce__(self):
+        return _BoundSchedule, (self.schedule,)
 
     @staticmethod
     def _bind_fast(record: tuple) -> tuple:
@@ -634,10 +632,9 @@ class _BoundSchedule:
 
 
 # ---------------------------------------------------------------------------
-# In-process + on-disk schedule cache
+# Schedule lookup (artifact store) + per-process fallback policy
 # ---------------------------------------------------------------------------
 
-_BOUND: dict[tuple[str, bool], _BoundSchedule] = {}
 #: ``(digest, operand_isolation) -> max_cycles`` recording budgets that
 #: already failed; retried only with a larger budget.
 _UNRECORDABLE: dict[tuple[str, bool], int] = {}
@@ -647,18 +644,20 @@ _DIVERGENT: set[tuple[str, bool]] = set()
 
 
 def _clear_caches() -> None:
-    """Test hook: forget all in-process schedule state."""
-    _BOUND.clear()
+    """Test hook: forget the per-process fallback policy and every bound
+    schedule held in the default store's memory."""
+    from ..harness.engine import default_cache
+
     _UNRECORDABLE.clear()
     _DIVERGENT.clear()
+    default_cache().discard("sched-")
 
 
 def bound_schedule_for(program: Program, operand_isolation: bool = True,
                        max_cycles: int = _RECORD_MAX_CYCLES,
                        ) -> _BoundSchedule:
-    """The program's bound schedule: in-process memo, then the shared
-    :class:`~repro.harness.engine.CompileCache` disk layer, then a fresh
-    recording run (stored back to both).
+    """The program's bound schedule: from the default artifact store
+    (memory, then disk), else a fresh recording run stored back to it.
 
     Raises :class:`ScheduleUnavailable` when the fast engine cannot serve
     the run — unrecordable program, previously diverged digest, or a
@@ -666,35 +665,31 @@ def bound_schedule_for(program: Program, operand_isolation: bool = True,
     its :class:`~repro.machine.exceptions.CycleLimitExceeded` at the
     exact cycle the budget expires).
     """
+    from ..harness.engine import default_cache
+
     digest = program_digest(program)
     key = (digest, operand_isolation)
     if key in _DIVERGENT:
         raise ScheduleUnavailable(
             f"program {digest} diverged before; using reference engine")
-    bound = _BOUND.get(key)
-    if bound is None:
-        from ..harness.engine import default_cache
-
-        cache = default_cache()
-        cache_key = _schedule_cache_key(digest, operand_isolation)
-        schedule = cache.artifact(cache_key)
-        if not isinstance(schedule, CycleSchedule) \
-                or schedule.version != SCHEDULE_VERSION:
-            tried = _UNRECORDABLE.get(key)
-            if tried is not None and max_cycles <= tried:
-                raise ScheduleUnavailable(
-                    f"recording already failed within {tried} cycles")
-            try:
-                schedule = record_schedule(
-                    program, operand_isolation=operand_isolation,
-                    max_cycles=max_cycles)
-            except ScheduleUnavailable:
-                _UNRECORDABLE[key] = max(max_cycles,
-                                         _UNRECORDABLE.get(key, 0))
-                raise
-            cache.store_artifact(cache_key, schedule)
+    cache = default_cache()
+    cache_key = _schedule_cache_key(digest, operand_isolation)
+    bound = cache.artifact(cache_key)
+    if not isinstance(bound, _BoundSchedule) \
+            or bound.schedule.version != SCHEDULE_VERSION:
+        tried = _UNRECORDABLE.get(key)
+        if tried is not None and max_cycles <= tried:
+            raise ScheduleUnavailable(
+                f"recording already failed within {tried} cycles")
+        try:
+            schedule = record_schedule(
+                program, operand_isolation=operand_isolation,
+                max_cycles=max_cycles)
+        except ScheduleUnavailable:
+            _UNRECORDABLE[key] = max(max_cycles, _UNRECORDABLE.get(key, 0))
+            raise
         bound = _BoundSchedule(schedule)
-        _BOUND[key] = bound
+        cache.store_artifact(cache_key, bound)
     if bound.schedule.cycles > max_cycles:
         raise ScheduleUnavailable(
             f"schedule needs {bound.schedule.cycles} cycles "

@@ -9,7 +9,7 @@ only — no pipeline, no hazards, no energy.  It serves two purposes:
   instruction counts per retirement path);
 * **fast feedback**: quick program checks in tools (roughly an order of
   magnitude faster than the cycle-accurate pipeline), used by the CLI's
-  ``run --fast``.
+  ``run --functional``.
 """
 
 from __future__ import annotations

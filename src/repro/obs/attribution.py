@@ -139,9 +139,6 @@ class AttributionSink:
     def total_pj(self) -> float:
         return sum(cell[0] for cell in self.cells.values())
 
-    def total_events(self) -> int:
-        return sum(cell[1] for cell in self.cells.values())
-
     def __bool__(self) -> bool:
         return bool(self.cells)
 

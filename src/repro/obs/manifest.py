@@ -64,7 +64,6 @@ def build_manifest(experiment_id: Optional[str] = None,
     from .attribution import SCHEMA as ATTRIBUTION_SCHEMA
     from .attribution import summarize_attribution
     from ..fingerprint import source_fingerprint
-    from ..harness.engine import TOOLCHAIN_SOURCES
 
     current = context()
     if metrics is None:
@@ -82,7 +81,7 @@ def build_manifest(experiment_id: Optional[str] = None,
         "created_unix": time.time(),
         "created_iso": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "package": {"name": "repro", "version": _package_version()},
-        "toolchain_fingerprint": source_fingerprint(TOOLCHAIN_SOURCES),
+        "toolchain_fingerprint": source_fingerprint(),
         "platform": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),

@@ -619,10 +619,10 @@ def dashboard_html(health: dict, snapshot: dict,
                                        f' (+{cache.get("coalesced", 0)}'
                                        " coalesced)")
         stats["verdict cache misses"] = cache.get("misses", 0)
-        stats["verdict cache entries"] = (
+        stats["artifact store entries"] = (
             f'{cache.get("entries", 0)}'
             f' ({cache.get("bytes", 0)} / {cache.get("max_bytes", 0)} B)')
-        stats["verdict cache evictions"] = cache.get("evictions", 0)
+        stats["artifact store evictions"] = cache.get("evictions", 0)
     pool = health.get("pool") or {}
     if pool:
         stats["pool leases"] = (f'{pool.get("leases", 0)}'

@@ -15,10 +15,3 @@ M_FP_START = 5        #: output inverse permutation begins
 M_FP_END = 6
 #: Round r (0-based) starts at marker M_ROUND_BASE + r.
 M_ROUND_BASE = 10
-
-
-def round_marker(round_index: int) -> int:
-    """Marker value at the start of 0-based round ``round_index``."""
-    if not 0 <= round_index < 16:
-        raise ValueError(f"round index out of range: {round_index}")
-    return M_ROUND_BASE + round_index

@@ -4,11 +4,10 @@ A leakage verdict is a pure function of the program variant and the
 acquisition parameters — the whole stack is deterministic by
 construction (seeded noise, seeded plaintexts, versioned toolchain).
 :class:`VerdictCache` exploits that: the service keys each **successful**
-result document by a SHA-256 over the request's *identity* —
-``program_key()`` (which already embeds the toolchain fingerprint,
-cipher, rounds, masking, and policy), the effective engine, and every
-parameter that shapes the traces — and serves repeat submissions from
-memory, bit-identical to a cold run, without touching the worker pool.
+result document through :func:`~repro.fingerprint.artifact_key` — the
+request's ``program_key()``, the effective engine, and every parameter
+that shapes the traces — and serves repeat submissions bit-identical to
+a cold run, without touching the worker pool.
 
 Identity deliberately **excludes** scheduling/observability fields
 (``client``, ``priority``, ``deadline_s``, ``attribution``, ``cache``):
@@ -16,24 +15,28 @@ two tenants asking the same question share one answer.
 
 Properties:
 
+* **One store** — documents live in the service's artifact store
+  (:class:`~repro.harness.engine.CompileCache`) next to its programs and
+  schedules, under the store's one memory budget, as canonical JSON
+  bytes plus the wall-clock time they were stored (every hit decodes a
+  fresh object, so callers can stamp per-request fields without
+  corrupting the store).  They are stored memory-only: the disk layer
+  has no eviction, so one file per unique request would grow without
+  bound.
 * **Single-flight coalescing** — concurrent identical requests elect a
   leader (:meth:`begin` → ``"lead"``); joiners block on the flight and
   receive the leader's document.  A failing leader wakes its joiners
   empty-handed and they compute independently — errors are never
   cached, and one leader's failure is not propagated to a neighbor.
-* **LRU byte budget** — entries are stored as canonical JSON bytes
-  (every hit decodes a fresh object, so callers can stamp per-request
-  fields without corrupting the cache); inserting past ``max_bytes``
-  evicts least-recently-used entries.
-* **Explicit invalidation** — :meth:`invalidate` drops everything or
-  one ``program_key``'s entries (the key embeds the program key
-  prefix precisely so this is possible).
-* **First-class stats** — hits/misses/coalesces/evictions/
-  invalidations plus live entry/byte gauges, consumed by the service
+* **Explicit invalidation** — :meth:`invalidate` drops every verdict or
+  one ``program_key``'s (the key starts with a per-program prefix
+  precisely so this is possible).
+* **First-class stats** — hits/misses/coalesces/stores/invalidations
+  plus the store's entry/byte/eviction figures, consumed by the service
   registry, ``/metrics`` and the dashboard.
 
-Thread-safe behind one lock; the blocking join path waits *outside*
-the lock on a per-flight event.
+Thread-safe behind one lock for the flights; the blocking join path
+waits *outside* it on a per-flight event.
 """
 
 from __future__ import annotations
@@ -42,33 +45,35 @@ import hashlib
 import json
 import threading
 import time
-from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
+from ..fingerprint import artifact_key
+from ..harness.engine import CompileCache
 from ..machine.engines import resolve as resolve_engine
 from .protocol import AssessRequest
 
 #: Bump when the key derivation or stored-document shape changes.
 CACHE_SCHEMA = "repro.service.cache/v1"
 
-#: Default LRU byte budget (canonical JSON result documents are ~1 KiB,
-#: so the default holds thousands of distinct verdicts).
-DEFAULT_MAX_BYTES = 32 * 1024 * 1024
+
+def verdict_prefix(program_key: str) -> str:
+    """The key prefix shared by every verdict of one program variant."""
+    return artifact_key("verdict", program_key) + ":"
 
 
 def verdict_key(request: AssessRequest) -> str:
-    """``<program-key-hash>:<identity-hash>`` for one request.
+    """``verdict-<program digest>:<identity digest>`` for one request.
 
-    The first segment is a digest of ``program_key()`` alone so
-    per-program invalidation can match on the prefix; the second covers
-    every trace-shaping parameter.  The *effective* engine is resolved
-    now (explicit request field, else ``$REPRO_ENGINE``, else the
-    default) because the environment may change between requests.
+    The first segment (:func:`verdict_prefix`) covers ``program_key()``
+    alone so per-program invalidation can match on the prefix; the
+    second covers every trace-shaping parameter.  The *effective* engine
+    is resolved now (explicit request field, else ``$REPRO_ENGINE``,
+    else the default) because the environment may change between
+    requests.
     """
     program_key = request.program_key()
     identity = {
         "schema": CACHE_SCHEMA,
-        "program_key": program_key,
         "engine": resolve_engine(request.engine),
         "mode": request.mode,
         "n_traces": request.n_traces,
@@ -82,40 +87,29 @@ def verdict_key(request: AssessRequest) -> str:
         "max_cycles": request.max_cycles,
     }
     blob = json.dumps(identity, sort_keys=True).encode()
-    program_hash = hashlib.sha256(program_key.encode()).hexdigest()[:16]
-    return f"{program_hash}:{hashlib.sha256(blob).hexdigest()}"
+    return verdict_prefix(program_key) + hashlib.sha256(blob).hexdigest()
 
 
 class _Flight:
     """One in-progress computation other requests may coalesce onto."""
 
-    __slots__ = ("event", "document", "joiners")
+    __slots__ = ("event", "document")
 
     def __init__(self):
         self.event = threading.Event()
         self.document: Optional[dict] = None
-        self.joiners = 0
 
 
 class VerdictCache:
-    """LRU, byte-budgeted, single-flight verdict/result cache."""
+    """Single-flight verdict/result cache over an artifact store."""
 
-    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES,
-                 clock: Callable[[], float] = time.monotonic):
-        if max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.max_bytes = max_bytes
-        self._clock = clock
+    def __init__(self, store: CompileCache):
+        self.store = store
         self._lock = threading.Lock()
-        #: key -> (canonical JSON bytes, stored_monotonic); insertion
-        #: order doubles as recency order (move_to_end on hit).
-        self._entries: OrderedDict[str, tuple[bytes, float]] = \
-            OrderedDict()
-        self._bytes = 0
         self._flights: dict[str, _Flight] = {}
         self._stats = {"hits": 0, "misses": 0, "coalesced": 0,
-                       "coalesced_misses": 0, "stores": 0, "evictions": 0,
-                       "invalidations": 0, "uncacheable": 0}
+                       "coalesced_misses": 0, "stores": 0,
+                       "invalidations": 0}
 
     # -- lookup / single-flight -----------------------------------------
 
@@ -128,14 +122,12 @@ class VerdictCache:
         and then :meth:`complete` (or :meth:`abandon`) the flight.
         """
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self.store.memory.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
                 self._stats["hits"] += 1
-                return "hit", self._decode(entry)
+                return "hit", _decode(entry)
             flight = self._flights.get(key)
             if flight is not None:
-                flight.joiners += 1
                 self._stats["coalesced"] += 1
                 return "join", flight
             flight = _Flight()
@@ -158,10 +150,13 @@ class VerdictCache:
 
     def complete(self, key: str, flight: _Flight, document: dict) -> int:
         """Leader succeeded: store the document, wake the joiners.
-        Returns the number of LRU entries evicted by the store."""
-        evicted = self.put(key, document)
+        Returns the number of store entries evicted by the store."""
+        blob = json.dumps(document, sort_keys=True).encode()
+        evicted = self.store.store_artifact(key, (blob, time.time()),
+                                            durable=False)
         flight.document = document
         with self._lock:
+            self._stats["stores"] += 1
             self._flights.pop(key, None)
         flight.event.set()
         return evicted
@@ -172,82 +167,41 @@ class VerdictCache:
             self._flights.pop(key, None)
         flight.event.set()
 
-    # -- storage --------------------------------------------------------
-
-    def put(self, key: str, document: dict) -> int:
-        """Insert one result document (canonical JSON), evicting LRU
-        entries past the byte budget; returns how many entries were
-        evicted.  A document too large for the whole budget is counted
-        and skipped, never stored truncated."""
-        blob = json.dumps(document, sort_keys=True).encode()
-        with self._lock:
-            if len(blob) > self.max_bytes:
-                self._stats["uncacheable"] += 1
-                return 0
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= len(old[0])
-            self._entries[key] = (blob, self._clock())
-            self._bytes += len(blob)
-            self._stats["stores"] += 1
-            evicted = 0
-            while self._bytes > self.max_bytes and self._entries:
-                _, (blob_evicted, _) = self._entries.popitem(last=False)
-                self._bytes -= len(blob_evicted)
-                self._stats["evictions"] += 1
-                evicted += 1
-            return evicted
-
-    def get(self, key: str) -> Optional[dict]:
-        """Plain lookup (no flight bookkeeping; stats still counted)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._stats["misses"] += 1
-                return None
-            self._entries.move_to_end(key)
-            self._stats["hits"] += 1
-            return self._decode(entry)
-
-    def _decode(self, entry: tuple[bytes, float]) -> dict:
-        blob, stored = entry
-        document = json.loads(blob)
-        document["verdict_cache"] = {
-            "hit": True,
-            "age_s": round(max(self._clock() - stored, 0.0), 6),
-        }
-        return document
-
     # -- invalidation ---------------------------------------------------
 
     def invalidate(self, program_key: Optional[str] = None) -> int:
-        """Drop every entry, or only one program variant's entries.
+        """Drop every verdict, or only one program variant's.
 
         Returns the number of entries removed.  In-flight computations
         are unaffected (their eventual store repopulates the cache with
         a result that was correct when computed).
         """
+        prefix = "verdict-" if program_key is None \
+            else verdict_prefix(program_key)
+        dropped = self.store.discard(prefix)
         with self._lock:
-            if program_key is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-                self._bytes = 0
-            else:
-                prefix = hashlib.sha256(
-                    program_key.encode()).hexdigest()[:16] + ":"
-                doomed = [key for key in self._entries
-                          if key.startswith(prefix)]
-                for key in doomed:
-                    blob, _ = self._entries.pop(key)
-                    self._bytes -= len(blob)
-                dropped = len(doomed)
             self._stats["invalidations"] += dropped
-            return dropped
+        return dropped
 
     # -- introspection --------------------------------------------------
 
     def stats(self) -> dict:
+        """The flight counters plus the whole store's occupancy:
+        ``entries``/``bytes``/``max_bytes``/``evictions`` describe
+        programs, schedules and verdicts together."""
+        memory = self.store.memory
         with self._lock:
-            return dict(self._stats, entries=len(self._entries),
-                        bytes=self._bytes, max_bytes=self.max_bytes,
+            return dict(self._stats, entries=len(memory),
+                        bytes=memory.bytes, max_bytes=memory.max_bytes,
+                        evictions=memory.evictions,
                         inflight=len(self._flights))
+
+
+def _decode(entry: tuple[bytes, float]) -> dict:
+    blob, stored = entry
+    document = json.loads(blob)
+    document["verdict_cache"] = {
+        "hit": True,
+        "age_s": round(max(time.time() - stored, 0.0), 6),
+    }
+    return document

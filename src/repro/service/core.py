@@ -23,7 +23,8 @@ Request flow::
 Executor threads run requests on the shared batch engine
 (:func:`repro.service.executor.execute_assessment`) with one **warm
 process-wide** :class:`~repro.harness.engine.CompileCache`, so the
-compile cost of a design-iteration loop is paid once, not per request.
+compile cost of a design-iteration loop is paid once, not per request;
+the same store holds the verdict cache's documents.
 
 SLO metrics (queue depth, p50/p95/p99 latency, goodput, rejections,
 breaker state) live in a service-owned
@@ -37,7 +38,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -51,7 +52,7 @@ from ..obs.spans import count_spans
 from . import journal as request_journal
 from . import protocol
 from .breaker import CircuitBreaker
-from .cache import DEFAULT_MAX_BYTES, VerdictCache, verdict_key
+from .cache import VerdictCache, verdict_key
 from .errors import (RequestNotFound, ServiceError, ShuttingDown)
 from .executor import ExecutionFailed, execute_assessment
 from .protocol import AssessRequest, RequestRecord, make_trace_id
@@ -100,8 +101,6 @@ class ServiceConfig:
     #: Span-forest node ceiling per request; larger forests are
     #: compacted into an aggregated frame tree to bound history memory.
     span_tree_limit: int = 2048
-    #: Verdict-cache byte budget; 0 disables the cache entirely.
-    verdict_cache_bytes: int = DEFAULT_MAX_BYTES
     #: Per-tenant admission quota in requests/second (None = no quota).
     quota_rps: Optional[float] = None
     #: Token-bucket burst capacity (None = 2 × ``quota_rps``, min 1).
@@ -115,8 +114,7 @@ class LeakageService:
                  cache: Optional[CompileCache] = None):
         self.config = config or ServiceConfig()
         self.cache = cache if cache is not None else default_cache()
-        self.verdict_cache = VerdictCache(self.config.verdict_cache_bytes) \
-            if self.config.verdict_cache_bytes > 0 else None
+        self.verdict_cache = VerdictCache(self.cache)
         self.queue = AdmissionQueue(max_depth=self.config.queue_depth,
                                     quota_rps=self.config.quota_rps,
                                     quota_burst=self.config.quota_burst)
@@ -176,16 +174,15 @@ class LeakageService:
                 "service_breaker_open",
                 "program variants currently quarantined") \
                 .set(self.breaker.open_count())
-            if self.verdict_cache is not None:
-                stats = self.verdict_cache.stats()
-                self.registry.gauge(
-                    "verdict_cache_entries",
-                    "result documents held by the verdict cache") \
-                    .set(stats["entries"])
-                self.registry.gauge(
-                    "verdict_cache_bytes",
-                    "bytes held by the verdict cache") \
-                    .set(stats["bytes"])
+            memory = self.cache.memory
+            self.registry.gauge(
+                "artifact_cache_entries",
+                "programs, schedules and verdicts held in memory") \
+                .set(len(memory))
+            self.registry.gauge(
+                "artifact_cache_bytes",
+                "pickled bytes held by the artifact store's memory") \
+                .set(memory.bytes)
 
     # -- observability helpers ------------------------------------------
 
@@ -364,8 +361,7 @@ class LeakageService:
                         deadline: Optional[float]) -> dict:
         """Serve from / fill the verdict cache around :meth:`_execute`.
 
-        Bypass conditions: cache disabled, ``"cache": false`` on the
-        request, or attribution requested (the snapshot is per-run
+        Bypass conditions: ``"cache": false`` on the request, or attribution requested (the snapshot is per-run
         observability, not part of the cacheable result).  Concurrent
         identical requests coalesce single-flight: one leader computes,
         joiners block on the flight (still honoring their own deadline
@@ -375,7 +371,7 @@ class LeakageService:
         """
         request = record.request
         cache = self.verdict_cache
-        if cache is None or not request.cache or request.attribution:
+        if not request.cache or request.attribution:
             return self._execute(record, deadline)
         key = verdict_key(request)
         outcome, token = cache.begin(key)
@@ -411,7 +407,8 @@ class LeakageService:
         self._transition("verdict_cache_store", record)
         if evicted:
             self._count("verdict_cache_evictions",
-                        "entries evicted past the LRU byte budget",
+                        "store entries evicted past the memory budget "
+                        "by a verdict store",
                         value=evicted)
         return result
 
@@ -537,8 +534,7 @@ class LeakageService:
             "terminal": self._terminal_counts(),
             "breaker_open": self.breaker.open_count(),
         }
-        if self.verdict_cache is not None:
-            health["verdict_cache"] = self.verdict_cache.stats()
+        health["verdict_cache"] = self.verdict_cache.stats()
         pool_stats = harness_pool.pool_stats()
         if pool_stats is not None:
             health["pool"] = pool_stats
@@ -564,17 +560,13 @@ class LeakageService:
 
     # -- verdict cache --------------------------------------------------
 
-    def verdict_cache_stats(self) -> Optional[dict]:
-        """Verdict-cache accounting, or ``None`` when disabled."""
-        if self.verdict_cache is None:
-            return None
+    def verdict_cache_stats(self) -> dict:
+        """Verdict-cache accounting (see :meth:`VerdictCache.stats`)."""
         return self.verdict_cache.stats()
 
     def invalidate_verdict_cache(
             self, program_key: Optional[str] = None) -> int:
         """Drop cached verdicts (all, or one program variant's)."""
-        if self.verdict_cache is None:
-            return 0
         dropped = self.verdict_cache.invalidate(program_key)
         if dropped:
             self._count("verdict_cache_invalidations",
@@ -636,8 +628,7 @@ class LeakageService:
         }
         if pool_summary is not None:
             summary["pool"] = pool_summary
-        if self.verdict_cache is not None:
-            summary["verdict_cache"] = self.verdict_cache.stats()
+        summary["verdict_cache"] = self.verdict_cache.stats()
         if self.config.manifest_out:
             summary["manifest"] = str(self._write_manifest(pool_summary))
         if self.journal is not None:
@@ -668,14 +659,13 @@ class LeakageService:
                     pool_summary.get("warm_acquires", 0),
                 "pool_rebuilds": pool_summary.get("rebuilds", 0),
             })
-        if self.verdict_cache is not None:
-            stats = self.verdict_cache.stats()
-            summary.update({
-                "verdict_cache_hits": stats["hits"],
-                "verdict_cache_misses": stats["misses"],
-                "verdict_cache_coalesced": stats["coalesced"],
-                "verdict_cache_evictions": stats["evictions"],
-            })
+        stats = self.verdict_cache.stats()
+        summary.update({
+            "verdict_cache_hits": stats["hits"],
+            "verdict_cache_misses": stats["misses"],
+            "verdict_cache_coalesced": stats["coalesced"],
+            "verdict_cache_evictions": stats["evictions"],
+        })
         manifest = obs.build_manifest(
             experiment_id="service",
             config={"workers": self.config.workers,
@@ -684,8 +674,6 @@ class LeakageService:
                     "retries": self.config.retries,
                     "chunk_size": self.config.chunk_size,
                     "breaker_threshold": self.config.breaker_threshold,
-                    "verdict_cache_bytes":
-                        self.config.verdict_cache_bytes,
                     "quota_rps": self.config.quota_rps},
             summary=summary,
             metrics=self.metrics_snapshot(), spans=[])

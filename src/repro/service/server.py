@@ -27,8 +27,9 @@ service's own executor threads.  Endpoints:
 ``GET /dashboard``        self-contained auto-refreshing HTML SLO page.
 ``GET /v1/recovery``      restart journal accounting (what a previous,
                           killed daemon left behind).
-``GET /v1/cache``         verdict-cache stats (hits, misses, coalesces,
-                          evictions, live entry/byte gauges).
+``GET /v1/cache``         verdict-cache stats (hits, misses, coalesces)
+                          plus the artifact store's evictions and live
+                          entry/byte gauges.
 ``POST /v1/cache/invalidate``  drop cached verdicts; an optional JSON
                           body ``{"program_key": ...}`` restricts the
                           drop to one program variant.

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.attacks.stats import (difference_of_means, max_bias,
-                                 moving_average, signal_to_noise,
-                                 welch_t_statistic)
+from repro.attacks.stats import (difference_of_means, moving_average,
+                                 signal_to_noise, welch_t_statistic)
 
 
 def test_difference_of_means_basic():
@@ -25,11 +24,6 @@ def test_difference_of_means_empty_group():
 def test_difference_of_means_length_mismatch():
     with pytest.raises(ValueError):
         difference_of_means(np.ones((3, 4)), np.array([0, 1]))
-
-
-def test_max_bias():
-    traces = np.array([[0.0, 10.0], [0.0, 0.0]])
-    assert max_bias(traces, np.array([1, 0])) == 10.0
 
 
 def test_welch_t_needs_two_per_group():

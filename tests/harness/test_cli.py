@@ -153,7 +153,7 @@ def test_experiment_jobs_flag_on_serial_experiment(capsys):
 
 
 def test_run_fast_mode(sc_file, capsys):
-    assert main(["run", sc_file, "--fast", "--input", "k=3",
+    assert main(["run", sc_file, "--functional", "--input", "k=3",
                  "--dump", "out"]) == 0
     out = capsys.readouterr().out
     assert "functional mode" in out

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.attacks.dpa import TraceSet
 from repro.energy.trace import EnergyTrace
 from repro.harness.experiments import ExperimentResult
-from repro.harness.io import (experiment_to_dict, load_experiment_json,
-                              load_trace, load_trace_set,
-                              save_experiment_json, save_summary_csv,
-                              save_trace, save_trace_set)
+from repro.harness.io import (StreamingTraceWriter, experiment_to_dict,
+                              load_trace, save_experiment_json,
+                              save_summary_csv, save_trace)
 
 
 def make_trace(with_components=False):
@@ -46,17 +44,24 @@ def test_trace_roundtrip_empty_markers(tmp_path):
     assert load_trace(path).markers == ()
 
 
-def test_trace_set_roundtrip(tmp_path):
-    path = tmp_path / "set.npz"
-    original = TraceSet(
-        plaintexts=[0x0123456789ABCDEF, (1 << 127) | 5],  # incl. 128-bit
-        traces=np.arange(6, dtype=np.float64).reshape(2, 3),
-        window=(100, 103))
-    save_trace_set(original, path)
-    loaded = load_trace_set(path)
-    assert loaded.plaintexts == original.plaintexts
-    assert np.array_equal(loaded.traces, original.traces)
-    assert loaded.window == original.window
+def load_json(path):
+    import json
+
+    return json.loads(path.read_text())
+
+
+def stream_through_writer(trace, path):
+    """Write an in-memory trace through the streaming writer, the way
+    the tracker drives it cycle by cycle."""
+    with StreamingTraceWriter(path) as writer:
+        for index, total in enumerate(trace.energy):
+            components = trace.components
+            writer.write_cycle(
+                index, float(total),
+                tuple(float(v) for v in components[index])
+                if components is not None else None)
+        writer.write_markers(trace.markers)
+        return writer.cycles_written
 
 
 def make_result():
@@ -71,7 +76,7 @@ def make_result():
 def test_experiment_json_roundtrip(tmp_path):
     path = tmp_path / "r.json"
     save_experiment_json(make_result(), path)
-    loaded = load_experiment_json(path)
+    loaded = load_json(path)
     assert loaded["experiment_id"] == "fig-test"
     assert loaded["summary"]["b"] == 2.5
     assert loaded["series"]["diff"] == [0.0, 1.0]
@@ -84,7 +89,7 @@ def test_experiment_json_roundtrip_list_series(tmp_path):
     result.series["curve"] = [0.5, 1.25, 3.0]
     path = tmp_path / "r.json"
     save_experiment_json(result, path)
-    loaded = load_experiment_json(path)
+    loaded = load_json(path)
     assert loaded["series"]["curve"] == [0.5, 1.25, 3.0]
     assert loaded["series"]["diff"] == [0.0, 1.0]
 
@@ -92,7 +97,7 @@ def test_experiment_json_roundtrip_list_series(tmp_path):
 def test_experiment_json_without_series(tmp_path):
     path = tmp_path / "r.json"
     save_experiment_json(make_result(), path, include_series=False)
-    loaded = load_experiment_json(path)
+    loaded = load_json(path)
     assert "omitted" in loaded["series"]["diff"]
 
 
@@ -131,11 +136,9 @@ def test_real_trace_roundtrip(tmp_path, round1_masked):
 def test_streaming_ndjson_round_trips_floats(tmp_path):
     import json
 
-    from repro.harness.io import stream_trace
-
     path = tmp_path / "trace.ndjson"
     trace = make_trace()
-    assert stream_trace(trace, path) == 4
+    assert stream_through_writer(trace, path) == 4
     records = [json.loads(line) for line in path.read_text().splitlines()]
     cycles = [r for r in records if "pj" in r]
     markers = [(r["cycle"], r["marker"]) for r in records if "marker" in r]
@@ -148,21 +151,17 @@ def test_streaming_ndjson_round_trips_floats(tmp_path):
 def test_streaming_ndjson_components(tmp_path):
     import json
 
-    from repro.harness.io import stream_trace
-
     path = tmp_path / "trace.ndjson"
-    stream_trace(make_trace(with_components=True), path)
+    stream_through_writer(make_trace(with_components=True), path)
     first = json.loads(path.read_text().splitlines()[0])
     assert "components" in first
     assert len(first["components"]) == 2
 
 
 def test_streaming_csv_format_from_suffix(tmp_path):
-    from repro.harness.io import StreamingTraceWriter, stream_trace
-
     path = tmp_path / "trace.csv"
     trace = make_trace()
-    stream_trace(trace, path)
+    stream_through_writer(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "cycle,total_pj"
     assert lines[1] == "0,1.5"

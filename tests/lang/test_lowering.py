@@ -1,8 +1,7 @@
 """AST -> IR lowering: shapes and operator expansion."""
 
 from repro.lang.ir import (Bin, BinOp, BranchZero, Const, Jump, Label,
-                           LoadArr, LoadVar, MarkerOp, StoreArr, StoreVar,
-                           format_ir)
+                           LoadArr, LoadVar, MarkerOp, StoreArr, StoreVar)
 from repro.lang.lowering import lower
 from repro.lang.parser import parse
 from repro.lang.semantics import analyze
@@ -125,14 +124,6 @@ def test_temps_single_assignment():
     code = lower_source("int x; x = (1 + 2) + (3 + 4);")
     defined = [i.dest for i in code if isinstance(i, (Const, Bin))]
     assert len(defined) == len(set(defined))
-
-
-def test_format_ir_smoke():
-    code = lower_source("int a[2]; int i; if (i < 2) { a[i] = i; }")
-    text = format_ir(code)
-    assert "load i" in text
-    assert "bz" in text
-    assert "store a[" in text
 
 
 def test_logical_and_or():

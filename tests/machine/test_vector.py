@@ -24,7 +24,7 @@ from repro.aes.reference import int_to_state
 from repro.harness.engine import SimJob, run_jobs
 from repro.harness.runner import des_run, run_with_trace
 from repro.isa.assembler import assemble
-from repro.machine import engines, fastpath, resolve_engine
+from repro.machine import engines, fastpath
 from repro.machine.exceptions import CycleLimitExceeded
 from repro.masking.policy import MaskingPolicy, apply_policy
 from repro.programs.des_source import DesProgramSpec
@@ -338,18 +338,17 @@ def test_registry_resolution(monkeypatch):
     with pytest.raises(ValueError):
         engines.resolve(None)
     assert engines.resolve("reference") == "reference"
-    # The historical public name is a plain re-export of the registry's.
-    assert resolve_engine is engines.resolve
-    assert set(engines.ENGINES) == set(engines.names()) == \
-        {"fast", "reference"}
+    assert engines.ENGINES == ("fast", "reference")
 
 
-def test_registry_specs():
-    assert engines.get("fast").fallback == "reference"
-    assert engines.get("reference").fallback is None
+def test_registry_specs(monkeypatch):
+    """Every name in ``ENGINES`` resolves to itself; nothing else does."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    for name in engines.ENGINES:
+        assert engines.resolve(name) == name
     for name in ("vector", "warp"):
         with pytest.raises(ValueError):
-            engines.get(name)
+            engines.resolve(name)
 
 
 # -- the per-job batch path ---------------------------------------------

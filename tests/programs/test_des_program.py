@@ -8,8 +8,7 @@ from repro.programs.des_source import (DesProgramSpec, FULL_DES,
                                        KEYPERM_ONLY, ROUND1_DES, des_source)
 from repro.programs.markers import (M_FP_END, M_FP_START, M_IP_END,
                                     M_IP_START, M_KEYPERM_END,
-                                    M_KEYPERM_START, M_ROUND_BASE,
-                                    round_marker)
+                                    M_KEYPERM_START, M_ROUND_BASE)
 from repro.programs.workloads import (ciphertext_of, compile_des, key_words,
                                       plaintext_words, run_des)
 
@@ -102,13 +101,6 @@ def test_no_markers_variant():
     cpu = run_des(compiled, KEY, PT)
     assert cpu.pipeline.markers == []
     assert ciphertext_of(cpu) == encrypt_block(PT, KEY, rounds=1)
-
-
-def test_round_marker_helper():
-    assert round_marker(0) == M_ROUND_BASE
-    assert round_marker(15) == M_ROUND_BASE + 15
-    with pytest.raises(ValueError):
-        round_marker(16)
 
 
 def test_compile_des_memoizes():

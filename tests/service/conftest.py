@@ -7,6 +7,7 @@ that a request is real work the scheduler can observe in flight.
 
 import pytest
 
+from repro.harness.engine import default_cache
 from repro.harness.resilience import FAULT_PLAN_ENV
 from repro.service.core import LeakageService, ServiceConfig
 
@@ -30,6 +31,13 @@ def no_fault_plan(monkeypatch):
     """Service tests must not inherit a fault plan from the environment
     (a crash fault executing in an in-thread job would kill pytest)."""
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+
+
+@pytest.fixture(autouse=True)
+def no_stored_verdicts():
+    """Services built without their own store share the process-wide
+    one; start each test without the verdicts earlier tests stored."""
+    default_cache().discard("verdict-")
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import json
 import threading
 import time
 
+from repro.harness.engine import CompileCache
 from repro.service.cache import VerdictCache, verdict_key
 from repro.service.core import LeakageService, ServiceConfig
 from repro.service.protocol import DONE, AssessRequest
@@ -20,6 +21,26 @@ from .conftest import pair_payload, population_payload
 
 def _request(**overrides) -> AssessRequest:
     return AssessRequest.from_dict(pair_payload(**overrides))
+
+
+def _verdicts(tmp_path, max_bytes=1 << 16) -> VerdictCache:
+    return VerdictCache(CompileCache(tmp_path, max_bytes=max_bytes))
+
+
+def _put(cache: VerdictCache, key: str, document: dict) -> int:
+    """Store one document the way a leader does; returns evictions."""
+    verb, flight = cache.begin(key)
+    assert verb == "lead"
+    return cache.complete(key, flight, document)
+
+
+def _get(cache: VerdictCache, key: str):
+    """The stored document, or ``None`` (the lookup is left unled)."""
+    verb, token = cache.begin(key)
+    if verb == "hit":
+        return token
+    cache.abandon(key, token)
+    return None
 
 
 # -- key derivation ---------------------------------------------------------
@@ -43,66 +64,72 @@ def test_key_covers_trace_shaping_parameters():
 def test_key_prefix_is_the_program_key_hash():
     request = _request()
     prefix = verdict_key(request).split(":")[0]
+    assert prefix.startswith("verdict-")
     assert verdict_key(_request(seed=999)).startswith(prefix + ":")
     assert not verdict_key(_request(masking="none")).startswith(prefix)
 
 
-# -- storage / LRU ----------------------------------------------------------
+# -- storage in the artifact store ------------------------------------------
 
 
-def test_hit_decodes_a_fresh_object_with_age_stamp():
-    cache = VerdictCache(max_bytes=1 << 16)
-    cache.put("k", {"verdict": {"passed": True}})
-    first = cache.get("k")
+def test_hit_decodes_a_fresh_object_with_age_stamp(tmp_path):
+    cache = _verdicts(tmp_path)
+    _put(cache, "verdict-k", {"verdict": {"passed": True}})
+    first = _get(cache, "verdict-k")
     first["verdict"]["passed"] = False  # mutating a hit must not
-    second = cache.get("k")             # corrupt the stored entry
+    second = _get(cache, "verdict-k")   # corrupt the stored entry
     assert second["verdict"]["passed"] is True
     assert second["verdict_cache"]["hit"] is True
     assert second["verdict_cache"]["age_s"] >= 0.0
 
 
-def test_lru_eviction_respects_byte_budget():
+def test_lru_eviction_respects_byte_budget(tmp_path):
     document = {"payload": "x" * 64}
-    size = len(json.dumps(document, sort_keys=True).encode())
-    cache = VerdictCache(max_bytes=3 * size)
+    probe = _verdicts(tmp_path / "probe")
+    _put(probe, "verdict-probe", document)
+    size = probe.store.memory.bytes
+    cache = _verdicts(tmp_path, max_bytes=3 * size)
     for name in ("a", "b", "c"):
-        assert cache.put(name, document) == 0
-    cache.get("a")                      # refresh: "b" is now LRU
-    assert cache.put("d", document) == 1
-    assert cache.get("b") is None
-    assert cache.get("a") is not None
+        assert _put(cache, f"verdict-{name}", document) == 0
+    _get(cache, "verdict-a")            # refresh: "b" is now LRU
+    assert _put(cache, "verdict-d", document) == 1
+    assert _get(cache, "verdict-b") is None
+    assert _get(cache, "verdict-a") is not None
     stats = cache.stats()
     assert stats["entries"] == 3
     assert stats["evictions"] == 1
-    assert stats["bytes"] <= cache.max_bytes
+    assert stats["bytes"] <= stats["max_bytes"] == 3 * size
 
 
-def test_document_larger_than_budget_is_skipped_not_truncated():
-    cache = VerdictCache(max_bytes=8)
-    assert cache.put("k", {"payload": "x" * 64}) == 0
-    assert cache.get("k") is None
-    assert cache.stats()["uncacheable"] == 1
+def test_document_larger_than_budget_is_skipped_not_truncated(tmp_path):
+    cache = _verdicts(tmp_path, max_bytes=8)
+    assert _put(cache, "verdict-k", {"payload": "x" * 64}) == 0
+    assert _get(cache, "verdict-k") is None
+    assert cache.stats()["entries"] == 0
+    assert cache.stats()["bytes"] == 0
 
 
-def test_invalidate_by_program_key_prefix():
-    cache = VerdictCache(max_bytes=1 << 16)
+def test_invalidate_by_program_key_prefix(tmp_path):
+    cache = _verdicts(tmp_path)
     key_a = verdict_key(_request())
     key_b = verdict_key(_request(seed=999))          # same program
     key_other = verdict_key(_request(masking="none"))  # different program
     for key in (key_a, key_b, key_other):
-        cache.put(key, {"verdict": "v"})
+        _put(cache, key, {"verdict": "v"})
+    cache.store.store_artifact("program-x", b"not a verdict")
     assert cache.invalidate(_request().program_key()) == 2
-    assert cache.get(key_a) is None and cache.get(key_b) is None
-    assert cache.get(key_other) is not None
-    assert cache.invalidate() == 1                   # drop everything
-    assert cache.stats()["entries"] == 0
+    assert _get(cache, key_a) is None and _get(cache, key_b) is None
+    assert _get(cache, key_other) is not None
+    assert cache.invalidate() == 1                   # every verdict
+    assert cache.stats()["entries"] == 1             # the program stays
+    assert cache.store.artifact("program-x") == b"not a verdict"
 
 
 # -- single-flight ----------------------------------------------------------
 
 
-def test_concurrent_identical_requests_coalesce_on_one_leader():
-    cache = VerdictCache(max_bytes=1 << 16)
+def test_concurrent_identical_requests_coalesce_on_one_leader(tmp_path):
+    cache = _verdicts(tmp_path)
     outcome, leader_flight = cache.begin("k")
     assert outcome == "lead"
     joined = []
@@ -128,15 +155,15 @@ def test_concurrent_identical_requests_coalesce_on_one_leader():
     assert stats["inflight"] == 0 or cache.stats()["inflight"] == 0
 
 
-def test_failed_leader_wakes_joiners_empty_handed():
-    cache = VerdictCache(max_bytes=1 << 16)
+def test_failed_leader_wakes_joiners_empty_handed(tmp_path):
+    cache = _verdicts(tmp_path)
     _, leader_flight = cache.begin("k")
     verb, flight = cache.begin("k")
     assert verb == "join"
     cache.abandon("k", leader_flight)
     assert cache.wait(flight, timeout=5.0) is None
     assert cache.stats()["coalesced_misses"] == 1
-    assert cache.get("k") is None  # errors are never cached
+    assert cache.store.memory.get("k") is None  # errors are never cached
 
 
 # -- service wiring ---------------------------------------------------------
@@ -156,7 +183,7 @@ def test_repeat_submission_hits_cache_bit_identical(make_service):
     assert stats["hits"] == 1 and stats["misses"] == 1
     snapshot = service.metrics_snapshot()
     assert "verdict_cache_hits" in snapshot
-    assert "verdict_cache_entries" in snapshot
+    assert "artifact_cache_entries" in snapshot
     # The cached envelope belongs to *this* request, not the cold one.
     assert warm.result["request"]["client"] == "test"
     assert "verdict_cache_hit" in [mark["event"]
@@ -187,15 +214,23 @@ def test_cache_false_and_attribution_bypass_the_cache(make_service):
         assert "verdict_cache" not in record.result
     stats = service.verdict_cache_stats()
     assert stats["hits"] == 0 and stats["misses"] == 0
-    assert stats["entries"] == 0
+    assert stats["stores"] == 0
 
 
-def test_disabled_cache_still_serves(make_service):
-    service = make_service(workers=1, verdict_cache_bytes=0)
-    record = service.submit(pair_payload())
-    assert record.wait(60.0) and record.state == DONE
-    assert service.verdict_cache_stats() is None
-    assert service.invalidate_verdict_cache() == 0
+def test_served_verdict_is_never_written_to_disk(tmp_path):
+    """Verdicts are stored memory-only: a served request leaves its
+    program on disk but no verdict file."""
+    service = LeakageService(ServiceConfig(workers=1),
+                             cache=CompileCache(tmp_path))
+    try:
+        record = service.submit(pair_payload())
+        assert record.wait(60.0) and record.state == DONE
+        assert service.verdict_cache_stats()["stores"] == 1
+    finally:
+        service.drain(grace_s=30.0)
+    assert list(tmp_path.glob("program-*.pkl"))
+    assert not [path for path in tmp_path.iterdir()
+                if path.name.startswith("verdict-")]
 
 
 def test_invalidation_forces_a_fresh_simulation(make_service):

@@ -128,6 +128,8 @@ def test_pooled_assessment_records_schedule_in_parent(tmp_path, monkeypatch):
     try:
         execute_assessment(request, cache=cache, jobs=2)
         program = cache.program_for(request.compile_request())
-        assert (fastpath.program_digest(program), True) in fastpath._BOUND
+        key = fastpath._schedule_cache_key(fastpath.program_digest(program),
+                                           True)
+        assert key in harness_engine.default_cache().memory
     finally:
         fastpath._clear_caches()

@@ -25,7 +25,8 @@ promises to survive, and exits nonzero if any promise is broken:
 
 Usage: ``PYTHONPATH=src python tools/service_smoke.py [--keep DIR]``.
 The manifest/journal/trace/report/prometheus artifacts land in ``DIR``
-(default: a temp dir) so CI can upload them.
+so CI can upload them; without ``--keep`` they go to a temp dir that is
+removed on exit.
 """
 
 import argparse
@@ -80,8 +81,19 @@ def main() -> int:
     parser.add_argument("--keep", type=Path, default=None,
                         help="directory for the journal/manifest artifacts")
     arguments = parser.parse_args()
-    out_dir = arguments.keep or Path(tempfile.mkdtemp(prefix="svc-smoke-"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if arguments.keep is not None:
+        arguments.keep.mkdir(parents=True, exist_ok=True)
+        smoke(arguments.keep)
+        print(f"artifacts in {arguments.keep}")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="svc-smoke-") as out_dir:
+        smoke(Path(out_dir))
+    return 0
+
+
+def smoke(out_dir: Path) -> None:
+    """Drive one daemon end to end, writing its artifacts to ``out_dir``;
+    exits non-zero on the first failed check."""
     journal_path = out_dir / "service-journal.jsonl"
     manifest_path = out_dir / "service-manifest.json"
     event_log_path = out_dir / "service-events.jsonl"
@@ -261,9 +273,7 @@ def main() -> int:
 
     print(f"service smoke OK: {report.total_submitted} requests, "
           f"each in exactly one terminal state "
-          f"({json.dumps(report.completed, sort_keys=True)}); "
-          f"artifacts in {out_dir}")
-    return 0
+          f"({json.dumps(report.completed, sort_keys=True)})")
 
 
 if __name__ == "__main__":
