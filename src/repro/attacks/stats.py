@@ -1,12 +1,10 @@
 """Statistical primitives for power-analysis attacks.
 
 All functions operate on trace matrices: numpy arrays of shape
-``(n_traces, n_cycles)`` with per-cycle energy in pJ.  The partition
-statistics also accept ``streaming=True``, which routes the same inputs
-row-by-row through the bounded-memory accumulators of
-:mod:`repro.obs.streaming` — numerically equal to the vectorized batch
-path (same estimator, float summation order aside) and the equivalence
-surface the streaming-campaign tests pin down.
+``(n_traces, n_cycles)`` with per-cycle energy in pJ.  The bounded-memory
+accumulators of :mod:`repro.obs.streaming` compute the same partition
+statistics one row at a time (same estimator, float summation order
+aside).
 """
 
 from __future__ import annotations
@@ -14,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def difference_of_means(traces: np.ndarray, partition: np.ndarray,
-                        streaming: bool = False) -> np.ndarray:
+def difference_of_means(traces: np.ndarray,
+                        partition: np.ndarray) -> np.ndarray:
     """Kocher's DPA statistic: mean(group 1) - mean(group 0) per cycle.
 
     ``partition`` is a 0/1 vector of length n_traces (the predicted value of
@@ -30,17 +28,11 @@ def difference_of_means(traces: np.ndarray, partition: np.ndarray,
     zeros = ~ones
     if not ones.any() or not zeros.any():
         return np.zeros(traces.shape[1])
-    if streaming:
-        from ..obs.streaming import WelchTAccumulator, stream_rows
-
-        accumulator = stream_rows(traces, WelchTAccumulator(),
-                                  groups=ones.astype(int))
-        return accumulator.mean_difference()
     return traces[ones].mean(axis=0) - traces[zeros].mean(axis=0)
 
 
-def welch_t_statistic(traces: np.ndarray, partition: np.ndarray,
-                      streaming: bool = False) -> np.ndarray:
+def welch_t_statistic(traces: np.ndarray,
+                      partition: np.ndarray) -> np.ndarray:
     """Per-cycle Welch t-statistic between the two partitions.
 
     A standard leakage-assessment statistic (TVLA-style); more robust than
@@ -55,12 +47,6 @@ def welch_t_statistic(traces: np.ndarray, partition: np.ndarray,
     n1, n0 = int(ones.sum()), int(zeros.sum())
     if n1 < 2 or n0 < 2:
         return np.zeros(traces.shape[1])
-    if streaming:
-        from ..obs.streaming import WelchTAccumulator, stream_rows
-
-        accumulator = stream_rows(traces, WelchTAccumulator(),
-                                  groups=ones.astype(int))
-        return accumulator.t_statistic()
     m1 = traces[ones].mean(axis=0)
     m0 = traces[zeros].mean(axis=0)
     v1 = traces[ones].var(axis=0, ddof=1)

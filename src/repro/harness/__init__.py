@@ -8,8 +8,7 @@ from .io import (load_trace, save_experiment_json, save_summary_csv,
                  save_trace)
 from .profiling import (component_breakdown, des_phase_labels, job_timings,
                         phase_energy)
-from .report import (ascii_table, series_preview, sparkline,
-                     summarize_series)
+from .report import ascii_table, sparkline
 from .resilience import (BatchError, FaultInjected, JobFailure, JobTimeout,
                          require_results)
 from .sweeps import measure_policies, sensitivity_sweep
@@ -27,7 +26,5 @@ __all__ = [
     "require_results", "run_jobs",
     "sensitivity_sweep",
     "run_experiment", "run_with_trace", "save_experiment_json",
-    "save_summary_csv", "save_trace", "series_preview",
-    "sparkline",
-    "summarize_series",
+    "save_summary_csv", "save_trace", "sparkline",
 ]

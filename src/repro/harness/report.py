@@ -1,8 +1,8 @@
 """Plain-text reporting of experiment results (tables and series).
 
 The paper's figures are line plots of per-cycle energy; with no display in
-a CI environment we report the same data as decimated numeric series plus
-summary statistics, which is what the benchmark assertions consume.
+a CI environment we report the same data as fixed-width tables and
+unicode sparklines.
 """
 
 from __future__ import annotations
@@ -27,17 +27,6 @@ def ascii_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [fmt(headers), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in materialized)
     return "\n".join(lines)
-
-
-def series_preview(values: np.ndarray, count: int = 12,
-                   fmt: str = "{:.1f}") -> str:
-    """First/last few values of a long series, for log output."""
-    values = np.asarray(values)
-    if values.size <= 2 * count:
-        return " ".join(fmt.format(v) for v in values)
-    head = " ".join(fmt.format(v) for v in values[:count])
-    tail = " ".join(fmt.format(v) for v in values[-count:])
-    return f"{head} ... {tail}  (n={values.size})"
 
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
@@ -79,19 +68,3 @@ def sparkline(values: np.ndarray, width: int = 72) -> str:
         _SPARK_LEVELS[min(top, max(0, int(round(level))))] if ok
         else _SPARK_HOLE
         for ok, level in zip(finite, scaled))
-
-
-def summarize_series(values: np.ndarray) -> dict[str, float]:
-    """Common scalar summaries of a per-cycle series."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return {"n": 0, "mean": 0.0, "max": 0.0, "min": 0.0, "rms": 0.0,
-                "nonzero_fraction": 0.0}
-    return {
-        "n": int(values.size),
-        "mean": float(values.mean()),
-        "max": float(values.max()),
-        "min": float(values.min()),
-        "rms": float(np.sqrt((values ** 2).mean())),
-        "nonzero_fraction": float(np.count_nonzero(values) / values.size),
-    }

@@ -36,7 +36,7 @@ there — the same gate discipline as attribution snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -352,17 +352,3 @@ class DisclosureCurve:
             "values": [v if np.isfinite(v) else repr(v) for v in values],
             "disclosure_traces": self.disclosure_traces,
         }
-
-
-def stream_rows(traces: Sequence, accumulator, groups: Optional[Sequence[int]]
-                = None):
-    """Feed matrix rows (or any iterable of per-cycle vectors) through an
-    accumulator in order; the refactor seam the batch statistics in
-    :mod:`repro.attacks.stats` use for their ``streaming=True`` path."""
-    if groups is None:
-        for row in traces:
-            accumulator.update(row)
-    else:
-        for row, group in zip(traces, groups):
-            accumulator.update(row, int(group))
-    return accumulator

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.attacks.stats import (difference_of_means, moving_average,
                                  signal_to_noise, welch_t_statistic)
+from repro.obs.streaming import WelchTAccumulator
 
 
 def test_difference_of_means_basic():
@@ -174,12 +175,20 @@ def test_difference_of_means_antisymmetric(values):
 # -- streaming path ---------------------------------------------------------
 
 
+def _streamed(traces, partition) -> WelchTAccumulator:
+    """Fold the rows one at a time, as a streaming campaign does."""
+    accumulator = WelchTAccumulator()
+    for row, group in zip(traces, partition):
+        accumulator.update(row, int(group))
+    return accumulator
+
+
 def test_difference_of_means_streaming_matches_batch():
     rng = np.random.default_rng(31)
     traces = rng.normal(100, 2, size=(25, 12))
     partition = (rng.random(25) > 0.5).astype(int)
     np.testing.assert_allclose(
-        difference_of_means(traces, partition, streaming=True),
+        _streamed(traces, partition).mean_difference(),
         difference_of_means(traces, partition), rtol=1e-10)
 
 
@@ -188,15 +197,15 @@ def test_welch_t_streaming_matches_batch():
     traces = rng.normal(100, 2, size=(30, 10))
     partition = (np.arange(30) % 2).astype(int)
     np.testing.assert_allclose(
-        welch_t_statistic(traces, partition, streaming=True),
+        _streamed(traces, partition).t_statistic(),
         welch_t_statistic(traces, partition), rtol=1e-9)
 
 
 def test_streaming_path_keeps_edge_case_semantics():
     traces = np.ones((3, 4))
     one_sided = np.zeros(3, dtype=int)
-    for streaming in (False, True):
-        assert list(difference_of_means(traces, one_sided,
-                                        streaming=streaming)) == [0.0] * 4
-        assert list(welch_t_statistic(traces, one_sided,
-                                      streaming=streaming)) == [0.0] * 4
+    streamed = _streamed(traces, one_sided)
+    for statistic in (difference_of_means(traces, one_sided),
+                      welch_t_statistic(traces, one_sided),
+                      streamed.mean_difference(), streamed.t_statistic()):
+        assert list(statistic) == [0.0] * 4

@@ -13,18 +13,19 @@ KEY = 0x133457799BBCDFF1
 PLAINTEXT = 0x0123456789ABCDEF
 
 
-def pytest_addoption(parser, pluginmanager):
-    """Keep the ``timeout`` ini option valid without pytest-timeout.
+@pytest.fixture
+def fresh_schedule_cache(tmp_path, monkeypatch):
+    """Point the default artifact store at an empty directory and drop
+    the stored programs and schedules, so the next run must compile and
+    record."""
+    from repro.harness import engine as harness_engine
+    from repro.machine import fastpath
 
-    CI installs pytest-timeout so a wedged pool test cannot hang a run
-    forever; local environments may not have it.  Registering the ini
-    option ourselves when the plugin is absent means `pyproject.toml`
-    can set a default timeout unconditionally (it is simply inert
-    without the plugin) instead of warning about an unknown key.
-    """
-    if not pluginmanager.hasplugin("timeout"):
-        parser.addini("timeout", "per-test timeout (needs pytest-timeout)",
-                      default=None)
+    monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(harness_engine, "_DEFAULT_CACHE", None)
+    fastpath._clear_caches()
+    yield tmp_path
+    fastpath._clear_caches()
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Batch engine: determinism vs the serial path, compile cache, profiling."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,54 @@ def test_pooled_batch_prewarms_schedules_once_in_parent(monkeypatch):
     assert calls == []
     run_jobs(batch("fast", program, other, program), jobs=2)
     assert calls == [program, other]
+
+
+def test_pooled_batch_records_schedule_once_in_parent(monkeypatch,
+                                                     fresh_schedule_cache):
+    """Across the parent and its pool workers, a pooled fast batch
+    records its program's schedule exactly once, and in the parent."""
+    from repro.harness import pool
+    from repro.machine import fastpath
+
+    log = fresh_schedule_cache / "recorders.txt"
+    record = fastpath.record_schedule
+
+    def logged(program, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return record(program, **kwargs)
+
+    monkeypatch.setattr(fastpath, "record_schedule", logged)
+    pool.reset_shared_pool()  # the workers fork with the wrapper in place
+    try:
+        program = compile_des(TINY_SPEC, masking="none").program
+        results = run_jobs([SimJob(program=program, des_pair=(KEY, i),
+                                   label=f"job[{i}]") for i in range(4)],
+                           jobs=2, engine="fast")
+    finally:
+        pool.reset_shared_pool()
+    assert [result.engine for result in results] == ["fast"] * 4
+    assert log.read_text().split() == [str(os.getpid())]
+
+
+def test_batch_compiles_each_program_once(monkeypatch, fresh_schedule_cache):
+    """Jobs sharing one CompileRequest compile it once on a fresh store;
+    a second batch compiles nothing."""
+    compiles = []
+    compile_program = CompileRequest.compile
+
+    def counting(request):
+        compiles.append(request)
+        return compile_program(request)
+
+    monkeypatch.setattr(CompileRequest, "compile", counting)
+    request = CompileRequest(spec=TINY_SPEC, masking="none")
+    batch = lambda: [SimJob(program=request, des_pair=(KEY, i))
+                     for i in range(4)]
+    run_jobs(batch())
+    assert len(compiles) == 1
+    run_jobs(batch())
+    assert len(compiles) == 1
 
 
 # -- observability ----------------------------------------------------------

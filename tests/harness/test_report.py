@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from repro.harness.report import (ascii_table, series_preview,
-                                  sparkline, summarize_series)
+from repro.harness.report import ascii_table, sparkline
 
 
 def test_ascii_table_alignment():
@@ -19,31 +18,6 @@ def test_ascii_table_alignment():
 def test_ascii_table_empty_rows():
     table = ascii_table(["a"], [])
     assert table.splitlines()[0] == "a"
-
-
-def test_series_preview_short():
-    assert series_preview(np.array([1.0, 2.0]), count=5) == "1.0 2.0"
-
-
-def test_series_preview_long_elides():
-    preview = series_preview(np.arange(100, dtype=float), count=3)
-    assert "..." in preview
-    assert "(n=100)" in preview
-
-
-def test_summarize_series():
-    summary = summarize_series(np.array([0.0, 2.0, 4.0]))
-    assert summary["n"] == 3
-    assert summary["mean"] == 2.0
-    assert summary["max"] == 4.0
-    assert summary["min"] == 0.0
-    assert summary["nonzero_fraction"] == 2 / 3
-
-
-def test_summarize_empty():
-    summary = summarize_series(np.array([]))
-    assert summary["n"] == 0
-    assert summary["mean"] == 0.0
 
 
 def test_sparkline_shape_and_range():

@@ -20,16 +20,6 @@ KEY = 0x133457799BBCDFF1
 PLAINTEXT = 0x0123456789ABCDEF
 
 
-@pytest.fixture
-def fresh_default_store(tmp_path, monkeypatch):
-    """A default store on an empty directory, with no schedule memo."""
-    monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
-    monkeypatch.setattr(harness_engine, "_DEFAULT_CACHE", None)
-    fastpath._clear_caches()
-    yield tmp_path
-    fastpath._clear_caches()
-
-
 def _live_bytes(memory) -> int:
     return sum(size for _, size in memory._entries.values())
 
@@ -62,7 +52,7 @@ def test_lru_evicts_across_kinds(tmp_path):
         <= cache.memory.max_bytes
 
 
-def test_memory_clear_keeps_byte_accounting(fresh_default_store):
+def test_memory_clear_keeps_byte_accounting(fresh_schedule_cache):
     """``default_cache().memory.clear()`` (what the e2e benchmark does
     between setups) resets the byte total with the entries."""
     cache = default_cache()
@@ -80,7 +70,7 @@ def test_memory_clear_keeps_byte_accounting(fresh_default_store):
 
 
 def test_fresh_store_replays_schedule_without_recording(
-        fresh_default_store, monkeypatch):
+        fresh_schedule_cache, monkeypatch):
     """A new store on the same directory loads the bound schedule from
     disk and replays bit-identically, never calling ``record_schedule``."""
     program = CompileRequest(spec=TINY_SPEC, masking="none").compile()

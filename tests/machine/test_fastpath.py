@@ -27,6 +27,7 @@ from repro.harness.runner import des_run, run_with_trace
 from repro.isa.assembler import assemble
 from repro.machine import engines, fastpath
 from repro.machine.exceptions import CycleLimitExceeded
+from repro.machine.pipeline import Pipeline
 from repro.masking.policy import MaskingPolicy, apply_policy
 from repro.programs.des_source import DesProgramSpec
 from repro.programs.workloads import compile_des, key_words, plaintext_words
@@ -519,6 +520,53 @@ def test_attribution_batch_records_no_schedule(monkeypatch,
     assert [result.engine for result in results] == ["reference"] * 2
     assert calls == []
     assert not list(fresh_schedule_cache.glob("sched-*.pkl"))
+
+
+#: Reference-pipeline steps behind one DES schedule recording: one per
+#: control transition, the same at every round count and masking, while
+#: the recorded cycles grow with the rounds.
+RECORD_STEPS = 847
+DES_CYCLES = {1: 18_432, 4: 52_313, 16: 187_845}
+
+
+def _count_steps(monkeypatch) -> list:
+    """Wrap ``Pipeline.step``; the returned list grows one per call."""
+    steps = []
+    step = Pipeline.step
+
+    def counting(self):
+        steps.append(1)
+        return step(self)
+
+    monkeypatch.setattr(Pipeline, "step", counting)
+    return steps
+
+
+@pytest.mark.parametrize("masking", ["none", "selective"])
+@pytest.mark.parametrize("rounds", sorted(DES_CYCLES))
+def test_record_schedule_step_count(monkeypatch, rounds, masking):
+    """Recording steps the reference pipeline once per new control
+    transition, never once per cycle: an exact work count."""
+    program = compile_des(DesProgramSpec(rounds=rounds),
+                          masking=masking).program
+    steps = _count_steps(monkeypatch)
+    schedule = fastpath.record_schedule(program)
+    assert len(steps) == RECORD_STEPS
+    assert schedule.cycles == DES_CYCLES[rounds]
+
+
+def test_warm_fast_batch_takes_no_reference_step(monkeypatch):
+    """Once the schedule is recorded, a fast batch replays every trace
+    without a single reference-pipeline step."""
+    program = compile_des(DesProgramSpec(rounds=1),
+                          masking="selective").program
+    assert fastpath.ensure_schedule(program)
+    steps = _count_steps(monkeypatch)
+    results = run_jobs([SimJob(program=program, des_pair=(KEY, PLAINTEXT ^ i),
+                               label=f"job[{i}]") for i in range(16)],
+                       engine="fast")
+    assert [result.engine for result in results] == ["fast"] * 16
+    assert len(steps) == 0
 
 
 def test_run_jobs_engine_plumb():

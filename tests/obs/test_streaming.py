@@ -8,11 +8,21 @@ from repro.attacks.stats import difference_of_means, welch_t_statistic
 from repro.obs.streaming import (MERGE_RTOL, CorrelationAccumulator,
                                  DisclosureCurve, MeanAccumulator,
                                  WelchTAccumulator, WelfordAccumulator,
-                                 merged, stream_rows)
+                                 merged)
 
 
 def _traces(n, cycles, seed=7):
     return np.random.default_rng(seed).normal(10.0, 3.0, size=(n, cycles))
+
+
+def _fold(traces, accumulator, groups=None):
+    """Update ``accumulator`` with each row in order (and its group)."""
+    for index, row in enumerate(traces):
+        if groups is None:
+            accumulator.update(row)
+        else:
+            accumulator.update(row, int(groups[index]))
+    return accumulator
 
 
 # -- batch equivalence ------------------------------------------------------
@@ -20,7 +30,7 @@ def _traces(n, cycles, seed=7):
 
 def test_mean_accumulator_matches_numpy():
     traces = _traces(17, 40)
-    accumulator = stream_rows(traces, MeanAccumulator())
+    accumulator = _fold(traces, MeanAccumulator())
     assert accumulator.count == 17
     np.testing.assert_allclose(accumulator.mean, traces.mean(axis=0),
                                rtol=1e-12)
@@ -28,7 +38,7 @@ def test_mean_accumulator_matches_numpy():
 
 def test_welford_matches_numpy_mean_and_variance():
     traces = _traces(23, 32, seed=11)
-    accumulator = stream_rows(traces, WelfordAccumulator())
+    accumulator = _fold(traces, WelfordAccumulator())
     np.testing.assert_allclose(accumulator.mean, traces.mean(axis=0),
                                rtol=1e-12)
     np.testing.assert_allclose(accumulator.variance(ddof=1),
@@ -46,7 +56,7 @@ def test_welford_variance_is_zero_below_ddof():
 def test_welch_t_matches_batch_statistic():
     traces = _traces(30, 24, seed=3)
     partition = (np.arange(30) % 2 == 0).astype(int)
-    accumulator = stream_rows(traces, WelchTAccumulator(), groups=partition)
+    accumulator = _fold(traces, WelchTAccumulator(), groups=partition)
     batch = welch_t_statistic(traces, partition)
     np.testing.assert_allclose(accumulator.t_statistic(), batch, rtol=1e-9)
 
@@ -54,7 +64,7 @@ def test_welch_t_matches_batch_statistic():
 def test_mean_difference_matches_difference_of_means():
     traces = _traces(20, 16, seed=5)
     partition = (np.arange(20) >= 10).astype(int)
-    accumulator = stream_rows(traces, WelchTAccumulator(), groups=partition)
+    accumulator = _fold(traces, WelchTAccumulator(), groups=partition)
     batch = difference_of_means(traces, partition)
     np.testing.assert_allclose(accumulator.mean_difference(), batch,
                                rtol=1e-10)
@@ -143,11 +153,11 @@ def test_merge_commutes_and_associates(factory, feed):
 def test_sharded_merge_matches_single_pass_within_tolerance():
     traces = _traces(40, 20, seed=23)
     partition = (np.arange(40) % 2).astype(int)
-    single = stream_rows(traces, WelchTAccumulator(), groups=partition)
+    single = _fold(traces, WelchTAccumulator(), groups=partition)
     combined = WelchTAccumulator()
     for start in range(0, 40, 10):
-        shard = stream_rows(traces[start:start + 10], WelchTAccumulator(),
-                            groups=partition[start:start + 10])
+        shard = _fold(traces[start:start + 10], WelchTAccumulator(),
+                      groups=partition[start:start + 10])
         combined.merge(shard)
     np.testing.assert_allclose(combined.t_statistic(), single.t_statistic(),
                                rtol=MERGE_RTOL)
@@ -155,7 +165,7 @@ def test_sharded_merge_matches_single_pass_within_tolerance():
 
 
 def test_merge_into_empty_copies_state():
-    source = stream_rows(_traces(5, 6), WelfordAccumulator())
+    source = _fold(_traces(5, 6), WelfordAccumulator())
     empty = WelfordAccumulator()
     empty.merge(source)
     np.testing.assert_array_equal(empty.mean, source.mean)
@@ -164,8 +174,8 @@ def test_merge_into_empty_copies_state():
 
 
 def test_merge_misaligned_raises():
-    a = stream_rows(_traces(3, 4), WelfordAccumulator())
-    b = stream_rows(_traces(3, 5), WelfordAccumulator())
+    a = _fold(_traces(3, 4), WelfordAccumulator())
+    b = _fold(_traces(3, 5), WelfordAccumulator())
     with pytest.raises(ValueError):
         a.merge(b)
 
