@@ -108,108 +108,3 @@ def cpa_attack(trace_set: TraceSet, box: int, key: Optional[int] = None,
     true_subkey = true_round1_subkey_chunk(key, box) if key is not None \
         else None
     return CpaResult(box=box, scores=scores, true_subkey=true_subkey)
-
-
-class CpaAccumulator:
-    """Streaming CPA: per-guess Pearson correlation in one pass.
-
-    The per-cycle trace moments (n, Σt, Σt²) are shared across all 64
-    guesses — only the prediction cross-moments (Σh, Σh², Σh·t) are kept
-    per guess — so memory is O(guesses × cycles) regardless of the trace
-    budget.  ``merge`` is associative; :meth:`result` matches
-    :func:`cpa_attack` semantics (constant cycles or predictions read as
-    correlation 0, guard at the same 1e-12 denominator floor).
-    """
-
-    def __init__(self, box: int, key=None, guesses=None):
-        self.box = box
-        self.key = key
-        self.guesses = list(guesses) if guesses is not None \
-            else list(range(64))
-        self.count = 0
-        self.sum_t = None
-        self.sum_t2 = None
-        # per guess: [sum_h, sum_h2, sum_ht (per-cycle array)]
-        self.per_guess = {guess: [0.0, 0.0, None] for guess in self.guesses}
-
-    @staticmethod
-    def _hamming_weight(plaintext: int, guess: int, box: int) -> float:
-        return float(sum(predict_sbox_output_bit(plaintext, guess, box, bit)
-                         for bit in range(4)))
-
-    def update(self, plaintext: int, energy: np.ndarray) -> None:
-        row = np.asarray(energy, dtype=np.float64)
-        if self.sum_t is None:
-            self.sum_t = np.zeros_like(row)
-            self.sum_t2 = np.zeros_like(row)
-            for cell in self.per_guess.values():
-                cell[2] = np.zeros_like(row)
-        elif row.shape != self.sum_t.shape:
-            raise ValueError("trace is not cycle-aligned with accumulator")
-        self.count += 1
-        self.sum_t += row
-        self.sum_t2 += row * row
-        for guess in self.guesses:
-            h = self._hamming_weight(plaintext, guess, self.box)
-            cell = self.per_guess[guess]
-            cell[0] += h
-            cell[1] += h * h
-            cell[2] += h * row
-
-    def merge(self, other: "CpaAccumulator") -> None:
-        if other.box != self.box or other.guesses != self.guesses:
-            raise ValueError("cannot merge accumulators over different "
-                             "attack hypotheses")
-        if other.sum_t is None:
-            return
-        if self.sum_t is None:
-            self.sum_t = other.sum_t.copy()
-            self.sum_t2 = other.sum_t2.copy()
-            for guess in self.guesses:
-                cell, other_cell = self.per_guess[guess], \
-                    other.per_guess[guess]
-                cell[0], cell[1] = other_cell[0], other_cell[1]
-                cell[2] = other_cell[2].copy()
-            self.count = other.count
-            return
-        self.count += other.count
-        self.sum_t += other.sum_t
-        self.sum_t2 += other.sum_t2
-        for guess in self.guesses:
-            cell, other_cell = self.per_guess[guess], other.per_guess[guess]
-            cell[0] += other_cell[0]
-            cell[1] += other_cell[1]
-            cell[2] += other_cell[2]
-
-    def correlation(self, guess: int) -> np.ndarray:
-        if self.sum_t is None or self.count < 2:
-            return np.zeros(self.sum_t.shape if self.sum_t is not None
-                            else (0,))
-        n = self.count
-        sum_h, sum_h2, sum_ht = self.per_guess[guess]
-        h_ss = max(n * sum_h2 - sum_h * sum_h, 0.0)
-        t_ss = np.maximum(n * self.sum_t2 - self.sum_t * self.sum_t, 0.0)
-        numerator = n * sum_ht - sum_h * self.sum_t
-        # The batch path compares centered norms (√SS) against 1e-12;
-        # these are raw n-scaled sums-of-squares, so scale the floor to
-        # guard the same magnitude.
-        denominator = np.sqrt(h_ss * t_ss)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(denominator > n * 1e-12,
-                           numerator / denominator, 0.0)
-        return rho
-
-    def result(self) -> "CpaResult":
-        scores = []
-        for guess in self.guesses:
-            rho = np.abs(self.correlation(guess))
-            peak_cycle = int(rho.argmax()) if rho.size else 0
-            scores.append(GuessScore(
-                guess=guess,
-                peak=float(rho.max()) if rho.size else 0.0,
-                peak_cycle=peak_cycle))
-        scores.sort(key=lambda s: s.peak, reverse=True)
-        true_subkey = true_round1_subkey_chunk(self.key, self.box) \
-            if self.key is not None else None
-        return CpaResult(box=self.box, scores=scores,
-                         true_subkey=true_subkey)

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..energy.params import DEFAULT_PARAMS, EnergyParams
 from ..isa.program import Program
-from ..obs.streaming import DisclosureCurve, MeanAccumulator
 from .selection import predict_sbox_output_bit, true_round1_subkey_chunk
 from .stats import difference_of_means
 
@@ -202,135 +201,6 @@ def dpa_attack_multibit(trace_set: TraceSet, box: int,
         else None
     return DpaResult(box=box, target_bit=-1, scores=scores,
                      true_subkey=true_subkey)
-
-
-class DpaAccumulator:
-    """Streaming difference-of-means DPA: O(guesses × cycles) memory.
-
-    Holds one pair of :class:`~repro.obs.streaming.MeanAccumulator` per
-    subkey guess (partition-0 / partition-1 group means); each incoming
-    ``(plaintext, energy)`` updates every guess's predicted partition, so
-    a campaign of any trace count ranks all 64 guesses without ever
-    stacking the trace matrix.  ``merge`` is associative, so sharded
-    accumulators combine to the single-pass ranking.  :meth:`result`
-    yields the same :class:`DpaResult` semantics as :func:`dpa_attack`
-    (empty partitions score zero).
-    """
-
-    def __init__(self, box: int, target_bit: int = 0,
-                 key: Optional[int] = None,
-                 guesses: Optional[list[int]] = None):
-        self.box = box
-        self.target_bit = target_bit
-        self.key = key
-        self.guesses = list(guesses) if guesses is not None \
-            else list(range(64))
-        self.groups = {guess: (MeanAccumulator(), MeanAccumulator())
-                       for guess in self.guesses}
-        self.count = 0
-
-    def update(self, plaintext: int, energy: np.ndarray) -> None:
-        for guess in self.guesses:
-            bit = predict_sbox_output_bit(plaintext, guess, self.box,
-                                          self.target_bit)
-            self.groups[guess][bit].update(energy)
-        self.count += 1
-
-    def merge(self, other: "DpaAccumulator") -> None:
-        if (other.box != self.box or other.target_bit != self.target_bit
-                or other.guesses != self.guesses):
-            raise ValueError("cannot merge accumulators over different "
-                             "attack hypotheses")
-        for guess in self.guesses:
-            self.groups[guess][0].merge(other.groups[guess][0])
-            self.groups[guess][1].merge(other.groups[guess][1])
-        self.count += other.count
-
-    def result(self) -> DpaResult:
-        scores = []
-        for guess in self.guesses:
-            zeros, ones = self.groups[guess]
-            if zeros.mean is None or ones.mean is None:
-                scores.append(GuessScore(guess=guess, peak=0.0,
-                                         peak_cycle=0))
-                continue
-            delta = np.abs(ones.mean - zeros.mean)
-            peak_cycle = int(delta.argmax()) if delta.size else 0
-            scores.append(GuessScore(
-                guess=guess,
-                peak=float(delta.max()) if delta.size else 0.0,
-                peak_cycle=peak_cycle))
-        scores.sort(key=lambda s: s.peak, reverse=True)
-        true_subkey = true_round1_subkey_chunk(self.key, self.box) \
-            if self.key is not None else None
-        return DpaResult(box=self.box, target_bit=self.target_bit,
-                         scores=scores, true_subkey=true_subkey)
-
-
-@dataclass
-class StreamingDpaResult:
-    """Outcome of a streaming DPA campaign: the final ranking plus the
-    rank-of-true-subkey disclosure curve (``mode="rank"``: disclosed when
-    the true subkey ranks first)."""
-
-    result: DpaResult
-    curve: DisclosureCurve
-    traces_consumed: int
-
-    @property
-    def disclosure_traces(self) -> Optional[int]:
-        return self.curve.disclosure_traces
-
-
-def streaming_dpa_attack(program: Program, key: int, plaintexts: list[int],
-                         box: int, target_bit: int = 0,
-                         params: EnergyParams = DEFAULT_PARAMS,
-                         window: Optional[tuple[int, int]] = None,
-                         noise_sigma: float = 0.0, jobs: int = 1,
-                         chunk_size: int = 16,
-                         checkpoint_every: Optional[int] = None,
-                         ) -> StreamingDpaResult:
-    """Acquire-and-attack in one bounded-memory pass.
-
-    The same acquisitions as :func:`collect_traces` (noise seed
-    ``index + 1`` per trace) streamed through
-    :func:`repro.harness.engine.run_stream` into a
-    :class:`DpaAccumulator`; the trace matrix is never materialized.  A
-    rank-based :class:`~repro.obs.streaming.DisclosureCurve` samples the
-    true subkey's rank every ``checkpoint_every`` traces (default: once
-    per chunk), and heartbeats carry a ``rank_of_true`` watermark when a
-    progress reporter is active.
-    """
-    from ..harness.engine import SimJob, run_stream
-    from ..obs import progress as obs_progress
-
-    if checkpoint_every is None:
-        checkpoint_every = chunk_size
-    batch = [SimJob(program=program, des_pair=(key, plaintext),
-                    params=params, noise_sigma=noise_sigma,
-                    noise_seed=index + 1, label=f"trace[{index}]")
-             for index, plaintext in enumerate(plaintexts)]
-    accumulator = DpaAccumulator(box=box, target_bit=target_bit, key=key)
-    curve = DisclosureCurve(threshold=0, mode="rank")
-
-    def consume(index: int, result) -> None:
-        energy = result.energy
-        if window is not None:
-            energy = energy[window[0]:window[1]]
-        accumulator.update(plaintexts[index], energy)
-        done = index + 1
-        at_checkpoint = done % checkpoint_every == 0
-        if at_checkpoint or done == len(batch):
-            rank = accumulator.result().rank_of_true
-            if at_checkpoint:
-                curve.record(done, float(rank))
-            reporter = obs_progress.current()
-            if reporter is not None:
-                reporter.set_watermark("rank_of_true", float(rank))
-
-    consumed = run_stream(batch, consume, jobs=jobs, chunk_size=chunk_size)
-    return StreamingDpaResult(result=accumulator.result(), curve=curve,
-                              traces_consumed=consumed)
 
 
 def random_plaintexts(count: int, seed: int = 2003) -> list[int]:

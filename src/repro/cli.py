@@ -187,12 +187,10 @@ def cmd_experiment(arguments: argparse.Namespace) -> int:
         print(f"note: experiment {arguments.id!r} runs serially "
               f"(--jobs not applicable; requested {arguments.jobs}, "
               "effective jobs=1)", file=sys.stderr)
-    # Fault-tolerance trio plus the streaming toggle: forwarded to
-    # experiments whose batches are engine-backed (see
-    # repro.harness.resilience / repro.harness.engine.run_stream); a
-    # no-op elsewhere.
+    # Fault-tolerance trio: forwarded to experiments whose batches are
+    # engine-backed (see repro.harness.resilience); a no-op elsewhere.
     for option, default in (("retries", 0), ("job_timeout", None),
-                            ("checkpoint", None), ("streaming", False)):
+                            ("checkpoint", None)):
         value = getattr(arguments, option)
         if signature is not None and option in signature.parameters:
             kwargs[option] = value
@@ -262,7 +260,6 @@ def _write_observability(arguments: argparse.Namespace, result,
         "retries": arguments.retries,
         "job_timeout": arguments.job_timeout,
         "checkpoint": arguments.checkpoint,
-        "streaming": arguments.streaming,
         "progress": arguments.progress,
         #: Effective execution engine ("fast" or "reference")
         #: after resolving --engine against $REPRO_ENGINE and the default.
@@ -277,7 +274,7 @@ def _write_observability(arguments: argparse.Namespace, result,
             for name, parameter in signature.parameters.items()
             if parameter.default is not inspect.Parameter.empty
             and name not in ("params", "jobs", "retries", "job_timeout",
-                             "checkpoint", "streaming")}
+                             "checkpoint")}
     manifest = obs.build_manifest(
         experiment_id=result.experiment_id, config=config,
         summary=result.summary,
@@ -597,12 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_ENGINE for the duration of the "
                             "command so worker processes inherit it; "
                             "default: ambient $REPRO_ENGINE, else fast")
-    p_exp.add_argument("--streaming", action="store_true",
-                       help="use the bounded-memory streaming campaign "
-                            "path where the experiment supports it "
-                            "(O(1) trace memory, adds traces-to-"
-                            "disclosure fields; statistics match the "
-                            "batch path)")
     p_exp.add_argument("--progress", metavar="TARGET",
                        help="emit JSON-lines progress heartbeats (jobs "
                             "done/failed, traces/sec, ETA, stat "

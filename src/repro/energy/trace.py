@@ -47,10 +47,6 @@ class EnergyTrace:
     def total_uj(self) -> float:
         return self.total_pj * 1e-6
 
-    @property
-    def mean_pj(self) -> float:
-        return float(self.energy.mean()) if len(self) else 0.0
-
     # -- phase navigation -------------------------------------------------
 
     def marker_cycles(self, value: int) -> list[int]:
@@ -104,7 +100,3 @@ class EnergyTrace:
                 f"traces are not cycle-aligned ({len(self)} vs {len(other)} "
                 "cycles); differential traces require identical control flow")
         return self.energy - other.energy
-
-    def max_abs_diff(self, other: "EnergyTrace") -> float:
-        delta = self.diff(other)
-        return float(np.abs(delta).max()) if delta.size else 0.0

@@ -659,13 +659,7 @@ def _prewarm_schedules(batch: Sequence[SimJob]) -> None:
 
 def run_stream(batch: Sequence[SimJob],
                consume: Callable[[int, JobResult], None], jobs: int = 1, *,
-               chunk_size: int = 64,
-               progress: Optional[Callable[[int, int], None]] = None,
-               failure_policy: str = "raise", retries: int = 2,
-               job_timeout: Optional[float] = None,
-               engine: Optional[str] = None,
-               reporter: Optional[obs_progress.ProgressReporter] = None,
-               ) -> int:
+               chunk_size: int = 64) -> int:
     """Execute a batch in bounded memory, streaming results to a consumer.
 
     The campaign-scale twin of :func:`run_jobs`: the batch is executed in
@@ -679,48 +673,34 @@ def run_stream(batch: Sequence[SimJob],
     therefore the campaign statistics — is bit-identical for ``jobs=1``
     and ``jobs=N``.
 
-    ``reporter`` (or ``$REPRO_PROGRESS``) enables live heartbeats; a
-    forced heartbeat is emitted at every chunk boundary, so long
-    campaigns report at least once per ``chunk_size`` jobs even when the
-    rate-limit interval has not elapsed.  Under ``failure_policy
-    "collect"``/``"retry"``, failed slots reach the consumer as
-    :class:`~repro.harness.resilience.JobFailure` records — consumers
-    that only want clean traces should skip non-:class:`JobResult`
-    values.  Returns the number of slots consumed.
+    ``$REPRO_PROGRESS`` enables live heartbeats; a forced heartbeat is
+    emitted at every chunk boundary, so long campaigns report at least
+    once per ``chunk_size`` jobs even when the rate-limit interval has
+    not elapsed.  A failed job raises, as under :func:`run_jobs`'
+    default policy.  Returns the number of slots consumed.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     batch = list(batch)
     total = len(batch)
-    owns_reporter = False
-    if reporter is None:
-        reporter = obs_progress.reporter_from_env(total, label="run_stream")
-        owns_reporter = reporter is not None
-    if reporter is not None:
-        reporter.total = total
+    reporter = obs_progress.reporter_from_env(total, label="run_stream")
     consumed = 0
     with obs_progress.active(reporter):
         for start in range(0, total, chunk_size):
             chunk = batch[start:start + chunk_size]
+            progress = None
+            if reporter is not None:
+                def progress(done, _chunk_total, _base=start):
+                    reporter.job_done(_base + done, total)
 
-            def chunk_progress(done, _chunk_total, _base=start):
-                completed = _base + done
-                if reporter is not None:
-                    reporter.job_done(completed, total)
-                if progress is not None:
-                    progress(completed, total)
-
-            results = run_jobs(chunk, jobs=jobs, progress=chunk_progress,
-                               failure_policy=failure_policy,
-                               retries=retries, job_timeout=job_timeout,
-                               engine=engine)
+            results = run_jobs(chunk, jobs=jobs, progress=progress)
             for offset, result in enumerate(results):
                 consume(start + offset, result)
             consumed += len(results)
             if reporter is not None:
                 reporter.done = start + len(chunk)
                 reporter.heartbeat(force=True)
-    if owns_reporter:
+    if reporter is not None:
         reporter.finish()
     return consumed
 

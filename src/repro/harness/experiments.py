@@ -732,8 +732,7 @@ def extension_noise(params: EnergyParams = DEFAULT_PARAMS,
 
 
 def extension_tvla(params: EnergyParams = DEFAULT_PARAMS,
-                   n_traces: int = 16, streaming: bool = False,
-                   jobs: int = 1) -> ExperimentResult:
+                   n_traces: int = 16, jobs: int = 1) -> ExperimentResult:
     """Extension: TVLA fixed-vs-random leakage assessment.
 
     A non-specific evaluation (no key hypothesis, no leakage model): the
@@ -742,14 +741,11 @@ def extension_tvla(params: EnergyParams = DEFAULT_PARAMS,
     DES scores |t| identically zero across the whole secured region —
     stronger than the conventional 4.5 pass threshold.
 
-    ``streaming=True`` runs the same acquisitions through the
-    bounded-memory campaign path (:func:`streaming_assess_des_program`):
-    the verdict fields are computed from the streaming accumulator (equal
-    statistics, float-order differences aside) and the summary gains
-    disclosure-curve fields.  The default batch path is untouched.
+    The acquisitions run through the bounded-memory campaign path
+    (:func:`streaming_assess_des_program`), so the summary also carries
+    the traces-to-disclosure fields; ``jobs`` changes only the wall time.
     """
-    from ..attacks.tvla import (T_THRESHOLD, assess_des_program,
-                                streaming_assess_des_program)
+    from ..attacks.tvla import T_THRESHOLD, streaming_assess_des_program
 
     spec = DesProgramSpec(rounds=1)
     plaintexts = random_plaintexts(n_traces, seed=42)
@@ -761,21 +757,15 @@ def extension_tvla(params: EnergyParams = DEFAULT_PARAMS,
         scout = des_run(compiled.program, KEY_A, PT_A, params=params)
         start, end = _secure_region(scout)
         tag = "unmasked" if masking == "none" else "masked"
-        if streaming:
-            campaign = streaming_assess_des_program(
-                compiled.program, KEY_A, PT_A, plaintexts, params=params,
-                window=(start, end), jobs=jobs)
-            result = campaign.result
-            summary[f"{tag}_disclosure_traces"] = \
-                campaign.disclosure_traces \
-                if campaign.disclosure_traces is not None else "never"
-            series[f"{tag}_disclosure_curve"] = [
-                value if np.isfinite(value) else 0.0
-                for value in campaign.curve.values]
-        else:
-            result = assess_des_program(compiled.program, KEY_A, PT_A,
-                                        plaintexts, params=params,
-                                        window=(start, end))
+        campaign = streaming_assess_des_program(
+            compiled.program, KEY_A, PT_A, plaintexts, params=params,
+            window=(start, end), jobs=jobs)
+        result = campaign.result
+        summary[f"{tag}_disclosure_traces"] = campaign.disclosure_traces \
+            if campaign.disclosure_traces is not None else "never"
+        series[f"{tag}_disclosure_curve"] = [
+            value if np.isfinite(value) else 0.0
+            for value in campaign.curve.values]
         max_t = result.max_abs_t
         summary[f"{tag}_max_abs_t"] = max_t if np.isfinite(max_t) \
             else float("inf")

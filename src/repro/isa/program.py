@@ -49,12 +49,6 @@ class Program:
         except KeyError:
             raise SymbolError(f"undefined symbol {symbol!r}") from None
 
-    def instruction_at(self, address: int) -> Instruction:
-        index = (address - self.text_base) >> 2
-        if not 0 <= index < len(self.text):
-            raise IndexError(f"no instruction at 0x{address:08x}")
-        return self.text[index]
-
     def address_of_index(self, index: int) -> int:
         return self.text_base + (index << 2)
 
@@ -76,11 +70,6 @@ class Program:
         return {self.address_of_index(index): (ins.source_line,
                                                bool(ins.sliced))
                 for index, ins in enumerate(self.text)}
-
-    def sliced_addresses(self) -> set[int]:
-        """Text addresses inside the masked program slice."""
-        return {self.address_of_index(index)
-                for index, ins in enumerate(self.text) if ins.sliced}
 
     def listing(self) -> str:
         """Human-readable disassembly listing with addresses."""

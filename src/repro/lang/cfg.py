@@ -89,9 +89,3 @@ class CFG:
     @property
     def edge_count(self) -> int:
         return sum(len(block.successors) for block in self.blocks)
-
-    def block_of(self, instr_index: int) -> BasicBlock:
-        for block in self.blocks:
-            if block.start <= instr_index < block.end:
-                return block
-        raise IndexError(f"instruction index {instr_index} out of range")

@@ -32,17 +32,6 @@ class MaskingPolicy(enum.Enum):
     ALL_LOADS_STORES = "all-loads-stores"
     ALL = "all"
 
-    @property
-    def compiler_mode(self) -> str | None:
-        """The compile_source masking argument, if compiler-driven."""
-        if self is MaskingPolicy.NONE:
-            return "none"
-        if self is MaskingPolicy.SELECTIVE:
-            return "selective"
-        if self is MaskingPolicy.ANNOTATE_ONLY:
-            return "annotate-only"
-        return None
-
 
 def secure_all_loads_stores(program: Program) -> Program:
     """Naive dual-rail data path: every memory instruction becomes secure."""

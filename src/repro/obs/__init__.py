@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .attribution import AttributionSink
 from .flamegraph import aggregate_spans, flamegraph_html, svg_flamegraph
@@ -51,20 +51,19 @@ from .progress import ProgressReporter, reporter_from_env, sink_from_env
 from .registry import (CardinalityError, Counter, Gauge, Histogram,
                        MetricsRegistry, bucket_quantile, snapshot_totals)
 from .spans import SpanRecord, Tracer, render_tree
-from .streaming import (CorrelationAccumulator, DisclosureCurve,
-                        MeanAccumulator, WelchTAccumulator,
-                        WelfordAccumulator, merged)
+from .streaming import (DisclosureCurve, WelchTAccumulator,
+                        WelfordAccumulator)
 
 __all__ = [
-    "AttributionSink", "CardinalityError", "CorrelationAccumulator",
-    "Counter", "DisclosureCurve", "EventLog", "Gauge", "Histogram",
-    "MeanAccumulator", "MetricsRegistry", "ObsContext", "ProgressReporter",
-    "SpanRecord", "Tracer", "WelchTAccumulator", "WelfordAccumulator",
+    "AttributionSink", "CardinalityError", "Counter", "DisclosureCurve",
+    "EventLog", "Gauge", "Histogram", "MetricsRegistry", "ObsContext",
+    "ProgressReporter", "SpanRecord", "Tracer", "WelchTAccumulator",
+    "WelfordAccumulator",
     "aggregate_manifests", "aggregate_spans", "attribution",
     "attribution_enabled", "bucket_quantile", "build_manifest",
     "diff_totals", "disable", "disable_attribution", "enable",
     "enable_attribution", "enabled", "flamegraph_html", "load_manifest",
-    "merged", "registry", "render_tree", "reporter_from_env", "scope",
+    "registry", "render_tree", "reporter_from_env", "scope",
     "sink_from_env", "snapshot_totals", "span", "summarize_manifest",
     "svg_flamegraph", "tracer", "write_manifest",
 ]

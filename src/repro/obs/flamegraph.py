@@ -50,11 +50,6 @@ class Frame:
     def value(self, metric: str) -> float:
         return self.wall_s if metric == "wall" else self.cpu_s
 
-    def self_value(self, metric: str) -> float:
-        own = self.value(metric) \
-            - sum(child.value(metric) for child in self.children.values())
-        return max(own, 0.0)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

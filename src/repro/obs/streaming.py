@@ -2,35 +2,26 @@
 
 The attack statistics in :mod:`repro.attacks.stats` operate on a full
 ``(n_traces, n_cycles)`` matrix — fine for a hundred traces, hopeless for
-10⁶.  This module provides the streaming twins: accumulators that fold
-one trace at a time into O(n_cycles) state (independent of trace count)
-and support an **associative merge**, so sharded accumulators built by
-``run_jobs`` workers (or chunks of a long campaign) combine into exactly
-the statistic a single pass would have produced:
+10⁶.  The fixed-vs-random TVLA campaign
+(:func:`repro.attacks.tvla.streaming_assess_des_program`) instead folds
+one trace at a time into O(n_cycles) state, independent of trace count:
 
-* :class:`MeanAccumulator` — per-cycle running mean (difference-of-means
-  DPA needs nothing more);
-* :class:`WelfordAccumulator` — per-cycle mean + M2 (Welford 1962;
-  merged with the Chan/Golub/LeVeque parallel update), giving sample
-  variance with any ``ddof``;
+* :class:`WelfordAccumulator` — per-cycle mean + M2 (Welford 1962),
+  giving sample variance with any ``ddof``;
 * :class:`WelchTAccumulator` — two Welford groups and the per-cycle
   Welch *t*-statistic, semantics matching
   :func:`repro.attacks.stats.welch_t_statistic` plus the
   deterministic-simulator "definite leak" ±inf corner of
   :func:`repro.attacks.tvla.fixed_vs_random`;
-* :class:`CorrelationAccumulator` — online per-cycle Pearson correlation
-  between a scalar prediction and the trace (streaming CPA);
 * :class:`DisclosureCurve` — the "traces-to-disclosure" headline metric:
-  a statistic watermark sampled at trace-count checkpoints, and the
+  a Welch-|t| watermark sampled at trace-count checkpoints, and the
   minimum trace count from which the device stays disclosed.
 
 Determinism contract: ``update`` order fixes the floating-point result
-bit-for-bit; ``merge`` is mathematically associative and commutative but
-reorders float accumulation, so a sharded campaign equals the one-pass
-result only to documented tolerance (``MERGE_RTOL``).  The engine's
-chunked streaming path (:func:`repro.harness.engine.run_stream`) updates
-in submission order, so ``jobs=1`` and ``jobs=N`` are **bit-identical**
-there — the same gate discipline as attribution snapshots.
+bit-for-bit.  The engine's chunked streaming path
+(:func:`repro.harness.engine.run_stream`) updates in submission order, so
+``jobs=1`` and ``jobs=N`` are **bit-identical** — the same gate
+discipline as attribution snapshots.
 """
 
 from __future__ import annotations
@@ -39,11 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-#: Relative tolerance within which a sharded ``merge`` result is
-#: guaranteed to match the single-pass accumulation (float reassociation
-#: only; the estimators are algebraically identical).
-MERGE_RTOL = 1e-9
 
 
 def _as_row(values) -> np.ndarray:
@@ -54,47 +40,8 @@ def _as_row(values) -> np.ndarray:
     return row
 
 
-class MeanAccumulator:
-    """Per-cycle running mean over incrementally observed traces.
-
-    Cycle count is fixed by the first ``update``; later traces must be
-    cycle-aligned (the same contract the batch matrix stack enforces).
-    """
-
-    __slots__ = ("count", "mean")
-
-    def __init__(self):
-        self.count: int = 0
-        self.mean: Optional[np.ndarray] = None
-
-    def update(self, values) -> None:
-        row = _as_row(values)
-        if self.mean is None:
-            self.count = 1
-            self.mean = row.copy()
-            return
-        if row.shape != self.mean.shape:
-            raise ValueError("trace is not cycle-aligned with accumulator")
-        self.count += 1
-        self.mean += (row - self.mean) / self.count
-
-    def merge(self, other: "MeanAccumulator") -> None:
-        """Fold ``other`` into this accumulator (associative)."""
-        if other.mean is None:
-            return
-        if self.mean is None:
-            self.count = other.count
-            self.mean = other.mean.copy()
-            return
-        if other.mean.shape != self.mean.shape:
-            raise ValueError("accumulators are not cycle-aligned")
-        total = self.count + other.count
-        self.mean += (other.mean - self.mean) * (other.count / total)
-        self.count = total
-
-
 class WelfordAccumulator:
-    """Per-cycle streaming mean/variance (Welford; Chan parallel merge)."""
+    """Per-cycle streaming mean/variance (Welford)."""
 
     __slots__ = ("count", "mean", "m2")
 
@@ -117,40 +64,12 @@ class WelfordAccumulator:
         self.mean += delta / self.count
         self.m2 += delta * (row - self.mean)
 
-    def merge(self, other: "WelfordAccumulator") -> None:
-        """Fold ``other`` into this accumulator (Chan/Golub/LeVeque)."""
-        if other.mean is None:
-            return
-        if self.mean is None:
-            self.count = other.count
-            self.mean = other.mean.copy()
-            self.m2 = other.m2.copy()
-            return
-        if other.mean.shape != self.mean.shape:
-            raise ValueError("accumulators are not cycle-aligned")
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.m2 += other.m2 + delta * delta \
-            * (self.count * other.count / total)
-        self.mean += delta * (other.count / total)
-        self.count = total
-
     def variance(self, ddof: int = 1) -> np.ndarray:
         """Per-cycle variance; zeros when fewer than ``ddof + 1`` traces."""
         if self.m2 is None or self.count <= ddof:
             shape = self.m2.shape if self.m2 is not None else (0,)
             return np.zeros(shape)
         return self.m2 / (self.count - ddof)
-
-
-def merged(a, b):
-    """``merge(a, b)`` as a pure function: a fresh accumulator holding
-    ``a`` folded with ``b``, leaving both inputs untouched.  Works for
-    every accumulator class in this module (anything with ``merge``)."""
-    out = type(a)()
-    out.merge(a)
-    out.merge(b)
-    return out
 
 
 class WelchTAccumulator:
@@ -179,10 +98,6 @@ class WelchTAccumulator:
         if group not in (0, 1):
             raise ValueError(f"group must be 0 or 1, got {group}")
         self.groups[group].update(values)
-
-    def merge(self, other: "WelchTAccumulator") -> None:
-        self.groups[0].merge(other.groups[0])
-        self.groups[1].merge(other.groups[1])
 
     def mean_difference(self) -> np.ndarray:
         """Per-cycle ``mean(group 1) − mean(group 0)``; zeros if a group
@@ -217,90 +132,15 @@ class WelchTAccumulator:
         return float(np.abs(t).max()) if t.size else 0.0
 
 
-class CorrelationAccumulator:
-    """Online per-cycle Pearson correlation: scalar prediction × trace.
-
-    Accumulates the raw cross-moments (n, Σh, Σh², Σt, Σt², Σht per
-    cycle) so the correlation is computed on demand in O(n_cycles).
-    Matches :func:`repro.attacks.cpa.correlation_trace` semantics:
-    zero-variance cycles (or predictions) read as correlation 0.
-    """
-
-    __slots__ = ("count", "sum_h", "sum_h2", "sum_t", "sum_t2", "sum_ht")
-
-    def __init__(self):
-        self.count: int = 0
-        self.sum_h: float = 0.0
-        self.sum_h2: float = 0.0
-        self.sum_t: Optional[np.ndarray] = None
-        self.sum_t2: Optional[np.ndarray] = None
-        self.sum_ht: Optional[np.ndarray] = None
-
-    def update(self, values, prediction: float) -> None:
-        row = _as_row(values)
-        h = float(prediction)
-        if self.sum_t is None:
-            self.sum_t = np.zeros_like(row)
-            self.sum_t2 = np.zeros_like(row)
-            self.sum_ht = np.zeros_like(row)
-        elif row.shape != self.sum_t.shape:
-            raise ValueError("trace is not cycle-aligned with accumulator")
-        self.count += 1
-        self.sum_h += h
-        self.sum_h2 += h * h
-        self.sum_t += row
-        self.sum_t2 += row * row
-        self.sum_ht += h * row
-
-    def merge(self, other: "CorrelationAccumulator") -> None:
-        if other.sum_t is None:
-            return
-        if self.sum_t is None:
-            self.count = other.count
-            self.sum_h = other.sum_h
-            self.sum_h2 = other.sum_h2
-            self.sum_t = other.sum_t.copy()
-            self.sum_t2 = other.sum_t2.copy()
-            self.sum_ht = other.sum_ht.copy()
-            return
-        if other.sum_t.shape != self.sum_t.shape:
-            raise ValueError("accumulators are not cycle-aligned")
-        self.count += other.count
-        self.sum_h += other.sum_h
-        self.sum_h2 += other.sum_h2
-        self.sum_t += other.sum_t
-        self.sum_t2 += other.sum_t2
-        self.sum_ht += other.sum_ht
-
-    def correlation(self) -> np.ndarray:
-        """Per-cycle Pearson ρ; zeros where either side is constant."""
-        if self.sum_t is None or self.count < 2:
-            return np.zeros(self.sum_t.shape if self.sum_t is not None
-                            else (0,))
-        n = self.count
-        h_ss = n * self.sum_h2 - self.sum_h * self.sum_h
-        t_ss = n * self.sum_t2 - self.sum_t * self.sum_t
-        # Float cancellation can push a constant series epsilon-negative.
-        h_ss = max(h_ss, 0.0)
-        t_ss = np.maximum(t_ss, 0.0)
-        numerator = n * self.sum_ht - self.sum_h * self.sum_t
-        denominator = np.sqrt(h_ss * t_ss)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(denominator > 1e-12, numerator / denominator, 0.0)
-        return rho
-
-
 @dataclass
 class DisclosureCurve:
-    """Traces-to-disclosure: a statistic sampled at trace-count checkpoints.
+    """Traces-to-disclosure: Welch-|t| sampled at trace-count checkpoints.
 
-    ``mode="t"`` treats ``value >= threshold`` as disclosed (Welch-|t|
-    against the TVLA 4.5 bar); ``mode="rank"`` treats
-    ``value <= threshold`` as disclosed (key rank dropping to 0).  The
-    headline number, :attr:`disclosure_traces`, is the smallest recorded
-    trace count from which the device is disclosed *at every later
-    checkpoint too* — a rank that luckily touches 0 once and bounces
-    back is not a disclosure.
+    A checkpoint is disclosed when its value reaches ``threshold`` (the
+    TVLA 4.5 bar).  The headline number, :attr:`disclosure_traces`, is
+    the smallest recorded trace count from which the device is disclosed
+    *at every later checkpoint too* — a |t| that touches the bar once and
+    falls back is not a disclosure.  ``mode`` is always ``"t"``.
     """
 
     threshold: float
@@ -309,8 +149,8 @@ class DisclosureCurve:
     values: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.mode not in ("t", "rank"):
-            raise ValueError(f"mode must be 't' or 'rank', got {self.mode!r}")
+        if self.mode != "t":
+            raise ValueError(f"mode must be 't', got {self.mode!r}")
 
     def record(self, traces: int, value: float) -> None:
         if self.checkpoints and traces <= self.checkpoints[-1]:
@@ -318,18 +158,13 @@ class DisclosureCurve:
         self.checkpoints.append(int(traces))
         self.values.append(float(value))
 
-    def disclosed(self, value: float) -> bool:
-        if self.mode == "t":
-            return value >= self.threshold
-        return value <= self.threshold
-
     @property
     def disclosure_traces(self) -> Optional[int]:
         """Minimum recorded trace count of sustained disclosure, or
         ``None`` when the device never disclosed within the budget."""
         first: Optional[int] = None
         for traces, value in zip(self.checkpoints, self.values):
-            if self.disclosed(value):
+            if value >= self.threshold:
                 if first is None:
                     first = traces
             else:

@@ -57,7 +57,7 @@ from ..obs import prom
 from ..obs.report import (dashboard_html, latency_quantiles,
                           request_report_html)
 from .core import LeakageService, ServiceConfig
-from .errors import RequestNotFound, ServiceError
+from .errors import InvalidRequest, RequestNotFound, ServiceError
 from .protocol import DONE, SCHEMA, RequestRecord
 
 #: Trace-ID propagation header (request and response).
@@ -246,12 +246,16 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 payload = json.loads(self.rfile.read(length) or b"{}")
             except json.JSONDecodeError as error:
-                from .errors import InvalidRequest
-
                 raise InvalidRequest(f"body is not valid JSON: {error}")
             if parsed.path == "/v1/cache/invalidate":
-                program_key = payload.get("program_key") \
-                    if isinstance(payload, dict) else None
+                # Absent or null means "every verdict"; anything else that
+                # is not a string must not widen (or silently miss) the drop.
+                if not isinstance(payload, dict):
+                    raise InvalidRequest("body must be a JSON object")
+                program_key = payload.get("program_key")
+                if program_key is not None \
+                        and not isinstance(program_key, str):
+                    raise InvalidRequest("program_key must be a string")
                 dropped = self.service.invalidate_verdict_cache(
                     program_key)
                 self._send_json(200, {"invalidated": dropped})

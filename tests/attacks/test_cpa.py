@@ -93,49 +93,3 @@ def test_cpa_margin_semantics():
         GuessScore(guess=2, peak=0.4, peak_cycle=0)], true_subkey=1)
     assert result.margin == pytest.approx(2.0)
     assert result.succeeded()
-
-
-# -- streaming accumulator --------------------------------------------------
-
-
-def test_cpa_accumulator_matches_batch_attack():
-    from repro.attacks.cpa import CpaAccumulator
-
-    trace_set = hw_leaky_traces()
-    accumulator = CpaAccumulator(box=0, key=KEY)
-    for plaintext, row in zip(trace_set.plaintexts, trace_set.traces):
-        accumulator.update(plaintext, row)
-    streamed = accumulator.result()
-    batch = cpa_attack(trace_set, box=0, key=KEY)
-    assert streamed.best_guess == batch.best_guess
-    assert streamed.rank_of_true == 0
-    for s, b in zip(streamed.scores, batch.scores):
-        assert s.guess == b.guess
-        assert s.peak == pytest.approx(b.peak, rel=1e-9)
-        assert s.peak_cycle == b.peak_cycle
-
-
-def test_cpa_accumulator_sharded_merge_matches_single_pass():
-    from repro.attacks.cpa import CpaAccumulator
-
-    trace_set = hw_leaky_traces(n=60)
-    single = CpaAccumulator(box=0, key=KEY)
-    combined = CpaAccumulator(box=0, key=KEY)
-    for start in range(0, 60, 20):
-        shard = CpaAccumulator(box=0, key=KEY)
-        for i in range(start, start + 20):
-            shard.update(trace_set.plaintexts[i], trace_set.traces[i])
-            single.update(trace_set.plaintexts[i], trace_set.traces[i])
-        combined.merge(shard)
-    np.testing.assert_allclose(combined.correlation(0),
-                               single.correlation(0), rtol=1e-9)
-    assert combined.result().best_guess == single.result().best_guess
-
-
-def test_cpa_accumulator_constant_traces_score_zero():
-    from repro.attacks.cpa import CpaAccumulator
-
-    accumulator = CpaAccumulator(box=0, key=KEY)
-    for plaintext in random_plaintexts(8, seed=3):
-        accumulator.update(plaintext, np.full(5, 42.0))
-    assert accumulator.result().scores[0].peak == 0.0

@@ -106,70 +106,3 @@ def test_collect_traces_window_and_alignment(round1_masked):
     assert traces.traces.shape == (3, 100)
     assert traces.n == 3
     assert traces.window == (100, 200)
-
-
-# -- streaming accumulator --------------------------------------------------
-
-
-def test_dpa_accumulator_matches_batch_attack():
-    from repro.attacks.dpa import DpaAccumulator
-
-    trace_set = synthetic_trace_set()
-    accumulator = DpaAccumulator(box=0, target_bit=0, key=KEY)
-    for plaintext, row in zip(trace_set.plaintexts, trace_set.traces):
-        accumulator.update(plaintext, row)
-    streamed = accumulator.result()
-    batch = dpa_attack(trace_set, box=0, target_bit=0, key=KEY)
-    assert streamed.rank_of_true == 0
-    assert streamed.best_guess == batch.best_guess
-    for s, b in zip(streamed.scores, batch.scores):
-        assert s.guess == b.guess
-        assert s.peak == pytest.approx(b.peak, rel=1e-9)
-
-
-def test_dpa_accumulator_sharded_merge_matches_single_pass():
-    from repro.attacks.dpa import DpaAccumulator
-
-    trace_set = synthetic_trace_set(n=60)
-    single = DpaAccumulator(box=0, key=KEY)
-    combined = DpaAccumulator(box=0, key=KEY)
-    for start in range(0, 60, 15):
-        shard = DpaAccumulator(box=0, key=KEY)
-        for i in range(start, start + 15):
-            shard.update(trace_set.plaintexts[i], trace_set.traces[i])
-            single.update(trace_set.plaintexts[i], trace_set.traces[i])
-        combined.merge(shard)
-    assert combined.count == single.count == 60
-    merged_scores = {s.guess: s.peak for s in combined.result().scores}
-    single_scores = {s.guess: s.peak for s in single.result().scores}
-    for guess in merged_scores:
-        assert merged_scores[guess] == pytest.approx(single_scores[guess],
-                                                     rel=1e-9)
-
-
-def test_dpa_accumulator_merge_rejects_different_hypotheses():
-    from repro.attacks.dpa import DpaAccumulator
-
-    a = DpaAccumulator(box=0)
-    with pytest.raises(ValueError):
-        a.merge(DpaAccumulator(box=1))
-    with pytest.raises(ValueError):
-        a.merge(DpaAccumulator(box=0, target_bit=2))
-
-
-def test_streaming_dpa_attack_matches_collect_then_attack(keyperm_unmasked):
-    from repro.attacks.dpa import collect_traces, streaming_dpa_attack
-
-    plaintexts = random_plaintexts(6, seed=8)
-    trace_set = collect_traces(keyperm_unmasked.program, KEY, plaintexts,
-                               noise_sigma=0.5)
-    batch = dpa_attack(trace_set, box=0, key=KEY)
-    campaign = streaming_dpa_attack(keyperm_unmasked.program, KEY,
-                                    plaintexts, box=0, target_bit=0,
-                                    noise_sigma=0.5, chunk_size=3)
-    assert campaign.traces_consumed == 6
-    for s, b in zip(campaign.result.scores, batch.scores):
-        assert s.guess == b.guess
-        assert s.peak == pytest.approx(b.peak, rel=1e-9)
-    # The curve sampled the true subkey's rank at each chunk checkpoint.
-    assert campaign.curve.checkpoints == [3, 6]

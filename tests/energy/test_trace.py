@@ -16,11 +16,6 @@ def test_len_and_totals():
     assert len(trace) == 3
     assert trace.total_pj == 6.0
     assert trace.total_uj == pytest.approx(6e-6)
-    assert trace.mean_pj == 2.0
-
-
-def test_empty_trace_mean():
-    assert make_trace([]).mean_pj == 0.0
 
 
 def test_marker_cycles():
@@ -77,12 +72,6 @@ def test_diff_values():
     a = make_trace([5, 5, 5])
     b = make_trace([1, 2, 3])
     assert list(a.diff(b)) == [4, 3, 2]
-
-
-def test_max_abs_diff():
-    a = make_trace([5, 5, 5])
-    b = make_trace([6, 1, 5])
-    assert a.max_abs_diff(b) == 4.0
 
 
 def test_from_tracker():

@@ -252,14 +252,13 @@ def test_obs_attribution_rejects_manifest_without_section(tmp_path,
         main(["obs", "attribution", str(other)])
 
 
-def test_experiment_streaming_and_progress_flags(tmp_path, capsys,
-                                                 monkeypatch):
+def test_experiment_progress_flags(tmp_path, capsys, monkeypatch):
     import json
     import os
 
     monkeypatch.delenv("REPRO_PROGRESS", raising=False)
     progress_path = tmp_path / "progress.jsonl"
-    assert main(["experiment", "ext-tvla", "--streaming",
+    assert main(["experiment", "ext-tvla",
                  "--progress", str(progress_path),
                  "--progress-interval", "0.1"]) == 0
     out = capsys.readouterr().out
@@ -274,9 +273,20 @@ def test_experiment_streaming_and_progress_flags(tmp_path, capsys,
     assert any("max_abs_t" in r for r in records)
 
 
-def test_experiment_streaming_flag_on_non_streaming_experiment(capsys):
-    assert main(["experiment", "xor-op", "--streaming"]) == 0
-    assert "--streaming" in capsys.readouterr().err
+def test_ext_tvla_jobs_2_equals_jobs_1(tmp_path, capsys):
+    import json
+
+    documents = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"tvla-{jobs}.json"
+        assert main(["experiment", "ext-tvla", "--jobs", jobs,
+                     "--json", str(path)]) == 0
+        documents.append(json.loads(path.read_text()))
+    capsys.readouterr()
+    serial, pooled = documents
+    assert pooled["summary"] == serial["summary"]
+    assert pooled["series"] == serial["series"]
+    assert serial["series"]["unmasked_disclosure_curve"]
 
 
 def test_obs_flamegraph_subcommand(tmp_path, capsys):

@@ -280,29 +280,6 @@ def test_run_stream_accumulator_matches_run_jobs():
     assert np.array_equal(streamed.m2, whole.m2)
 
 
-def test_run_stream_progress_callback_spans_whole_batch():
-    from repro.harness.engine import run_stream
-
-    seen = []
-    run_stream(_noisy_batch(5), lambda index, result: None, chunk_size=2,
-               progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(i, 5) for i in range(1, 6)]
-
-
-def test_run_stream_failed_slots_reach_consumer(monkeypatch):
-    from repro.harness.engine import run_stream
-    from repro.harness.resilience import FAULT_PLAN_ENV, JobFailure
-
-    monkeypatch.setenv(FAULT_PLAN_ENV, "trace[1]:*:raise")
-    slots = []
-    consumed = run_stream(_noisy_batch(4),
-                          lambda index, result: slots.append(result),
-                          chunk_size=2, failure_policy="collect")
-    assert consumed == 4
-    assert isinstance(slots[1], JobFailure)
-    assert all(not isinstance(slots[i], JobFailure) for i in (0, 2, 3))
-
-
 def test_run_stream_rejects_bad_chunk_size():
     from repro.harness.engine import run_stream
 
@@ -317,19 +294,29 @@ def test_run_stream_reporter_heartbeats_and_failures(monkeypatch, tmp_path):
     from repro.harness.resilience import FAULT_PLAN_ENV
     from repro.obs import progress as obs_progress
 
-    monkeypatch.setenv(FAULT_PLAN_ENV, "trace[2]:*:raise")
-    target = tmp_path / "progress.jsonl"
-    monkeypatch.setenv(obs_progress.PROGRESS_ENV, str(target))
+    def beats(path):
+        return [json.loads(line)
+                for line in path.read_text().strip().splitlines()]
+
+    streamed = tmp_path / "stream.jsonl"
+    monkeypatch.setenv(obs_progress.PROGRESS_ENV, str(streamed))
     consumed = run_stream(_noisy_batch(6), lambda index, result: None,
-                          chunk_size=2, failure_policy="retry", retries=2)
+                          chunk_size=2)
     assert consumed == 6
-    records = [json.loads(line)
-               for line in target.read_text().strip().splitlines()]
+    records = beats(streamed)
     assert records[-1]["event"] == "finished"
     assert records[-1]["done"] == 6
-    assert records[-1]["retried"] >= 1     # resilience layer reported in
     # One forced beat per chunk boundary at minimum, plus the terminal.
     assert len(records) >= 4
+    # A retried job reaches the heartbeat through the resilience layer.
+    retried = tmp_path / "retry.jsonl"
+    monkeypatch.setenv(obs_progress.PROGRESS_ENV, str(retried))
+    monkeypatch.setenv(FAULT_PLAN_ENV, "trace[2]:*:raise")
+    results = run_jobs(_noisy_batch(6), failure_policy="retry", retries=2)
+    assert len(results) == 6
+    records = beats(retried)
+    assert records[-1]["event"] == "finished"
+    assert records[-1]["retried"] >= 1
 
 
 def test_run_jobs_reporter_from_env(monkeypatch, tmp_path):

@@ -317,8 +317,8 @@ def test_loc_directive_threads_debug_info():
                                     program.text_base + 4: (9, True),
                                     program.text_base + 8: (9, True),
                                     program.text_base + 12: (None, False)}
-    assert program.sliced_addresses() == {program.text_base + 4,
-                                          program.text_base + 8}
+    assert [index for index, ins in enumerate(program.text)
+            if ins.sliced] == [1, 2]
 
 
 def test_loc_directive_does_not_change_encoding_or_equality():

@@ -30,12 +30,6 @@ def test_address_of(program):
         program.address_of("missing")
 
 
-def test_instruction_at(program):
-    assert program.instruction_at(program.text_base + 4).op == "addu"
-    with pytest.raises(IndexError):
-        program.instruction_at(program.text_base + 400)
-
-
 def test_address_of_index(program):
     assert program.address_of_index(2) == program.text_base + 8
 

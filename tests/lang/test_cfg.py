@@ -55,14 +55,6 @@ def test_edge_count_positive_for_branches():
     assert cfg.edge_count >= 3
 
 
-def test_block_of():
-    code, cfg = build("int x; if (x) { x = 1; }")
-    block = cfg.block_of(0)
-    assert block.start <= 0 < block.end
-    with pytest.raises(IndexError):
-        cfg.block_of(len(code) + 5)
-
-
 def test_jump_to_unknown_label_raises():
     from repro.lang.ir import Jump
 

@@ -65,14 +65,6 @@ def test_compiler_policies_rejected():
         apply_policy(program, MaskingPolicy.ANNOTATE_ONLY)
 
 
-def test_compiler_mode_mapping():
-    assert MaskingPolicy.NONE.compiler_mode == "none"
-    assert MaskingPolicy.SELECTIVE.compiler_mode == "selective"
-    assert MaskingPolicy.ANNOTATE_ONLY.compiler_mode == "annotate-only"
-    assert MaskingPolicy.ALL.compiler_mode is None
-    assert MaskingPolicy.ALL_LOADS_STORES.compiler_mode is None
-
-
 def test_original_program_untouched_by_rewrites():
     program = assemble(SOURCE)
     secure_all(program)

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs.flamegraph import (Frame, aggregate_spans, flamegraph_html,
+from repro.obs.flamegraph import (aggregate_spans, flamegraph_html,
                                   svg_flamegraph)
 from repro.obs.spans import Tracer
 
@@ -31,19 +31,6 @@ def test_aggregate_merges_same_name_siblings():
     assert job.children["execute"].wall_s == 7.0
     assert job.children["compile"].count == 1
     assert root.wall_s == 10.0
-
-
-def test_self_value_subtracts_children():
-    root = aggregate_spans(SPANS)
-    job = root.children["experiment"].children["job"]
-    assert job.self_value("wall") == 9.0 - (1.0 + 7.0)
-    # Self time is clamped at zero for over-attributed frames.
-    frame = Frame("x")
-    frame.wall_s = 1.0
-    child = Frame("y")
-    child.wall_s = 2.0
-    frame.children["y"] = child
-    assert frame.self_value("wall") == 0.0
 
 
 def test_frame_to_dict_round_trips_through_json():

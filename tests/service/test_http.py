@@ -94,6 +94,28 @@ def test_malformed_json_body_is_typed_not_a_stack_trace(server):
         assert document["error"]["code"] == "invalid_request"
 
 
+def test_cache_invalidate_scopes_and_rejects_malformed_bodies(client):
+    from repro.service.protocol import AssessRequest
+
+    client.invalidate_cache()                 # absent key: every verdict
+    client.assess(pair_payload(), timeout_s=120.0)
+    client.assess(pair_payload(masking="none"), timeout_s=120.0)
+    entries = client.cache_stats()["entries"]
+    # A non-object body or a non-string key is a typed 400 that drops
+    # nothing, not an "invalidate everything" or a silent no-op.
+    status, document = client._call_raw("POST", "/v1/cache/invalidate", [])
+    assert status == 400
+    assert document["error"]["code"] == "invalid_request"
+    with pytest.raises(InvalidRequest, match="program_key"):
+        client.invalidate_cache(123)
+    assert client.cache_stats()["entries"] == entries
+    program_key = AssessRequest.from_dict(pair_payload()).program_key()
+    assert client.invalidate_cache(program_key) == 1
+    assert client.cache_stats()["entries"] == entries - 1
+    other = client.assess(pair_payload(masking="none"), timeout_s=120.0)
+    assert other["verdict_cache"]["hit"]
+
+
 def test_unreachable_daemon_is_a_retryable_typed_error():
     client = ServiceClient("http://127.0.0.1:9")  # discard port: refused
     with pytest.raises(ServiceError) as excinfo:
