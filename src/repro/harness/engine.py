@@ -55,7 +55,10 @@ logger = logging.getLogger("repro.harness.engine")
 
 #: Memory budget of one :class:`CompileCache`, in pickled bytes, shared
 #: by programs, bound schedules and verdict documents (a 16-round DES
-#: schedule pickles to well under 1 MiB, a verdict to ~1 KiB).
+#: schedule pickles to well under 1 MiB, a verdict to ~1-2 KiB).
+#: Pickled bytes are not resident bytes: a verdict is held as a decoded
+#: JSON tree, ~6.5-7x its pickled size in memory (tracemalloc), so a
+#: store full of verdicts holds ~7x this budget.
 DEFAULT_MAX_BYTES = 32 * 1024 * 1024
 
 

@@ -174,16 +174,3 @@ class DisclosureCurve:
     @property
     def final_value(self) -> float:
         return self.values[-1] if self.values else 0.0
-
-    def to_dict(self) -> dict:
-        values = [v if np.isfinite(v) else (float("inf") if v > 0
-                                            else float("-inf"))
-                  for v in self.values]
-        return {
-            "mode": self.mode,
-            "threshold": self.threshold,
-            "checkpoints": list(self.checkpoints),
-            # JSON has no inf; the manifest writer stringifies them.
-            "values": [v if np.isfinite(v) else repr(v) for v in values],
-            "disclosure_traces": self.disclosure_traces,
-        }

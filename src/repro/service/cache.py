@@ -17,12 +17,17 @@ Properties:
 
 * **One store** — documents live in the service's artifact store
   (:class:`~repro.harness.engine.CompileCache`) next to its programs and
-  schedules, under the store's one memory budget, as canonical JSON
-  bytes plus the wall-clock time they were stored (every hit decodes a
-  fresh object, so callers can stamp per-request fields without
-  corrupting the store).  They are stored memory-only: the disk layer
-  has no eviction, so one file per unique request would grow without
-  bound.
+  schedules, under the store's one memory budget (sized by their
+  pickled bytes), as one canonical JSON-decoded document plus the
+  wall-clock time it was stored.  They are stored memory-only: the disk
+  layer has no eviction, so one file per unique request would grow
+  without bound.
+* **Fresh containers, shared immutable leaves** — the document is
+  canonicalised once on store (a ``sort_keys`` JSON round trip, so hits
+  carry lists, never tuples).  Every hit and every coalesced joiner
+  gets fresh dicts and lists over the stored strings and numbers:
+  callers can stamp or mutate per-request fields without corrupting the
+  store, and no hit re-parses JSON or keeps a second decoded copy.
 * **Single-flight coalescing** — concurrent identical requests elect a
   leader (:meth:`begin` → ``"lead"``); joiners block on the flight and
   receive the leader's document.  A failing leader wakes its joiners
@@ -146,15 +151,16 @@ class VerdictCache:
             with self._lock:
                 self._stats["coalesced_misses"] += 1
             return None
-        return json.loads(json.dumps(flight.document))
+        return _fresh(flight.document)
 
     def complete(self, key: str, flight: _Flight, document: dict) -> int:
-        """Leader succeeded: store the document, wake the joiners.
-        Returns the number of store entries evicted by the store."""
-        blob = json.dumps(document, sort_keys=True).encode()
-        evicted = self.store.store_artifact(key, (blob, time.time()),
+        """Leader succeeded: store the canonical document, wake the
+        joiners.  Returns the number of store entries evicted by the
+        store."""
+        canonical = json.loads(json.dumps(document, sort_keys=True))
+        evicted = self.store.store_artifact(key, (canonical, time.time()),
                                             durable=False)
-        flight.document = document
+        flight.document = canonical
         with self._lock:
             self._stats["stores"] += 1
             self._flights.pop(key, None)
@@ -197,9 +203,18 @@ class VerdictCache:
                         inflight=len(self._flights))
 
 
-def _decode(entry: tuple[bytes, float]) -> dict:
-    blob, stored = entry
-    document = json.loads(blob)
+def _fresh(node):
+    """Copy a decoded JSON tree's dicts and lists; share its leaves."""
+    if isinstance(node, dict):
+        return {key: _fresh(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_fresh(value) for value in node]
+    return node
+
+
+def _decode(entry: tuple[dict, float]) -> dict:
+    canonical, stored = entry
+    document = _fresh(canonical)
     document["verdict_cache"] = {
         "hit": True,
         "age_s": round(max(time.time() - stored, 0.0), 6),

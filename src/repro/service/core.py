@@ -38,6 +38,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -133,8 +134,8 @@ class LeakageService:
         self.registry = MetricsRegistry()
         self._metrics_lock = threading.Lock()
         self._records_lock = threading.Lock()
-        self._records: dict[str, RequestRecord] = {}
-        self._order: list[str] = []
+        #: Retained records in admission order (oldest first).
+        self._records: OrderedDict[str, RequestRecord] = OrderedDict()
         self._draining = threading.Event()
         self._cancel = threading.Event()
         self._drain_lock = threading.Lock()
@@ -265,22 +266,22 @@ class LeakageService:
     def _remember(self, record: RequestRecord) -> None:
         with self._records_lock:
             self._records[record.id] = record
-            self._order.append(record.id)
-            excess = len(self._order) - self.config.history_limit
+            excess = len(self._records) - self.config.history_limit
             if excess <= 0:
                 return
             # Evict the oldest terminal records, skipping any still in
             # flight: a request that has not reached its terminal state
-            # is never evicted (accounting beats memory here).
-            kept = []
-            for request_id in self._order:
-                if excess > 0 \
-                        and self._records[request_id].terminal.is_set():
-                    del self._records[request_id]
-                    excess -= 1
-                else:
-                    kept.append(request_id)
-            self._order = kept
+            # is never evicted (accounting beats memory here).  The scan
+            # stops at the last record it evicts, so it walks past the
+            # in-flight records only, not the whole history.
+            evicted = []
+            for request_id, older in self._records.items():
+                if older.terminal.is_set():
+                    evicted.append(request_id)
+                    if len(evicted) == excess:
+                        break
+            for request_id in evicted:
+                del self._records[request_id]
 
     def get(self, request_id: str) -> RequestRecord:
         with self._records_lock:
@@ -291,8 +292,7 @@ class LeakageService:
 
     def records(self) -> list[RequestRecord]:
         with self._records_lock:
-            return [self._records[request_id]
-                    for request_id in self._order]
+            return list(self._records.values())
 
     # -- execution ------------------------------------------------------
 

@@ -101,13 +101,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_body(self, status: int, body: bytes, content_type: str,
                    headers: Optional[dict] = None) -> None:
+        """Status line, headers and body in one write.
+
+        ``end_headers()`` followed by a body write would be two sends:
+        Nagle's algorithm then holds the body back until the client's
+        delayed ACK fires (~40 ms on Linux) on every reply.
+        """
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _send_error_typed(self, error: ServiceError) -> None:
         headers = {}

@@ -119,12 +119,3 @@ def test_disclosure_curve_validates_inputs():
     curve.record(8, 1.0)
     with pytest.raises(ValueError):
         curve.record(8, 2.0)
-
-
-def test_disclosure_curve_to_dict_stringifies_inf():
-    curve = DisclosureCurve(threshold=4.5)
-    curve.record(2, float("inf"))
-    curve.record(4, float("inf"))
-    document = curve.to_dict()
-    assert document["values"] == ["inf", "inf"]
-    assert document["disclosure_traces"] == 2

@@ -8,6 +8,7 @@ never double-counted.
 """
 
 import json
+import pickle
 import threading
 import time
 
@@ -81,6 +82,35 @@ def test_hit_decodes_a_fresh_object_with_age_stamp(tmp_path):
     assert second["verdict"]["passed"] is True
     assert second["verdict_cache"]["hit"] is True
     assert second["verdict_cache"]["age_s"] >= 0.0
+
+
+def test_hits_get_fresh_containers_over_shared_leaves(tmp_path):
+    """One decoded copy per entry: hits and joiners copy the dicts and
+    lists, never the strings and numbers, and hits carry lists, never
+    the tuples the leader stored."""
+    cache = _verdicts(tmp_path)
+    document = {"trace_digest": "ab" * 32,
+                "verdict": {"passed": True, "leaky_cycles": (3, 5)}}
+    outcome, leader_flight = cache.begin("verdict-k")
+    assert outcome == "lead"
+    verb, flight = cache.begin("verdict-k")
+    assert verb == "join"
+    cache.complete("verdict-k", leader_flight, document)
+    joined = cache.wait(flight, timeout=5.0)
+    first = _get(cache, "verdict-k")
+    second = _get(cache, "verdict-k")
+    assert first is not second
+    assert first["verdict"] is not second["verdict"]
+    assert first["verdict"]["leaky_cycles"] \
+        is not second["verdict"]["leaky_cycles"]
+    assert first["verdict"]["leaky_cycles"] == [3, 5]
+    assert first["trace_digest"] is second["trace_digest"]
+    assert joined["verdict"] is not first["verdict"]
+    assert joined["trace_digest"] is first["trace_digest"]
+    del first["verdict_cache"], second["verdict_cache"]
+    assert joined == first == second
+    stored = cache.store.memory.get("verdict-k")
+    assert cache.stats()["bytes"] == len(pickle.dumps(stored))
 
 
 def test_lru_eviction_respects_byte_budget(tmp_path):

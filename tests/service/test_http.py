@@ -34,7 +34,8 @@ def server():
 @pytest.fixture
 def client(server):
     host, port = server.address
-    return ServiceClient(f"http://{host}:{port}")
+    with ServiceClient(f"http://{host}:{port}") as instance:
+        yield instance
 
 
 def test_health_ready_and_metrics_endpoints(client):
@@ -125,3 +126,46 @@ def test_unreachable_daemon_is_a_retryable_typed_error():
 
 def test_recovery_endpoint_without_journal(client):
     assert client.recovery() == {"journal": None}
+
+
+def test_every_response_is_one_socket_write(client, monkeypatch):
+    """Status line, headers and body leave in one send.  A separate body
+    send is held back by Nagle's algorithm until the client's delayed
+    ACK fires (~40 ms on Linux), on every reply."""
+    import socketserver
+
+    writes = []
+    write = socketserver._SocketWriter.write
+
+    def counting_write(self, data):
+        writes.append(len(data))
+        return write(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write",
+                        counting_write)
+    request_id = client.submit(pair_payload(), wait_s=120.0)["id"]
+    replies = {
+        "json": client.health,
+        "request json": lambda: client.status(request_id),
+        "report.html": lambda: client.report_html(request_id),
+        "prometheus": client.metrics_text,
+        "dashboard": client.dashboard,
+        "trace": lambda: client.trace(request_id),
+    }
+    for name, fetch in replies.items():
+        writes.clear()
+        fetch()
+        assert len(writes) == 1, f"{name}: {len(writes)} writes {writes}"
+
+
+def test_http_0_9_request_gets_the_bare_body(server):
+    """An HTTP/0.9 request line (no version) is answered with the body
+    alone, no status line or headers, then the connection closes."""
+    import socket
+
+    with socket.create_connection(server.address, timeout=30) as sock:
+        sock.sendall(b"GET /healthz\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert json.loads(reply)["status"] == "ok"

@@ -1,9 +1,12 @@
 """LeakageService core: lifecycle, admission, deadlines, drain, metrics."""
 
+import sys
+import threading
 import time
 
 import pytest
 
+from repro.service.core import LeakageService
 from repro.service.errors import (AdmissionRejected, RequestNotFound,
                                   ShuttingDown)
 from repro.service.executor import execute_assessment
@@ -160,6 +163,44 @@ def test_history_limit_evicts_terminal_records_past_an_inflight_one(
     assert kept[0] is inflight
     assert kept[1:] == finished[-3:]  # the newest terminal records stay
     assert service.get(inflight.id) is inflight
+
+
+def test_history_eviction_work_does_not_grow_with_the_history(
+        make_service):
+    """Past ``history_limit`` each admission evicts from the front of
+    the retained records: with every retained record terminal, one
+    admission runs as many lines of ``_remember`` at 4,096 retained
+    records as at 16 (rebuilding the retained list on every admission
+    runs a few lines per retained record)."""
+    terminal = threading.Event()
+    terminal.set()
+    request = AssessRequest.from_dict(pair_payload())
+    code = LeakageService._remember.__code__
+
+    def lines_per_admission(limit: int) -> int:
+        service = make_service(workers=1, history_limit=limit)
+        for _ in range(limit + 1):  # fill the history, then evict once
+            service._remember(RequestRecord(request=request,
+                                            terminal=terminal))
+        record = RequestRecord(request=request, terminal=terminal)
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return count_lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     count_lines if frame.f_code is code else None)
+        try:
+            service._remember(record)
+        finally:
+            sys.settrace(previous)
+        assert len(service.records()) == limit
+        return lines
+
+    assert lines_per_admission(4096) == lines_per_admission(16)
 
 
 def test_health_and_drain_count_every_terminal_past_history_limit(
