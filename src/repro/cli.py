@@ -6,10 +6,10 @@ Commands:
 * ``asm FILE.s``        — assemble and print the program listing
 * ``run FILE``          — run a .s or .sc file on the energy simulator
 * ``experiment ID``     — run one registered paper experiment
-  (``--manifest``/``--metrics-out`` enable the observability sink and
-  write the run manifest / metrics snapshot; ``--attribution`` books
-  every picojoule to its (pc, unit, class) cell and saves the snapshot;
-  ``--report-html`` writes the self-contained HTML leakage report)
+  (``--manifest`` enables the observability sink and writes the run
+  manifest, the one observability artifact of a run; ``--attribution``
+  also books every picojoule to its (pc, unit, class) cell and records
+  the cells in that manifest)
 * ``experiments``       — list the experiment registry
 * ``serve``             — long-lived leakage-assessment daemon (HTTP
   JSON API, bounded admission, deadlines, circuit breaker, graceful
@@ -17,8 +17,8 @@ Commands:
 * ``submit``            — submit one assessment request to a daemon
   (or ``--local`` to run it in-process on the batch engine)
 * ``obs summarize``     — render, aggregate, and diff run manifests
-* ``obs attribution``   — ASCII energy-attribution tables from a
-  snapshot or manifest
+  (``--format prom`` for the metrics snapshot)
+* ``obs attribution``   — ASCII energy-attribution tables from a manifest
 * ``obs report``        — HTML leakage report from a manifest
 * ``obs flamegraph``    — standalone interactive flamegraph HTML from a
   manifest's span tree
@@ -172,10 +172,11 @@ def cmd_experiment(arguments: argparse.Namespace) -> int:
             else:
                 os.environ[name] = previous
 
+    if arguments.attribution and not arguments.manifest:
+        arguments.usage_error("--attribution requires --manifest (the "
+                              "cells are recorded in the manifest)")
     engine_effective = resolve_engine(arguments.engine)
     arguments.engine_effective = engine_effective
-    observing = bool(arguments.manifest or arguments.metrics_out
-                     or arguments.report_html)
     kwargs = {}
     jobs_effective = 1
     function = EXPERIMENTS.get(arguments.id)
@@ -198,14 +199,12 @@ def cmd_experiment(arguments: argparse.Namespace) -> int:
             flag = "--" + option.replace("_", "-")
             print(f"note: experiment {arguments.id!r} does not take "
                   f"{flag} (requested {value}; ignored)", file=sys.stderr)
-    if observing:
+    if arguments.manifest:
         from . import obs
 
         obs.enable()
-    if arguments.attribution:
-        from . import obs
-
-        obs.enable_attribution()
+        if arguments.attribution:
+            obs.enable_attribution()
     with env_scope("REPRO_ENGINE", engine_effective), \
             env_scope("REPRO_PROGRESS", arguments.progress), \
             env_scope("REPRO_PROGRESS_INTERVAL",
@@ -224,27 +223,15 @@ def cmd_experiment(arguments: argparse.Namespace) -> int:
         save_experiment_json(result, arguments.json,
                              include_series=not arguments.no_series)
         print(f"saved {arguments.json}")
-    if arguments.attribution:
-        import json as json_module
-
-        from . import obs
-
-        snapshot = obs.attribution().snapshot()
-        Path(arguments.attribution).write_text(
-            json_module.dumps(snapshot, indent=2, sort_keys=True))
-        print(f"saved attribution {arguments.attribution} "
-              f"({len(snapshot['cells'])} cells, "
-              f"{snapshot['total_pj']:,.1f} pJ)")
-    if observing or arguments.attribution:
-        _write_observability(arguments, result, signature, jobs_effective)
+    if arguments.manifest:
+        _write_manifest(arguments, result, signature, jobs_effective)
     return 0
 
 
-def _write_observability(arguments: argparse.Namespace, result,
-                         signature, jobs_effective: int) -> None:
-    """Build and persist the run manifest / metrics snapshot."""
+def _write_manifest(arguments: argparse.Namespace, result,
+                    signature, jobs_effective: int) -> None:
+    """Build and persist the run manifest."""
     import inspect
-    import json
     from dataclasses import asdict
 
     from . import obs
@@ -280,21 +267,8 @@ def _write_observability(arguments: argparse.Namespace, result,
         summary=result.summary,
         leakage=result.leakage.to_dict() if result.leakage is not None
         else None)
-    if arguments.manifest:
-        path = obs.write_manifest(manifest, arguments.manifest)
-        print(f"saved manifest {path}")
-    if arguments.metrics_out:
-        Path(arguments.metrics_out).write_text(
-            json.dumps(manifest["metrics"], indent=2, sort_keys=True))
-        print(f"saved metrics {arguments.metrics_out}")
-    if arguments.report_html:
-        from .harness.io import experiment_to_dict
-        from .obs.report import report_from_manifest, write_report
-
-        path = write_report(
-            report_from_manifest(manifest, experiment_to_dict(result)),
-            arguments.report_html)
-        print(f"saved report {path}")
+    path = obs.write_manifest(manifest, arguments.manifest)
+    print(f"saved manifest {path}")
 
 
 def cmd_obs_summarize(arguments: argparse.Namespace) -> int:
@@ -333,26 +307,18 @@ def cmd_obs_summarize(arguments: argparse.Namespace) -> int:
 
 
 def cmd_obs_attribution(arguments: argparse.Namespace) -> int:
-    """ASCII attribution tables from a snapshot JSON or a run manifest."""
-    import json
-
-    from .obs.attribution import SCHEMA as ATTRIBUTION_SCHEMA
+    """ASCII attribution tables from a run manifest."""
+    from . import obs
     from .obs.attribution import render_attribution
-    from .obs.manifest import COMPATIBLE_SCHEMAS
 
-    document = json.loads(Path(arguments.file).read_text())
-    schema = document.get("schema")
-    if schema == ATTRIBUTION_SCHEMA:
-        snapshot = document
-    elif schema in COMPATIBLE_SCHEMAS:
-        snapshot = document.get("attribution")
-        if not snapshot:
-            raise SystemExit(f"{arguments.file}: manifest carries no "
-                             "attribution section (run the experiment "
-                             "with --attribution)")
-    else:
-        raise SystemExit(f"{arguments.file}: neither an attribution "
-                         f"snapshot nor a run manifest (schema={schema!r})")
+    try:
+        snapshot = obs.load_manifest(arguments.manifest).get("attribution")
+    except ValueError as error:
+        raise SystemExit(str(error))
+    if not snapshot:
+        raise SystemExit(f"{arguments.manifest}: manifest carries no "
+                         "attribution section (run the experiment "
+                         "with --attribution)")
     print(render_attribution(snapshot, top=arguments.top))
     return 0
 
@@ -610,20 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="omit per-cycle series from the JSON")
     p_exp.add_argument("--manifest",
                        help="enable the observability sink and write the "
-                            "run manifest (config, metrics, span tree) "
-                            "to this path")
-    p_exp.add_argument("--metrics-out",
-                       help="enable the observability sink and write the "
-                            "metrics snapshot JSON to this path")
-    p_exp.add_argument("--attribution", metavar="PATH",
-                       help="enable per-PC energy attribution and write "
-                            "the full (pc, unit, class) snapshot JSON "
-                            "to this path")
-    p_exp.add_argument("--report-html", metavar="PATH", dest="report_html",
-                       help="enable the observability sink and write a "
-                            "self-contained HTML leakage report "
-                            "(charts, verdicts, hotspots) to this path")
-    p_exp.set_defaults(func=cmd_experiment)
+                            "run manifest (config, metrics, span tree, "
+                            "leakage verdicts) to this path; render it "
+                            "with 'repro obs'")
+    p_exp.add_argument("--attribution", action="store_true",
+                       help="also book every picojoule to its (pc, unit, "
+                            "class) cell and record the cells in the "
+                            "manifest (requires --manifest)")
+    p_exp.set_defaults(func=cmd_experiment, usage_error=p_exp.error)
 
     p_list = subparsers.add_parser("experiments",
                                    help="list registered experiments")
@@ -788,9 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_summarize.set_defaults(func=cmd_obs_summarize)
     p_attr = obs_subparsers.add_parser(
         "attribution",
-        help="render energy-attribution tables from a snapshot or "
-             "manifest")
-    p_attr.add_argument("file", metavar="SNAPSHOT_OR_MANIFEST.json")
+        help="render energy-attribution tables from a manifest")
+    p_attr.add_argument("manifest", metavar="MANIFEST.json")
     p_attr.add_argument("--top", type=int, default=20,
                         help="hotspot rows to show (default 20)")
     p_attr.set_defaults(func=cmd_obs_attribution)

@@ -6,16 +6,12 @@ Breaks a run's energy down two ways:
   program marks IP, key permutation, each round, and FP);
 * **by datapath component**, using the tracker's per-component totals.
 
-Also ranks a batch's :class:`~repro.harness.engine.JobResult` records by
-per-job wall time (:func:`job_timings`).
-
 Used by the trace-inspection example and by ablation analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..energy.trace import EnergyTrace
 from ..energy.tracker import COMPONENTS
@@ -90,12 +86,6 @@ def component_breakdown(run: RunResult) -> list[tuple[str, float, float]]:
     return [(name, totals.get(name, 0.0),
              totals.get(name, 0.0) / grand_total if grand_total else 0.0)
             for name in names]
-
-
-def job_timings(results: Sequence) -> list[tuple[str, float]]:
-    """Per-job ``(label, wall_time_s)`` pairs, slowest first."""
-    return sorted(((result.label, result.wall_time_s) for result in results),
-                  key=lambda pair: -pair[1])
 
 
 def des_phase_labels(rounds: int = 16) -> dict[int, str]:

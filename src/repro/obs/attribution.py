@@ -300,12 +300,11 @@ def top_hotspots(snapshot: dict, n: int = 20) -> list[dict]:
 
 
 def summarize_attribution(snapshot: dict, top: int = 25) -> dict:
-    """Compact rollup of a snapshot for embedding in a run manifest.
+    """Compact rollup of a snapshot: per unit / class / region totals,
+    the top hotspots and the cell count.
 
-    Full per-PC cell dumps can reach hundreds of kilobytes; manifests get
-    the rollups (per unit / class / region), the top hotspots, and the
-    cell count, while the complete snapshot goes to its own JSON file
-    (``--attribution PATH``).
+    A run manifest carries the full snapshot; its readers
+    (``repro obs summarize``, the HTML report) roll it up on read.
     """
     return {
         "schema": snapshot.get("schema", SCHEMA),
@@ -319,15 +318,9 @@ def summarize_attribution(snapshot: dict, top: int = 25) -> dict:
 
 
 def render_attribution(snapshot: dict, top: int = 20) -> str:
-    """ASCII rendering of an attribution snapshot (``repro obs attribution``).
-
-    Accepts either a full :meth:`AttributionSink.snapshot` or the compact
-    :func:`summarize_attribution` rollup a manifest embeds (detected by
-    ``cells`` being a count rather than a list); the summary form renders
-    the same sections minus the per-source-line table.
-    """
-    if not isinstance(snapshot.get("cells"), list):
-        return _render_summary(snapshot, top=top)
+    """ASCII rendering of an attribution snapshot (``repro obs attribution``
+    on a run manifest): per unit / class / region tables, the top
+    hotspots and the per-source-line table."""
     lines: list[str] = []
     total = snapshot.get("total_pj") or 0.0
     lines.append(f"attributed energy: {total:,.1f} pJ "
@@ -370,44 +363,4 @@ def render_attribution(snapshot: dict, top: int = 20) -> str:
             mark = " [sliced]" if slot["sliced"] else ""
             lines.append(f"    line {line:<5} {slot['pj']:>16,.1f} pJ  "
                          f"{share:>6.1%}{mark}")
-    return "\n".join(lines)
-
-
-def _render_summary(summary: dict, top: int = 20) -> str:
-    """ASCII rendering of a :func:`summarize_attribution` rollup."""
-    lines: list[str] = []
-    total = summary.get("total_pj") or 0.0
-    lines.append(f"attributed energy: {total:,.1f} pJ "
-                 f"({summary.get('cells', 0)} cells, summarized)")
-
-    def section(title: str, table: dict, order=None) -> None:
-        if not table:
-            return
-        lines.append(f"  by {title}:")
-        keys = order if order is not None else sorted(
-            table, key=lambda k: -table[k]["pj"])
-        for key in keys:
-            slot = table.get(key)
-            if slot is None:
-                continue
-            share = slot["pj"] / total if total else 0.0
-            lines.append(f"    {str(key):<12} {slot['pj']:>16,.1f} pJ  "
-                         f"{share:>6.1%}  {slot['events']:>12,} events")
-
-    section("unit", summary.get("by_unit", {}))
-    section("class", summary.get("by_class", {}),
-            order=[c for c in CLASSES if c in summary.get("by_class", {})])
-    section("region", summary.get("by_region", {}),
-            order=[name for name in ("secured", "unsecured", "overhead")
-                   if name in summary.get("by_region", {})])
-    hotspots = summary.get("top_hotspots", [])[:top]
-    if hotspots:
-        lines.append(f"  top {len(hotspots)} hotspots:")
-        for row in hotspots:
-            where = f"0x{row['pc']:08x}"
-            line = f" line {row['line']}" if row.get("line") else ""
-            mark = " [sliced]" if row.get("sliced") else ""
-            asm = f"  {row['asm']}" if row.get("asm") else ""
-            lines.append(f"    {where} {row['pj']:>14,.1f} pJ "
-                         f"{row['share']:>6.1%}{asm}{line}{mark}")
     return "\n".join(lines)

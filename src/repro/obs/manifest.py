@@ -4,11 +4,15 @@ A manifest answers, a month later, "what exactly produced these numbers?"
 It captures the package version, a fingerprint of the toolchain sources,
 the platform, the run configuration (masking policy, energy parameters,
 seeds, effective worker count), the final metrics snapshot, and the span
-tree — one JSON document written **atomically** next to the results it
-describes, so a crash mid-write never leaves a half manifest.
+tree, plus the full energy-attribution cell table and the leakage
+verdicts when the run collected them — one JSON document written
+**atomically** next to the results it describes, so a crash mid-write
+never leaves a half manifest.
 
-``repro obs summarize`` renders one manifest or aggregates/diffs several;
-:func:`aggregate_manifests` is the library entry point behind it.
+The manifest is the one observability artifact of a run, and
+``repro obs`` renders everything from it: ``summarize`` (one manifest,
+or an aggregate/diff of several; :func:`aggregate_manifests` is the
+library entry point), ``attribution``, ``report`` and ``flamegraph``.
 """
 
 from __future__ import annotations
@@ -22,18 +26,16 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from .attribution import summarize_attribution
 from .registry import MetricsRegistry, snapshot_totals
 from .spans import render_tree
 
 PathLike = Union[str, Path]
 
-SCHEMA = "repro.obs.manifest/v2"
-
-#: Schemas :func:`load_manifest` accepts.  v2 adds the optional
-#: ``attribution`` (energy-provenance rollup) and ``leakage``
-#: (per-region budget verdicts) sections; every v1 field is unchanged,
-#: so v1 manifests load, aggregate, and diff exactly as before.
-COMPATIBLE_SCHEMAS = ("repro.obs.manifest/v1", SCHEMA)
+#: v3: the ``attribution`` section is the full
+#: :meth:`~repro.obs.attribution.AttributionSink.snapshot` (cells,
+#: ``pc_info``, ``total_pj``); readers roll it up on read.
+SCHEMA = "repro.obs.manifest/v3"
 
 
 def build_manifest(experiment_id: Optional[str] = None,
@@ -41,7 +43,6 @@ def build_manifest(experiment_id: Optional[str] = None,
                    summary: Optional[dict] = None,
                    metrics: Optional[dict] = None,
                    spans: Optional[list] = None,
-                   attribution: Optional[dict] = None,
                    leakage: Optional[dict] = None) -> dict:
     """Assemble a manifest document from the current observability state.
 
@@ -51,18 +52,14 @@ def build_manifest(experiment_id: Optional[str] = None,
     energy parameters, seeds, jobs); ``summary`` carries experiment
     headline scalars.
 
-    Schema v2 sections, both optional (omitted when empty, so runs that
-    collect neither produce documents with the exact v1 field set):
+    Two optional sections, omitted when empty:
 
-    * ``attribution`` — the energy-provenance rollup; defaults to a
-      summary of the current context's attribution accumulator when it
-      holds cells, or pass a full/summarized snapshot explicitly;
+    * ``attribution`` — the current context's attribution snapshot, whole
+      (every (pc, unit, class, secure) cell), when it holds cells;
     * ``leakage`` — a :class:`~repro.obs.leakage.LeakageReport` dict (or
       a mapping of several).
     """
     from . import context
-    from .attribution import SCHEMA as ATTRIBUTION_SCHEMA
-    from .attribution import summarize_attribution
     from ..fingerprint import source_fingerprint
 
     current = context()
@@ -70,12 +67,6 @@ def build_manifest(experiment_id: Optional[str] = None,
         metrics = current.registry.snapshot()
     if spans is None:
         spans = current.tracer.tree()
-    if attribution is None and current.attribution:
-        attribution = summarize_attribution(current.attribution.snapshot())
-    elif attribution is not None and "cells" in attribution \
-            and isinstance(attribution.get("cells"), list) \
-            and attribution.get("schema") == ATTRIBUTION_SCHEMA:
-        attribution = summarize_attribution(attribution)
     manifest: dict = {
         "schema": SCHEMA,
         "created_unix": time.time(),
@@ -103,8 +94,8 @@ def build_manifest(experiment_id: Optional[str] = None,
     if summary is not None:
         manifest["summary"] = {key: _jsonable(value)
                                for key, value in summary.items()}
-    if attribution:
-        manifest["attribution"] = attribution
+    if current.attribution:
+        manifest["attribution"] = current.attribution.snapshot()
     if leakage:
         manifest["leakage"] = leakage
     return manifest
@@ -154,8 +145,8 @@ def load_manifest(path: PathLike) -> dict:
     """Load a manifest written by :func:`write_manifest`."""
     manifest = json.loads(Path(path).read_text())
     schema = manifest.get("schema")
-    if schema not in COMPATIBLE_SCHEMAS:
-        raise ValueError(f"{path}: not a repro run manifest "
+    if schema != SCHEMA:
+        raise ValueError(f"{path}: not a {SCHEMA} run manifest "
                          f"(schema={schema!r})")
     return manifest
 
@@ -227,22 +218,20 @@ def summarize_manifest(manifest: dict) -> str:
             formatted = f"{value:,.3f}" if isinstance(value, float) \
                 and not float(value).is_integer() else f"{int(value):,}"
             lines.append(f"    {name:<56} {formatted}")
-    attribution = manifest.get("attribution", {})
-    if attribution:
-        lines.append(f"  attribution: {attribution.get('total_pj', 0.0):,.3f}"
-                     f" pJ over {attribution.get('cells', 0)} cells")
+    if manifest.get("attribution"):
+        attribution = summarize_attribution(manifest["attribution"], top=5)
+        lines.append(f"  attribution: {attribution['total_pj']:,.3f}"
+                     f" pJ over {attribution['cells']} cells")
         for section in ("by_unit", "by_region"):
-            rollup = attribution.get(section, {})
-            if rollup:
-                lines.append(f"    {section}:")
-                for key, slot in sorted(rollup.items(),
-                                        key=lambda kv: -kv[1]["pj"]):
-                    lines.append(f"      {key:<24} {slot['pj']:,.3f} pJ"
-                                 f"  ({slot['events']:,} events)")
-        hotspots = attribution.get("top_hotspots", [])
+            lines.append(f"    {section}:")
+            for key, slot in sorted(attribution[section].items(),
+                                    key=lambda kv: -kv[1]["pj"]):
+                lines.append(f"      {key:<24} {slot['pj']:,.3f} pJ"
+                             f"  ({slot['events']:,} events)")
+        hotspots = attribution["top_hotspots"]
         if hotspots:
             lines.append("    top hotspots:")
-            for spot in hotspots[:5]:
+            for spot in hotspots:
                 where = f"pc=0x{spot['pc']:04x}" if spot.get("pc", -1) >= 0 \
                     else "overhead"
                 line_no = spot.get("line")

@@ -11,10 +11,9 @@ Sections (each rendered only when its data is present):
   with multi-series overlays for A/B comparisons;
 * the leakage-budget verdict table (:mod:`repro.obs.leakage`), colored
   by pass/fail;
-* energy attribution — per-unit stacked bars (split by instruction
-  class when the full snapshot is available), secured/unsecured/overhead
-  region shares, and the top-N hotspot table with source lines
-  (:mod:`repro.obs.attribution`).
+* energy attribution — per-unit bars stacked by instruction class,
+  secured/unsecured/overhead region shares, and the top-N hotspot table
+  with source lines (:mod:`repro.obs.attribution`).
 
 Entry points: :func:`build_report` (compose from parts),
 :func:`report_from_manifest` (everything a run manifest carries), and
@@ -28,7 +27,7 @@ from html import escape
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .attribution import CLASSES
+from .attribution import CLASSES, summarize_attribution
 
 PathLike = Union[str, Path]
 
@@ -296,43 +295,34 @@ def leakage_section(leakage: dict) -> str:
 
 
 def _unit_class_matrix(attribution: dict) -> dict[str, dict[str, float]]:
-    """unit -> class -> pJ; from full cells when present, else by_unit."""
-    cells = attribution.get("cells")
-    if isinstance(cells, list):
-        matrix: dict[str, dict[str, float]] = {}
-        for pc, unit, iclass, _, pj, _ in cells:
-            row = matrix.setdefault(unit, {})
-            row[iclass] = row.get(iclass, 0.0) + pj
-        return matrix
-    return {unit: {"total": slot["pj"]}
-            for unit, slot in attribution.get("by_unit", {}).items()}
+    """unit -> class -> pJ over an attribution snapshot's cells."""
+    matrix: dict[str, dict[str, float]] = {}
+    for _, unit, iclass, _, pj, _ in attribution["cells"]:
+        row = matrix.setdefault(unit, {})
+        row[iclass] = row.get(iclass, 0.0) + pj
+    return matrix
 
 
 def attribution_section(attribution: dict) -> str:
     """Stacked per-unit bars, region shares, and the hotspot table."""
-    from .attribution import summarize_attribution
-
-    if isinstance(attribution.get("cells"), list):
-        summary = summarize_attribution(attribution)
-    else:
-        summary = attribution
+    summary = summarize_attribution(attribution)
     parts = ["<h2>Energy attribution</h2>"]
-    parts.append(f'<p class="meta">{_fmt(summary.get("total_pj", 0.0))} pJ '
-                 f'attributed across {summary.get("cells", 0)} '
+    parts.append(f'<p class="meta">{_fmt(summary["total_pj"])} pJ '
+                 f'attributed across {summary["cells"]} '
                  f"(pc, unit, class) cells.</p>")
     matrix = _unit_class_matrix(attribution)
     chart = svg_stacked_bars(matrix,
                              title="per pipeline unit, by instruction class")
     if chart:
         parts.append(f"<figure>{chart}</figure>")
-    by_region = summary.get("by_region", {})
+    by_region = summary["by_region"]
     if by_region:
         region_bars = {name: {"energy": slot["pj"]}
                        for name, slot in by_region.items()}
         chart = svg_stacked_bars(
             region_bars, title="secured slice vs rest vs overhead")
         parts.append(f"<figure>{chart}</figure>")
-    hotspots = summary.get("top_hotspots", [])
+    hotspots = summary["top_hotspots"]
     if hotspots:
         parts.append("<h2>Hotspots</h2>")
         rows = []
@@ -408,7 +398,7 @@ def build_report(title: str,
     ``series`` maps name -> per-cycle values (one chart each);
     ``overlays`` maps chart-title -> {label: values} for multi-series
     A/B charts; ``leakage`` is a :class:`LeakageReport` dict (or mapping
-    of them); ``attribution`` a full or summarized snapshot; ``spans`` a
+    of them); ``attribution`` an attribution snapshot; ``spans`` a
     recorded span forest (rendered as wall/CPU flamegraphs); ``meta``
     small provenance strings for the footer.
     """
@@ -451,7 +441,11 @@ def build_report(title: str,
 def report_from_manifest(manifest: dict,
                          result: Optional[dict] = None) -> str:
     """Build the HTML report from a run manifest (and optionally the
-    saved experiment-result JSON, which carries the per-cycle series)."""
+    saved experiment-result JSON, which carries the per-cycle series).
+
+    Summary rows come in sorted key order, so a manifest held in memory
+    and the same manifest loaded back from disk render identically.
+    """
     experiment_id = manifest.get("experiment_id") or "run"
     title = f"repro leakage report — {experiment_id}"
     summary = dict(manifest.get("summary") or {})
@@ -465,6 +459,7 @@ def report_from_manifest(manifest: dict,
         leakage = leakage or result.get("leakage")
         summary = summary or dict(result.get("summary") or {})
         notes = result.get("notes", "")
+    summary = dict(sorted(summary.items()))
     package = manifest.get("package", {})
     meta = {
         "schema": manifest.get("schema", "?"),

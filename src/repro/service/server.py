@@ -49,6 +49,7 @@ import os
 import signal
 import threading
 from collections import deque
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
@@ -125,6 +126,23 @@ class _Handler(BaseHTTPRequestHandler):
         if error.trace_id is not None:
             headers[TRACE_HEADER] = error.trace_id
         self._send_json(error.http_status, error.to_dict(), headers)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Replies to requests that never reach a route (400 malformed
+        request line, 414 over-long line, 501 unsupported method, ...).
+
+        The inherited version writes its headers and an HTML body in two
+        sends; this one answers with a typed JSON error through
+        :meth:`_send_body`, in one write, and closes the connection.
+        """
+        status = HTTPStatus(code)
+        self.log_error("code %d, message %s", code, message)
+        error = ServiceError(message or status.phrase)
+        error.code = status.name.lower()
+        body = json.dumps(error.to_dict(), sort_keys=True).encode()
+        self._send_body(code, b"" if self.command == "HEAD" else body,
+                        "application/json", {"Connection": "close"})
 
     def _wait_seconds(self, query: dict) -> Optional[float]:
         raw = (query.get("wait") or [None])[0]

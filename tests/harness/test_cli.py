@@ -187,50 +187,74 @@ def test_run_trace_out_csv(asm_file, tmp_path, capsys):
     assert path.read_text().splitlines()[0] == "cycle,total_pj"
 
 
-def test_experiment_attribution_and_report(tmp_path, capsys):
+def test_experiment_attribution_and_report(tmp_path, capsys, monkeypatch):
+    """One artifact per run: the manifest carries the full attribution
+    cells, and ``repro obs`` renders everything from it."""
     import json
 
     from repro import obs
+    from repro.harness import experiments
+    from repro.harness.io import experiment_to_dict
+    from repro.obs.report import report_from_manifest
 
+    # Keep the objects the command held in memory.
+    held = {}
+    run_experiment = experiments.run_experiment
+    build_manifest = obs.build_manifest
+
+    def holding_run(*args, **kwargs):
+        held["result"] = run_experiment(*args, **kwargs)
+        return held["result"]
+
+    def holding_build(*args, **kwargs):
+        held["manifest"] = build_manifest(*args, **kwargs)
+        return held["manifest"]
+
+    monkeypatch.setattr(experiments, "run_experiment", holding_run)
+    monkeypatch.setattr(obs, "build_manifest", holding_build)
     manifest_path = tmp_path / "m.json"
-    attribution_path = tmp_path / "a.json"
-    report_path = tmp_path / "r.html"
-    result_path = tmp_path / "j.json"
+    result_path = tmp_path / "r.json"
     try:
-        assert main(["experiment", "fig12",
-                     "--manifest", str(manifest_path),
-                     "--attribution", str(attribution_path),
-                     "--report-html", str(report_path),
-                     "--json", str(result_path), "--no-series"]) == 0
+        assert main(["experiment", "fig12", "--manifest", str(manifest_path),
+                     "--attribution", "--json", str(result_path)]) == 0
     finally:
         obs.disable_attribution()
         obs.disable()
         obs.reset()
-    out = capsys.readouterr().out
-    assert "saved attribution" in out and "saved report" in out
+    assert "saved manifest" in capsys.readouterr().out
 
-    snapshot = json.loads(attribution_path.read_text())
-    assert snapshot["schema"] == "repro.obs.attribution/v1"
-    assert snapshot["total_pj"] > 0
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["schema"] == "repro.obs.manifest/v2"
-    assert manifest["attribution"]["cells"] == len(snapshot["cells"])
-    html = report_path.read_text()
-    assert html.startswith("<!DOCTYPE html>")
-    assert "Energy attribution" in html
+    assert manifest["schema"] == "repro.obs.manifest/v3"
+    attribution = manifest["attribution"]
+    assert attribution["schema"] == "repro.obs.attribution/v1"
+    assert isinstance(attribution["cells"], list) and attribution["cells"]
+    assert sum(cell[4] for cell in attribution["cells"]) \
+        == pytest.approx(attribution["total_pj"], rel=1e-9)
 
-    # The artifacts feed the obs subcommands.
-    assert main(["obs", "attribution", str(attribution_path),
+    assert main(["obs", "attribution", str(manifest_path),
                  "--top", "3"]) == 0
-    full = capsys.readouterr().out
-    assert "attributed energy" in full and "by unit:" in full
-    assert main(["obs", "attribution", str(manifest_path)]) == 0
-    assert "summarized" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "attributed energy" in text and "by unit:" in text
+    assert "by source line:" in text
+
     out_html = tmp_path / "out.html"
     assert main(["obs", "report", str(manifest_path),
                  "--json", str(result_path), "-o", str(out_html)]) == 0
     capsys.readouterr()
-    assert "fig12" in out_html.read_text()
+    html = out_html.read_text()
+    assert "Energy attribution" in html
+    assert "per pipeline unit, by instruction class" in html
+    # Loaded back from disk, the manifest renders the same report as
+    # the one the command held in memory.
+    assert html == report_from_manifest(
+        held["manifest"], experiment_to_dict(held["result"]))
+
+
+def test_experiment_attribution_requires_manifest(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "fig12", "--attribution"])
+    assert excinfo.value.code == 2
+    assert "--attribution requires --manifest" in capsys.readouterr().err
 
 
 def test_obs_attribution_rejects_manifest_without_section(tmp_path,

@@ -1,8 +1,6 @@
 """End-to-end observability: engine instrumentation, parallel merge
 determinism, the no-op-sink bit-identicality guarantee, and the CLI
-surface (``--manifest`` / ``--metrics-out`` / ``obs summarize``)."""
-
-import json
+surface (``--manifest`` / ``obs summarize``)."""
 
 import numpy as np
 
@@ -145,12 +143,10 @@ def _run_cli(argv):
         obs.reset()
 
 
-def test_cli_manifest_and_metrics_out(tmp_path, capsys):
+def test_cli_manifest(tmp_path, capsys):
     manifest_path = tmp_path / "fig12.json"
-    metrics_path = tmp_path / "metrics.json"
     assert _run_cli(["experiment", "fig12",
-                     "--manifest", str(manifest_path),
-                     "--metrics-out", str(metrics_path)]) == 0
+                     "--manifest", str(manifest_path)]) == 0
     output = capsys.readouterr().out
     assert f"saved manifest {manifest_path}" in output
 
@@ -164,7 +160,6 @@ def test_cli_manifest_and_metrics_out(tmp_path, capsys):
                and "secure=true" in name for name in totals)
     assert totals["energy_component_pj{component=secure}"] > 0
     assert manifest["spans"][0]["name"] == "experiment"
-    assert json.loads(metrics_path.read_text()) == manifest["metrics"]
 
 
 def test_cli_obs_summarize_aggregates_and_diffs(tmp_path, capsys):

@@ -24,7 +24,7 @@ def test_manifest_write_load_round_trip(tmp_path, obs_on):
     path = obs.write_manifest(manifest, tmp_path / "run.json")
     loaded = obs.load_manifest(path)
     assert loaded == json.loads(json.dumps(manifest))  # JSON-exact
-    assert loaded["schema"] == "repro.obs.manifest/v2"
+    assert loaded["schema"] == "repro.obs.manifest/v3"
     assert loaded["config"]["jobs_effective"] == 2
     assert loaded["spans"][0]["name"] == "experiment"
     assert loaded["spans"][0]["children"][0]["name"] == "execute"
@@ -48,12 +48,15 @@ def test_load_manifest_rejects_foreign_json(tmp_path):
         obs.load_manifest(path)
 
 
-def test_load_manifest_accepts_v1_documents(tmp_path):
-    # v2 only adds optional sections; v1 archives must keep loading.
+def test_load_manifest_rejects_older_schemas(tmp_path):
+    # v3 changed the attribution section's shape (full cells, not a
+    # rollup); older documents are refused by name, not misread.
     path = tmp_path / "old.json"
-    path.write_text(json.dumps({"schema": "repro.obs.manifest/v1",
-                                "metrics": {}, "spans": []}))
-    assert obs.load_manifest(path)["schema"] == "repro.obs.manifest/v1"
+    for schema in ("repro.obs.manifest/v1", "repro.obs.manifest/v2"):
+        path.write_text(json.dumps({"schema": schema,
+                                    "metrics": {}, "spans": []}))
+        with pytest.raises(ValueError, match=schema):
+            obs.load_manifest(path)
 
 
 def test_manifest_v2_sections_default_from_context(obs_on):
@@ -68,12 +71,14 @@ def test_manifest_v2_sections_default_from_context(obs_on):
     leakage = {"budget_pj": 1e-6, "passed": True, "violations": 0,
                "regions": [], "label": "unit"}
     manifest = obs.build_manifest(leakage=leakage)
-    assert manifest["attribution"]["total_pj"] == pytest.approx(2.5)
-    assert manifest["attribution"]["by_unit"]["alu"]["pj"] \
-        == pytest.approx(2.5)
+    # The whole snapshot, cells included; readers roll it up on read.
+    assert manifest["attribution"] == obs_on.attribution.snapshot()
+    assert manifest["attribution"]["cells"] == [[0, "alu", "xor", 0,
+                                                 2.5, 1]]
     assert manifest["leakage"]["passed"] is True
     text = obs.summarize_manifest(manifest)
-    assert "attribution:" in text
+    assert "attribution: 2.500 pJ over 1 cells" in text
+    assert "alu" in text
     assert "leakage:" in text and "PASS" in text
 
 

@@ -158,6 +158,43 @@ def test_every_response_is_one_socket_write(client, monkeypatch):
         assert len(writes) == 1, f"{name}: {len(writes)} writes {writes}"
 
 
+@pytest.mark.parametrize("request_bytes, status, code", [
+    (b"PUT /healthz HTTP/1.1\r\nHost: x\r\n\r\n", 501, "not_implemented"),
+    (b"GET / extra HTTP/1.1\r\n\r\n", 400, "bad_request"),
+    # Exactly one byte over the 65,536-byte line limit and no newline,
+    # so the server reads everything sent before it closes.
+    (b"GET /" + b"a" * 65532, 414, "request_uri_too_long"),
+], ids=["501-method", "400-request-line", "414-long-line"])
+def test_protocol_errors_are_one_socket_write(server, monkeypatch,
+                                              request_bytes, status, code):
+    """Requests that never reach a route are answered by ``send_error``;
+    its replies are typed JSON errors in one send too, and close the
+    connection."""
+    import socket
+    import socketserver
+
+    writes = []
+    write = socketserver._SocketWriter.write
+
+    def counting_write(self, data):
+        writes.append(len(data))
+        return write(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write",
+                        counting_write)
+    with socket.create_connection(server.address, timeout=30) as sock:
+        sock.sendall(request_bytes)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert len(writes) == 1, f"{status}: {len(writes)} writes {writes}"
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close" in head
+    error = json.loads(body)["error"]
+    assert error["code"] == code and error["retryable"] is False
+
+
 def test_http_0_9_request_gets_the_bare_body(server):
     """An HTTP/0.9 request line (no version) is answered with the body
     alone, no status line or headers, then the connection closes."""
