@@ -271,12 +271,22 @@ def _write_manifest(arguments: argparse.Namespace, result,
     print(f"saved manifest {path}")
 
 
+def _load_manifest(path) -> dict:
+    """A run manifest, or a one-line usage error for a foreign file."""
+    from . import obs
+
+    try:
+        return obs.load_manifest(path)
+    except ValueError as error:
+        raise SystemExit(str(error))
+
+
 def cmd_obs_summarize(arguments: argparse.Namespace) -> int:
     """Render one manifest; aggregate and diff when given several."""
     from . import obs
     from .obs.registry import snapshot_totals
 
-    manifests = [obs.load_manifest(path) for path in arguments.manifests]
+    manifests = [_load_manifest(path) for path in arguments.manifests]
     if getattr(arguments, "format", "text") == "prom":
         from .obs.prom import render_prometheus
 
@@ -308,13 +318,9 @@ def cmd_obs_summarize(arguments: argparse.Namespace) -> int:
 
 def cmd_obs_attribution(arguments: argparse.Namespace) -> int:
     """ASCII attribution tables from a run manifest."""
-    from . import obs
     from .obs.attribution import render_attribution
 
-    try:
-        snapshot = obs.load_manifest(arguments.manifest).get("attribution")
-    except ValueError as error:
-        raise SystemExit(str(error))
+    snapshot = _load_manifest(arguments.manifest).get("attribution")
     if not snapshot:
         raise SystemExit(f"{arguments.manifest}: manifest carries no "
                          "attribution section (run the experiment "
@@ -327,10 +333,9 @@ def cmd_obs_report(arguments: argparse.Namespace) -> int:
     """Self-contained HTML leakage report from a run manifest."""
     import json
 
-    from . import obs
     from .obs.report import report_from_manifest, write_report
 
-    manifest = obs.load_manifest(arguments.manifest)
+    manifest = _load_manifest(arguments.manifest)
     result = json.loads(Path(arguments.json).read_text()) \
         if arguments.json else None
     path = write_report(report_from_manifest(manifest, result),
@@ -341,10 +346,9 @@ def cmd_obs_report(arguments: argparse.Namespace) -> int:
 
 def cmd_obs_flamegraph(arguments: argparse.Namespace) -> int:
     """Standalone interactive flamegraph HTML from a manifest's spans."""
-    from . import obs
     from .obs.flamegraph import flamegraph_html
 
-    manifest = obs.load_manifest(arguments.manifest)
+    manifest = _load_manifest(arguments.manifest)
     spans = manifest.get("spans") or []
     if not spans:
         print(f"note: {arguments.manifest} carries no spans (run the "

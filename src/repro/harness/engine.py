@@ -554,7 +554,9 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
              failure_policy: str = "raise", retries: int = 2,
              job_timeout: Optional[float] = None,
              checkpoint: Optional[Union[str, Path]] = None,
-             engine: Optional[str] = None) -> list:
+             engine: Optional[str] = None,
+             consume: Optional[Callable[[int, "JobResult"], None]] = None
+             ) -> Union[list, int]:
     """Execute a batch of independent jobs, preserving submission order.
 
     ``jobs=1`` (the default) runs serially in-process — identical to
@@ -590,6 +592,15 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
     Before a batch fans out across the pool, each distinct program whose
     jobs replay a cycle schedule has it recorded once here, in the
     parent, so no worker ever records it (see :func:`_prewarm_schedules`).
+
+    ``consume(index, result)``, when given, receives each slot in
+    submission order as soon as every earlier slot is final, and the
+    batch keeps no reference to it afterwards; ``run_jobs`` then returns
+    the number of slots consumed instead of the list.  Under a pool the
+    slots waiting for the consumer share the worker window, so the
+    parent holds at most ``jobs + 1`` results at each consume.
+    Observability is merged per slot, just before it is consumed, in
+    the same order as the list path.
     """
     from .resilience import execute_batch
 
@@ -614,14 +625,21 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
             if _chained is not None:
                 _chained(done, total)
 
+    deliver = None
+    if consume is not None:
+        def deliver(index, result):
+            _merge_observability((result,))
+            consume(index, result)
+
     with obs_progress.active(reporter):
         if jobs > 1 and len(batch) > 1:
             _prewarm_schedules(batch)
-        results = execute_batch(list(batch), jobs=jobs, progress=progress,
+        results = execute_batch(batch, jobs=jobs, progress=progress,
                                 failure_policy=failure_policy,
                                 retries=retries, job_timeout=job_timeout,
-                                checkpoint=checkpoint)
-    _merge_observability(results)
+                                checkpoint=checkpoint, consume=deliver)
+    if consume is None:
+        _merge_observability(results)
     if reporter is not None:
         reporter.finish()
     return results
@@ -668,19 +686,25 @@ def run_stream(batch: Sequence[SimJob],
     The campaign-scale twin of :func:`run_jobs`: the batch is executed in
     chunks of ``chunk_size`` jobs, and each finished
     :class:`JobResult` is handed to ``consume(index, result)`` — in
-    submission order, under any ``jobs`` count — then dropped.  Peak
-    memory is ``O(chunk_size)`` results instead of ``O(len(batch))``, so
-    a 10⁶-trace TVLA campaign folds into streaming accumulators
+    submission order, under any ``jobs`` count — as soon as every
+    earlier job has been consumed, then dropped.  Results waiting for
+    the consumer count against the worker window, so at every consume
+    the parent holds the consumer's own state and at most ``jobs + 1``
+    results (the one being consumed, the others running or waiting),
+    whatever ``chunk_size`` and the campaign length.  So a 10⁶-trace
+    TVLA campaign folds into streaming accumulators
     (:mod:`repro.obs.streaming`) without ever materializing the trace
-    matrix.  Because consumption order is fixed, accumulator state — and
-    therefore the campaign statistics — is bit-identical for ``jobs=1``
-    and ``jobs=N``.
+    matrix.  Because consumption order is fixed,
+    accumulator state — and therefore the campaign statistics — is
+    bit-identical for ``jobs=1`` and ``jobs=N``.
 
-    ``$REPRO_PROGRESS`` enables live heartbeats; a forced heartbeat is
-    emitted at every chunk boundary, so long campaigns report at least
-    once per ``chunk_size`` jobs even when the rate-limit interval has
-    not elapsed.  A failed job raises, as under :func:`run_jobs`'
-    default policy.  Returns the number of slots consumed.
+    ``chunk_size`` bounds the scheduler's per-batch bookkeeping and sets
+    the heartbeat cadence: with ``$REPRO_PROGRESS`` set, a forced
+    heartbeat is emitted at every chunk boundary, so long campaigns
+    report at least once per ``chunk_size`` jobs even when the
+    rate-limit interval has not elapsed.  A failed job raises, as under
+    :func:`run_jobs`' default policy.  Returns the number of slots
+    consumed.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -696,10 +720,11 @@ def run_stream(batch: Sequence[SimJob],
                 def progress(done, _chunk_total, _base=start):
                     reporter.job_done(_base + done, total)
 
-            results = run_jobs(chunk, jobs=jobs, progress=progress)
-            for offset, result in enumerate(results):
-                consume(start + offset, result)
-            consumed += len(results)
+            def deliver(offset, result, _base=start):
+                consume(_base + offset, result)
+
+            consumed += run_jobs(chunk, jobs=jobs, progress=progress,
+                                 consume=deliver)
             if reporter is not None:
                 reporter.done = start + len(chunk)
                 reporter.heartbeat(force=True)
@@ -711,8 +736,9 @@ def run_stream(batch: Sequence[SimJob],
 def _merge_observability(results: Sequence) -> None:
     """Fold per-job scoped metrics/spans into the caller's context.
 
-    Always in submission order, so the aggregated registry and span tree
-    are identical for ``jobs=1`` and any worker count.  Additionally
+    Called in submission order (for a whole batch, or slot by slot ahead
+    of a consumer), so the aggregated registry and span tree are
+    identical for ``jobs=1`` and any worker count.  Additionally
     records a wall-time histogram of the batch's jobs.  Failure slots
     (:class:`~repro.harness.resilience.JobFailure`) carry no scoped
     metrics and are skipped.

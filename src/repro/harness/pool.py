@@ -139,6 +139,11 @@ class PoolLease:
     scheduler needs (``submit``), and routes every destructive operation
     through the shared pool so a recovering batch replaces the whole
     generation instead of leaving half-dead workers for the next lease.
+
+    The lease tracks only its *pending* futures (for :meth:`release` to
+    cancel): a future leaves the set the moment it is done, so a
+    finished job's result is owned by the scheduler alone and freed once
+    the scheduler has handed it on.
     """
 
     def __init__(self, pool: "SharedWorkerPool", executor, workers: int):
@@ -146,7 +151,9 @@ class PoolLease:
         self._executor = executor
         self.workers = workers
         self._released = False
-        self._futures: list = []
+        self._futures: set = set()
+        # Done-callbacks run on the executor's management thread.
+        self._futures_lock = threading.Lock()
 
     def submit(self, fn, *args):
         executor = self._executor
@@ -155,8 +162,20 @@ class PoolLease:
 
             raise BrokenProcessPool("pool lease has no live executor")
         future = executor.submit(fn, *args)
-        self._futures.append(future)
+        with self._futures_lock:
+            self._futures.add(future)
+        future.add_done_callback(self._forget)
         return future
+
+    def _forget(self, future) -> None:
+        with self._futures_lock:
+            self._futures.discard(future)
+
+    def _take_futures(self) -> list:
+        with self._futures_lock:
+            futures = list(self._futures)
+            self._futures.clear()
+        return futures
 
     def kill(self) -> None:
         """Kill this lease's worker generation (wedged or broken)."""
@@ -164,7 +183,7 @@ class PoolLease:
         if executor is None:
             return
         self._pool._kill_generation(executor)
-        self._futures.clear()
+        self._take_futures()
 
     def replace(self) -> bool:
         """Kill this generation and fork a fresh one in its place.
@@ -187,7 +206,7 @@ class PoolLease:
         if self._released:
             return
         self._released = True
-        pending = [f for f in self._futures if not f.done()]
+        pending = self._take_futures()
         for future in pending:
             future.cancel()
         stragglers = [f for f in pending
@@ -197,7 +216,6 @@ class PoolLease:
             # retire the generation rather than hand a busy executor to
             # the next lease or block the release waiting on it.
             self.kill()
-        self._futures.clear()
         self._executor = None
         self._pool._release(self)
 

@@ -53,7 +53,7 @@ import traceback as traceback_module
 import zlib
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -421,12 +421,16 @@ def job_digest(job) -> bytes:
     if isinstance(program, CompileRequest):
         digest.update(program.cache_key().encode())
     else:
-        if "_fastpath_digest" in vars(program):
-            # The fast path caches its program digest on the instance
-            # (a parent-side schedule pre-warm sets it); identity must
-            # not depend on which process touched the program first.
+        memos = vars(program).keys() - {field.name
+                                        for field in fields(program)}
+        if memos:
+            # Attributes beyond the dataclass fields are caches of
+            # derived values (the fast path's digest, the pipeline's
+            # encoded text); identity must not depend on which process
+            # touched the program first.
             program = copy.copy(program)
-            del program._fastpath_digest
+            for name in memos:
+                delattr(program, name)
         digest.update(hashlib.sha256(pickle.dumps(program)).digest())
     digest.update(repr((job.inputs, job.des_pair, job.noise_sigma,
                         job.noise_seed, job.label, job.collect_components,
@@ -582,7 +586,7 @@ class _BatchState:
 
     def __init__(self, batch: Sequence, progress, failure_policy: str,
                  max_attempts: int, job_timeout: Optional[float],
-                 journal: Optional[CheckpointJournal]):
+                 journal: Optional[CheckpointJournal], consume=None):
         self.batch = list(batch)
         self.total = len(self.batch)
         self.progress = progress
@@ -592,6 +596,15 @@ class _BatchState:
         self.journal = journal
         self.slots: list = [None] * self.total
         self.done = 0
+        #: In-order consumer ``consume(index, outcome)``, or ``None`` to
+        #: keep every outcome in :attr:`slots` until the batch ends.
+        self.consume = consume
+        #: Slots below this index were handed to :attr:`consume` and
+        #: emptied again.
+        self.delivered = 0
+        #: Filled slots at or above :attr:`delivered`: outcomes the
+        #: batch holds for the consumer.
+        self.held = 0
         #: Zero-arg callable → received signal number or ``None``;
         #: installed by :func:`execute_batch`'s interrupt guard.
         self.interrupt_check: Callable[[], Optional[int]] = lambda: None
@@ -600,7 +613,7 @@ class _BatchState:
         """Fill slots from the journal; returns the indices still to run."""
         if self.journal and self.journal.completed:
             for index, result in self.journal.completed.items():
-                self.slots[index] = result
+                self._fill(index, result)
                 self.done += 1
             if obs.enabled():
                 obs.counter("checkpoint_jobs_skipped",
@@ -611,8 +624,49 @@ class _BatchState:
         return [index for index in range(self.total)
                 if self.slots[index] is None]
 
+    def _fill(self, index: int, outcome) -> None:
+        self.slots[index] = outcome
+        self.held += 1
+
+    def deliver(self, limit: Optional[int] = None) -> int:
+        """Hand final slots of the in-order prefix to the consumer.
+
+        At most ``limit`` slots (all ready ones when ``None``); returns
+        how many were consumed.  A slot is emptied as its outcome is
+        consumed.  No-op without a consumer.
+        """
+        if self.consume is None:
+            return 0
+        slots = self.slots
+        count = 0
+        while (limit is None or count < limit) \
+                and self.delivered < self.total \
+                and slots[self.delivered] is not None:
+            index = self.delivered
+            outcome, slots[index] = slots[index], None
+            self.delivered += 1
+            self.held -= 1
+            count += 1
+            self.consume(index, outcome)
+        return count
+
+    def may_start(self, running: int, workers: int) -> bool:
+        """May the pool scheduler start another job?
+
+        At most ``workers`` jobs run at once.  Under a consumer the
+        outcomes held for it count against the same window, plus one for
+        the outcome being consumed, so the parent holds at most
+        ``workers + 1`` outcomes at any consume; a job whose earlier
+        neighbour is slow waits instead of piling up results.  With
+        nothing running a job may always start, so no batch stalls.
+        """
+        if running >= workers:
+            return False
+        return self.consume is None or running == 0 \
+            or running + self.held <= workers
+
     def succeed(self, index: int, result) -> None:
-        self.slots[index] = result
+        self._fill(index, result)
         self.done += 1
         if self.journal is not None:
             self.journal.record(index, result)
@@ -650,7 +704,7 @@ class _BatchState:
                 f"job {record.index} ({record.label or '<unlabeled>'}) "
                 f"failed after {record.attempts} attempt(s): "
                 f"{record.error_type}: {record.message}")
-        self.slots[index] = record
+        self._fill(index, record)
         self.done += 1
         if self.progress is not None:
             self.progress(self.done, self.total)
@@ -671,13 +725,24 @@ class _BatchState:
 def execute_batch(batch: Sequence, jobs: int = 1, progress=None,
                   failure_policy: str = "raise", retries: int = 2,
                   job_timeout: Optional[float] = None,
-                  checkpoint: Optional[Union[str, Path]] = None) -> list:
+                  checkpoint: Optional[Union[str, Path]] = None,
+                  consume: Optional[Callable[[int, object], None]] = None
+                  ) -> Union[list, int]:
     """Run a batch under a failure policy; the engine's implementation.
 
     Returns one entry per job in submission order: a ``JobResult``, or a
     :class:`JobFailure` in that job's slot under ``collect``/``retry``
     when it ultimately failed.  ``raise`` re-raises the first failure
     (seed-compatible) after cancelling pending work.
+
+    With ``consume``, each entry instead goes to ``consume(index,
+    entry)`` as soon as every earlier slot is final, in submission order
+    under any worker count, and its slot is emptied; the return value
+    is then the number of entries consumed.  The pool scheduler refills
+    its worker window before each consume, and counts the entries held
+    for the consumer against that window (see
+    :meth:`_BatchState.may_start`), so a consume finds at most
+    ``jobs + 1`` results in the parent.
 
     On the main thread, SIGTERM/SIGINT stop the batch gracefully:
     workers are killed, checkpointed results stay on disk, and
@@ -693,17 +758,19 @@ def execute_batch(batch: Sequence, jobs: int = 1, progress=None,
     journal = CheckpointJournal.open(checkpoint, batch) \
         if checkpoint is not None else None
     state = _BatchState(batch, progress, failure_policy, max_attempts,
-                        job_timeout, journal)
+                        job_timeout, journal, consume)
     pending = state.skip_completed()
-    if not pending:
+    if pending:
+        with _interrupt_guard() as check:
+            state.interrupt_check = check
+            if jobs <= 1 or len(pending) <= 1:
+                _run_serial(state, pending)
+            else:
+                _run_pool(state, pending, jobs)
+    if consume is None:
         return state.slots
-    with _interrupt_guard() as check:
-        state.interrupt_check = check
-        if jobs <= 1 or len(pending) <= 1:
-            _run_serial(state, pending)
-        else:
-            _run_pool(state, pending, jobs)
-    return state.slots
+    state.deliver()
+    return state.delivered
 
 
 def _run_serial(state: _BatchState, pending: Sequence[int]) -> None:
@@ -822,7 +889,8 @@ def _run_pool(state: _BatchState, pending: Sequence[int],
                     _serial_from_attempt(state, index, attempts[index])
                 return
             now = time.monotonic()
-            while queue and len(inflight) < workers and queue[0][0] <= now:
+            while queue and state.may_start(len(inflight), workers) \
+                    and queue[0][0] <= now:
                 ready, index, attempt = queue.popleft()
                 try:
                     future = pool.submit(_pool_attempt, index,
@@ -833,6 +901,10 @@ def _run_pool(state: _BatchState, pending: Sequence[int],
                     _broken_pool(error)
                     break
                 inflight[future] = (index, attempt, time.monotonic())
+            # Consume one outcome at a time, each after refilling the
+            # window, so the workers run while the consumer works.
+            if state.deliver(limit=1):
+                continue
             if not inflight:
                 if queue:
                     delay = max(0.0, min(entry[0] for entry in queue)
@@ -865,6 +937,9 @@ def _run_pool(state: _BatchState, pending: Sequence[int],
                     state.succeed(index, outcome)
                 else:
                     _handle_failure(index, attempt, _coerce_failure(outcome))
+            # A done future pins its result: drop the loop's references
+            # so a consumed result is freed before the next wait.
+            completed = future = outcome = None
             if grace is not None and inflight:
                 overdue = [
                     (future, entry) for future, entry in inflight.items()
@@ -922,6 +997,7 @@ def _serial_from_attempt(state: _BatchState, index: int,
         outcome = run_attempt(index, job, attempt, state.job_timeout)
         if _is_result(outcome):
             state.succeed(index, outcome)
+            state.deliver()
             return
         failure = _coerce_failure(outcome)
         if state.should_retry(attempt):
@@ -930,4 +1006,5 @@ def _serial_from_attempt(state: _BatchState, index: int,
             attempt += 1
             continue
         state.fail(index, attempt, failure)
+        state.deliver()
         return

@@ -101,6 +101,21 @@ class _MEMWB:
         self.pc = pc
 
 
+def instruction_words(program: Program) -> tuple[int, ...]:
+    """The program's text as 32-bit instruction words, encoded once.
+
+    The fetch bus energy model needs each word's bit pattern every
+    cycle.  The words are cached on the program instance (as
+    :func:`repro.machine.fastpath.program_digest` caches its digest), so
+    every later pipeline over the same program skips the encode.
+    """
+    words = vars(program).get("_encoded_text")
+    if words is None:
+        words = tuple(encode(ins) & _WORD_MASK for ins in program.text)
+        program._encoded_text = words
+    return words
+
+
 class Pipeline:
     """Cycle-accurate five-stage pipeline over a loaded program image."""
 
@@ -119,9 +134,7 @@ class Pipeline:
 
         self._text = program.text
         self._text_base = program.text_base
-        # Pre-encode instruction words once: the fetch bus energy model needs
-        # the bit pattern every cycle.
-        self._iwords = [encode(ins) & _WORD_MASK for ins in program.text]
+        self._iwords = instruction_words(program)
 
         self.pc = program.entry
         self.if_id = _IFID()

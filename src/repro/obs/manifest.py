@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import os
 import platform
+import secrets
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional, Union
@@ -121,13 +121,20 @@ def _jsonable(value):
 
 
 def write_manifest(manifest: dict, path: PathLike) -> Path:
-    """Atomically write a manifest next to its results; returns the path."""
+    """Atomically write a manifest next to its results; returns the path.
+
+    The file gets the mode a plain ``open()`` would give it under the
+    process umask (0644 under the usual 022), like the result JSON and
+    report beside it.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(manifest, indent=2, sort_keys=True,
                          default=_jsonable)
-    handle, temp_name = tempfile.mkstemp(dir=target.parent,
-                                         suffix=".manifest.tmp")
+    temp_name = target.with_name(
+        f".{target.name}.{secrets.token_hex(8)}.manifest.tmp")
+    handle = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                     0o666)
     try:
         with os.fdopen(handle, "w") as stream:
             stream.write(payload)

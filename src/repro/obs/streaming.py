@@ -111,20 +111,35 @@ class WelchTAccumulator:
         return g1.mean - g0.mean
 
     def t_statistic(self, definite_leaks: bool = False) -> np.ndarray:
+        """Per-cycle Welch *t*.
+
+        Evaluates ``diff / sqrt(var1/n1 + var0/n0)`` (0 where the pooled
+        error is not positive) operation by operation into three
+        per-cycle buffers and one mask, so the statistic at a checkpoint
+        costs a few rows of memory rather than one temporary per
+        operation; the values are those of the plain expression.
+        """
         g0, g1 = self.groups
         if g0.count < 2 or g1.count < 2:
             return np.zeros_like(self.mean_difference())
-        diff = g1.mean - g0.mean
-        denom = np.sqrt(g1.variance(ddof=1) / g1.count
-                        + g0.variance(ddof=1) / g0.count)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(denom > 0, diff / denom, 0.0)
+        diff = np.subtract(g1.mean, g0.mean)
+        denom = np.divide(g1.m2, g1.count - 1)
+        np.divide(denom, g1.count, out=denom)
+        t = np.divide(g0.m2, g0.count - 1)
+        np.divide(t, g0.count, out=t)
+        np.add(denom, t, out=denom)
+        np.sqrt(denom, out=denom)
+        mask = np.greater(denom, 0)
+        t.fill(0.0)
+        np.divide(diff, denom, out=t, where=mask)
         if definite_leaks:
             # Exact-zero M2 in both groups means every trace of each
             # group was identical; a nonzero mean difference is then an
             # infinite-t leak in the limit.
-            definite = (g0.m2 == 0) & (g1.m2 == 0) & (diff != 0)
-            t = np.where(definite, np.copysign(np.inf, diff), t)
+            np.equal(g0.m2, 0, out=mask)
+            mask &= g1.m2 == 0
+            mask &= diff != 0
+            np.copysign(np.inf, diff, out=t, where=mask)
         return t
 
     def max_abs_t(self, definite_leaks: bool = True) -> float:

@@ -276,6 +276,24 @@ def test_obs_attribution_rejects_manifest_without_section(tmp_path,
         main(["obs", "attribution", str(other)])
 
 
+@pytest.mark.parametrize("command", [["summarize"], ["attribution"],
+                                     ["report"], ["flamegraph"]])
+def test_obs_commands_refuse_foreign_manifest_in_one_line(tmp_path,
+                                                          command):
+    import json
+
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps({"schema": "x"}))
+    output = ["-o", str(tmp_path / "out.html")] \
+        if command[0] in ("report", "flamegraph") else []
+    with pytest.raises(SystemExit) as excinfo:
+        main(["obs", *command, str(foreign), *output])
+    message = str(excinfo.value.code)
+    assert message == (f"{foreign}: not a repro.obs.manifest/v3 run "
+                       "manifest (schema='x')")
+    assert not (tmp_path / "out.html").exists()
+
+
 def test_experiment_progress_flags(tmp_path, capsys, monkeypatch):
     import json
     import os

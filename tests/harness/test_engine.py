@@ -275,6 +275,35 @@ def test_run_stream_accumulator_matches_run_jobs():
     assert np.array_equal(streamed.m2, whole.m2)
 
 
+def test_run_stream_parent_holds_at_most_the_worker_window():
+    """At every consume call of a pooled campaign the parent holds at
+    most ``jobs + 1`` results (the one being consumed and the window's),
+    never a chunk's worth: an exact object count.  The jobs are far
+    shorter than the heap scan, so results finish while the consumer
+    works and only the window rule keeps them from piling up."""
+    import gc
+
+    from repro.harness.engine import JobResult, run_stream
+
+    program = assemble(ASM)
+    batch = [SimJob(program=program, noise_sigma=0.8, noise_seed=index + 1,
+                    label=f"window[{index}]") for index in range(24)]
+    jobs = 2
+    alive = []
+
+    def consume(index, result):
+        # Count this campaign's results only: earlier tests may leave
+        # unreachable results for the cyclic collector.
+        alive.append(sum(1 for obj in gc.get_objects()
+                         if type(obj) is JobResult
+                         and obj.label.startswith("window[")))
+
+    gc.collect()
+    assert run_stream(batch, consume, jobs=jobs, chunk_size=8) == 24
+    assert len(alive) == 24
+    assert max(alive) <= jobs + 1, alive
+
+
 def test_run_stream_rejects_bad_chunk_size():
     from repro.harness.engine import run_stream
 

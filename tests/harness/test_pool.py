@@ -71,6 +71,26 @@ def test_second_acquire_reuses_warm_generation():
     assert stats["stranded_workers"] == 0
 
 
+def test_lease_holds_no_done_future():
+    """A lease tracks only pending futures, so a finished job's result is
+    never pinned by the lease until the batch ends."""
+    import threading
+
+    pool = SharedWorkerPool()
+    lease = pool.acquire(1)
+    for value in range(6):
+        future = lease.submit(_echo, value)
+        # Done-callbacks run in registration order: once this one has
+        # run, the lease's own callback has too.
+        called = threading.Event()
+        future.add_done_callback(lambda _future: called.set())
+        assert future.result(timeout=30) == value
+        assert called.wait(timeout=30)
+        assert not lease._futures
+    lease.release()
+    assert pool.shutdown(grace_s=10.0)["stranded_workers"] == 0
+
+
 def test_concurrent_batch_overflows_to_serial():
     """While another batch holds the lease, a parallel batch runs
     serially in-process — bit-identical to a plain serial run."""

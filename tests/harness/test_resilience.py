@@ -309,15 +309,44 @@ def test_checkpoint_tolerates_truncated_tail(tmp_path, no_fault_plan):
         assert np.array_equal(clean_result.energy, result.energy)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_consumer_gets_every_slot_once_in_order(tmp_path, monkeypatch,
+                                                jobs):
+    """Journal-resumed slots, pooled results and collected failures all
+    reach a consumer once each, in submission order."""
+    monkeypatch.setenv(FAULT_PLAN_ENV, "3:*:raise;4:*:raise")
+    journal = tmp_path / "batch.ckpt"
+    listed = run_jobs(_batch(6), failure_policy="collect",
+                      checkpoint=journal)
+    seen = []
+    consumed = run_jobs(_batch(6), jobs=jobs, failure_policy="collect",
+                        checkpoint=journal,
+                        consume=lambda index, slot: seen.append(
+                            (index, slot)))
+    assert consumed == 6
+    assert [index for index, _ in seen] == list(range(6))
+    for (_, slot), expected in zip(seen, listed):
+        if isinstance(expected, JobFailure):
+            assert isinstance(slot, JobFailure)
+            assert slot.index == expected.index
+        else:
+            assert np.array_equal(slot.energy, expected.energy)
+    assert [type(slot) for _, slot in seen].count(JobFailure) == 2
+
+
 def test_batch_digest_ignores_cached_schedule_digest():
-    """A schedule pre-warm caches a digest on the program; the checkpoint
-    identity of the batch must not change with it."""
+    """A schedule pre-warm caches a digest on the program, a pipeline its
+    encoded text; the checkpoint identity of the batch must not change
+    with them."""
     from repro.machine import fastpath
+    from repro.machine.pipeline import instruction_words
 
     batch = _batch(2)
     before = batch_digest(batch)
     assert fastpath.ensure_schedule(batch[0].program)
-    assert "_fastpath_digest" in vars(batch[0].program)
+    instruction_words(batch[0].program)
+    assert {"_fastpath_digest", "_encoded_text"} \
+        <= vars(batch[0].program).keys()
     assert batch_digest(batch) == before == batch_digest(_batch(2))
 
 

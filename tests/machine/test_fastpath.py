@@ -569,6 +569,32 @@ def test_warm_fast_batch_takes_no_reference_step(monkeypatch):
     assert len(steps) == 0
 
 
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+def test_second_trace_of_a_program_encodes_nothing(monkeypatch, engine):
+    """Instruction words are encoded once per program instance, not once
+    per pipeline: an exact work count."""
+    from repro.machine import pipeline as pipeline_module
+
+    program = compile_des(DesProgramSpec(rounds=1),
+                          masking="selective").program
+    program = dataclasses.replace(program)  # a fresh, uncached instance
+    real_encode = pipeline_module.encode
+    calls = []
+
+    def counting_encode(ins):
+        calls.append(ins)
+        return real_encode(ins)
+
+    monkeypatch.setattr(pipeline_module, "encode", counting_encode)
+    inputs = {"key": key_words(KEY), "plaintext": plaintext_words(PLAINTEXT)}
+    first = run_with_trace(program, inputs=inputs, engine=engine)
+    assert len(calls) == len(program.text)
+    calls.clear()
+    second = run_with_trace(program, inputs=inputs, engine=engine)
+    assert calls == []
+    assert np.array_equal(first.trace.energy, second.trace.energy)
+
+
 def test_run_jobs_engine_plumb():
     """Batch jobs honor the engine and record it in the result."""
     program = compile_des(DesProgramSpec(rounds=1),

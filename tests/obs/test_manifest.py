@@ -32,6 +32,23 @@ def test_manifest_write_load_round_trip(tmp_path, obs_on):
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_manifest_gets_the_mode_of_a_plain_open(tmp_path, obs_on, umask):
+    import os
+    import stat
+
+    previous = os.umask(umask)
+    try:
+        path = obs.write_manifest(_sample_manifest(obs_on),
+                                  tmp_path / "run.json")
+        plain = tmp_path / "result.json"
+        plain.write_text("{}")
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE(path.stat().st_mode)
+    assert mode == stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
+
+
 def test_manifest_captures_current_context_by_default(obs_on):
     obs.counter("ops").inc(3)
     manifest = obs.build_manifest()

@@ -81,6 +81,51 @@ def test_welch_t_zeros_until_both_groups_have_two():
     assert np.all(accumulator.t_statistic(definite_leaks=True) == 0.0)
 
 
+def _plain_t_statistic(accumulator, definite_leaks):
+    """The t-statistic as one temporary per operation (the reference the
+    buffered :meth:`WelchTAccumulator.t_statistic` must match exactly)."""
+    g0, g1 = accumulator.groups
+    if g0.count < 2 or g1.count < 2:
+        return np.zeros_like(accumulator.mean_difference())
+    diff = g1.mean - g0.mean
+    denom = np.sqrt(g1.variance(ddof=1) / g1.count
+                    + g0.variance(ddof=1) / g0.count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom > 0, diff / denom, 0.0)
+    if definite_leaks:
+        definite = (g0.m2 == 0) & (g1.m2 == 0) & (diff != 0)
+        t = np.where(definite, np.copysign(np.inf, diff), t)
+    return t
+
+
+def test_buffered_t_statistic_is_bit_identical_to_plain_formula():
+    rng = np.random.default_rng(29)
+    cycles = 400
+    # Cycles 0-99 are constant per group (definite leaks, both signs,
+    # plus ties), 100-149 constant in both groups with equal means.
+    constant0 = rng.integers(0, 4, size=100).astype(float)
+    constant1 = rng.integers(0, 4, size=100).astype(float)
+    tie = rng.normal(size=50)
+    accumulator = WelchTAccumulator()
+    for trace in range(16):
+        for group, constant in ((0, constant0), (1, constant1)):
+            row = rng.normal(10.0 + group, 2.0, size=cycles)
+            row[:100] = constant
+            row[100:150] = tie
+            accumulator.update(row, group)
+            for definite_leaks in (False, True):
+                buffered = accumulator.t_statistic(definite_leaks)
+                plain = _plain_t_statistic(accumulator, definite_leaks)
+                assert buffered.dtype == plain.dtype
+                assert buffered.tobytes() == plain.tobytes()
+            if accumulator.groups[1].count < 2:
+                assert not buffered.any()   # < 2 traces in a group
+    assert np.isposinf(buffered).any() and np.isneginf(buffered).any()
+    assert np.count_nonzero(np.isinf(buffered)) == \
+        np.count_nonzero(constant0 != constant1)
+    assert not buffered[100:150].any()
+
+
 def test_update_rejects_misaligned_and_matrix_rows():
     accumulator = WelfordAccumulator()
     accumulator.update([1.0, 2.0])
