@@ -26,40 +26,37 @@ Quickstart::
     print(run.total_uj, "uJ over", run.cycles, "cycles")
 """
 
-from .attacks import (collect_traces, cpa_attack, dpa_attack,
-                      dpa_attack_multibit, random_plaintexts)
-from .attacks.spa import analyze as spa_analyze
-from .aes import decrypt_block as aes_decrypt_block
-from .aes import encrypt_block as aes_encrypt_block
-from .des import decrypt_block, encrypt_block
-from .energy import (DEFAULT_PARAMS, EnergyParams, EnergyTrace,
-                     EnergyTracker)
-from .harness import (EXPERIMENTS, ExperimentResult, KEY_A, KEY_B_BIT1,
-                      KEY_C, PT_A, PT_B, RunResult, des_run, run_experiment,
-                      run_with_trace)
-from .isa import Instruction, Program, assemble
-from .lang import CompileResult, compile_source
-from .machine import CPU, Memory, Pipeline, run_to_halt
-from .masking import MaskingPolicy, apply_policy
-from .programs import (AesProgramSpec, DesProgramSpec, FULL_AES, FULL_DES,
-                       KEYPERM_ONLY, ROUND1_AES, ROUND1_DES,
-                       aes_ciphertext_of, ciphertext_of, compile_aes,
-                       compile_des, des_source, run_aes, run_des)
+from ._lazy import lazy_namespace
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AesProgramSpec", "CPU", "CompileResult", "DEFAULT_PARAMS",
-    "DesProgramSpec", "FULL_AES", "ROUND1_AES", "aes_ciphertext_of",
-    "aes_decrypt_block", "aes_encrypt_block", "compile_aes", "cpa_attack",
-    "run_aes",
-    "EXPERIMENTS", "EnergyParams", "EnergyTrace", "EnergyTracker",
-    "ExperimentResult", "FULL_DES", "Instruction", "KEYPERM_ONLY", "KEY_A",
-    "KEY_B_BIT1", "KEY_C", "MaskingPolicy", "Memory", "PT_A", "PT_B",
-    "Pipeline", "Program", "ROUND1_DES", "RunResult", "apply_policy",
-    "assemble", "ciphertext_of", "collect_traces", "compile_des",
-    "compile_source", "decrypt_block", "des_run", "des_source",
-    "dpa_attack", "dpa_attack_multibit", "encrypt_block",
-    "random_plaintexts", "run_des", "run_experiment", "run_to_halt",
-    "run_with_trace", "spa_analyze",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".aes.reference": ("decrypt_block as aes_decrypt_block",
+                       "encrypt_block as aes_encrypt_block"),
+    ".attacks.cpa": ("cpa_attack",),
+    ".attacks.dpa": ("collect_traces", "dpa_attack", "dpa_attack_multibit",
+                     "random_plaintexts"),
+    ".attacks.spa": ("analyze as spa_analyze",),
+    ".des.reference": ("decrypt_block", "encrypt_block"),
+    ".energy.params": ("DEFAULT_PARAMS", "EnergyParams"),
+    ".energy.trace": ("EnergyTrace",),
+    ".energy.tracker": ("EnergyTracker",),
+    ".harness.experiments": ("EXPERIMENTS", "ExperimentResult", "KEY_A",
+                             "KEY_B_BIT1", "KEY_C", "PT_A", "PT_B",
+                             "run_experiment"),
+    ".harness.runner": ("RunResult", "des_run", "run_with_trace"),
+    ".isa.assembler": ("assemble",),
+    ".isa.instructions": ("Instruction",),
+    ".isa.program": ("Program",),
+    ".lang.compiler": ("CompileResult", "compile_source"),
+    ".machine.cpu": ("CPU", "run_to_halt"),
+    ".machine.memory": ("Memory",),
+    ".machine.pipeline": ("Pipeline",),
+    ".masking.policy": ("MaskingPolicy", "apply_policy"),
+    ".programs.aes_source": ("AesProgramSpec", "FULL_AES", "ROUND1_AES"),
+    ".programs.des_source": ("DesProgramSpec", "FULL_DES", "KEYPERM_ONLY",
+                             "ROUND1_DES", "des_source"),
+    ".programs.workloads": ("aes_ciphertext_of", "ciphertext_of",
+                            "compile_aes", "compile_des", "run_aes",
+                            "run_des"),
+})

@@ -6,13 +6,11 @@ work applies it to AES.  This package provides the AES golden model; the
 SecureC AES program lives in :mod:`repro.programs.aes_source`.
 """
 
-from .reference import (BLOCK_BYTES, ROUNDS, decrypt_block, encrypt_block,
-                        expand_key, int_to_state, state_to_int)
-from .tables import (INV_SBOX, INV_SHIFT_ROWS, POLY, RCON, SBOX, SHIFT_ROWS,
-                     XTIME, gf_inv, gf_mul)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "BLOCK_BYTES", "INV_SBOX", "INV_SHIFT_ROWS", "POLY", "RCON", "ROUNDS",
-    "SBOX", "SHIFT_ROWS", "XTIME", "decrypt_block", "encrypt_block",
-    "expand_key", "gf_inv", "gf_mul", "int_to_state", "state_to_int",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".reference": ("BLOCK_BYTES", "ROUNDS", "decrypt_block", "encrypt_block",
+                   "expand_key", "int_to_state", "state_to_int"),
+    ".tables": ("INV_SBOX", "INV_SHIFT_ROWS", "POLY", "RCON", "SBOX",
+                "SHIFT_ROWS", "XTIME", "gf_inv", "gf_mul"),
+})

@@ -1,22 +1,16 @@
 """DES substrate: FIPS 46-3 tables, key schedule, and reference cipher."""
 
-from .bitops import (bits_to_int, hamming_weight, int_to_bits,
-                     parity_adjust_key, permute, rotate_left, xor_bits)
-from .keyschedule import cd_sequence, key_schedule
-from .modes import (PaddingError, cbc_decrypt, cbc_encrypt, ecb_decrypt,
-                    ecb_encrypt, pkcs7_pad, pkcs7_unpad, tdes_decrypt_block,
-                    tdes_encrypt_block)
-from .reference import (decrypt_block, encrypt_block, f_function,
-                        round_states, sbox_lookup)
-from .tables import E, FLAT_SBOXES, FP, IP, P, PC1, PC2, SBOXES, SHIFTS
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "E", "FLAT_SBOXES", "FP", "IP", "P", "PC1", "PC2", "SBOXES", "SHIFTS",
-    "PaddingError", "bits_to_int", "cbc_decrypt", "cbc_encrypt",
-    "cd_sequence", "decrypt_block", "ecb_decrypt", "ecb_encrypt",
-    "encrypt_block", "pkcs7_pad", "pkcs7_unpad", "tdes_decrypt_block",
-    "tdes_encrypt_block",
-    "f_function", "hamming_weight", "int_to_bits", "key_schedule",
-    "parity_adjust_key", "permute", "rotate_left", "round_states",
-    "sbox_lookup", "xor_bits",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".bitops": ("bits_to_int", "hamming_weight", "int_to_bits",
+                "parity_adjust_key", "permute", "rotate_left", "xor_bits"),
+    ".keyschedule": ("cd_sequence", "key_schedule"),
+    ".modes": ("PaddingError", "cbc_decrypt", "cbc_encrypt", "ecb_decrypt",
+               "ecb_encrypt", "pkcs7_pad", "pkcs7_unpad", "tdes_decrypt_block",
+               "tdes_encrypt_block"),
+    ".reference": ("decrypt_block", "encrypt_block", "f_function",
+                   "round_states", "sbox_lookup"),
+    ".tables": ("E", "FLAT_SBOXES", "FP", "IP", "P", "PC1", "PC2", "SBOXES",
+                "SHIFTS"),
+})

@@ -1,13 +1,11 @@
 """Transition-sensitive energy modeling (SimplePower-style)."""
 
-from .circuits import CycleEnergy, PrechargedXorCell
-from .models import BusModel, FunctionalUnitModel, LatchModel
-from .params import DEFAULT_PARAMS, EnergyParams, single_wire_event_energy
-from .trace import EnergyTrace
-from .tracker import COMPONENTS, EnergyTracker
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "BusModel", "COMPONENTS", "CycleEnergy", "DEFAULT_PARAMS", "EnergyParams",
-    "EnergyTrace", "EnergyTracker", "FunctionalUnitModel", "LatchModel",
-    "PrechargedXorCell", "single_wire_event_energy",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".circuits": ("CycleEnergy", "PrechargedXorCell"),
+    ".models": ("BusModel", "FunctionalUnitModel", "LatchModel"),
+    ".params": ("DEFAULT_PARAMS", "EnergyParams", "single_wire_event_energy"),
+    ".trace": ("EnergyTrace",),
+    ".tracker": ("COMPONENTS", "EnergyTracker"),
+})

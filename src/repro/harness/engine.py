@@ -32,6 +32,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import sys
 import tempfile
 import threading
 import time
@@ -53,13 +54,36 @@ from ..masking.policy import MaskingPolicy, apply_policy
 
 logger = logging.getLogger("repro.harness.engine")
 
-#: Memory budget of one :class:`CompileCache`, in pickled bytes, shared
-#: by programs, bound schedules and verdict documents (a 16-round DES
-#: schedule pickles to well under 1 MiB, a verdict to ~1-2 KiB).
-#: Pickled bytes are not resident bytes: a verdict is held as a decoded
-#: JSON tree, ~6.5-7x its pickled size in memory (tracemalloc), so a
-#: store full of verdicts holds ~7x this budget.
+#: Memory budget of one :class:`CompileCache`, shared by programs, bound
+#: schedules and verdict documents.  A program or schedule counts its
+#: pickled bytes (a 16-round DES schedule pickles to well under 1 MiB); a
+#: verdict, held as a decoded JSON tree, counts its resident bytes
+#: (:func:`resident_size`, ~6.5-7x its pickle: ~7 KiB for a 1-round pair).
 DEFAULT_MAX_BYTES = 32 * 1024 * 1024
+
+
+def resident_size(value: object) -> int:
+    """Bytes a JSON-like tree holds in memory: ``sys.getsizeof`` summed
+    over every dict, list, tuple and leaf it reaches, each object once.
+
+    Interned leaves (small ints, one-character strings) are counted
+    although they are shared, so the figure errs high.
+    """
+    seen: set[int] = set()
+    total = 0
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        if isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return total
 
 
 @dataclass(frozen=True)
@@ -122,7 +146,8 @@ class CacheStats:
 
 class ArtifactMemory:
     """The store's memory layer: live artifacts in LRU order, bounded by
-    the pickled size of each entry.
+    the size each entry was stored with (see
+    :meth:`CompileCache.store_artifact`).
 
     One lock guards it; callers never hold it across disk I/O, a compile
     or a schedule recording.  :meth:`clear` resets the byte total too, so
@@ -213,8 +238,8 @@ class CompileCache:
     Two layers: an :class:`ArtifactMemory` LRU bounded by ``max_bytes``,
     and a shared on-disk layer of pickled artifacts written atomically
     (temp file + ``os.replace``) so concurrent pool workers never observe
-    a partial artifact.  Each entry is pickled once on store; those bytes
-    set its memory size and go to disk.  Every key comes from
+    a partial artifact.  A durable entry is pickled once on store; those
+    bytes set its memory size and go to disk.  Every key comes from
     :func:`~repro.fingerprint.artifact_key` (package version, a
     fingerprint of the package sources, the artifact kind and its
     identity), so a stale cache directory can only ever miss, not serve
@@ -307,11 +332,17 @@ class CompileCache:
                        durable: bool = True) -> int:
         """Store ``artifact`` under ``key`` in memory and, when
         ``durable``, on disk; returns how many memory entries the store
-        evicted."""
+        evicted.
+
+        A durable artifact is pickled for the disk, and those bytes size
+        its memory entry.  A memory-only one (a decoded verdict document)
+        is never pickled and counts its :func:`resident_size`.
+        """
+        if not durable:
+            return self.memory.put(key, artifact, resident_size(artifact))
         payload = pickle.dumps(artifact)
         evicted = self.memory.put(key, artifact, len(payload))
-        if durable:
-            self._store(key, payload)
+        self._store(key, payload)
         return evicted
 
     def discard(self, prefix: str) -> int:

@@ -84,8 +84,12 @@ def _orphan_watchdog(birth_ppid: int) -> None:  # pragma: no cover
 def _warm_worker() -> None:  # pragma: no cover - runs inside workers
     """Pre-warm a freshly forked worker: imports + compile-cache open.
 
-    Defensive by design — a warm-up failure must degrade to a cold
-    first job, never to a broken pool.
+    A worker inherits only the modules its parent had imported, and the
+    package namespaces are lazy, so this imports the whole job path
+    (``execute_job`` → ``run_with_trace`` → replay) itself: a warm
+    worker's first job imports nothing.  Defensive by design — a
+    warm-up failure must degrade to a cold first job, never to a broken
+    pool.
     """
     try:
         watchdog = threading.Thread(target=_orphan_watchdog,
@@ -96,7 +100,7 @@ def _warm_worker() -> None:  # pragma: no cover - runs inside workers
     except Exception:
         pass
     try:
-        from . import engine
+        from . import engine, resilience, runner  # noqa: F401
         from ..machine import engines, fastpath  # noqa: F401
 
         engine.default_cache()

@@ -1,19 +1,15 @@
 """ISA layer: instruction set, secure-bit encoding, and assembler."""
 
-from .assembler import Assembler, AssemblerError, assemble
-from .encoding import SECURE_BIT, decode, encode
-from .instructions import (AluOp, Format, Instruction, InstructionError,
-                           OPCODES, OpSpec, SECURE_ALIASES,
-                           format_instruction)
-from .program import DATA_BASE, Program, STACK_TOP, SymbolError, TEXT_BASE
-from .registers import (NUM_REGISTERS, REGISTER_NAMES, RegisterError,
-                        parse_register, register_name)
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "AluOp", "Assembler", "AssemblerError", "DATA_BASE", "Format",
-    "Instruction", "InstructionError", "NUM_REGISTERS", "OPCODES", "OpSpec",
-    "Program", "REGISTER_NAMES", "RegisterError", "SECURE_ALIASES",
-    "SECURE_BIT", "STACK_TOP", "SymbolError", "TEXT_BASE", "assemble",
-    "decode", "encode", "format_instruction", "parse_register",
-    "register_name",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".assembler": ("Assembler", "AssemblerError", "assemble"),
+    ".encoding": ("SECURE_BIT", "decode", "encode"),
+    ".instructions": ("AluOp", "Format", "Instruction", "InstructionError",
+                      "OPCODES", "OpSpec", "SECURE_ALIASES",
+                      "format_instruction"),
+    ".program": ("DATA_BASE", "Program", "STACK_TOP", "SymbolError",
+                 "TEXT_BASE"),
+    ".registers": ("NUM_REGISTERS", "REGISTER_NAMES", "RegisterError",
+                   "parse_register", "register_name"),
+})

@@ -1,12 +1,11 @@
 """Masking policies and program rewriters."""
 
-from .audit import AuditReport, TaintAuditor, Violation, audit_masking
-from .policy import (MaskingPolicy, apply_policy, secure_all,
-                     secure_all_loads_stores)
-from .verify import (MaskingReport, random_secret_assignments,
-                     verify_masking)
+from .._lazy import lazy_namespace
 
-__all__ = ["AuditReport", "MaskingPolicy", "MaskingReport",
-           "TaintAuditor", "Violation", "apply_policy", "audit_masking",
-           "random_secret_assignments", "secure_all",
-           "secure_all_loads_stores", "verify_masking"]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".audit": ("AuditReport", "TaintAuditor", "Violation", "audit_masking"),
+    ".policy": ("MaskingPolicy", "apply_policy", "secure_all",
+                "secure_all_loads_stores"),
+    ".verify": ("MaskingReport", "random_secret_assignments",
+                "verify_masking"),
+})

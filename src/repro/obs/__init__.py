@@ -42,30 +42,31 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
+from .._lazy import lazy_namespace
+# ObsContext below needs these three modules, so their names are bound
+# now; the rest resolve on first access.
 from .attribution import AttributionSink
-from .flamegraph import aggregate_spans, flamegraph_html, svg_flamegraph
-from .manifest import (aggregate_manifests, build_manifest, diff_totals,
-                       load_manifest, summarize_manifest, write_manifest)
-from .events import EventLog
-from .progress import ProgressReporter, reporter_from_env, sink_from_env
 from .registry import (CardinalityError, Counter, Gauge, Histogram,
                        MetricsRegistry, bucket_quantile, snapshot_totals)
 from .spans import SpanRecord, Tracer, render_tree
-from .streaming import (DisclosureCurve, WelchTAccumulator,
-                        WelfordAccumulator)
+
+_lazy_names, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".events": ("EventLog",),
+    ".flamegraph": ("aggregate_spans", "flamegraph_html", "svg_flamegraph"),
+    ".manifest": ("aggregate_manifests", "build_manifest", "diff_totals",
+                  "load_manifest", "summarize_manifest", "write_manifest"),
+    ".progress": ("ProgressReporter", "reporter_from_env", "sink_from_env"),
+    ".streaming": ("DisclosureCurve", "WelchTAccumulator",
+                   "WelfordAccumulator"),
+})
 
 __all__ = [
-    "AttributionSink", "CardinalityError", "Counter", "DisclosureCurve",
-    "EventLog", "Gauge", "Histogram", "MetricsRegistry", "ObsContext",
-    "ProgressReporter", "SpanRecord", "Tracer", "WelchTAccumulator",
-    "WelfordAccumulator",
-    "aggregate_manifests", "aggregate_spans", "attribution",
-    "attribution_enabled", "bucket_quantile", "build_manifest",
-    "diff_totals", "disable", "disable_attribution", "enable",
-    "enable_attribution", "enabled", "flamegraph_html", "load_manifest",
-    "registry", "render_tree", "reporter_from_env", "scope",
-    "sink_from_env", "snapshot_totals", "span", "summarize_manifest",
-    "svg_flamegraph", "tracer", "write_manifest",
+    "AttributionSink", "CardinalityError", "Counter", "Gauge", "Histogram",
+    "MetricsRegistry", "ObsContext", "SpanRecord", "Tracer", "attribution",
+    "attribution_enabled", "bucket_quantile", "disable",
+    "disable_attribution", "enable", "enable_attribution", "enabled",
+    "registry", "render_tree", "scope", "snapshot_totals", "span", "tracer",
+    *_lazy_names,
 ]
 
 

@@ -1,17 +1,15 @@
 """Generated cipher workloads: DES (the paper) and AES-128 (extension)."""
 
+from .._lazy import lazy_namespace
 from . import markers
-from .aes_source import AesProgramSpec, FULL_AES, ROUND1_AES, aes_source
-from .des_source import (DesProgramSpec, FULL_DES, KEYPERM_ONLY, ROUND1_DES,
-                         des_source)
-from .workloads import (aes_ciphertext_of, ciphertext_from_words,
-                        ciphertext_of, compile_aes, compile_des, key_words,
-                        plaintext_words, run_aes, run_des)
 
-__all__ = [
-    "AesProgramSpec", "DesProgramSpec", "FULL_AES", "FULL_DES",
-    "KEYPERM_ONLY", "ROUND1_AES", "ROUND1_DES", "aes_ciphertext_of",
-    "aes_source", "ciphertext_from_words", "ciphertext_of", "compile_aes",
-    "compile_des", "des_source", "key_words", "markers", "plaintext_words",
-    "run_aes", "run_des",
-]
+_lazy_names, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".aes_source": ("AesProgramSpec", "FULL_AES", "ROUND1_AES", "aes_source"),
+    ".des_source": ("DesProgramSpec", "FULL_DES", "KEYPERM_ONLY", "ROUND1_DES",
+                    "des_source"),
+    ".workloads": ("aes_ciphertext_of", "ciphertext_from_words",
+                   "ciphertext_of", "compile_aes", "compile_des", "key_words",
+                   "plaintext_words", "run_aes", "run_des"),
+})
+
+__all__ = ["markers", *_lazy_names]

@@ -26,27 +26,20 @@ Layering (each importable alone)::
     client      stdlib HTTP client raising the same typed errors
 """
 
-from .breaker import CircuitBreaker
-from .cache import VerdictCache, verdict_key
-from .client import ServiceClient
-from .core import LeakageService, ServiceConfig
-from .errors import (AdmissionRejected, DeadlineExceeded, InvalidRequest,
-                     ProgramQuarantined, QuotaExceeded, RequestFailed,
-                     RequestNotFound, ServiceError, ShuttingDown,
-                     error_from_dict)
-from .executor import execute_assessment
-from .journal import RecoveryReport
-from .protocol import (AssessRequest, RequestRecord, TERMINAL_STATES)
-from .queue import AdmissionQueue, RateLimiter, TokenBucket
-from .server import ServiceServer, serve
+from .._lazy import lazy_namespace
 
-__all__ = [
-    "AdmissionQueue", "AdmissionRejected", "AssessRequest",
-    "CircuitBreaker", "DeadlineExceeded", "InvalidRequest",
-    "LeakageService", "ProgramQuarantined", "QuotaExceeded",
-    "RateLimiter", "RecoveryReport", "RequestFailed", "RequestNotFound",
-    "RequestRecord", "ServiceClient",
-    "ServiceConfig", "ServiceError", "ServiceServer", "ShuttingDown",
-    "TERMINAL_STATES", "TokenBucket", "VerdictCache", "error_from_dict",
-    "execute_assessment", "serve", "verdict_key",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    ".breaker": ("CircuitBreaker",),
+    ".cache": ("VerdictCache", "verdict_key"),
+    ".client": ("ServiceClient",),
+    ".core": ("LeakageService", "ServiceConfig"),
+    ".errors": ("AdmissionRejected", "DeadlineExceeded", "InvalidRequest",
+                "ProgramQuarantined", "QuotaExceeded", "RequestFailed",
+                "RequestNotFound", "ServiceError", "ShuttingDown",
+                "error_from_dict"),
+    ".executor": ("execute_assessment",),
+    ".journal": ("RecoveryReport",),
+    ".protocol": ("AssessRequest", "RequestRecord", "TERMINAL_STATES"),
+    ".queue": ("AdmissionQueue", "RateLimiter", "TokenBucket"),
+    ".server": ("ServiceServer", "serve"),
+})

@@ -18,7 +18,7 @@ Properties:
 * **One store** — documents live in the service's artifact store
   (:class:`~repro.harness.engine.CompileCache`) next to its programs and
   schedules, under the store's one memory budget (sized by their
-  pickled bytes), as one canonical JSON-decoded document plus the
+  resident bytes), as one canonical JSON-decoded document plus the
   wall-clock time it was stored.  They are stored memory-only: the disk
   layer has no eviction, so one file per unique request would grow
   without bound.

@@ -47,7 +47,6 @@ from .. import obs
 from ..harness import pool as harness_pool
 from ..harness.engine import CompileCache, default_cache
 from ..obs import events as obs_events
-from ..obs.flamegraph import aggregate_spans
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import count_spans
 from . import journal as request_journal
@@ -481,6 +480,8 @@ class LeakageService:
                        attribute: bool) -> None:
         tree = scoped.tracer.tree()
         if count_spans(tree) > max(self.config.span_tree_limit, 1):
+            from ..obs.flamegraph import aggregate_spans
+
             record.spans = [aggregate_spans(tree).to_dict()]
             record.spans_compacted = True
         else:

@@ -55,8 +55,6 @@ from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
 from ..obs import prom
-from ..obs.report import (dashboard_html, latency_quantiles,
-                          request_report_html)
 from .core import LeakageService, ServiceConfig
 from .errors import InvalidRequest, RequestNotFound, ServiceError
 from .protocol import DONE, SCHEMA, RequestRecord
@@ -231,6 +229,8 @@ class _Handler(BaseHTTPRequestHandler):
         elif sub == "trace":
             self._send_json(200, record.trace_document(), trace_header)
         elif sub == "report.html":
+            from ..obs.report import request_report_html
+
             document = record.trace_document()
             if record.result is not None:
                 document["result"] = record.result
@@ -250,6 +250,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise RequestNotFound(f"no route {path}")
 
     def _dashboard(self) -> str:
+        from ..obs.report import dashboard_html, latency_quantiles
+
         health = self.service.health()
         snapshot = self.service.metrics_snapshot()
         goodput = sum(

@@ -29,8 +29,9 @@ def test_lru_evicts_across_kinds(tmp_path):
     least recently used one goes, whatever its kind."""
     program = CompileRequest(spec=TINY_SPEC, masking="none").compile()
     bound = fastpath._BoundSchedule(fastpath.record_schedule(program))
-    verdict = (b'{"verdict": "v"}', 0.0)
-    sizes = [len(pickle.dumps(item)) for item in (program, bound, verdict)]
+    verdict = ({"verdict": "v"}, 0.0)
+    sizes = [len(pickle.dumps(item)) for item in (program, bound)]
+    sizes.append(harness_engine.resident_size(verdict))
     cache = CompileCache(tmp_path, max_bytes=sum(sizes) - 1)
     cache.store_artifact("program-p", program)
     cache.store_artifact("sched-s", bound)

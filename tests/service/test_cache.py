@@ -7,14 +7,16 @@ exactly like simulated ones — one submitted + one terminal frame each,
 never double-counted.
 """
 
+import gc
 import json
-import pickle
 import threading
 import time
+import tracemalloc
 
-from repro.harness.engine import CompileCache
+from repro.harness.engine import CompileCache, resident_size
 from repro.service.cache import VerdictCache, verdict_key
 from repro.service.core import LeakageService, ServiceConfig
+from repro.service.executor import execute_assessment
 from repro.service.protocol import DONE, AssessRequest
 
 from .conftest import pair_payload, population_payload
@@ -110,7 +112,7 @@ def test_hits_get_fresh_containers_over_shared_leaves(tmp_path):
     del first["verdict_cache"], second["verdict_cache"]
     assert joined == first == second
     stored = cache.store.memory.get("verdict-k")
-    assert cache.stats()["bytes"] == len(pickle.dumps(stored))
+    assert cache.stats()["bytes"] == resident_size(stored)
 
 
 def test_lru_eviction_respects_byte_budget(tmp_path):
@@ -137,6 +139,30 @@ def test_document_larger_than_budget_is_skipped_not_truncated(tmp_path):
     assert _get(cache, "verdict-k") is None
     assert cache.stats()["entries"] == 0
     assert cache.stats()["bytes"] == 0
+
+
+def test_store_of_distinct_verdicts_holds_its_budget(tmp_path):
+    """A store filled with distinct decoded verdicts holds about its
+    budget, not the ~7x a pickled-size count let it hold: a memory-only
+    entry counts its resident bytes."""
+    document = execute_assessment(_request(rounds=1))
+    budget = 256 * 1024
+    cache = _verdicts(tmp_path, max_bytes=budget)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(400):
+            _put(cache, f"verdict-{index}",
+                 dict(document, trace_digest=f"{index:064x}"))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stats = cache.stats()
+    assert stats["evictions"] == 400 - stats["entries"] > 0
+    assert stats["bytes"] <= budget
+    assert held < 1.25 * budget, (held, stats["entries"])
 
 
 def test_invalidate_by_program_key_prefix(tmp_path):
