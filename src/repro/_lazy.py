@@ -23,13 +23,6 @@ def lazy_namespace(package: str, exports: dict[str, tuple[str, ...]]):
     A resolved name is stored on the package, so only its first access
     goes through ``__getattr__``.  Any other name is looked up as a
     submodule (``repro.obs``, ``from repro.harness import pool``).
-
-    A name that is also the name of its defining submodule
-    (``programs.des_source`` the function, defined in
-    ``programs/des_source.py``) is bound at once: importing that
-    submodule later then finds it loaded and leaves the package
-    attribute alone.  Bound lazily, the first ``import
-    repro.programs.des_source`` would set the attribute to the module.
     """
     namespace = vars(sys.modules[package])
     table: dict[str, tuple[str, str]] = {}
@@ -58,7 +51,4 @@ def lazy_namespace(package: str, exports: dict[str, tuple[str, ...]]):
     def __dir__() -> list[str]:
         return sorted({*namespace, *table})
 
-    for name, (module, _) in table.items():
-        if module == "." + name:
-            __getattr__(name)
     return list(table), __getattr__, __dir__

@@ -83,8 +83,12 @@ def cmd_run(arguments: argparse.Namespace) -> int:
     from .harness.runner import run_with_trace
     from .isa.assembler import assemble
     from .lang.compiler import compile_source
+    from .machine.exceptions import SimulationError
     from .machine.interpreter import run_functional
 
+    if arguments.functional and (arguments.trace_out or arguments.engine):
+        arguments.usage_error("--functional simulates no energy: it takes "
+                              "neither --trace-out nor --engine")
     source = _read(arguments.file)
     if arguments.file.endswith(".sc"):
         program = compile_source(source, masking=arguments.masking,
@@ -93,52 +97,44 @@ def cmd_run(arguments: argparse.Namespace) -> int:
         program = assemble(source)
     inputs = _parse_inputs(arguments.input or [])
 
-    if arguments.functional:
-        interpreter = run_functional(program, inputs=inputs,
-                                     max_instructions=arguments.max_cycles)
-        print(f"instructions:      {interpreter.executed} "
-              "(functional mode: no timing/energy)")
-        if arguments.dump:
-            for symbol_count in arguments.dump:
-                symbol, _, count = symbol_count.partition(":")
-                base = program.address_of(symbol)
-                words = interpreter.memory.read_words(
-                    base, int(count) if count else 1)
-                print(f"{symbol} = {words}")
-        return 0
-
-    stream = None
-    if arguments.trace_out:
-        from .harness.io import StreamingTraceWriter
-
-        stream = StreamingTraceWriter(arguments.trace_out)
     try:
-        result = run_with_trace(program, inputs=inputs,
-                                max_cycles=arguments.max_cycles,
-                                stream=stream, engine=arguments.engine)
-        if stream is not None:
-            stream.write_markers(result.trace.markers)
-    finally:
-        if stream is not None:
-            stream.close()
-    if stream is not None:
-        print(f"streamed {stream.cycles_written} cycles "
-              f"to {arguments.trace_out} ({stream.fmt})")
-    print(f"engine:            {result.engine}")
-    print(f"cycles:            {result.cycles}")
-    print(f"total energy:      {result.total_uj:.3f} uJ")
-    print(f"average power:     {result.average_pj:.1f} pJ/cycle")
-    for key, value in result.cpu.pipeline.stats.items():
-        if key in ("cycles",):
-            continue
-        formatted = f"{value:.3f}" if isinstance(value, float) else value
-        print(f"{key + ':':<18} {formatted}")
-    if arguments.dump:
-        for symbol_count in arguments.dump:
-            symbol, _, count = symbol_count.partition(":")
-            words = result.cpu.read_symbol_words(symbol,
-                                                 int(count) if count else 1)
-            print(f"{symbol} = {words}")
+        if arguments.functional:
+            machine = run_functional(program, inputs=inputs,
+                                     max_instructions=arguments.max_cycles)
+        else:
+            result = run_with_trace(program, inputs=inputs,
+                                    max_cycles=arguments.max_cycles,
+                                    engine=arguments.engine)
+            machine = result.cpu
+    except SimulationError as error:
+        raise SystemExit(f"repro: run failed: {error}")
+    if arguments.functional:
+        print(f"instructions:      {machine.executed} "
+              "(functional mode: no timing/energy)")
+    else:
+        if arguments.trace_out:
+            from .harness.io import export_trace
+
+            try:
+                fmt = export_trace(result.trace, arguments.trace_out)
+            except OSError as error:
+                raise SystemExit(f"repro: cannot write trace: {error}")
+            print(f"wrote {len(result.trace)} cycles "
+                  f"to {arguments.trace_out} ({fmt})")
+        print(f"engine:            {result.engine}")
+        print(f"cycles:            {result.cycles}")
+        print(f"total energy:      {result.total_uj:.3f} uJ")
+        print(f"average power:     {result.average_pj:.1f} pJ/cycle")
+        for key, value in machine.pipeline.stats.items():
+            if key in ("cycles",):
+                continue
+            formatted = f"{value:.3f}" if isinstance(value, float) else value
+            print(f"{key + ':':<18} {formatted}")
+    for symbol_count in arguments.dump or ():
+        symbol, _, count = symbol_count.partition(":")
+        words = machine.memory.read_words(program.address_of(symbol),
+                                          int(count) if count else 1)
+        print(f"{symbol} = {words}")
     return 0
 
 
@@ -528,16 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--functional", action="store_true",
                        help="functional interpreter (no timing/energy)")
     p_run.add_argument("--trace-out", metavar="PATH", dest="trace_out",
-                       help="stream the per-cycle trace to PATH while "
-                            "running (.csv -> CSV, else NDJSON; memory "
-                            "use stays bounded regardless of length)")
+                       help="write the per-cycle trace to PATH after "
+                            "the run (.csv -> CSV, else NDJSON)")
     p_run.add_argument("--engine", default=None, choices=ENGINES,
                        help="execution engine: 'fast' replays the "
                             "recorded cycle schedule (bit-identical, "
                             "~15x faster), 'reference' steps the pipeline "
                             "cycle by cycle (default: $REPRO_ENGINE, "
                             "else fast)")
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, usage_error=p_run.error)
 
     p_exp = subparsers.add_parser("experiment",
                                   help="run one paper experiment")

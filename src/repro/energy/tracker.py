@@ -10,18 +10,11 @@ Component breakdown keys: ``clock``, ``ibus``, ``regfile``, ``funits``,
 
 Besides the energy totals the tracker keeps per-component **event counts**
 (:attr:`EnergyTracker.counts`) so rates (pJ/event, events/cycle) are
-computable, and supports two opt-in sinks:
-
-* ``attribution`` — an :class:`~repro.obs.attribution.AttributionSink`
-  that books every increment to its (pc, unit, instruction class,
-  secure-mode) provenance key;
-* ``stream`` — a bounded-memory per-cycle trace writer
-  (:class:`~repro.harness.io.StreamingTraceWriter`) fed from
-  :meth:`end_cycle`; combined with ``keep_trace=False`` a million-cycle
-  run never holds its trace in RAM.
-
-Both sinks are off by default and, when off, the energy math executes the
-exact same arithmetic as before they existed — traces stay bit-identical.
+computable, and supports one opt-in sink: ``attribution``, an
+:class:`~repro.obs.attribution.AttributionSink` that books every
+increment to its (pc, unit, instruction class, secure-mode) provenance
+key.  The sink is off by default and never changes the energy math, so
+traces stay bit-identical with or without it.
 """
 
 from __future__ import annotations
@@ -66,7 +59,7 @@ class EnergyTracker:
     def __init__(self, params: EnergyParams = DEFAULT_PARAMS,
                  collect_components: bool = False,
                  noise_sigma: float = 0.0, noise_seed: int = 0,
-                 attribution=None, stream=None, keep_trace: bool = True):
+                 attribution=None):
         self.params = params
         self.collect_components = collect_components
         self.noise_sigma = noise_sigma
@@ -83,10 +76,6 @@ class EnergyTracker:
         #: Optional provenance sink; every energy increment is mirrored to
         #: :meth:`AttributionSink.book_ins`/``book_overhead`` when set.
         self.attribution = attribution
-        #: Optional per-cycle trace sink (write_cycle(index, total, comps)).
-        self.stream = stream
-        #: Keep the in-memory per-cycle list (disable for streamed runs).
-        self.keep_trace = keep_trace
 
         self.ibus = BusModel(params.event_energy_instr_bus, params.width)
         if params.c_coupling > 0:
@@ -116,8 +105,8 @@ class EnergyTracker:
             LatchModel(params.event_energy_latch, 1, params.width),
         )
 
-        #: Per-cycle total energy (pJ); empty when ``keep_trace=False``.
-        #: A list when the hooks fill it, an array after a replay.
+        #: Per-cycle total energy (pJ): a list when the hooks fill it,
+        #: an array after a replay.
         self.cycle_energy: list[float] = []
         #: Per-cycle per-component energy; filled when collect_components
         #: (rows of a ``[cycles, components]`` array after a replay).
@@ -251,18 +240,11 @@ class EnergyTracker:
             self.counts["noise"] += 1
             if self.attribution is not None:
                 self.attribution.book_overhead("noise", noise)
-        index = self._cycle_count
-        self._cycle_count = index + 1
-        if self.keep_trace:
-            self.cycle_energy.append(total)
+        self._cycle_count += 1
+        self.cycle_energy.append(total)
         if self.collect_components:
             self.component_energy.append(tuple(cur[name]
                                                for name in COMPONENTS))
-        if self.stream is not None:
-            self.stream.write_cycle(
-                index, total,
-                self.component_energy[-1] if self.collect_components
-                else None)
 
     def _next_noise(self) -> float:
         """Next Gaussian noise draw; the buffered stream depends only on
@@ -307,11 +289,10 @@ class EnergyTracker:
         accumulations as the per-cycle hooks, in the same order, against
         this tracker's own component models and carrying in its running
         totals — this method only installs the finished arrays and
-        totals.  Attribution and streaming runs never come through here;
-        they run the standard hook sequence on the reference engine.
+        totals.  Attribution runs never come through here; they run the
+        standard hook sequence on the reference engine.
         """
-        if self.keep_trace:
-            self.cycle_energy = cycle_energy
+        self.cycle_energy = cycle_energy
         if self.collect_components:
             self.component_energy = component_energy
         self.totals.update(totals)

@@ -5,11 +5,8 @@ simulation each); saving them lets attack development iterate offline, and
 lets experiment results be archived/diffed across code changes.
 
 Formats: numpy ``.npz`` for numeric data, JSON for experiment summaries,
-CSV for tabular rows, and **streaming** NDJSON/CSV per-cycle trace export
-(:class:`StreamingTraceWriter`) whose memory footprint is bounded by a
-small line buffer regardless of trace length — million-cycle batch runs
-can export their traces without ever holding them in RAM
-(``run_with_trace(..., stream=writer, keep_trace=False)``).
+CSV for tabular rows, and NDJSON/CSV per-cycle text for a finished trace
+(:func:`export_trace`, behind ``repro run --trace-out``).
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -28,98 +25,42 @@ from .experiments import ExperimentResult
 PathLike = Union[str, Path]
 
 
-class StreamingTraceWriter:
-    """Bounded-memory per-cycle trace writer (NDJSON or CSV).
+def export_trace(trace: EnergyTrace, path: PathLike) -> str:
+    """Write a finished trace as per-cycle text; returns the format.
 
-    Plugs into :class:`~repro.energy.tracker.EnergyTracker` as its
-    ``stream`` sink: the tracker calls :meth:`write_cycle` once per cycle
-    and the writer appends one line per cycle, flushing its line buffer
-    every ``buffer_cycles`` cycles — memory use is O(buffer), not
-    O(cycles).
-
-    * ``ndjson`` — one JSON object per line: ``{"cycle": n, "pj": total}``
-      plus a ``"components"`` object when per-component collection is on;
-      phase markers can be appended via :meth:`write_marker`.
-    * ``csv`` — header ``cycle,total_pj[,<component>...]``; markers are
-      not representable and are silently skipped.
-
-    The format defaults from the path suffix (``.csv`` -> csv, anything
-    else -> ndjson).  Use as a context manager or call :meth:`close`.
+    A ``.csv`` path gets a ``cycle,total_pj`` header and one row per
+    cycle; any other path gets NDJSON, one ``{"cycle":n,"pj":v}`` object
+    per cycle, then one ``{"marker":m,"cycle":c}`` object per phase
+    marker.  Per-component energies, when the trace has them, follow as
+    columns or as a ``"components"`` object.  Floats are written by
+    ``repr``, so they read back exactly.
     """
-
-    FORMATS = ("ndjson", "csv")
-
-    def __init__(self, path: PathLike, fmt: Optional[str] = None,
-                 buffer_cycles: int = 4096,
-                 component_names: Sequence[str] = COMPONENTS):
-        self.path = Path(path)
-        if fmt is None:
-            fmt = "csv" if self.path.suffix.lower() == ".csv" else "ndjson"
-        if fmt not in self.FORMATS:
-            raise ValueError(f"unknown trace format {fmt!r} "
-                             f"(expected one of {self.FORMATS})")
-        self.fmt = fmt
-        self.component_names = tuple(component_names)
-        self.buffer_cycles = max(1, int(buffer_cycles))
-        self.cycles_written = 0
-        self._buffer: list[str] = []
-        self._wrote_header = False
-        self._handle = open(self.path, "w", encoding="utf-8")
-
-    # -- tracker sink interface ---------------------------------------
-
-    def write_cycle(self, index: int, total_pj: float,
-                    components=None) -> None:
-        if self.fmt == "csv":
-            if not self._wrote_header:
-                names = ",".join(self.component_names) \
-                    if components is not None else ""
-                header = "cycle,total_pj" + ("," + names if names else "")
-                self._buffer.append(header)
-                self._wrote_header = True
-            line = f"{index},{total_pj!r}"
-            if components is not None:
-                line += "," + ",".join(repr(value) for value in components)
-        else:
-            if components is not None:
-                parts = ",".join(f'"{name}":{value!r}' for name, value
-                                 in zip(self.component_names, components))
-                line = (f'{{"cycle":{index},"pj":{total_pj!r},'
-                        f'"components":{{{parts}}}}}')
-            else:
-                line = f'{{"cycle":{index},"pj":{total_pj!r}}}'
-        self._buffer.append(line)
-        self.cycles_written += 1
-        if len(self._buffer) >= self.buffer_cycles:
-            self.flush()
-
-    def write_marker(self, cycle: int, value: int) -> None:
-        """Append a phase-marker record (NDJSON only)."""
-        if self.fmt == "ndjson":
-            self._buffer.append(f'{{"marker":{value},"cycle":{cycle}}}')
-
-    def write_markers(self, markers: Sequence[tuple[int, int]]) -> None:
-        for cycle, value in markers:
-            self.write_marker(cycle, value)
-
-    # -- lifecycle ----------------------------------------------------
-
-    def flush(self) -> None:
-        if self._buffer:
-            self._handle.write("\n".join(self._buffer) + "\n")
-            self._buffer.clear()
-        self._handle.flush()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self.flush()
-            self._handle.close()
-
-    def __enter__(self) -> "StreamingTraceWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    path = Path(path)
+    energy = trace.energy.tolist()
+    parts = None if trace.components is None else trace.components.tolist()
+    names = () if parts is None else COMPONENTS[:trace.components.shape[1]]
+    if path.suffix.lower() == ".csv":
+        fmt = "csv"
+        lines = [",".join(("cycle", "total_pj") + names)]
+        for index, total in enumerate(energy):
+            row = (index, total,
+                   *(parts[index] if parts is not None else ()))
+            lines.append(",".join(map(repr, row)))
+    else:
+        fmt = "ndjson"
+        lines = []
+        for index, total in enumerate(energy):
+            line = f'{{"cycle":{index},"pj":{total!r}'
+            if parts is not None:
+                fields = ",".join(f'"{name}":{value!r}' for name, value
+                                  in zip(names, parts[index]))
+                line += f',"components":{{{fields}}}'
+            lines.append(line + "}")
+        lines += [f'{{"marker":{value},"cycle":{cycle}}}'
+                  for cycle, value in trace.markers]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(line + "\n" for line in lines)
+    return fmt
 
 
 def save_trace(trace: EnergyTrace, path: PathLike) -> None:

@@ -55,7 +55,6 @@ def run_with_trace(program: Program,
                    noise_sigma: float = 0.0,
                    noise_seed: int = 0,
                    operand_isolation: bool = True,
-                   stream=None, keep_trace: bool = True,
                    engine: Optional[str] = None) -> RunResult:
     """Assembled program + symbol inputs -> executed RunResult with trace.
 
@@ -69,11 +68,9 @@ def run_with_trace(program: Program,
     program falls outside the engine's model — is transparently re-run
     with fresh state on ``reference``; nothing from an abandoned attempt
     leaks into the result, and :attr:`RunResult.engine` is labeled
-    ``"fast-fallback"``.  Streaming runs (``stream`` set) and
-    attribution runs (:func:`repro.obs.attribution_enabled`) always use
-    the reference engine: both need its per-cycle tracker hooks, and a
-    streamed trace can then never be left half written by a mid-run
-    divergence.
+    ``"fast-fallback"``.  Attribution runs
+    (:func:`repro.obs.attribution_enabled`) always use the reference
+    engine: they need its per-cycle tracker hooks.
 
     When the observability sink is enabled (:func:`repro.obs.enabled`),
     the run executes under an ``execute`` span, collects the dynamic
@@ -86,17 +83,12 @@ def run_with_trace(program: Program,
     (pc, unit, class, secure) provenance key; the per-run sink is
     annotated with the program's debug info and merged into the current
     observability context.
-
-    ``stream`` is an optional bounded-memory per-cycle trace writer
-    (:class:`~repro.harness.io.StreamingTraceWriter`); pass
-    ``keep_trace=False`` alongside it to drop the in-memory trace
-    entirely (the returned result then has an empty energy vector).
     """
     resolved = engines.resolve(engine)
-    if stream is not None or obs.attribution_enabled():
+    if obs.attribution_enabled():
         resolved = "reference"
     run = (program, inputs, params, collect_components, label, max_cycles,
-           noise_sigma, noise_seed, operand_isolation, stream, keep_trace)
+           noise_sigma, noise_seed, operand_isolation)
     if resolved == "reference":
         return _run_with_trace_once(*run, engine="reference")
     try:
@@ -112,7 +104,7 @@ def run_with_trace(program: Program,
 
 def _run_with_trace_once(program, inputs, params, collect_components,
                          label, max_cycles, noise_sigma, noise_seed,
-                         operand_isolation, stream, keep_trace, *,
+                         operand_isolation, *,
                          engine: str,
                          engine_label: Optional[str] = None) -> RunResult:
     """One execution attempt on one engine, with fresh tracker/CPU state.
@@ -129,8 +121,7 @@ def _run_with_trace_once(program, inputs, params, collect_components,
         else None
     tracker = EnergyTracker(params, collect_components=collect_components,
                             noise_sigma=noise_sigma, noise_seed=noise_seed,
-                            attribution=attribution, stream=stream,
-                            keep_trace=keep_trace)
+                            attribution=attribution)
     cpu = engines.build_cpu(engine, program, tracker,
                             operand_isolation=operand_isolation,
                             collect_mix=observing, max_cycles=max_cycles)

@@ -14,8 +14,8 @@ reference  cycle-accurate five-stage pipeline            —
 
 The fast engine may raise :class:`~repro.machine.fastpath.ScheduleFallback`
 to decline a run; the harness runner then re-runs it on ``reference``.
-Attribution and streaming runs need the per-cycle tracker hooks, which
-only the reference engine drives; the harness runner pins those runs to
+Attribution runs need the per-cycle tracker hooks, which only the
+reference engine drives; the harness runner pins those runs to
 ``reference`` whichever engine was requested.  Backends import lazily,
 so importing this module never drags in NumPy-heavy engine code.
 """

@@ -28,10 +28,10 @@ This module exploits that:
   into transition-sensitive energy in one NumPy pass, and the results
   are committed to the tracker once at the end
   (:meth:`~repro.energy.tracker.EnergyTracker.commit_fastpath`).  It
-  never drives the per-cycle tracker hooks: a run with no tracker, an
-  attribution sink or a stream raises :class:`ScheduleUnavailable`, and
-  the harness runner pins attribution and streaming runs to the
-  reference engine, whose hooks are the ground truth for both.
+  never drives the per-cycle tracker hooks: a run with no tracker or
+  with an attribution sink raises :class:`ScheduleUnavailable`, and the
+  harness runner pins attribution runs to the reference engine, whose
+  hooks are the ground truth for it.
 * Every recorded branch/indirect-jump outcome is checked during replay;
   a mismatch raises :class:`ScheduleDivergence` and the harness runner
   transparently re-runs the trace on the reference engine, so correctness
@@ -745,10 +745,9 @@ class ReplayPipeline(Pipeline):
         if self.halted or self.cycle:
             raise SimulationError("ReplayPipeline.run is one-shot")
         tracker = self.tracker
-        if tracker is None or tracker.attribution is not None \
-                or tracker.stream is not None:
+        if tracker is None or tracker.attribution is not None:
             raise ScheduleUnavailable(
-                "replay needs a tracker without attribution or streaming; "
+                "replay needs a tracker without attribution; "
                 "using reference engine")
         try:
             self._replay_fast(tracker)
@@ -805,7 +804,7 @@ class ReplayPipeline(Pipeline):
         na_buf, nb_buf, nst_buf, out_buf, st_buf, wbv_buf = buffers
         views = [np.frombuffer(buffer, np.uint32) for buffer in buffers]
         streams = np.empty((STREAMS, SCORE_BLOCK + 1), np.uint32)
-        trace = np.empty(cycles) if tracker.keep_trace else []
+        trace = np.empty(cycles)
         components = np.empty((cycles, len(COMPONENTS))) \
             if tracker.collect_components else []
         noisy = tracker.noise_sigma > 0
@@ -882,8 +881,7 @@ class ReplayPipeline(Pipeline):
                 draws = tracker.noise_draws(k)
                 total += draws
                 t_noise = running_total(t_noise, draws)
-            if tracker.keep_trace:
-                trace[start:stop] = total
+            trace[start:stop] = total
             if tracker.collect_components:
                 components[start:stop] = np.column_stack(parts)
 

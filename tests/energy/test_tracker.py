@@ -212,19 +212,3 @@ def test_publish_metrics_counts_and_cycles():
     assert merged["energy_component_events{component=clock}"] \
         == 2 * tracker.cycles
 
-
-def test_keep_trace_false_drops_series_not_totals():
-    from repro.energy.params import EnergyParams
-    from repro.energy.tracker import EnergyTracker
-    from repro.isa.assembler import assemble as asm
-    from repro.machine.cpu import run_to_halt as run
-
-    kept = EnergyTracker(EnergyParams())
-    run(asm("nop\nnop\nhalt\n"), tracker=kept)
-    dropped = EnergyTracker(EnergyParams(), keep_trace=False)
-    run(asm("nop\nnop\nhalt\n"), tracker=dropped)
-    assert dropped.cycle_energy == []
-    assert dropped.cycles == kept.cycles
-    assert dropped.total_energy_pj == pytest.approx(kept.total_energy_pj)
-    assert dropped.average_energy_pj == pytest.approx(
-        kept.average_energy_pj)

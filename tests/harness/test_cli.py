@@ -175,7 +175,7 @@ def test_run_trace_out_streams_ndjson(asm_file, tmp_path, capsys):
     path = tmp_path / "trace.ndjson"
     assert main(["run", asm_file, "--trace-out", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "streamed" in out and "ndjson" in out
+    assert f"wrote 8 cycles to {path} (ndjson)" in out
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert all("pj" in r or "marker" in r for r in records)
     assert sum("pj" in r for r in records) > 0
@@ -185,6 +185,100 @@ def test_run_trace_out_csv(asm_file, tmp_path, capsys):
     path = tmp_path / "trace.csv"
     assert main(["run", asm_file, "--trace-out", str(path)]) == 0
     assert path.read_text().splitlines()[0] == "cycle,total_pj"
+
+
+#: (cipher, masking) of the round-1 programs ``--trace-out`` is pinned on.
+TRACE_PROGRAMS = {
+    "des-r1-selective": ("des", "selective"),
+    "des-r1-none": ("des", "none"),
+    "aes-r1": ("aes", "selective"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_PROGRAMS))
+def test_trace_out_is_engine_independent(case, tmp_path, capsys,
+                                         monkeypatch):
+    """``run --trace-out`` writes the same bytes on the default engine as
+    on ``--engine reference``, and on a warm schedule the default engine
+    takes no reference-pipeline step."""
+    from repro.aes.reference import int_to_state
+    from repro.machine.pipeline import Pipeline
+    from repro.programs.aes_source import AesProgramSpec, aes_source
+    from repro.programs.des_source import DesProgramSpec, des_source
+    from repro.programs.workloads import key_words
+
+    cipher, masking = TRACE_PROGRAMS[case]
+    source = tmp_path / f"{case}.sc"
+    if cipher == "des":
+        source.write_text(des_source(DesProgramSpec(rounds=1)))
+        words = key_words(0x133457799BBCDFF1), key_words(0x0123456789ABCDEF)
+    else:
+        source.write_text(aes_source(AesProgramSpec(rounds=1)))
+        words = (int_to_state(0x000102030405060708090A0B0C0D0E0F),
+                 int_to_state(0x00112233445566778899AABBCCDDEEFF))
+    command = ["run", str(source), "--masking", masking]
+    for symbol, values in zip(("key", "plaintext"), words):
+        command += ["--input", f"{symbol}={','.join(map(str, values))}"]
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    assert main(command) == 0  # records the schedule
+    steps = []
+    step = Pipeline.step
+
+    def counting(self):
+        steps.append(1)
+        return step(self)
+
+    monkeypatch.setattr(Pipeline, "step", counting)
+    capsys.readouterr()
+    for suffix in ("ndjson", "csv"):
+        assert main(command + ["--trace-out",
+                               str(tmp_path / f"fast.{suffix}")]) == 0
+        assert "engine:            fast\n" in capsys.readouterr().out
+    assert len(steps) == 0
+    for suffix in ("ndjson", "csv"):
+        assert main(command + ["--engine", "reference", "--trace-out",
+                               str(tmp_path / f"reference.{suffix}")]) == 0
+        assert "engine:            reference\n" in capsys.readouterr().out
+        fast = (tmp_path / f"fast.{suffix}").read_bytes()
+        assert fast == (tmp_path / f"reference.{suffix}").read_bytes()
+    assert len(steps) > 0
+
+
+@pytest.mark.parametrize("flag", [["--trace-out", "t.ndjson"],
+                                  ["--engine", "fast"]])
+def test_functional_run_refuses_energy_flags(sc_file, tmp_path, capsys,
+                                             monkeypatch, flag):
+    """The functional interpreter simulates no energy: asking it for a
+    trace or an engine is a usage error, not a silent no-op."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", sc_file, "--functional", *flag])
+    assert excinfo.value.code == 2
+    assert "--functional simulates no energy" in capsys.readouterr().err
+    assert not (tmp_path / "t.ndjson").exists()
+
+
+@pytest.mark.parametrize("functional", [False, True])
+def test_failed_run_is_one_line_and_writes_no_trace(sc_file, tmp_path,
+                                                    functional):
+    """A run that overruns its budget exits 1 with one line, and leaves
+    no trace file behind."""
+    path = tmp_path / "t.ndjson"
+    command = ["run", sc_file, "--max-cycles", "3"]
+    command += ["--functional"] if functional else ["--trace-out", str(path)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(command)
+    assert excinfo.value.code.startswith("repro: run failed: exceeded")
+    assert "\n" not in excinfo.value.code
+    assert not path.exists()
+
+
+def test_unwritable_trace_out_is_one_line(asm_file, tmp_path):
+    path = tmp_path / "missing" / "t.ndjson"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", asm_file, "--trace-out", str(path)])
+    assert excinfo.value.code.startswith("repro: cannot write trace: ")
+    assert not path.exists()
 
 
 def test_experiment_attribution_and_report(tmp_path, capsys, monkeypatch):

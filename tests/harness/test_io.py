@@ -1,13 +1,12 @@
 """Trace and experiment persistence."""
 
 import numpy as np
-import pytest
 
 from repro.energy.trace import EnergyTrace
 from repro.harness.experiments import ExperimentResult
-from repro.harness.io import (StreamingTraceWriter, experiment_to_dict,
-                              load_trace, save_experiment_json,
-                              save_summary_csv, save_trace)
+from repro.harness.io import (experiment_to_dict, export_trace, load_trace,
+                              save_experiment_json, save_summary_csv,
+                              save_trace)
 
 
 def make_trace(with_components=False):
@@ -48,20 +47,6 @@ def load_json(path):
     import json
 
     return json.loads(path.read_text())
-
-
-def stream_through_writer(trace, path):
-    """Write an in-memory trace through the streaming writer, the way
-    the tracker drives it cycle by cycle."""
-    with StreamingTraceWriter(path) as writer:
-        for index, total in enumerate(trace.energy):
-            components = trace.components
-            writer.write_cycle(
-                index, float(total),
-                tuple(float(v) for v in components[index])
-                if components is not None else None)
-        writer.write_markers(trace.markers)
-        return writer.cycles_written
 
 
 def make_result():
@@ -130,7 +115,7 @@ def test_real_trace_roundtrip(tmp_path, round1_masked):
     assert loaded.markers == run.trace.markers
 
 
-# -- streaming per-cycle export --------------------------------------------
+# -- per-cycle text export ---------------------------------------------
 
 
 def test_streaming_ndjson_round_trips_floats(tmp_path):
@@ -138,7 +123,7 @@ def test_streaming_ndjson_round_trips_floats(tmp_path):
 
     path = tmp_path / "trace.ndjson"
     trace = make_trace()
-    assert stream_through_writer(trace, path) == 4
+    assert export_trace(trace, path) == "ndjson"
     records = [json.loads(line) for line in path.read_text().splitlines()]
     cycles = [r for r in records if "pj" in r]
     markers = [(r["cycle"], r["marker"]) for r in records if "marker" in r]
@@ -152,60 +137,37 @@ def test_streaming_ndjson_components(tmp_path):
     import json
 
     path = tmp_path / "trace.ndjson"
-    stream_through_writer(make_trace(with_components=True), path)
+    export_trace(make_trace(with_components=True), path)
     first = json.loads(path.read_text().splitlines()[0])
-    assert "components" in first
-    assert len(first["components"]) == 2
+    assert first["components"] == {"clock": 0.0, "ibus": 1.0}
 
 
 def test_streaming_csv_format_from_suffix(tmp_path):
-    path = tmp_path / "trace.csv"
-    trace = make_trace()
-    stream_through_writer(trace, path)
+    path = tmp_path / "trace.CSV"
+    assert export_trace(make_trace(), path) == "csv"
     lines = path.read_text().splitlines()
     assert lines[0] == "cycle,total_pj"
     assert lines[1] == "0,1.5"
     assert len(lines) == 5  # header + 4 cycles; markers skipped in CSV
-    with pytest.raises(ValueError):
-        StreamingTraceWriter(tmp_path / "x", fmt="parquet")
+    export_trace(make_trace(with_components=True), path)
+    assert path.read_text().splitlines()[:2] == ["cycle,total_pj,clock,ibus",
+                                                 "0,1.5,0.0,1.0"]
 
 
-def test_streaming_writer_buffers_and_flushes(tmp_path):
-    from repro.harness.io import StreamingTraceWriter
-
-    path = tmp_path / "big.ndjson"
-    with StreamingTraceWriter(path, buffer_cycles=8) as writer:
-        for cycle in range(20):
-            writer.write_cycle(cycle, float(cycle))
-            # Nothing is written until a full buffer accumulates.
-            if cycle == 3:
-                assert path.read_text() == ""
-            if cycle == 8:
-                assert len(path.read_text().splitlines()) == 8
-    assert len(path.read_text().splitlines()) == 20
-    assert writer.cycles_written == 20
-
-
-def test_tracker_streams_without_keeping_the_trace(tmp_path):
-    """keep_trace=False + stream: bounded memory, identical numbers."""
-    import json
-
-    from repro.harness.io import StreamingTraceWriter
-    from repro.harness.runner import run_with_trace
-    from repro.isa.assembler import assemble
-
-    source = "li $t0, 5\nli $t1, 6\nxor $t2, $t0, $t1\nhalt\n"
-    kept = run_with_trace(assemble(source))
-    path = tmp_path / "streamed.ndjson"
-    with StreamingTraceWriter(path) as stream:
-        streamed = run_with_trace(assemble(source), stream=stream,
-                                  keep_trace=False)
-    assert len(streamed.trace.energy) == 0  # nothing retained in memory
-    assert streamed.tracker.total_energy_pj == pytest.approx(
-        kept.tracker.total_energy_pj)
-    values = [json.loads(line)["pj"]
-              for line in path.read_text().splitlines()]
-    assert values == list(kept.trace.energy)
+def test_export_writes_exact_bytes(tmp_path):
+    """The byte layout ``repro run --trace-out`` has always written:
+    compact separators, float ``repr`` (never ``numpy.float64``'s),
+    markers after the cycles, a newline after every line."""
+    trace = EnergyTrace(energy=np.array([0.1, 2.0 / 3.0]),
+                        markers=((1, 7),))
+    export_trace(trace, tmp_path / "t.ndjson")
+    assert (tmp_path / "t.ndjson").read_bytes() == (
+        b'{"cycle":0,"pj":0.1}\n'
+        b'{"cycle":1,"pj":0.6666666666666666}\n'
+        b'{"marker":7,"cycle":1}\n')
+    export_trace(trace, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b"cycle,total_pj\n0,0.1\n1,0.6666666666666666\n")
 
 
 def test_experiment_dict_includes_leakage():

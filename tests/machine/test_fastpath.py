@@ -319,30 +319,19 @@ def test_attribution_always_uses_reference_engine(monkeypatch, engine, via):
     assert hashlib.sha256(text.encode()).hexdigest() == ATTRIBUTION_DIGEST
 
 
-@pytest.mark.parametrize("hooks", ["none", "attribution", "stream"])
-def test_replay_declines_runs_that_need_tracker_hooks(tmp_path, hooks):
+@pytest.mark.parametrize("hooks", ["none", "attribution"])
+def test_replay_declines_runs_that_need_tracker_hooks(hooks):
     """Direct ``ReplayCPU`` users fall back instead of losing hooks."""
     from repro.energy.tracker import EnergyTracker
-    from repro.harness.io import StreamingTraceWriter
 
     program = compile_des(DesProgramSpec(rounds=1),
                           masking="none").program
     bound = fastpath.bound_schedule_for(program)
-    stream = None
-    if hooks == "none":
-        tracker = None
-    elif hooks == "attribution":
-        tracker = EnergyTracker(attribution=obs.AttributionSink())
-    else:
-        stream = StreamingTraceWriter(tmp_path / "trace.csv")
-        tracker = EnergyTracker(stream=stream)
+    tracker = None if hooks == "none" \
+        else EnergyTracker(attribution=obs.AttributionSink())
     cpu = fastpath.ReplayCPU(program, bound, tracker=tracker)
-    try:
-        with pytest.raises(fastpath.ScheduleUnavailable):
-            cpu.run()
-    finally:
-        if stream is not None:
-            stream.close()
+    with pytest.raises(fastpath.ScheduleUnavailable):
+        cpu.run()
 
 
 def test_opcode_mix_identical():
@@ -447,22 +436,6 @@ main:
         fastpath.record_schedule(program, max_cycles=500)
     assert str(error.value) == \
         "recording exceeded max_cycles=500 (pc=0x00000008)"
-
-
-def test_streaming_always_uses_reference_engine(tmp_path):
-    """A divergence mid-stream could leave a torn file behind, so
-    streaming runs never take the fast path."""
-    from repro.harness.io import StreamingTraceWriter
-
-    program = compile_des(DesProgramSpec(rounds=1),
-                          masking="none").program
-    stream = StreamingTraceWriter(tmp_path / "trace.csv")
-    try:
-        run = run_with_trace(program, inputs=_des_inputs(program),
-                             stream=stream, engine="fast")
-    finally:
-        stream.close()
-    assert run.engine == "reference"
 
 
 # -- engine resolution and plumbing -------------------------------------

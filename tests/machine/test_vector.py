@@ -51,13 +51,6 @@ def _digest(run):
     return hashlib.sha256(run.trace.energy.tobytes()).hexdigest()
 
 
-def _des_inputs(program):
-    inputs = {"key": key_words(KEY)}
-    if "plaintext" in program.symbols:
-        inputs["plaintext"] = plaintext_words(PLAINTEXT)
-    return inputs
-
-
 def _fallbacks(context) -> float:
     return context.registry.counter("engine_fallbacks").total()
 
@@ -291,23 +284,6 @@ def test_cycle_budget_below_schedule_parity():
                               des_pair=DES_PAIRS[0])
     assert replayed.cycles == reference.cycles == 18431
     assert replayed.pc == reference.pc
-
-
-def test_streaming_always_uses_reference_engine(tmp_path, monkeypatch):
-    """A streaming run takes the reference engine even when the ambient
-    default names the schedule engine."""
-    from repro.harness.io import StreamingTraceWriter
-
-    monkeypatch.setenv("REPRO_ENGINE", "fast")
-    program = compile_des(DesProgramSpec(rounds=1),
-                          masking="none").program
-    stream = StreamingTraceWriter(tmp_path / "trace.csv")
-    try:
-        run = run_with_trace(program, inputs=_des_inputs(program),
-                             stream=stream)
-    finally:
-        stream.close()
-    assert run.engine == "reference"
 
 
 @pytest.mark.parametrize("via", ["explicit", "env"])

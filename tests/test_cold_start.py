@@ -24,6 +24,7 @@ SRC = Path(repro.__file__).resolve().parents[1]
 ENTRY_POINT_MODULES = {
     "repro.cli": 5,
     "repro.attacks.tvla": 16,
+    "repro.obs.leakage": 12,
     "repro.service.executor": 27,
 }
 

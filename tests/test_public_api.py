@@ -28,9 +28,7 @@ def export_mismatches(module_name: str) -> list[str]:
 
     A function or class is found in the module its ``__module__`` names;
     any other object in some ``repro`` module that binds it under the
-    same name.  A name that resolves to a module, where the package
-    exports a function or class of that name, is the clash of a
-    submodule named like what it defines (``programs.des_source``).
+    same name.  Only the :data:`SUBMODULE_EXPORTS` may be modules.
     """
     module = importlib.import_module(module_name)
     problems = []
@@ -40,11 +38,9 @@ def export_mismatches(module_name: str) -> list[str]:
         except AttributeError:
             problems.append(f"{module_name}.{name} missing")
             continue
-        if (module_name, name) in SUBMODULE_EXPORTS:
-            same = isinstance(value, types.ModuleType) \
+        if isinstance(value, types.ModuleType):
+            same = (module_name, name) in SUBMODULE_EXPORTS \
                 and value.__name__ == f"{module_name}.{name}"
-        elif isinstance(value, types.ModuleType):
-            same = False
         elif hasattr(value, "__module__") and hasattr(value, "__name__"):
             owner = sys.modules.get(value.__module__)
             same = getattr(owner, value.__name__, None) is value
@@ -85,9 +81,9 @@ print(json.dumps([problem for package in ["repro", *checks.SUBPACKAGES]
 
 
 def test_all_names_resolve_after_every_submodule_import():
-    """Names resolve to the same objects whatever was imported first: a
-    fresh interpreter that imports ``repro.programs.des_source`` before
-    asking for ``repro.programs.des_source`` still gets the function."""
+    """Names resolve to the same objects whatever was imported first:
+    a fresh interpreter that imports every submodule before asking for
+    the exports gets the objects, not modules of the same name."""
     src = Path(repro.__file__).resolve().parents[1]
     completed = subprocess.run(
         [sys.executable, "-c", _SUBMODULES_FIRST, __file__],
