@@ -777,17 +777,50 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _dispatch(argv)
+    except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise
+        # The reader of stdout went away (``repro run ... | head -1``):
+        # stop quietly with the shell's 128+SIGPIPE code.  stdout is
+        # pointed at /dev/null so the interpreter's exit-time flush of
+        # the unwritten rest cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe or socket nobody reads any more (its
+    write end polls as an error), so a ``BrokenPipeError`` from any
+    other pipe still surfaces."""
+    import select
+
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(events & select.POLLERR
+                   for _fd, events in poller.poll(0))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
     from .harness.resilience import BatchInterrupted
 
     try:
-        return arguments.func(arguments)
+        code = arguments.func(arguments)
     except BatchInterrupted as interrupted:
         # Graceful operator stop: checkpointed work is on disk; the
         # conventional 128+SIGINT exit code tells scripts what happened.
         print(f"repro: {interrupted}", file=sys.stderr)
         return 130
+    sys.stdout.flush()  # a closed pipe fails here, not at exit
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,7 +26,8 @@ first so replay order matches write order, and tolerates a truncated
 final line (the torn write a crash can leave behind).
 :func:`timeline_from_events` rebuilds one request's timeline with the
 same projection the live ``/v1/requests/<id>/trace`` timeline uses
-(:func:`timeline_entry`).
+(:func:`timeline_entry`; a live record keeps it as a
+:func:`compact_entry` tuple and renders it on read).
 
 Span trees and manifests are not instant events: they are trees of
 durations and keep their own formats (:mod:`repro.obs.spans`,
@@ -71,10 +72,25 @@ def timeline_entry(record: dict, t_s: float) -> dict:
     """Project an event record onto a request timeline entry: the
     record minus :data:`TRANSPORT_FIELDS`, plus ``t_s`` seconds since
     the request's first event."""
-    entry = {key: value for key, value in record.items()
-             if key not in TRANSPORT_FIELDS}
-    entry["t_s"] = round(max(t_s, 0.0), 6)
-    return entry
+    return render_entry(compact_entry(record, t_s))
+
+
+def compact_entry(record: dict, t_s: float) -> tuple:
+    """:func:`timeline_entry` as the flat tuple a live request record
+    keeps, ``(t_s, key, value, key, value, ...)``: about half the bytes
+    of the dict, which :func:`render_entry` rebuilds on read."""
+    entry = [round(max(t_s, 0.0), 6)]
+    for key, value in record.items():
+        if key not in TRANSPORT_FIELDS:
+            entry += (key, value)
+    return tuple(entry)
+
+
+def render_entry(entry: tuple) -> dict:
+    """The timeline entry dict of a :func:`compact_entry` tuple."""
+    document = dict(zip(entry[1::2], entry[2::2]))
+    document["t_s"] = entry[0]
+    return document
 
 
 class EventLog:

@@ -22,12 +22,14 @@ Properties:
   wall-clock time it was stored.  They are stored memory-only: the disk
   layer has no eviction, so one file per unique request would grow
   without bound.
-* **Fresh containers, shared immutable leaves** — the document is
-  canonicalised once on store (a ``sort_keys`` JSON round trip, so hits
-  carry lists, never tuples).  Every hit and every coalesced joiner
-  gets fresh dicts and lists over the stored strings and numbers:
-  callers can stamp or mutate per-request fields without corrupting the
-  store, and no hit re-parses JSON or keeps a second decoded copy.
+* **One shared canonical document** — the document is canonicalised
+  once on store (a ``sort_keys`` JSON round trip, so hits carry lists,
+  never tuples).  Every hit and every coalesced joiner gets that stored
+  document itself, never a copy, and must treat it as read-only: a
+  served :class:`~repro.service.protocol.RequestRecord` keeps a
+  reference plus its own envelope (``age_s``, ``wall_s``) and renders a
+  fresh copy on each read of its ``result``.  No hit re-parses JSON or
+  keeps a second decoded copy.
 * **Single-flight coalescing** — concurrent identical requests elect a
   leader (:meth:`begin` → ``"lead"``); joiners block on the flight and
   receive the leader's document.  A failing leader wakes its joiners
@@ -121,7 +123,8 @@ class VerdictCache:
     def begin(self, key: str):
         """Start one request's cache interaction.
 
-        Returns ``("hit", document)`` on a cache hit,
+        Returns ``("hit", (document, age_s))`` on a cache hit — the
+        stored document (read-only) and its age in seconds —
         ``("join", flight)`` when an identical computation is already in
         flight, or ``("lead", flight)`` when the caller must compute
         and then :meth:`complete` (or :meth:`abandon`) the flight.
@@ -130,7 +133,9 @@ class VerdictCache:
             entry = self.store.memory.get(key)
             if entry is not None:
                 self._stats["hits"] += 1
-                return "hit", _decode(entry)
+                document, stored = entry
+                return "hit", (document,
+                               round(max(time.time() - stored, 0.0), 6))
             flight = self._flights.get(key)
             if flight is not None:
                 self._stats["coalesced"] += 1
@@ -142,16 +147,16 @@ class VerdictCache:
 
     def wait(self, flight: _Flight,
              timeout: Optional[float] = None) -> Optional[dict]:
-        """Block on a joined flight; the leader's document, or ``None``
-        when the leader failed/abandoned (the joiner computes itself)
-        or the timeout elapsed."""
+        """Block on a joined flight; the leader's stored document
+        (read-only), or ``None`` when the leader failed/abandoned (the
+        joiner computes itself) or the timeout elapsed."""
         if not flight.event.wait(timeout):
             return None
         if flight.document is None:
             with self._lock:
                 self._stats["coalesced_misses"] += 1
             return None
-        return _fresh(flight.document)
+        return flight.document
 
     def complete(self, key: str, flight: _Flight, document: dict) -> int:
         """Leader succeeded: store the canonical document, wake the
@@ -202,21 +207,3 @@ class VerdictCache:
                         evictions=memory.evictions,
                         inflight=len(self._flights))
 
-
-def _fresh(node):
-    """Copy a decoded JSON tree's dicts and lists; share its leaves."""
-    if isinstance(node, dict):
-        return {key: _fresh(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_fresh(value) for value in node]
-    return node
-
-
-def _decode(entry: tuple[dict, float]) -> dict:
-    canonical, stored = entry
-    document = _fresh(canonical)
-    document["verdict_cache"] = {
-        "hit": True,
-        "age_s": round(max(time.time() - stored, 0.0), 6),
-    }
-    return document

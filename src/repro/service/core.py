@@ -275,7 +275,7 @@ class LeakageService:
             # in-flight records only, not the whole history.
             evicted = []
             for request_id, older in self._records.items():
-                if older.terminal.is_set():
+                if older.terminal:
                     evicted.append(request_id)
                     if len(evicted) == excess:
                         break
@@ -329,7 +329,7 @@ class LeakageService:
         self._observe("service_queue_seconds", queued_s,
                       "time from admission to execution start")
         try:
-            result = self._execute_cached(record, deadline)
+            result, cache_hit = self._execute_cached(record, deadline)
         except ShuttingDown as error:
             self._finish(record, protocol.SHUTDOWN, error=error)
         except ServiceError as error:  # DeadlineExceeded, ExecutionFailed
@@ -354,32 +354,37 @@ class LeakageService:
                              f"{type(error).__name__}: {error}"))
         else:
             self.breaker.record_success(program_key)
-            self._finish(record, protocol.DONE, result=result)
+            self._finish(record, protocol.DONE, result=result,
+                         cache_hit=cache_hit)
 
     def _execute_cached(self, record: RequestRecord,
-                        deadline: Optional[float]) -> dict:
+                        deadline: Optional[float]) \
+            -> tuple[dict, Optional[tuple]]:
         """Serve from / fill the verdict cache around :meth:`_execute`.
 
-        Bypass conditions: ``"cache": false`` on the request, or attribution requested (the snapshot is per-run
+        Returns the result document and, for a hit, its envelope
+        (:meth:`_cache_envelope`).  Bypass conditions: ``"cache": false``
+        on the request, or attribution requested (the snapshot is per-run
         observability, not part of the cacheable result).  Concurrent
         identical requests coalesce single-flight: one leader computes,
         joiners block on the flight (still honoring their own deadline
-        and the drain cancel event) and re-stamp the leader's document.
+        and the drain cancel event) and share the leader's document.
         A failed leader wakes joiners empty-handed and each computes
         independently — errors are never cached or propagated sideways.
         """
         request = record.request
         cache = self.verdict_cache
         if not request.cache or request.attribution:
-            return self._execute(record, deadline)
+            return self._execute(record, deadline), None
         key = verdict_key(request)
         outcome, token = cache.begin(key)
         if outcome == "hit":
+            document, age_s = token
             self._transition("verdict_cache_hit", record)
             self._count("verdict_cache_hits",
                         "requests served from the verdict cache",
                         source="direct")
-            return self._stamp_cached(record, token)
+            return document, self._cache_envelope(record, age_s)
         if outcome == "join":
             document = self._await_flight(record, token, deadline)
             if document is not None:
@@ -388,12 +393,12 @@ class LeakageService:
                 self._count("verdict_cache_hits",
                             "requests served from the verdict cache",
                             source="coalesced")
-                return self._stamp_cached(record, document)
+                return document, self._cache_envelope(record, None)
             self._transition("verdict_cache_miss", record,
                              leader_failed=True)
             self._count("verdict_cache_misses",
                         "requests that had to simulate")
-            return self._execute(record, deadline)
+            return self._execute(record, deadline), None
         self._transition("verdict_cache_miss", record)
         self._count("verdict_cache_misses",
                     "requests that had to simulate")
@@ -409,7 +414,7 @@ class LeakageService:
                         "store entries evicted past the memory budget "
                         "by a verdict store",
                         value=evicted)
-        return result
+        return result, None
 
     def _await_flight(self, record: RequestRecord, flight,
                       deadline: Optional[float]) -> Optional[dict]:
@@ -433,16 +438,14 @@ class LeakageService:
                 return self.verdict_cache.wait(flight, timeout=0)
             # flight still running; loop re-checks deadline/cancel
 
-    def _stamp_cached(self, record: RequestRecord, document: dict) -> dict:
-        """Per-request fields on a cached document: the stored result is
-        bit-identical (digest, verdict, totals); only the envelope —
-        requester identity, wall time — belongs to this request."""
-        info = document.setdefault("verdict_cache", {"hit": True})
-        info["hit"] = True
-        document["request"] = record.request.to_dict()
+    def _cache_envelope(self, record: RequestRecord,
+                        age_s: Optional[float]) -> tuple:
+        """The per-request part of a cached result, ``(age_s, wall_s)``:
+        the stored document stays bit-identical (digest, verdict,
+        totals) and shared; the record stamps this envelope and its own
+        request onto it when its result is read."""
         started = record.started_monotonic or time.monotonic()
-        document["wall_s"] = round(time.monotonic() - started, 6)
-        return document
+        return age_s, round(time.monotonic() - started, 6)
 
     def _execute(self, record: RequestRecord,
                  deadline: Optional[float]) -> dict:
@@ -491,9 +494,11 @@ class LeakageService:
 
     def _finish(self, record: RequestRecord, state: str,
                 result: Optional[dict] = None,
-                error: Optional[ServiceError] = None) -> None:
+                error: Optional[ServiceError] = None,
+                cache_hit: Optional[tuple] = None) -> None:
         self._tag_error(record, error)
-        record.finish(state, result=result, error=error)
+        record.finish(state, result=result, error=error,
+                      cache_hit=cache_hit)
         self._transition("terminal", record,
                          **({"code": error.code} if error else {}))
         latency = record.latency_s or 0.0

@@ -26,7 +26,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..obs.events import timeline_entry
+from ..obs.events import compact_entry, render_entry
 from .errors import InvalidRequest, ServiceError
 
 #: Wire schema identifier carried on results and trace documents.
@@ -71,7 +71,7 @@ def _parse_word64(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssessRequest:
     """One leakage-assessment work item, fully validated.
 
@@ -265,7 +265,22 @@ def make_trace_id(candidate: Optional[str] = None) -> str:
     return candidate
 
 
-@dataclass
+#: Guards every record's terminal transition and waiter registration.
+#: One lock for the whole service, so a record needs no synchronization
+#: object of its own (see :meth:`RequestRecord.wait`).
+_terminal_lock = threading.Lock()
+
+
+def _copy_containers(node):
+    """Copy a JSON tree's dicts and lists; share its leaves."""
+    if isinstance(node, dict):
+        return {key: _copy_containers(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_copy_containers(value) for value in node]
+    return node
+
+
+@dataclass(eq=False, slots=True)
 class RequestRecord:
     """Server-side lifecycle of one admitted (or rejected) request.
 
@@ -276,31 +291,46 @@ class RequestRecord:
     tracing is on — the grafted span tree and attribution snapshot the
     executor captured.  :meth:`trace_document` is the JSON the
     ``GET /v1/requests/<id>/trace`` endpoint serves.
+
+    A terminal record sits in the service's request history until
+    ``history_limit`` evicts it, so it keeps facts and renders documents
+    on read: the timeline is stored as compact tuples, a verdict-cache
+    hit references the store's shared document plus its own envelope
+    (:attr:`cache_hit`), and no synchronization object survives the
+    terminal transition.  :attr:`result` and :attr:`timeline` are
+    rendered afresh on every read, so a caller may mutate what it gets
+    without touching the record or the verdict cache.
     """
 
     request: AssessRequest
     id: str = field(default_factory=next_request_id)
     state: str = QUEUED
-    result: Optional[dict] = None
     error: Optional[ServiceError] = None
     submitted_monotonic: float = field(default_factory=time.monotonic)
     started_monotonic: Optional[float] = None
     finished_monotonic: Optional[float] = None
-    terminal: threading.Event = field(default_factory=threading.Event,
-                                      repr=False, compare=False)
     trace_id: str = field(default_factory=make_trace_id)
-    #: Lifecycle events in occurrence order, each the
-    #: :func:`~repro.obs.events.timeline_entry` of its event record
-    #: (``t_s`` relative to submission).
-    timeline: list = field(default_factory=list, compare=False)
     #: Request-scoped span forest (request tracing enabled only).
-    spans: Optional[list] = field(default=None, compare=False)
+    spans: Optional[list] = None
     #: Whether the span forest was compacted into an aggregated frame
     #: tree to bound history memory (see ``ServiceConfig.span_tree_limit``).
     spans_compacted: bool = False
     #: Per-PC attribution snapshot (``request.attribution`` only).
-    attribution_snapshot: Optional[dict] = field(default=None,
-                                                 compare=False)
+    attribution_snapshot: Optional[dict] = None
+    #: A verdict-cache hit's envelope, ``(age_s, wall_s)``: the stored
+    #: entry's age (None for a coalesced joiner) and this request's wall
+    #: time.  The result is then the store's shared document, which
+    #: nothing mutates; :attr:`result` stamps the envelope on read.
+    cache_hit: Optional[tuple] = field(default=None, init=False)
+    _result: Optional[dict] = field(default=None, init=False, repr=False)
+    #: Lifecycle events in occurrence order, each the
+    #: :func:`~repro.obs.events.compact_entry` of its event record
+    #: (``t_s`` relative to submission).
+    _timeline: list = field(default_factory=list, init=False, repr=False)
+    #: Created only for a waiter that arrives before the terminal
+    #: transition, and dropped by it.
+    _waiter: Optional[threading.Event] = field(default=None, init=False,
+                                               repr=False)
 
     @property
     def deadline_monotonic(self) -> Optional[float]:
@@ -308,22 +338,59 @@ class RequestRecord:
             return None
         return self.submitted_monotonic + self.request.deadline_s
 
+    @property
+    def terminal(self) -> bool:
+        return self.finished_monotonic is not None
+
     def start(self) -> None:
         self.state = RUNNING
         self.started_monotonic = time.monotonic()
 
     def finish(self, state: str, result: Optional[dict] = None,
-               error: Optional[ServiceError] = None) -> None:
+               error: Optional[ServiceError] = None,
+               cache_hit: Optional[tuple] = None) -> None:
         """Move to a terminal state exactly once (later calls are no-ops,
-        so a drain racing a normal completion cannot double-count)."""
-        if self.terminal.is_set():
-            return
-        assert state in TERMINAL_STATES, state
-        self.state = state
-        self.result = result
-        self.error = error
-        self.finished_monotonic = time.monotonic()
-        self.terminal.set()
+        so a drain racing a normal completion cannot double-count).
+
+        ``cache_hit`` marks ``result`` as the verdict store's shared
+        document served to this request (see :attr:`cache_hit`).
+        """
+        with _terminal_lock:
+            if self.terminal:
+                return
+            assert state in TERMINAL_STATES, state
+            self.state = state
+            self._result = result
+            self.cache_hit = cache_hit
+            self.error = error
+            self.finished_monotonic = time.monotonic()
+            waiter, self._waiter = self._waiter, None
+        if waiter is not None:
+            waiter.set()
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until terminal (or timeout); True when terminal."""
+        with _terminal_lock:
+            if self.terminal:
+                return True
+            if self._waiter is None:
+                self._waiter = threading.Event()
+            waiter = self._waiter
+        return waiter.wait(timeout)
+
+    @property
+    def result(self) -> Optional[dict]:
+        """The result document, a fresh copy on every read."""
+        if self._result is None:
+            return None
+        document = _copy_containers(self._result)
+        if self.cache_hit is not None:
+            age_s, wall_s = self.cache_hit
+            document["verdict_cache"] = {"hit": True} if age_s is None \
+                else {"hit": True, "age_s": age_s}
+            document["request"] = self.request.to_dict()
+            document["wall_s"] = wall_s
+        return document
 
     @property
     def latency_s(self) -> Optional[float]:
@@ -341,24 +408,27 @@ class RequestRecord:
 
     def mark(self, event_record: dict) -> None:
         """Append one lifecycle event record to the timeline."""
-        self.timeline.append(timeline_entry(
+        self._timeline.append(compact_entry(
             event_record, time.monotonic() - self.submitted_monotonic))
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until terminal (or timeout); True when terminal."""
-        return self.terminal.wait(timeout)
+    @property
+    def timeline(self) -> list[dict]:
+        """The lifecycle events as :func:`~repro.obs.events.timeline_entry`
+        dicts, rendered on read."""
+        return [render_entry(entry) for entry in self._timeline]
 
     def to_dict(self, include_request: bool = True) -> dict:
         document: dict = {"schema": SCHEMA, "id": self.id,
                           "trace_id": self.trace_id,
                           "state": self.state,
-                          "terminal": self.terminal.is_set()}
+                          "terminal": self.terminal}
         if include_request:
             document["request"] = self.request.to_dict()
         if self.latency_s is not None:
             document["latency_s"] = round(self.latency_s, 6)
-        if self.result is not None:
-            document["result"] = self.result
+        result = self.result
+        if result is not None:
+            document["result"] = result
         if self.error is not None:
             document.update(self.error.to_dict())
         return document
@@ -368,9 +438,9 @@ class RequestRecord:
         document: dict = {"schema": SCHEMA, "id": self.id,
                           "trace_id": self.trace_id,
                           "state": self.state,
-                          "terminal": self.terminal.is_set(),
+                          "terminal": self.terminal,
                           "request": self.request.to_dict(),
-                          "timeline": list(self.timeline)}
+                          "timeline": self.timeline}
         if self.queued_s is not None:
             document["queued_s"] = round(self.queued_s, 6)
         if self.latency_s is not None:

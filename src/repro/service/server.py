@@ -154,7 +154,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _record_response(self, record: RequestRecord) -> None:
         """Answer with the record's current lifecycle view."""
         trace_header = {TRACE_HEADER: record.trace_id}
-        if not record.terminal.is_set():
+        if not record.terminal:
             self._send_json(202, record.to_dict(), trace_header)
         elif record.state == DONE:
             self._send_json(200, record.to_dict(), trace_header)

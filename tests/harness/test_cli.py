@@ -1,8 +1,16 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
+
+SRC = Path(repro.__file__).resolve().parents[1]
 
 SC_SOURCE = """
 secure int k;
@@ -441,3 +449,22 @@ def test_obs_flamegraph_subcommand(tmp_path, capsys):
     assert page.startswith("<!DOCTYPE html>")
     assert "xor spans" in page
     assert "experiment=xor-op" in page
+
+
+@pytest.mark.parametrize("command", [["run"], ["compile"], ["experiments"]],
+                         ids=lambda command: command[0])
+def test_closed_stdout_exits_quietly(command, sc_file):
+    """A reader that goes away before the output is written (``repro
+    run ... | head -1``) ends the command with 128+SIGPIPE and nothing
+    on stderr, not a ``BrokenPipeError`` traceback."""
+    arguments = command + ([sc_file] if command[0] != "experiments" else [])
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", *arguments],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC),
+                 PYTHONDONTWRITEBYTECODE="1"))
+    process.stdout.close()  # the reader is gone before the first write
+    stderr = process.stderr.read().decode()
+    process.stderr.close()
+    assert process.wait(timeout=120) == 141, stderr
+    assert stderr == ""

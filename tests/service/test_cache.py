@@ -41,7 +41,8 @@ def _get(cache: VerdictCache, key: str):
     """The stored document, or ``None`` (the lookup is left unled)."""
     verb, token = cache.begin(key)
     if verb == "hit":
-        return token
+        document, _age_s = token
+        return document
     cache.abandon(key, token)
     return None
 
@@ -75,21 +76,22 @@ def test_key_prefix_is_the_program_key_hash():
 # -- storage in the artifact store ------------------------------------------
 
 
-def test_hit_decodes_a_fresh_object_with_age_stamp(tmp_path):
+def test_hit_shares_the_stored_document_and_reports_its_age(tmp_path):
     cache = _verdicts(tmp_path)
     _put(cache, "verdict-k", {"verdict": {"passed": True}})
-    first = _get(cache, "verdict-k")
-    first["verdict"]["passed"] = False  # mutating a hit must not
-    second = _get(cache, "verdict-k")   # corrupt the stored entry
-    assert second["verdict"]["passed"] is True
-    assert second["verdict_cache"]["hit"] is True
-    assert second["verdict_cache"]["age_s"] >= 0.0
+    verb, (document, age_s) = cache.begin("verdict-k")
+    assert verb == "hit"
+    assert document == {"verdict": {"passed": True}}
+    assert "verdict_cache" not in document  # the envelope is the caller's
+    assert age_s >= 0.0
+    stored, _stored_at = cache.store.memory.get("verdict-k")
+    assert document is stored
 
 
-def test_hits_get_fresh_containers_over_shared_leaves(tmp_path):
-    """One decoded copy per entry: hits and joiners copy the dicts and
-    lists, never the strings and numbers, and hits carry lists, never
-    the tuples the leader stored."""
+def test_hits_and_joiners_share_one_canonical_document(tmp_path):
+    """One decoded copy per entry, handed out as is: a hit and a joiner
+    get the stored document itself (no per-hit copy to retain), and it
+    carries lists, never the tuples the leader stored."""
     cache = _verdicts(tmp_path)
     document = {"trace_digest": "ab" * 32,
                 "verdict": {"passed": True, "leaky_cycles": (3, 5)}}
@@ -101,16 +103,9 @@ def test_hits_get_fresh_containers_over_shared_leaves(tmp_path):
     joined = cache.wait(flight, timeout=5.0)
     first = _get(cache, "verdict-k")
     second = _get(cache, "verdict-k")
-    assert first is not second
-    assert first["verdict"] is not second["verdict"]
-    assert first["verdict"]["leaky_cycles"] \
-        is not second["verdict"]["leaky_cycles"]
+    assert first is second is joined
     assert first["verdict"]["leaky_cycles"] == [3, 5]
-    assert first["trace_digest"] is second["trace_digest"]
-    assert joined["verdict"] is not first["verdict"]
-    assert joined["trace_digest"] is first["trace_digest"]
-    del first["verdict_cache"], second["verdict_cache"]
-    assert joined == first == second
+    assert first == json.loads(json.dumps(document))
     stored = cache.store.memory.get("verdict-k")
     assert cache.stats()["bytes"] == resident_size(stored)
 
@@ -206,7 +201,7 @@ def test_concurrent_identical_requests_coalesce_on_one_leader(tmp_path):
     stats = cache.stats()
     assert stats["misses"] == 1 and stats["coalesced"] == 3
     # After completion the entry is a plain hit, no flight left.
-    verb, document = cache.begin("k")
+    verb, (document, _age_s) = cache.begin("k")
     assert verb == "hit" and document["verdict"] == "computed-once"
     assert stats["inflight"] == 0 or cache.stats()["inflight"] == 0
 
@@ -244,6 +239,35 @@ def test_repeat_submission_hits_cache_bit_identical(make_service):
     assert warm.result["request"]["client"] == "test"
     assert "verdict_cache_hit" in [mark["event"]
                                    for mark in warm.timeline]
+
+
+def test_mutating_a_served_result_cannot_change_the_next_hit(
+        make_service):
+    """``RequestRecord.result`` is a fresh copy on every read: changing
+    it, at the top level or nested, touches neither the record nor the
+    shared document the verdict cache serves next."""
+    service = make_service(workers=1)
+    cold = service.submit(pair_payload())
+    assert cold.wait(60.0) and cold.state == DONE
+    warm = service.submit(pair_payload())
+    assert warm.wait(60.0) and warm.state == DONE
+    expected = warm.to_dict()["result"]
+    for record in (cold, warm):
+        result = record.result
+        result["trace_digest"] = "tampered"
+        result["verdict_cache"] = "tampered"
+        result["verdict"]["passed"] = "tampered"
+        result["cycles"].append(-1)
+        result["request"]["client"] = "tampered"
+        del result["n_traces"]
+    assert warm.to_dict()["result"] == expected
+    again = service.submit(pair_payload())
+    assert again.wait(60.0) and again.state == DONE
+    served = again.result
+    for key in ("trace_digest", "verdict", "cycles", "n_traces"):
+        assert served[key] == expected[key], key
+    assert served["request"]["client"] == "test"
+    assert served["verdict_cache"]["hit"] is True
 
 
 def test_concurrent_identical_submissions_coalesce(make_service):

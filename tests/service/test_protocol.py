@@ -78,13 +78,13 @@ def test_invalid_request_is_a_400_and_not_retryable():
 
 def test_record_finish_is_idempotent_first_writer_wins():
     record = RequestRecord(request=AssessRequest.from_dict({"rounds": 2}))
-    assert not record.terminal.is_set()
+    assert not record.terminal
     record.finish(DONE, result={"ok": True})
     record.finish(SHUTDOWN, error=ShuttingDown("late drain"))  # no-op
     assert record.state == DONE
     assert record.result == {"ok": True}
     assert record.error is None
-    assert record.terminal.is_set()
+    assert record.terminal
     assert record.latency_s is not None and record.latency_s >= 0
 
 

@@ -1,7 +1,6 @@
 """LeakageService core: lifecycle, admission, deadlines, drain, metrics."""
 
 import sys
-import threading
 import time
 
 import pytest
@@ -172,17 +171,19 @@ def test_history_eviction_work_does_not_grow_with_the_history(
     admission runs as many lines of ``_remember`` at 4,096 retained
     records as at 16 (rebuilding the retained list on every admission
     runs a few lines per retained record)."""
-    terminal = threading.Event()
-    terminal.set()
     request = AssessRequest.from_dict(pair_payload())
     code = LeakageService._remember.__code__
+
+    def finished() -> RequestRecord:
+        record = RequestRecord(request=request)
+        record.finish(DONE)
+        return record
 
     def lines_per_admission(limit: int) -> int:
         service = make_service(workers=1, history_limit=limit)
         for _ in range(limit + 1):  # fill the history, then evict once
-            service._remember(RequestRecord(request=request,
-                                            terminal=terminal))
-        record = RequestRecord(request=request, terminal=terminal)
+            service._remember(finished())
+        record = finished()
         lines = 0
 
         def count_lines(frame, event, arg):

@@ -90,7 +90,7 @@ def test_breaker_rejection_timeline(make_service):
     with pytest.raises(ProgramQuarantined) as excinfo:
         service.submit(pair_payload())
     quarantined = service.get(excinfo.value.request_id)
-    assert quarantined.terminal.is_set()
+    assert quarantined.terminal
     assert _events(quarantined) == ["received", "terminal"]
     assert quarantined.timeline[-1]["code"] == "program_quarantined"
 

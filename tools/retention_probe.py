@@ -7,8 +7,8 @@ identical requests one after another under :mod:`tracemalloc` and prints
 the memory still allocated afterwards, divided by the number of hits.
 Every hit stays in the service's request history (``history_limit`` is
 raised above ``HITS``), so the figure is what one retained cache-hit
-record costs: the record, its lifecycle timeline and span tree, and the
-result document stamped for it.
+record costs: the record and its request, its lifecycle timeline, and
+the envelope it keeps beside the store's shared result document.
 
 Usage: ``PYTHONPATH=src python tools/retention_probe.py``.
 """
