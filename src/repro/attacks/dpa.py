@@ -101,10 +101,10 @@ def collect_traces(program: Program, key: int, plaintexts: list[int],
     Long collections can be made fault-tolerant: ``retries`` re-runs a
     crashed/timed-out acquisition (retried traces are bit-identical —
     the noise seed is per-job), ``job_timeout`` bounds each acquisition
-    in wall-clock seconds, and ``checkpoint`` journals completed traces
-    so an interrupted collection resumes where it stopped.  DPA needs
-    every trace, so a job that still fails after its retry budget raises
-    :class:`~repro.harness.resilience.BatchError`.
+    in wall-clock seconds, and ``checkpoint`` (a directory) stores each
+    completed trace so an interrupted collection resumes where it
+    stopped.  DPA needs every trace, so a job that still fails after its
+    retry budget raises :class:`~repro.harness.resilience.BatchError`.
 
     ``engine`` picks the execution engine per acquisition (default: the
     ambient ``$REPRO_ENGINE``, else the schedule-replay fast path, which

@@ -171,6 +171,13 @@ def cmd_experiment(arguments: argparse.Namespace) -> int:
     if arguments.attribution and not arguments.manifest:
         arguments.usage_error("--attribution requires --manifest (the "
                               "cells are recorded in the manifest)")
+    if arguments.checkpoint and Path(arguments.checkpoint).exists() \
+            and not Path(arguments.checkpoint).is_dir():
+        print(f"repro experiment: error: --checkpoint "
+              f"{arguments.checkpoint} is a file; it takes a directory "
+              "(journal files of older versions are not read)",
+              file=sys.stderr)
+        return 2
     engine_effective = resolve_engine(arguments.engine)
     arguments.engine_effective = engine_effective
     kwargs = {}
@@ -548,10 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="job_timeout", metavar="SECONDS",
                        help="wall-clock budget per batch job; a runaway "
                             "simulation is killed and counts as a failure")
-    p_exp.add_argument("--checkpoint", metavar="PATH",
-                       help="journal completed batch jobs to PATH so an "
-                            "interrupted experiment resumes by recomputing "
-                            "only unfinished jobs")
+    p_exp.add_argument("--checkpoint", metavar="DIR",
+                       help="store each completed batch job in directory "
+                            "DIR so an interrupted experiment resumes by "
+                            "recomputing only unfinished jobs")
     p_exp.add_argument("--engine", default=None, choices=ENGINES,
                        help="execution engine for every simulation in the "
                             "experiment: 'fast' (schedule replay) or "

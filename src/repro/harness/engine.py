@@ -19,9 +19,11 @@ while keeping the results **bit-identical** to the serial path:
   compiles each ``(spec, masking, policy, optimize)`` variant once
   instead of once per sweep point per process;
 * batches survive faults: ``failure_policy``/``retries``/``job_timeout``
-  and the ``checkpoint`` journal delegate to
-  :mod:`repro.harness.resilience`, so one crashed worker, one runaway
-  simulation, or one ``BrokenProcessPool`` no longer discards the batch.
+  and ``checkpoint`` delegate to :mod:`repro.harness.resilience`, so one
+  crashed worker, one runaway simulation, or one ``BrokenProcessPool``
+  no longer discards the batch, and a checkpointed batch keeps each
+  finished job as a ``result-*`` entry of a store in the checkpoint
+  directory.
 
 ``run_jobs(batch, jobs=1)`` is the single entry point; ``jobs=1`` executes
 in-process with behavior identical to calling the runner directly.
@@ -37,6 +39,7 @@ import tempfile
 import threading
 import time
 import weakref
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +63,13 @@ logger = logging.getLogger("repro.harness.engine")
 #: verdict, held as a decoded JSON tree, counts its resident bytes
 #: (:func:`resident_size`, ~6.5-7x its pickle: ~7 KiB for a 1-round pair).
 DEFAULT_MAX_BYTES = 32 * 1024 * 1024
+
+#: Bytes of the CRC-32 that heads every disk entry (big-endian).
+_CHECKSUM_BYTES = 4
+
+
+def _checksum(payload) -> bytes:
+    return zlib.crc32(payload).to_bytes(_CHECKSUM_BYTES, "big")
 
 
 def resident_size(value: object) -> int:
@@ -233,25 +243,28 @@ os.register_at_fork(after_in_child=_reset_after_fork)
 
 class CompileCache:
     """Process-safe artifact store: compiled programs, bound cycle
-    schedules and verdict documents.
+    schedules and verdict documents, and in a checkpoint directory the
+    results of finished jobs (:func:`repro.harness.resilience.result_key`).
 
     Two layers: an :class:`ArtifactMemory` LRU bounded by ``max_bytes``,
     and a shared on-disk layer of pickled artifacts written atomically
-    (temp file + ``os.replace``) so concurrent pool workers never observe
-    a partial artifact.  A durable entry is pickled once on store; those
-    bytes set its memory size and go to disk.  Every key comes from
-    :func:`~repro.fingerprint.artifact_key` (package version, a
+    (fsync'd temp file + ``os.replace``) so concurrent pool workers never
+    observe a partial artifact and a crash never leaves a torn one.  A
+    durable entry is pickled once on store; those bytes set its memory
+    size and go to disk behind a CRC-32 of themselves.  Every key comes
+    from :func:`~repro.fingerprint.artifact_key` (package version, a
     fingerprint of the package sources, the artifact kind and its
     identity), so a stale cache directory can only ever miss, not serve
     wrong code.  The directory defaults to ``$REPRO_COMPILE_CACHE_DIR``
     or ``<tmpdir>/repro-compile-cache``; setting the variable to an empty
     string disables the disk layer (memory only).
 
-    Corrupt artifacts are **quarantined**: an entry that exists but does
-    not unpickle is renamed to ``<key>.corrupt`` (best-effort) so every
-    later process recompiles once instead of re-reading the bad file
-    forever; stale ``*.tmp`` files left by crashed writers are swept on
-    construction.
+    Corrupt artifacts are **quarantined**: an entry whose checksum does
+    not match its payload (checked before anything is unpickled) or that
+    does not unpickle is renamed to ``<key>.corrupt`` (best-effort) so
+    every later process rebuilds it once instead of re-reading the bad
+    file forever; stale ``*.tmp`` files left by crashed writers are swept
+    on construction.
 
     A disk layer that stops accepting writes (read-only mount → EACCES,
     full volume → ENOSPC) **degrades to memory-only writes** after the
@@ -357,25 +370,31 @@ class CompileCache:
             return None
         path = self.directory / f"{key}.pkl"
         try:
-            payload = path.read_bytes()
+            data = path.read_bytes()
         except OSError:
             return None  # plain miss (or unreadable: nothing to salvage)
+        payload = memoryview(data)[_CHECKSUM_BYTES:]
+        if data[:_CHECKSUM_BYTES] != _checksum(payload):
+            self._quarantine(path, "checksum mismatch")
+            return None
         try:
             return pickle.loads(payload), len(payload)
         except (pickle.PickleError, EOFError, AttributeError, ValueError,
-                TypeError, IndexError, ImportError):
-            self._quarantine(path)
+                TypeError, IndexError, ImportError) as error:
+            self._quarantine(path, f"unpickling failed: {error!r:.80}")
             return None
 
     @staticmethod
-    def _quarantine(path: Path) -> None:
-        """Move a corrupt artifact aside so it is recompiled exactly once.
+    def _quarantine(path: Path, reason: str) -> None:
+        """Move a corrupt artifact aside so it is rebuilt exactly once.
 
         ``os.replace`` is atomic, so concurrent readers either still see
         the corrupt file (and also try to quarantine it — idempotent) or
         see a clean miss.  Best-effort: on a read-only cache the corrupt
         entry simply stays a per-process miss.
         """
+        logger.warning("artifact store: %s is corrupt (%s); quarantined",
+                       path, reason)
         try:
             os.replace(path, path.with_suffix(".corrupt"))
         except OSError:
@@ -389,7 +408,10 @@ class CompileCache:
             handle, temp_name = tempfile.mkstemp(dir=self.directory,
                                                  suffix=".tmp")
             with os.fdopen(handle, "wb") as stream:
+                stream.write(_checksum(payload))
                 stream.write(payload)
+                stream.flush()
+                os.fsync(stream.fileno())
             os.replace(temp_name, self.directory / f"{key}.pkl")
         except OSError as error:
             # Caching is best-effort (the compile already succeeded), but
@@ -608,8 +630,12 @@ def run_jobs(batch: Sequence[SimJob], jobs: int = 1,
     * ``job_timeout`` — per-job wall-clock bound (seconds): an alarm
       inside the worker plus a parent-side deadline that kills and
       rebuilds a wedged pool.
-    * ``checkpoint`` — path to an append-only journal keyed by the
-      batch's content digest; completed jobs are skipped on resume.
+    * ``checkpoint`` — a directory holding one artifact-store entry per
+      completed job, keyed by the job's content, the package sources and
+      whether it records attribution
+      (:func:`~repro.harness.resilience.result_key`); a job whose entry
+      is there is not run again, and a corrupt entry is quarantined and
+      recomputed.  All batches of one experiment can share a directory.
 
     A broken pool is rebuilt and only unfinished jobs are resubmitted;
     if the pool cannot be created at all the batch degrades to serial

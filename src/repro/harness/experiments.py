@@ -62,16 +62,6 @@ def _secure_region(run: RunResult) -> tuple[int, int]:
     return start, end
 
 
-def _subcheckpoint(checkpoint: Optional[str], tag: str) -> Optional[str]:
-    """Derive a per-batch journal path for a multi-batch experiment.
-
-    A checkpoint journal is keyed by one batch's content digest, so an
-    experiment that runs several distinct batches (two trace collections,
-    one sweep per parameter) gives each its own ``<path>.<tag>`` file.
-    """
-    return f"{checkpoint}.{tag}" if checkpoint else None
-
-
 # ---------------------------------------------------------------------------
 # Fig. 6 — energy trace of the whole encryption reveals the 16 rounds
 # ---------------------------------------------------------------------------
@@ -403,8 +393,7 @@ def dpa_experiment(params: EnergyParams = DEFAULT_PARAMS,
                                 params=params, window=(start, scout.cycles),
                                 jobs=jobs, retries=retries,
                                 job_timeout=job_timeout,
-                                checkpoint=_subcheckpoint(checkpoint,
-                                                          masking))
+                                checkpoint=checkpoint)
         single = dpa_attack(traces, box=box, target_bit=0, key=key)
         multi = dpa_attack_multibit(traces, box=box, key=key)
         correlation = cpa_attack(traces, box=box, key=key)
@@ -687,14 +676,14 @@ def extension_noise(params: EnergyParams = DEFAULT_PARAMS,
     clean = collect_traces(unmasked.program, key, plaintexts[:n_small],
                            params=params, window=window, jobs=jobs,
                            retries=retries, job_timeout=job_timeout,
-                           checkpoint=_subcheckpoint(checkpoint, "clean"))
+                           checkpoint=checkpoint)
     clean_result = cpa_attack(clean, box=box, key=key)
 
     # Noisy device: same attack at small and large trace counts.
     noisy = collect_traces(unmasked.program, key, plaintexts, params=params,
                            window=window, noise_sigma=noise_sigma, jobs=jobs,
                            retries=retries, job_timeout=job_timeout,
-                           checkpoint=_subcheckpoint(checkpoint, "noisy"))
+                           checkpoint=checkpoint)
     small_set = TraceSet(plaintexts=noisy.plaintexts[:n_small],
                          traces=noisy.traces[:n_small], window=noisy.window)
     noisy_small = cpa_attack(small_set, box=box, key=key)
@@ -705,8 +694,7 @@ def extension_noise(params: EnergyParams = DEFAULT_PARAMS,
     masked_set = collect_traces(masked.program, key, plaintexts[:n_small],
                                 params=params, window=window, jobs=jobs,
                                 retries=retries, job_timeout=job_timeout,
-                                checkpoint=_subcheckpoint(checkpoint,
-                                                          "masked"))
+                                checkpoint=checkpoint)
     masked_result = cpa_attack(masked_set, box=box, key=key)
 
     return ExperimentResult(
@@ -867,8 +855,7 @@ def extension_sensitivity(params: EnergyParams = DEFAULT_PARAMS,
         sweep = sensitivity_sweep(parameter, base_params=params,
                                   rounds=rounds, jobs=jobs, retries=retries,
                                   job_timeout=job_timeout,
-                                  checkpoint=_subcheckpoint(checkpoint,
-                                                            parameter))
+                                  checkpoint=checkpoint)
         summary[f"{parameter}_ordered"] = sweep.always_ordered
         summary[f"{parameter}_saving_range"] = (
             f"{sweep.min_saving:.2f}..{sweep.max_saving:.2f}")

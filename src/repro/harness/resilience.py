@@ -25,10 +25,11 @@ kills an hours-long collection that was 90 % done.  This module gives
   only unfinished jobs are resubmitted; if the pool keeps breaking
   without progress, or cannot be created at all, execution degrades to
   the serial path with a logged warning instead of crashing.
-* **Checkpoint/resume** — ``checkpoint=path`` journals every completed
-  :class:`~repro.harness.engine.JobResult` keyed by a digest of the
-  batch's content, so an interrupted sweep resumes by recomputing only
-  the unfinished jobs.
+* **Checkpoint/resume** — ``checkpoint=directory`` stores every
+  completed :class:`~repro.harness.engine.JobResult` as one artifact-store
+  entry keyed by the job's content (:func:`result_key`), so an
+  interrupted sweep resumes by recomputing only the unfinished jobs, and
+  a changed sweep reuses exactly its unchanged ones.
 * **Deterministic fault injection** — ``REPRO_FAULT_PLAN`` makes job N
   crash / hang / raise / return garbage on attempt K, so every recovery
   path above is exercised by real process-pool tests.
@@ -50,7 +51,6 @@ import signal
 import threading
 import time
 import traceback as traceback_module
-import zlib
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -59,6 +59,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .. import obs
+from ..fingerprint import artifact_key
 from ..machine.exceptions import CycleLimitExceeded
 from ..obs import progress as obs_progress
 
@@ -76,17 +77,13 @@ BACKOFF_BASE_S = 0.05
 #: Ceiling on a single backoff delay.
 BACKOFF_MAX_S = 2.0
 
-#: v2 wraps every record in a CRC-validated frame so a corrupt *middle*
-#: of the journal (bit rot, torn write) is detected, not unpickled.
-_CHECKPOINT_SCHEMA = "repro.checkpoint/v2"
-
 
 class BatchInterrupted(RuntimeError):
     """The operator interrupted a batch (SIGTERM/SIGINT).
 
     Raised by :func:`execute_batch` after an orderly stop: in-flight
     pool workers are killed, every completed job is already fsync'd in
-    the checkpoint journal (when one is active), and a final forced
+    the checkpoint directory (when one is given), and a final forced
     heartbeat records how far the batch got.  A rerun with the same
     ``checkpoint=`` path resumes from ``done`` completed jobs.
     """
@@ -392,8 +389,8 @@ def _interrupt_guard():
 def _finalize_interrupt(state: "_BatchState", signum: int) -> None:
     """Orderly end of an interrupted batch: heartbeat, count, raise.
 
-    The checkpoint journal needs no explicit flush — every record was
-    written as one fsync'd frame at completion time.
+    The checkpoint needs no explicit flush — every result was stored as
+    one fsync'd entry at completion time.
     """
     counter = _obs_counter("batch_interrupts",
                            "batches stopped by SIGTERM/SIGINT")
@@ -408,7 +405,7 @@ def _finalize_interrupt(state: "_BatchState", signum: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint journal
+# Checkpoint entries
 # ---------------------------------------------------------------------------
 
 
@@ -439,137 +436,34 @@ def job_digest(job) -> bytes:
     return digest.digest()
 
 
-def batch_digest(batch: Sequence) -> str:
-    """Content digest of a whole batch — the checkpoint's identity key."""
-    digest = hashlib.sha256()
-    digest.update(str(len(batch)).encode())
-    for job in batch:
-        digest.update(job_digest(job))
-    return digest.hexdigest()[:32]
+def result_key(job) -> str:
+    """Store key of one job's :class:`~repro.harness.engine.JobResult`.
 
-
-class CheckpointJournal:
-    """Append-only journal of completed jobs for one batch.
-
-    The file holds consecutive pickle frames: a header
-    ``{"schema", "digest", "total"}`` followed by record frames
-    ``(crc32, payload)`` where ``payload`` pickles to
-    ``(index, JobResult)``.  Appends write one complete frame and fsync,
-    so a crash can only truncate the tail; the CRC additionally catches
-    a corrupt frame in the *middle* of the file (bit rot, torn write on
-    a weird filesystem).  The loader trusts records strictly up to the
-    first bad frame — everything at and after it is recomputed, never
-    returned as garbage.  A journal whose header schema or digest does
-    not match the batch (older format, or the sweep's content changed)
-    is discarded and rewritten, never partially reused.
+    Covers the job's identity (:func:`job_digest`) and whether the run
+    records attribution, under the store's key rule, so a source edit
+    misses and an attributed run never takes an unattributed result.
     """
+    attributed = bool(job.attribute or obs.attribution_enabled())
+    return artifact_key("result", job_digest(job).hex(), attributed)
 
-    def __init__(self, path: Union[str, Path], digest: str,
-                 completed: dict[int, object], total: int):
-        self.path = Path(path)
-        self.digest = digest
-        self.completed = completed
-        self.total = total
-        self._warned = False
 
-    @classmethod
-    def open(cls, path: Union[str, Path],
-             batch: Sequence) -> "CheckpointJournal":
-        digest = batch_digest(batch)
-        path = Path(path)
-        completed: dict[int, object] = {}
-        fresh = True
-        if path.exists():
-            try:
-                with path.open("rb") as stream:
-                    header = pickle.load(stream)
-                    if (isinstance(header, dict)
-                            and header.get("schema") == _CHECKPOINT_SCHEMA
-                            and header.get("digest") == digest):
-                        fresh = False
-                        while True:
-                            try:
-                                frame = pickle.load(stream)
-                            except EOFError:
-                                break
-                            except (pickle.PickleError, ValueError,
-                                    TypeError, AttributeError):
-                                logger.warning(
-                                    "checkpoint %s: unreadable frame after "
-                                    "%d record(s) (truncated tail or "
-                                    "corruption); recomputing the rest",
-                                    path, len(completed))
-                                break
-                            record = cls._decode_frame(frame)
-                            if record is None:
-                                logger.warning(
-                                    "checkpoint %s: CRC mismatch after %d "
-                                    "record(s); trusting nothing past it",
-                                    path, len(completed))
-                                break
-                            index, result = record
-                            if isinstance(index, int) \
-                                    and 0 <= index < len(batch):
-                                completed[index] = result
-                    else:
-                        logger.warning(
-                            "checkpoint %s: schema or batch digest "
-                            "mismatch (older format or stale sweep "
-                            "definition); starting fresh", path)
-            except (OSError, pickle.PickleError, EOFError):
-                logger.warning("checkpoint %s: unreadable; starting fresh",
-                               path)
-        if fresh:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("wb") as stream:
-                pickle.dump({"schema": _CHECKPOINT_SCHEMA, "digest": digest,
-                             "total": len(batch)}, stream)
-                stream.flush()
-                os.fsync(stream.fileno())
-        return cls(path, digest, completed, total=len(batch))
+def checkpoint_store(directory: Union[str, Path]):
+    """The artifact store that holds a batch's checkpointed results.
 
-    @staticmethod
-    def _decode_frame(frame):
-        """``(index, result)`` from a v2 frame, or ``None`` if corrupt.
+    Results stay on disk only (a one-byte memory budget keeps none): the
+    batch already holds them in its slots, or hands them to a consumer
+    that must be free to drop them.  A path that exists and is not a
+    directory (a journal file from an older version) is refused instead
+    of degrading to an unsaved run.
+    """
+    from .engine import CompileCache
 
-        The CRC is checked *before* the payload is unpickled, so a
-        flipped bit can only ever be rejected — never deserialized into
-        a plausible-looking result.
-        """
-        if (not isinstance(frame, tuple) or len(frame) != 2
-                or not isinstance(frame[1], (bytes, bytearray))
-                or zlib.crc32(frame[1]) != frame[0]):
-            return None
-        try:
-            record = pickle.loads(frame[1])
-        except (pickle.PickleError, ValueError, TypeError,
-                AttributeError, EOFError):
-            return None
-        if not isinstance(record, tuple) or len(record) != 2:
-            return None
-        return record
-
-    @staticmethod
-    def _encode_frame(index: int, result) -> bytes:
-        payload = pickle.dumps((index, result))
-        return pickle.dumps((zlib.crc32(payload), payload))
-
-    def record(self, index: int, result) -> None:
-        """Append one completed job; best-effort (never fails the batch)."""
-        if index in self.completed:
-            return
-        try:
-            frame = self._encode_frame(index, result)
-            with self.path.open("ab") as stream:
-                stream.write(frame)
-                stream.flush()
-                os.fsync(stream.fileno())
-            self.completed[index] = result
-        except (OSError, pickle.PickleError) as error:
-            if not self._warned:
-                logger.warning("checkpoint %s: append failed (%s); "
-                               "resume will recompute", self.path, error)
-                self._warned = True
+    directory = Path(directory)
+    if directory.exists() and not directory.is_dir():
+        raise NotADirectoryError(
+            f"checkpoint {directory} is a file; --checkpoint takes a "
+            "directory (journal files of older versions are not read)")
+    return CompileCache(directory, max_bytes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +480,18 @@ class _BatchState:
 
     def __init__(self, batch: Sequence, progress, failure_policy: str,
                  max_attempts: int, job_timeout: Optional[float],
-                 journal: Optional[CheckpointJournal], consume=None):
+                 store=None, consume=None):
         self.batch = list(batch)
         self.total = len(self.batch)
         self.progress = progress
         self.failure_policy = failure_policy
         self.max_attempts = max_attempts
         self.job_timeout = job_timeout
-        self.journal = journal
+        #: Checkpoint store (:func:`checkpoint_store`) and each job's
+        #: :func:`result_key` in it, or ``None`` without a checkpoint.
+        self.store = store
+        self.keys = [result_key(job) for job in self.batch] \
+            if store is not None else None
         self.slots: list = [None] * self.total
         self.done = 0
         #: In-order consumer ``consume(index, outcome)``, or ``None`` to
@@ -610,14 +508,17 @@ class _BatchState:
         self.interrupt_check: Callable[[], Optional[int]] = lambda: None
 
     def skip_completed(self) -> list[int]:
-        """Fill slots from the journal; returns the indices still to run."""
-        if self.journal and self.journal.completed:
-            for index, result in self.journal.completed.items():
-                self._fill(index, result)
-                self.done += 1
+        """Fill slots from the checkpoint; returns the indices to run."""
+        if self.store is not None:
+            for index, key in enumerate(self.keys):
+                result = self.store.artifact(key)
+                if _is_result(result):
+                    self._fill(index, result)
+                    self.done += 1
+        if self.done:
             if obs.enabled():
                 obs.counter("checkpoint_jobs_skipped",
-                            "jobs resumed from a checkpoint journal") \
+                            "jobs resumed from a checkpoint") \
                     .inc(self.done)
             if self.progress is not None:
                 self.progress(self.done, self.total)
@@ -668,11 +569,11 @@ class _BatchState:
     def succeed(self, index: int, result) -> None:
         self._fill(index, result)
         self.done += 1
-        if self.journal is not None:
-            self.journal.record(index, result)
+        if self.store is not None:
+            self.store.store_artifact(self.keys[index], result)
             if obs.enabled():
                 obs.counter("checkpoint_jobs_recorded",
-                            "jobs appended to a checkpoint journal").inc()
+                            "jobs stored to a checkpoint").inc()
         if self.progress is not None:
             self.progress(self.done, self.total)
 
@@ -755,10 +656,9 @@ def execute_batch(batch: Sequence, jobs: int = 1, progress=None,
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     max_attempts = 1 + (retries if failure_policy == "retry" else 0)
-    journal = CheckpointJournal.open(checkpoint, batch) \
-        if checkpoint is not None else None
+    store = checkpoint_store(checkpoint) if checkpoint is not None else None
     state = _BatchState(batch, progress, failure_policy, max_attempts,
-                        job_timeout, journal, consume)
+                        job_timeout, store, consume)
     pending = state.skip_completed()
     if pending:
         with _interrupt_guard() as check:

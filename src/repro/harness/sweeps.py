@@ -127,8 +127,10 @@ def sensitivity_sweep(parameter: str,
 
     With ``jobs>1`` every ``factor × policy`` simulation of the sweep is
     one pool job, so the whole sweep parallelizes — not just the four runs
-    within a point.  ``checkpoint`` journals each completed point so an
-    interrupted sweep resumes by recomputing only the unfinished jobs;
+    within a point.  ``checkpoint`` (a directory) stores each completed
+    job so an interrupted sweep resumes by recomputing only the
+    unfinished jobs, and a sweep over other factors reuses the points it
+    shares with this one;
     ``retries``/``job_timeout`` bound worker faults and runaways (see
     :mod:`repro.harness.resilience`).
     """

@@ -100,8 +100,9 @@ class CircuitBreaker:
                 return
             retry_after = max(self.cooldown_s - elapsed, 1.0) \
                 if breaker.state == OPEN else self.cooldown_s
+            digest = key.rpartition("-")[2]
             raise ProgramQuarantined(
-                f"program {key[:12]}… is quarantined after "
+                f"program {digest[:12]}… is quarantined after "
                 f"{breaker.consecutive_crashes} worker-crashing "
                 f"request(s); probe in {retry_after:.0f}s",
                 retry_after_s=retry_after)

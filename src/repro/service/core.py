@@ -230,7 +230,7 @@ class LeakageService:
         program_key = request.program_key()
         self._transition("received", record, client=request.client,
                          priority=request.priority,
-                         program=program_key[:12])
+                         program=program_key.rpartition("-")[2][:12])
         try:
             if self._draining.is_set():
                 raise ShuttingDown("service is draining; request not "

@@ -359,6 +359,20 @@ def test_experiment_attribution_requires_manifest(capsys):
     assert "--attribution requires --manifest" in capsys.readouterr().err
 
 
+def test_experiment_checkpoint_file_is_a_one_line_usage_error(tmp_path,
+                                                              capsys):
+    """``--checkpoint`` takes a directory: an existing file (a journal of
+    an older version) stops the command before anything runs."""
+    journal = tmp_path / "tab1.ckpt"
+    journal.write_bytes(b"old journal")
+    assert main(["experiment", "tab1", "--checkpoint", str(journal)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("repro experiment: error: --checkpoint")
+    assert journal.read_bytes() == b"old journal"
+
+
 def test_obs_attribution_rejects_manifest_without_section(tmp_path,
                                                           capsys):
     import json

@@ -14,14 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import fingerprint, obs
+from repro.energy.params import DEFAULT_PARAMS
 from repro.harness.engine import (CompileCache, CompileRequest, SimJob,
                                   run_jobs)
 from repro.harness.resilience import (FAULT_PLAN_ENV, BatchError,
-                                      CheckpointJournal, FaultInjected,
-                                      JobFailure, JobTimeout, backoff_delay,
-                                      batch_digest, fault_for,
-                                      require_results)
+                                      FaultInjected, JobFailure, JobTimeout,
+                                      backoff_delay, fault_for,
+                                      require_results, result_key)
 from repro.isa.assembler import assemble
 from repro.machine.exceptions import CpuError, CycleLimitExceeded
 from repro.programs.des_source import DesProgramSpec
@@ -257,70 +257,154 @@ def test_pool_unavailable_degrades_to_serial(monkeypatch, caplog,
 # -- checkpoint / resume ----------------------------------------------------
 
 
-def test_checkpoint_resume_recomputes_only_unfinished(monkeypatch, tmp_path):
-    """ISSUE acceptance: an interrupted batch resumed from its journal
-    recomputes only the unfinished jobs (verified via obs counters)."""
-    journal_path = tmp_path / "sweep.ckpt"
-    monkeypatch.setenv(FAULT_PLAN_ENV, "4:*:raise")
-    first = run_jobs(_batch(), failure_policy="collect",
-                     checkpoint=journal_path)
-    assert isinstance(first[4], JobFailure)  # 5 completed, 1 failed
-
-    monkeypatch.delenv(FAULT_PLAN_ENV)
-    seen = []
+def _counted_run(batch, checkpoint, **kwargs):
+    """``run_jobs`` under a fresh obs scope: (results, counter totals)."""
     try:
         obs.enable()
         with obs.scope() as scoped:
-            resumed = run_jobs(_batch(), checkpoint=journal_path,
-                               progress=lambda d, t: seen.append((d, t)))
+            results = run_jobs(batch, checkpoint=checkpoint, **kwargs)
     finally:
         obs.disable()
+    return results, obs.snapshot_totals(scoped.registry.snapshot())
+
+
+def _resumed(totals):
+    """(jobs served by the checkpoint, jobs executed and stored)."""
+    return (totals.get("checkpoint_jobs_skipped", 0),
+            totals.get("checkpoint_jobs_recorded", 0))
+
+
+def _stored_results(directory):
+    return sorted(directory.glob("result-*.pkl"))
+
+
+def _assert_bit_identical(results, clean):
+    assert len(results) == len(clean)
+    for clean_result, result in zip(clean, results):
+        assert np.array_equal(clean_result.energy, result.energy)
+
+
+def test_checkpoint_resume_recomputes_only_unfinished(monkeypatch, tmp_path):
+    """An interrupted batch resumed from its checkpoint directory
+    recomputes only the unfinished jobs (verified via obs counters)."""
+    checkpoint = tmp_path / "sweep"
+    monkeypatch.setenv(FAULT_PLAN_ENV, "4:*:raise")
+    first = run_jobs(_batch(), failure_policy="collect",
+                     checkpoint=checkpoint)
+    assert isinstance(first[4], JobFailure)  # 5 completed, 1 failed
+    assert len(_stored_results(checkpoint)) == 5  # failures are not stored
+
+    monkeypatch.delenv(FAULT_PLAN_ENV)
+    seen = []
+    resumed, totals = _counted_run(
+        _batch(), checkpoint,
+        progress=lambda done, total: seen.append((done, total)))
     assert seen == [(5, 6), (6, 6)]  # one catch-up tick, one real job
-    totals = obs.snapshot_totals(scoped.registry.snapshot())
-    assert totals["checkpoint_jobs_skipped"] == 5
+    assert _resumed(totals) == (5, 1)
     assert totals["jobs_prebuilt"] == 1  # exactly one simulation executed
-    clean = run_jobs(_batch())
-    for clean_result, result in zip(clean, require_results(resumed)):
-        assert np.array_equal(clean_result.energy, result.energy)
+    _assert_bit_identical(require_results(resumed), run_jobs(_batch()))
 
 
-def test_checkpoint_digest_mismatch_starts_fresh(tmp_path, caplog,
-                                                 no_fault_plan):
-    journal_path = tmp_path / "sweep.ckpt"
-    run_jobs(_batch(3), checkpoint=journal_path)
-    different = _batch(3, sigma=0.1)  # same length, different content
-    with caplog.at_level(logging.WARNING, "repro.harness.resilience"):
-        journal = CheckpointJournal.open(journal_path, different)
-    assert journal.completed == {}
-    assert "digest mismatch" in caplog.text
-    assert journal.digest == batch_digest(different)
+def test_checkpoint_changed_job_misses_unchanged_jobs_hit(tmp_path,
+                                                         no_fault_plan):
+    """Jobs are checked one at a time: editing one job of a sweep reruns
+    that job alone, and the others come from the checkpoint."""
+    checkpoint = tmp_path / "sweep"
+    run_jobs(_batch(3), checkpoint=checkpoint)
+    changed = _batch(3)
+    changed[1].noise_sigma = 0.1
+    resumed, totals = _counted_run(changed, checkpoint)
+    assert _resumed(totals) == (2, 1)
+    assert len(_stored_results(checkpoint)) == 4
+    clean = _batch(3)
+    clean[1].noise_sigma = 0.1
+    _assert_bit_identical(resumed, run_jobs(clean))
 
 
-def test_checkpoint_tolerates_truncated_tail(tmp_path, no_fault_plan):
-    journal_path = tmp_path / "sweep.ckpt"
-    run_jobs(_batch(3), checkpoint=journal_path)
-    payload = journal_path.read_bytes()
-    journal_path.write_bytes(payload[:-7])  # crash mid-append
-    journal = CheckpointJournal.open(journal_path, _batch(3))
-    assert len(journal.completed) == 2  # last frame dropped, prefix kept
-    resumed = run_jobs(_batch(3), checkpoint=journal_path)
-    clean = run_jobs(_batch(3))
-    for clean_result, result in zip(clean, resumed):
-        assert np.array_equal(clean_result.energy, result.energy)
+def test_checkpoint_tolerates_truncated_tail(tmp_path, caplog,
+                                             no_fault_plan):
+    """A truncated entry fails its checksum: it is quarantined and that
+    job alone is recomputed."""
+    checkpoint = tmp_path / "sweep"
+    batch = _batch(3)
+    run_jobs(batch, checkpoint=checkpoint)
+    entry = checkpoint / f"{result_key(batch[2])}.pkl"
+    entry.write_bytes(entry.read_bytes()[:-7])
+    with caplog.at_level(logging.WARNING, "repro.harness.engine"):
+        resumed, totals = _counted_run(_batch(3), checkpoint)
+    assert "checksum mismatch" in caplog.text
+    assert _resumed(totals) == (2, 1)
+    assert [path.name for path in checkpoint.glob("*.corrupt")] \
+        == [f"{result_key(batch[2])}.corrupt"]
+    _assert_bit_identical(resumed, run_jobs(_batch(3)))
+
+
+def test_checkpoint_misses_after_a_source_edit(fresh_schedule_cache,
+                                               monkeypatch, tmp_path,
+                                               no_fault_plan):
+    """A checkpoint written by other package sources serves nothing: the
+    result key carries the source fingerprint, so every job reruns."""
+    checkpoint = tmp_path / "sweep"
+    run_jobs(_batch(4), checkpoint=checkpoint)
+    monkeypatch.setattr(fingerprint, "source_fingerprint",
+                        lambda: "edited" * 3)
+    resumed, totals = _counted_run(_batch(4), checkpoint)
+    assert _resumed(totals) == (0, 4)
+    assert totals["jobs_prebuilt"] == 4
+    _assert_bit_identical(resumed, run_jobs(_batch(4)))
+
+
+def _attributed_cells(batch, checkpoint=None):
+    """An attributed run's attribution cells, ``(pc, unit, class,
+    secure) -> [pJ, events]``; its energies must match a clean run."""
+    with obs.scope(attribution=True) as scoped:
+        results = run_jobs(batch, checkpoint=checkpoint)
+        snapshot = scoped.attribution.snapshot()
+    _assert_bit_identical(results, run_jobs(_batch(len(batch), sigma=0.0)))
+    return {tuple(cell[:4]): cell[4:] for cell in snapshot["cells"]}
+
+
+def test_attributed_resume_never_takes_unattributed_results(tmp_path,
+                                                            no_fault_plan):
+    """An attributed run resumed from an unattributed checkpoint
+    recomputes its jobs with attribution: the cells match a fresh
+    attributed run key for key."""
+    checkpoint = tmp_path / "sweep"
+    run_jobs(_batch(4, sigma=0.0), checkpoint=checkpoint)
+    fresh = _attributed_cells(_batch(4, sigma=0.0))
+    assert fresh
+    resumed = _attributed_cells(_batch(4, sigma=0.0), checkpoint)
+    assert resumed.keys() == fresh.keys()
+    assert resumed == fresh
+    # The attributed results are stored apart, and serve the next
+    # attributed resume.
+    assert len(_stored_results(checkpoint)) == 8
+    assert _attributed_cells(_batch(4, sigma=0.0), checkpoint) == fresh
+
+
+def test_checkpoint_path_that_is_a_file_is_refused(tmp_path, no_fault_plan):
+    """A journal file of an older version is not read, and the batch does
+    not silently run without a checkpoint either."""
+    journal = tmp_path / "sweep.ckpt"
+    journal.write_bytes(pickle.dumps({"schema": "repro.checkpoint/v2"}))
+    with pytest.raises(NotADirectoryError, match="takes a directory"):
+        run_jobs(_batch(2), checkpoint=journal)
+    assert journal.read_bytes() == pickle.dumps(
+        {"schema": "repro.checkpoint/v2"})
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_consumer_gets_every_slot_once_in_order(tmp_path, monkeypatch,
                                                 jobs):
-    """Journal-resumed slots, pooled results and collected failures all
-    reach a consumer once each, in submission order."""
+    """Checkpoint-resumed slots, pooled results and collected failures
+    all reach a consumer once each, in submission order."""
     monkeypatch.setenv(FAULT_PLAN_ENV, "3:*:raise;4:*:raise")
-    journal = tmp_path / "batch.ckpt"
+    checkpoint = tmp_path / "batch"
     listed = run_jobs(_batch(6), failure_policy="collect",
-                      checkpoint=journal)
+                      checkpoint=checkpoint)
     seen = []
     consumed = run_jobs(_batch(6), jobs=jobs, failure_policy="collect",
-                        checkpoint=journal,
+                        checkpoint=checkpoint,
                         consume=lambda index, slot: seen.append(
                             (index, slot)))
     assert consumed == 6
@@ -334,30 +418,133 @@ def test_consumer_gets_every_slot_once_in_order(tmp_path, monkeypatch,
     assert [type(slot) for _, slot in seen].count(JobFailure) == 2
 
 
-def test_batch_digest_ignores_cached_schedule_digest():
+def test_result_key_ignores_cached_schedule_digest():
     """A schedule pre-warm caches a digest on the program, a pipeline its
-    encoded text; the checkpoint identity of the batch must not change
-    with them."""
+    encoded text; the result key of a job must not change with them."""
     from repro.machine import fastpath
     from repro.machine.pipeline import instruction_words
 
     batch = _batch(2)
-    before = batch_digest(batch)
+    before = [result_key(job) for job in batch]
     assert fastpath.ensure_schedule(batch[0].program)
     instruction_words(batch[0].program)
     assert {"_fastpath_digest", "_encoded_text"} \
         <= vars(batch[0].program).keys()
-    assert batch_digest(batch) == before == batch_digest(_batch(2))
+    assert [result_key(job) for job in batch] == before \
+        == [result_key(job) for job in _batch(2)]
+    assert before[0] != before[1]  # the noise seed is part of the job
+    assert all(key.startswith("result-") for key in before)
 
 
-def test_checkpoint_compile_requests_digest_by_cache_key(tmp_path):
+def test_checkpoint_compile_requests_digest_by_cache_key(monkeypatch):
+    """A CompileRequest job is keyed by its program's cache key, so the
+    key is stable, tells the variants apart, and follows the sources."""
     request_jobs = [SimJob(program=CompileRequest(spec=TINY_SPEC,
                                                   masking=masking),
-                           des_pair=(0x133457799BBCDFF1, 0), label=masking)
+                           des_pair=(0x133457799BBCDFF1, 0), label="job")
                     for masking in ("none", "selective")]
-    digest = batch_digest(request_jobs)
-    assert digest == batch_digest(list(request_jobs))  # stable
-    assert digest != batch_digest(list(reversed(request_jobs)))
+    keys = [result_key(job) for job in request_jobs]
+    assert keys == [result_key(job) for job in request_jobs]  # stable
+    assert keys[0] != keys[1]
+    monkeypatch.setattr(fingerprint, "source_fingerprint", lambda: "e" * 16)
+    assert not set(keys) & {result_key(job) for job in request_jobs}
+
+
+def test_bit_flipped_entry_of_each_kind_is_quarantined_and_recomputed_once(
+        fresh_schedule_cache, tmp_path, monkeypatch, caplog, no_fault_plan):
+    """One flipped byte in a program, a schedule and a result entry: each
+    fails its checksum before anything is unpickled, is moved aside, and
+    is rebuilt exactly once; the resumed batch is bit-identical."""
+    from repro.harness import engine as harness_engine
+    from repro.machine import fastpath
+
+    def batch():
+        request = CompileRequest(spec=TINY_SPEC, masking="none")
+        return [SimJob(program=request, des_pair=(0x133457799BBCDFF1, pt),
+                       label=f"pt{pt}", engine="fast") for pt in (1, 2)]
+
+    checkpoint = tmp_path / "ckpt"
+    clean = run_jobs(batch(), checkpoint=checkpoint)
+    entries = [*fresh_schedule_cache.glob("program-*.pkl"),
+               *fresh_schedule_cache.glob("sched-*.pkl"),
+               checkpoint / f"{result_key(batch()[1])}.pkl"]
+    assert len(entries) == 3
+    corrupt_payloads = []
+    for entry in entries:
+        data = bytearray(entry.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        entry.write_bytes(bytes(data))
+        corrupt_payloads.append(bytes(data[4:]))
+
+    monkeypatch.setattr(harness_engine, "_DEFAULT_CACHE", None)
+    fastpath._clear_caches()
+    calls = {"compile": 0, "record": 0}
+    compile_request = CompileRequest.compile
+    record_schedule = fastpath.record_schedule
+
+    def counting_compile(self):
+        calls["compile"] += 1
+        return compile_request(self)
+
+    def counting_record(*args, **kwargs):
+        calls["record"] += 1
+        return record_schedule(*args, **kwargs)
+
+    unpickled = []
+    loads = pickle.loads
+
+    def spying_loads(data, *args, **kwargs):
+        unpickled.append(bytes(data))
+        return loads(data, *args, **kwargs)
+
+    monkeypatch.setattr(CompileRequest, "compile", counting_compile)
+    monkeypatch.setattr(fastpath, "record_schedule", counting_record)
+    monkeypatch.setattr(harness_engine.pickle, "loads", spying_loads)
+    with caplog.at_level(logging.WARNING, "repro.harness.engine"):
+        resumed, totals = _counted_run(batch(), checkpoint)
+    assert not set(corrupt_payloads) & set(unpickled)
+    assert caplog.text.count("checksum mismatch") == 3
+    assert _resumed(totals) == (1, 1)
+    assert calls == {"compile": 1, "record": 1}
+    corrupt = sorted(path.name.split("-")[0] for path in
+                     [*fresh_schedule_cache.glob("*.corrupt"),
+                      *checkpoint.glob("*.corrupt")])
+    assert corrupt == ["program", "result", "sched"]
+    assert resumed[1].engine == "fast"
+    _assert_bit_identical(resumed, clean)
+    # Every rebuilt entry is healthy: a third run reads all of them.
+    monkeypatch.setattr(harness_engine, "_DEFAULT_CACHE", None)
+    fastpath._clear_caches()
+    again, totals = _counted_run(batch(), checkpoint)
+    assert _resumed(totals) == (2, 0)
+    assert calls == {"compile": 1, "record": 1}
+    _assert_bit_identical(again, clean)
+
+
+def test_tab1_resume_after_a_fault_recomputes_exactly_the_missing_job(
+        monkeypatch, tmp_path):
+    """Tab. 1's batch on two workers, one job failing every attempt: the
+    rerun executes exactly that job, and the table equals a clean one."""
+    from repro.harness.experiments import KEY_A, PT_A, tab1_policy_energy
+    from repro.harness.sweeps import policy_jobs
+
+    def tab1_batch():
+        return policy_jobs(DEFAULT_PARAMS, rounds=1, key=KEY_A,
+                           plaintext=PT_A)
+
+    checkpoint = tmp_path / "tab1"
+    monkeypatch.setenv(FAULT_PLAN_ENV, "all:*:raise")
+    with pytest.raises(BatchError):
+        tab1_policy_energy(rounds=1, jobs=2, retries=1,
+                           checkpoint=str(checkpoint))
+    assert len(_stored_results(checkpoint)) == 3
+
+    monkeypatch.delenv(FAULT_PLAN_ENV)
+    resumed, totals = _counted_run(tab1_batch(), checkpoint, jobs=2)
+    assert _resumed(totals) == (3, 1)
+    _assert_bit_identical(resumed, run_jobs(tab1_batch()))
+    table = tab1_policy_energy(rounds=1, jobs=2, checkpoint=str(checkpoint))
+    assert table.summary == tab1_policy_energy(rounds=1).summary
 
 
 # -- compile-cache hygiene --------------------------------------------------
@@ -395,68 +582,6 @@ def test_stale_writer_tmp_files_swept_on_construction(tmp_path):
     assert live.exists()       # a live writer's file survives
 
 
-# -- checkpoint CRC frames (v2) ---------------------------------------------
-
-
-def _frame_offsets(journal_path):
-    """Byte offsets of each record frame (header excluded)."""
-    offsets = []
-    with journal_path.open("rb") as stream:
-        pickle.load(stream)  # header
-        while True:
-            offsets.append(stream.tell())
-            try:
-                pickle.load(stream)
-            except EOFError:
-                offsets.pop()
-                break
-    return offsets
-
-
-def test_checkpoint_rejects_corrupt_mid_file_frame(tmp_path, caplog,
-                                                   no_fault_plan):
-    """A flipped bit in the *middle* of the journal (bit rot, torn write)
-    must never come back as a plausible result: the CRC rejects the frame
-    before unpickling, everything from it onward is recomputed, and the
-    resumed batch is bit-identical to a clean run."""
-    journal_path = tmp_path / "sweep.ckpt"
-    run_jobs(_batch(4), checkpoint=journal_path)
-    offsets = _frame_offsets(journal_path)
-    assert len(offsets) == 4
-    data = bytearray(journal_path.read_bytes())
-    # Flip one byte deep inside record 1's payload: the outer pickle
-    # still parses, so only the CRC can catch it.
-    data[offsets[1] + (offsets[2] - offsets[1]) // 2] ^= 0xFF
-    journal_path.write_bytes(bytes(data))
-
-    with caplog.at_level(logging.WARNING, "repro.harness.resilience"):
-        journal = CheckpointJournal.open(journal_path, _batch(4))
-    assert set(journal.completed) == {0}  # strict prefix before the rot
-    assert "CRC mismatch" in caplog.text or "unreadable frame" in caplog.text
-    resumed = run_jobs(_batch(4), checkpoint=journal_path)
-    clean = run_jobs(_batch(4))
-    for clean_result, result in zip(clean, resumed):
-        assert np.array_equal(clean_result.energy, result.energy)
-
-
-def test_checkpoint_v1_journal_discarded_not_misread(tmp_path, caplog,
-                                                     no_fault_plan):
-    """Journals from the pre-CRC format are discarded whole — an old
-    frame layout must not be reinterpreted as data."""
-    batch = _batch(3)
-    results = run_jobs(batch)
-    journal_path = tmp_path / "sweep.ckpt"
-    with journal_path.open("wb") as stream:
-        pickle.dump({"schema": "repro.checkpoint/v1",
-                     "digest": batch_digest(batch), "total": 3}, stream)
-        for index, result in enumerate(results):
-            pickle.dump((index, result), stream)  # v1: bare frames, no CRC
-    with caplog.at_level(logging.WARNING, "repro.harness.resilience"):
-        journal = CheckpointJournal.open(journal_path, batch)
-    assert journal.completed == {}
-    assert "schema or batch digest mismatch" in caplog.text
-
-
 # -- graceful interruption (SIGTERM/SIGINT) ---------------------------------
 
 
@@ -470,7 +595,7 @@ def test_sigterm_interrupts_serial_batch_preserving_checkpoint(
 
     from repro.harness.resilience import BatchInterrupted
 
-    journal_path = tmp_path / "sweep.ckpt"
+    checkpoint = tmp_path / "sweep"
     before = signal_module.getsignal(signal_module.SIGTERM)
 
     def fire(done, total):
@@ -478,17 +603,17 @@ def test_sigterm_interrupts_serial_batch_preserving_checkpoint(
             os.kill(os.getpid(), signal_module.SIGTERM)
 
     with pytest.raises(BatchInterrupted) as excinfo:
-        run_jobs(_batch(), checkpoint=journal_path, progress=fire)
+        run_jobs(_batch(), checkpoint=checkpoint, progress=fire)
     assert excinfo.value.done == 2 and excinfo.value.total == 6
     assert "SIGTERM" in str(excinfo.value)
     assert signal_module.getsignal(signal_module.SIGTERM) is before
 
-    journal = CheckpointJournal.open(journal_path, _batch())
-    assert set(journal.completed) == {0, 1}  # interrupted work persisted
-    resumed = run_jobs(_batch(), checkpoint=journal_path)
-    clean = run_jobs(_batch())
-    for clean_result, result in zip(clean, resumed):
-        assert np.array_equal(clean_result.energy, result.energy)
+    batch = _batch()
+    assert [path.name for path in _stored_results(checkpoint)] == sorted(
+        f"{result_key(job)}.pkl" for job in batch[:2])  # work persisted
+    resumed, totals = _counted_run(batch, checkpoint)
+    assert _resumed(totals) == (2, 4)
+    _assert_bit_identical(resumed, run_jobs(_batch()))
 
 
 @pytest.mark.slow
@@ -499,20 +624,21 @@ def test_sigint_interrupts_pool_batch_preserving_checkpoint(
 
     from repro.harness.resilience import BatchInterrupted
 
-    journal_path = tmp_path / "sweep.ckpt"
+    checkpoint = tmp_path / "sweep"
 
     def fire(done, total):
         if done == 2:
             os.kill(os.getpid(), signal_module.SIGINT)
 
     with pytest.raises(BatchInterrupted) as excinfo:
-        run_jobs(_batch(), jobs=3, checkpoint=journal_path, progress=fire)
+        run_jobs(_batch(), jobs=3, checkpoint=checkpoint, progress=fire)
     assert excinfo.value.done >= 2
     assert "SIGINT" in str(excinfo.value)
 
-    journal = CheckpointJournal.open(journal_path, _batch())
-    assert len(journal.completed) >= 2  # pool completions are unordered
-    resumed = run_jobs(_batch(), checkpoint=journal_path)
-    clean = run_jobs(_batch())
-    for clean_result, result in zip(clean, resumed):
-        assert np.array_equal(clean_result.energy, result.energy)
+    # Pool completions are unordered: whatever was stored is exactly
+    # what the resume skips, and the rest runs once each.
+    stored = len(_stored_results(checkpoint))
+    assert stored == excinfo.value.done
+    resumed, totals = _counted_run(_batch(), checkpoint, jobs=3)
+    assert _resumed(totals) == (stored, 6 - stored)
+    _assert_bit_identical(resumed, run_jobs(_batch()))

@@ -187,9 +187,22 @@ def test_event_log_replay_matches_live_timeline(make_service, tmp_path):
     # the replayed timeline carries the same detail payloads
     replayed = timeline_from_events(events, record.id)
     assert replayed[-1]["state"] == DONE
-    assert replayed[0]["program"] == \
-        AssessRequest.from_dict(pair_payload()).program_key()[:12]
+    assert replayed[0]["program"] == record.timeline[0]["program"]
     assert "verdict_cache_hit" in _events(cached)
+
+
+def test_received_entry_names_the_program_by_its_digest(make_service):
+    """The ``received`` entry's ``program`` is the first 12 hex digits of
+    the program key's digest, not the key's ``program-`` kind prefix."""
+    service = make_service(workers=1)
+    record = service.submit(pair_payload())
+    assert record.wait(60.0) and record.state == DONE
+    kind, _, digest = \
+        AssessRequest.from_dict(pair_payload()).program_key().partition("-")
+    received = record.timeline[0]
+    assert (kind, received["event"]) == ("program", "received")
+    assert len(received["program"]) == 12
+    assert digest.startswith(received["program"])
 
 
 # -- trace-ID minting and propagation ---------------------------------------
