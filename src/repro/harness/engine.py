@@ -512,6 +512,9 @@ class JobResult:
     #: ``"reference"``, or ``"fast-fallback"`` when the fast replay
     #: declined the run and it was re-run on the reference engine.
     engine: str = "reference"
+    #: Served from a checkpoint: the metrics, spans and wall time are
+    #: those of the run that computed it, not of this one.
+    resumed: bool = False
 
     @property
     def total_pj(self) -> float:
@@ -798,22 +801,26 @@ def _merge_observability(results: Sequence) -> None:
     identical for ``jobs=1`` and any worker count.  Additionally
     records a wall-time histogram of the batch's jobs.  Failure slots
     (:class:`~repro.harness.resilience.JobFailure`) carry no scoped
-    metrics and are skipped.
+    metrics and are skipped; a result served from a checkpoint
+    (:attr:`JobResult.resumed`) did not run here, so only its
+    attribution snapshot, which is part of the result, is merged.
     """
     if not obs.enabled() and not obs.attribution_enabled():
         return
     registry = obs.registry()
     tracer = obs.tracer()
     attribution = obs.attribution()
-    wall = registry.histogram("job_wall_seconds",
-                              "per-job wall time inside the worker")
     for result in results:
         if not isinstance(result, JobResult):
             continue
-        wall.observe(result.wall_time_s)
+        if result.attribution:
+            attribution.merge_snapshot(result.attribution)
+        if result.resumed:
+            continue
+        registry.histogram("job_wall_seconds",
+                           "per-job wall time inside the worker") \
+            .observe(result.wall_time_s)
         if result.metrics:
             registry.merge_snapshot(result.metrics)
         if result.spans:
             tracer.attach(result.spans)
-        if result.attribution:
-            attribution.merge_snapshot(result.attribution)

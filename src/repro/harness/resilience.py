@@ -409,26 +409,39 @@ def _finalize_interrupt(state: "_BatchState", signum: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def job_digest(job) -> bytes:
-    """Stable digest of one job's full identity (program + run config)."""
+def _program_digest(program) -> bytes:
+    """SHA-256 of a prebuilt program's pickle, without its memos."""
     from .engine import CompileRequest
 
-    digest = hashlib.sha256()
-    program = job.program
     if isinstance(program, CompileRequest):
-        digest.update(program.cache_key().encode())
-    else:
-        memos = vars(program).keys() - {field.name
-                                        for field in fields(program)}
-        if memos:
-            # Attributes beyond the dataclass fields are caches of
-            # derived values (the fast path's digest, the pipeline's
-            # encoded text); identity must not depend on which process
-            # touched the program first.
-            program = copy.copy(program)
-            for name in memos:
-                delattr(program, name)
-        digest.update(hashlib.sha256(pickle.dumps(program)).digest())
+        return program.cache_key().encode()
+    memos = vars(program).keys() - {field.name for field in fields(program)}
+    if memos:
+        # Attributes beyond the dataclass fields are caches of derived
+        # values (the fast path's digest, the pipeline's encoded text);
+        # identity must not depend on which process touched the program
+        # first.
+        program = copy.copy(program)
+        for name in memos:
+            delattr(program, name)
+    return hashlib.sha256(pickle.dumps(program)).digest()
+
+
+def job_digest(job, programs: Optional[dict] = None) -> bytes:
+    """Stable digest of one job's full identity (program + run config).
+
+    ``programs`` maps ``id(program)`` to its program digest across one
+    batch, so a batch of jobs sharing a program pickles it once; the
+    batch's job list keeps every program alive, so no id is reused.
+    """
+    program = job.program
+    if programs is None:
+        programs = {}
+    program_digest = programs.get(id(program))
+    if program_digest is None:
+        program_digest = programs[id(program)] = _program_digest(program)
+    digest = hashlib.sha256()
+    digest.update(program_digest)
     digest.update(repr((job.inputs, job.des_pair, job.noise_sigma,
                         job.noise_seed, job.label, job.collect_components,
                         job.operand_isolation, job.max_cycles)).encode())
@@ -436,15 +449,17 @@ def job_digest(job) -> bytes:
     return digest.digest()
 
 
-def result_key(job) -> str:
+def result_key(job, programs: Optional[dict] = None) -> str:
     """Store key of one job's :class:`~repro.harness.engine.JobResult`.
 
-    Covers the job's identity (:func:`job_digest`) and whether the run
-    records attribution, under the store's key rule, so a source edit
-    misses and an attributed run never takes an unattributed result.
+    Covers the job's identity (:func:`job_digest`, which ``programs``
+    memoizes per batch) and whether the run records attribution, under
+    the store's key rule, so a source edit misses and an attributed run
+    never takes an unattributed result.
     """
     attributed = bool(job.attribute or obs.attribution_enabled())
-    return artifact_key("result", job_digest(job).hex(), attributed)
+    return artifact_key("result", job_digest(job, programs).hex(),
+                        attributed)
 
 
 def checkpoint_store(directory: Union[str, Path]):
@@ -490,7 +505,8 @@ class _BatchState:
         #: Checkpoint store (:func:`checkpoint_store`) and each job's
         #: :func:`result_key` in it, or ``None`` without a checkpoint.
         self.store = store
-        self.keys = [result_key(job) for job in self.batch] \
+        programs: dict = {}
+        self.keys = [result_key(job, programs) for job in self.batch] \
             if store is not None else None
         self.slots: list = [None] * self.total
         self.done = 0
@@ -513,6 +529,7 @@ class _BatchState:
             for index, key in enumerate(self.keys):
                 result = self.store.artifact(key)
                 if _is_result(result):
+                    result.resumed = True
                     self._fill(index, result)
                     self.done += 1
         if self.done:

@@ -75,7 +75,7 @@ _U32 = "I" if array("I").itemsize == 4 else "L"
 
 #: Bump when the record layout or replay semantics change; part of the
 #: on-disk cache key, so stale schedules can only miss, never replay wrong.
-SCHEDULE_VERSION = 2
+SCHEDULE_VERSION = 3
 
 #: Cycle budget for the one-time recording run when the caller does not
 #: bound it tighter.
@@ -150,7 +150,9 @@ class CycleSchedule:
 
     ``records`` holds the unique per-cycle control tuples (interned — a
     16-round DES run is 187,845 cycles but only 847 distinct records);
-    ``steps[i]`` indexes the record replayed at cycle ``i``.
+    ``steps[i]`` indexes the record replayed at cycle ``i``, one
+    unsigned 32-bit ``array`` the recorder appends to (4 bytes a cycle,
+    0.75 MB for 16-round DES).
     ``stats``/``mix``/``counts`` are the end-of-run performance counters,
     opcode mix, and per-component event counts, all input-independent and
     therefore recordable once.
@@ -160,7 +162,7 @@ class CycleSchedule:
                  "records", "final_pc", "stats", "mix", "counts")
 
     def __init__(self, version: int, operand_isolation: bool, cycles: int,
-                 steps: list[int], records: list[tuple], final_pc: int,
+                 steps: array, records: list[tuple], final_pc: int,
                  stats: dict, mix: dict, counts: dict):
         self.version = version
         self.operand_isolation = operand_isolation
@@ -420,7 +422,7 @@ def record_schedule(program: Program, operand_isolation: bool = True,
     regs = pipe.regs._regs
     read_word, read_byte = pipe.memory.read_word, pipe.memory.read_byte
     write_word, write_byte = pipe.memory.write_word, pipe.memory.write_byte
-    steps: list[int] = []
+    steps = array(_U32)
     steps_append = steps.append
     wb_value = mem_alu = mem_store = idex_a = idex_b = idex_st = 0
     sid = visit(0)
@@ -581,9 +583,13 @@ class _BoundSchedule:
     """A :class:`CycleSchedule` resolved for replay.
 
     ``fast`` holds one data-path handler tuple per record for the replay
-    loops; ``columns`` the records' input-independent energy fields as a
-    ``[13, records]`` matrix (rows named in :mod:`.scoring`) and
-    ``steps`` the step index as an array, both for the energy scorer.
+    loop, in an object array, so a block of steps selects its tuples in
+    one fancy index instead of one Python int per cycle; ``columns`` the
+    records' input-independent energy fields as a ``[13, records]``
+    matrix (rows named in :mod:`.scoring`) and ``steps`` a zero-copy
+    ``uint32`` view of the schedule's step array, both for the energy
+    scorer.  The view exports the array's buffer, so the step array can
+    no longer grow once it is bound.
     It pickles as its :class:`CycleSchedule`, so loading it from the
     artifact store's disk layer binds it again.
     """
@@ -592,12 +598,13 @@ class _BoundSchedule:
 
     def __init__(self, schedule: CycleSchedule):
         self.schedule = schedule
-        self.fast = [self._bind_fast(record)
-                     for record in schedule.records]
+        self.fast = np.empty(len(schedule.records), object)
+        for index, record in enumerate(schedule.records):
+            self.fast[index] = self._bind_fast(record)
         self.columns = np.array(
             [self._energy_columns(record) for record in schedule.records],
             np.int8).T.copy()
-        self.steps = np.asarray(schedule.steps, np.int32)
+        self.steps = np.frombuffer(schedule.steps, np.uint32)
 
     def __reduce__(self):
         return _BoundSchedule, (self.schedule,)
@@ -785,8 +792,8 @@ class ReplayPipeline(Pipeline):
         and totals are bit-identical.  A divergence abandons the tracker
         mid-run; the caller re-runs on a fresh one.
         """
-        records = self._bound.fast
-        steps = self._bound.schedule.steps
+        handlers = self._bound.fast
+        steps = self._bound.steps
         cycles = len(steps)
         scorer = EnergyScorer(self._bound, tracker)
 
@@ -817,10 +824,10 @@ class ReplayPipeline(Pipeline):
         for start in range(0, cycles, SCORE_BLOCK):
             na_buf[0], nb_buf[0], nst_buf[0] = idex_a, idex_b, idex_st
             out_buf[0], st_buf[0], wbv_buf[0] = mem_alu, mem_store, wb_value
-            for k, slot in enumerate(steps[start:start + SCORE_BLOCK], 1):
-                (wb_wr, mem_kind, alu_fn, a_sel, b_sel, st_sel, ex_link,
-                 ctl, dec_live, a_reg, a_const, b_reg, b_const,
-                 st_reg) = records[slot]
+            block = handlers[steps[start:start + SCORE_BLOCK]].tolist()
+            for k, (wb_wr, mem_kind, alu_fn, a_sel, b_sel, st_sel, ex_link,
+                    ctl, dec_live, a_reg, a_const, b_reg, b_const,
+                    st_reg) in enumerate(block, 1):
                 # ---- WB ----
                 if wb_wr >= 0:
                     regs[wb_wr] = wb_value

@@ -39,10 +39,14 @@ from ..energy.tracker import COMPONENTS
 _WORD_MASK = 0xFFFF_FFFF
 _MASK32 = np.uint32(_WORD_MASK)
 
-#: Cycles scored per pass.  Bounds the scorer's working set (replaying a
-#: 16-round DES trace raised peak RSS by 44 MB scored in one pass, by
-#: 4.6 MB in 8192-cycle blocks) while keeping NumPy's per-call overhead
-#: small against the per-cycle work.
+#: Cycles per pass of every per-cycle computation: energy scoring here
+#: and the verdict statistics
+#: (:func:`repro.attacks.stats.partition_statistics`,
+#: :meth:`repro.obs.streaming.WelchTAccumulator.t_statistic`).  Bounds
+#: their working set (replaying a 16-round DES trace raised peak RSS by
+#: 44 MB scored in one pass, by 4.6 MB in 8192-cycle blocks; an 8-trace
+#: population verdict traces 1.5 MB instead of 3.6 MB) while keeping
+#: NumPy's per-call overhead small against the per-cycle work.
 SCORE_BLOCK = 8192
 
 #: Rows of a bound schedule's per-record column matrix

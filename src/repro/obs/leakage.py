@@ -224,13 +224,13 @@ class LeakageReport:
         return "\n".join(lines)
 
 
-def _assess_window(diff: np.ndarray, region: Region,
+def _assess_window(absolute: np.ndarray, region: Region,
                    budget_pj: float) -> RegionAssessment:
-    window = diff[region.start:region.end]
-    absolute = np.abs(window)
-    max_abs = float(absolute.max()) if absolute.size else 0.0
-    mean_abs = float(absolute.mean()) if absolute.size else 0.0
-    leaking = int((absolute > budget_pj).sum())
+    """Score ``region`` of an absolute differential trace |Δ|."""
+    window = absolute[region.start:region.end]
+    max_abs = float(window.max()) if window.size else 0.0
+    mean_abs = float(window.mean()) if window.size else 0.0
+    leaking = int((window > budget_pj).sum())
     passed = (not region.protected) or max_abs <= budget_pj
     return RegionAssessment(region=region.name, start=region.start,
                             end=region.end, protected=region.protected,
@@ -251,11 +251,12 @@ def assess_pair(trace_a, trace_b, budget_pj: float = DEFAULT_BUDGET_PJ,
     plaintexts.
     """
     diff = np.asarray(trace_a.diff(trace_b), dtype=np.float64)
+    absolute = np.abs(diff, out=diff)  # a fresh row: |Δ| in place
     if regions is None:
-        regions = regions_from_markers(trace_a.markers, diff.shape[0])
+        regions = regions_from_markers(trace_a.markers, absolute.shape[0])
     report = LeakageReport(budget_pj=budget_pj, label=label)
     for region in regions:
-        report.regions.append(_assess_window(diff, region, budget_pj))
+        report.regions.append(_assess_window(absolute, region, budget_pj))
     return report
 
 
@@ -270,22 +271,24 @@ def assess_population(traces, partition,
     ``traces`` is ``(n_traces, n_cycles)``, ``partition`` a 0/1 vector
     (e.g. a selection-function prediction); per region the report carries
     the peak Welch-t and SNR alongside the difference-of-means, and a
-    protected region passes only while ``max |t| < budget_t``.
+    protected region passes only while ``max |t| < budget_t``.  The
+    statistics come from one pass per cycle block
+    (:func:`~repro.attacks.stats.partition_statistics`), so the working
+    set is the three per-cycle results plus a few blocks.
     """
-    from ..attacks.stats import (difference_of_means, signal_to_noise,
-                                 welch_t_statistic)
+    from ..attacks.stats import partition_statistics
 
     traces = np.asarray(traces, dtype=np.float64)
-    diff = difference_of_means(traces, partition)
-    t = welch_t_statistic(traces, partition)
-    snr = signal_to_noise(traces, np.asarray(partition))
+    diff, t, snr = partition_statistics(traces, partition)
+    np.abs(diff, out=diff)
+    np.abs(t, out=t)
     if regions is None:
         regions = regions_from_markers(markers, traces.shape[1])
     report = LeakageReport(budget_pj=budget_pj, budget_t=budget_t,
                            label=label)
     for region in regions:
         assessment = _assess_window(diff, region, budget_pj)
-        window_t = np.abs(t[region.start:region.end])
+        window_t = t[region.start:region.end]
         window_snr = snr[region.start:region.end]
         assessment.welch_t_max = float(window_t.max()) \
             if window_t.size else 0.0

@@ -114,32 +114,38 @@ class WelchTAccumulator:
         """Per-cycle Welch *t*.
 
         Evaluates ``diff / sqrt(var1/n1 + var0/n0)`` (0 where the pooled
-        error is not positive) operation by operation into three
-        per-cycle buffers and one mask, so the statistic at a checkpoint
-        costs a few rows of memory rather than one temporary per
-        operation; the values are those of the plain expression.
+        error is not positive) operation by operation, one cycle block
+        (:func:`~repro.attacks.stats.cycle_blocks`) at a time into the
+        output, so the statistic at a checkpoint costs the output row
+        plus a few blocks; the values are those of the plain
+        expression.
         """
+        from ..attacks.stats import cycle_blocks
+        from ..machine.scoring import SCORE_BLOCK
+
         g0, g1 = self.groups
         if g0.count < 2 or g1.count < 2:
             return np.zeros_like(self.mean_difference())
-        diff = np.subtract(g1.mean, g0.mean)
-        denom = np.divide(g1.m2, g1.count - 1)
-        np.divide(denom, g1.count, out=denom)
-        t = np.divide(g0.m2, g0.count - 1)
-        np.divide(t, g0.count, out=t)
-        np.add(denom, t, out=denom)
-        np.sqrt(denom, out=denom)
-        mask = np.greater(denom, 0)
-        t.fill(0.0)
-        np.divide(diff, denom, out=t, where=mask)
-        if definite_leaks:
-            # Exact-zero M2 in both groups means every trace of each
-            # group was identical; a nonzero mean difference is then an
-            # infinite-t leak in the limit.
-            np.equal(g0.m2, 0, out=mask)
-            mask &= g1.m2 == 0
-            mask &= diff != 0
-            np.copysign(np.inf, diff, out=t, where=mask)
+        t = np.zeros_like(g0.mean)
+        for start, stop in cycle_blocks(t.shape[0], SCORE_BLOCK):
+            window = slice(start, stop)
+            diff = np.subtract(g1.mean[window], g0.mean[window])
+            denom = np.divide(g1.m2[window], g1.count - 1)
+            np.divide(denom, g1.count, out=denom)
+            error0 = np.divide(g0.m2[window], g0.count - 1)
+            np.divide(error0, g0.count, out=error0)
+            np.add(denom, error0, out=denom)
+            np.sqrt(denom, out=denom)
+            out = t[window]
+            np.divide(diff, denom, out=out, where=denom > 0)
+            if definite_leaks:
+                # Exact-zero M2 in both groups means every trace of each
+                # group was identical; a nonzero mean difference is then
+                # an infinite-t leak in the limit.
+                mask = g0.m2[window] == 0
+                mask &= g1.m2[window] == 0
+                mask &= diff != 0
+                np.copysign(np.inf, diff, out=out, where=mask)
         return t
 
     def max_abs_t(self, definite_leaks: bool = True) -> float:

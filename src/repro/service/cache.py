@@ -28,7 +28,9 @@ Properties:
   document itself, never a copy, and must treat it as read-only: a
   served :class:`~repro.service.protocol.RequestRecord` keeps a
   reference plus its own envelope (``age_s``, ``wall_s``) and renders a
-  fresh copy on each read of its ``result``.  No hit re-parses JSON or
+  fresh copy on each read of its ``result``.  The leader's record keeps
+  the stored document too (:meth:`complete` returns it), so its reply
+  has the stored ``sort_keys`` order.  No request re-parses JSON or
   keeps a second decoded copy.
 * **Single-flight coalescing** — concurrent identical requests elect a
   leader (:meth:`begin` → ``"lead"``); joiners block on the flight and
@@ -158,10 +160,12 @@ class VerdictCache:
             return None
         return flight.document
 
-    def complete(self, key: str, flight: _Flight, document: dict) -> int:
+    def complete(self, key: str, flight: _Flight,
+                 document: dict) -> tuple[dict, int]:
         """Leader succeeded: store the canonical document, wake the
-        joiners.  Returns the number of store entries evicted by the
-        store."""
+        joiners.  Returns the stored document (read-only, the leader
+        serves it like a hit, so no request keeps a second decoded
+        copy) and the number of store entries the store evicted."""
         canonical = json.loads(json.dumps(document, sort_keys=True))
         evicted = self.store.store_artifact(key, (canonical, time.time()),
                                             durable=False)
@@ -170,7 +174,7 @@ class VerdictCache:
             self._stats["stores"] += 1
             self._flights.pop(key, None)
         flight.event.set()
-        return evicted
+        return canonical, evicted
 
     def abandon(self, key: str, flight: _Flight) -> None:
         """Leader failed: wake joiners empty-handed, cache nothing."""

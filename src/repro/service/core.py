@@ -407,7 +407,9 @@ class LeakageService:
         except BaseException:
             cache.abandon(key, token)
             raise
-        evicted = cache.complete(key, token, result)
+        # The record keeps the stored canonical document, not the
+        # executor's: a retained cold request holds one copy, as a hit.
+        result, evicted = cache.complete(key, token, result)
         self._transition("verdict_cache_store", record)
         if evicted:
             self._count("verdict_cache_evictions",

@@ -29,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .. import obs
+from ..energy.trace import EnergyTrace
 from ..harness.engine import CompileCache, SimJob, default_cache, run_jobs
 from ..harness.resilience import JobFailure
 from .errors import DeadlineExceeded, RequestFailed, ShuttingDown
@@ -80,26 +81,26 @@ def _build_jobs(request: AssessRequest, program, *,
             for index, pair in enumerate(pairs)]
 
 
-def _verdict(request: AssessRequest, results,
+def _verdict(request: AssessRequest, rows: np.ndarray, markers,
              plaintexts: list[int]) -> dict:
     """Leakage verdict over the collected traces, per the request mode.
 
     ``pair`` is the paper's differential form (max |Δ| per region vs the
     picojoule budget); ``population`` partitions by plaintext LSB — a
     public, uniformly split selection bit — and judges the peak Welch-t.
+    Both read the request's energy matrix ``rows``; ``markers`` are the
+    first trace's.
     """
     from ..obs.leakage import assess_pair, assess_population
 
     if request.mode == "pair":
-        report = assess_pair(results[0].trace, results[1].trace,
-                             budget_pj=request.budget_pj,
+        report = assess_pair(EnergyTrace(rows[0], markers),
+                             EnergyTrace(rows[1]), budget_pj=request.budget_pj,
                              label=f"pair:{request.masking}")
     else:
-        matrix = np.vstack([result.energy for result in results])
         partition = np.array([plaintext & 1 for plaintext in plaintexts],
                              dtype=np.int64)
-        report = assess_population(matrix, partition,
-                                   results[0].markers,
+        report = assess_population(rows, partition, markers,
                                    budget_t=request.budget_t,
                                    budget_pj=request.budget_pj,
                                    label=f"tvla:{request.masking}")
@@ -108,12 +109,29 @@ def _verdict(request: AssessRequest, results,
     return document
 
 
-def trace_digest(results) -> str:
-    """SHA-256 over the stacked energy rows — the bit-identity anchor."""
+def _check_aligned(mode: str, rows: np.ndarray, index: int,
+                   energy: np.ndarray) -> None:
+    """Raise the error the verdict's own alignment check raises for a
+    trace whose length differs from the first one's: the differential's
+    (:meth:`EnergyTrace.diff`) in pair mode, ``np.vstack``'s in
+    population mode."""
+    if energy.shape[0] == rows.shape[1]:
+        return
+    if mode == "pair":
+        EnergyTrace(rows[0]).diff(EnergyTrace(energy))
+    np.vstack([*rows[:index], energy])
+
+
+def trace_digest(rows) -> str:
+    """SHA-256 over the energy rows in trace order — the bit-identity
+    anchor.  ``rows`` is a request's ``(n_traces, cycles)`` matrix, or
+    results with an ``energy`` row each
+    (:class:`~repro.harness.engine.JobResult`); each row is hashed in
+    place, without a byte copy."""
     digest = hashlib.sha256()
-    for result in results:
-        digest.update(np.ascontiguousarray(
-            result.energy, dtype=np.float64).tobytes())
+    for row in rows:
+        digest.update(np.ascontiguousarray(getattr(row, "energy", row),
+                                           dtype=np.float64))
     return digest.hexdigest()
 
 
@@ -160,37 +178,58 @@ def execute_assessment(
                         attribute=attribute)
     plaintexts = [job.des_pair[1] for job in batch]
 
-    results: list = []
+    total = len(batch)
+    # The traces, one row each, filled as results arrive; a result is
+    # dropped once its row is copied, so the request holds each trace
+    # once.
+    rows: Optional[np.ndarray] = None
+    markers: tuple = ()
+    cycles: set[int] = set()
     engines: dict[str, int] = {}
+    failures: list[JobFailure] = []
+    done = 0
+
+    def collect(_index: int, result) -> None:
+        nonlocal rows, markers, done
+        if isinstance(result, JobFailure):
+            failures.append(result)
+            return
+        if rows is None:
+            rows = np.empty((total, result.energy.shape[0]))
+            markers = result.markers
+        _check_aligned(request.mode, rows, done, result.energy)
+        rows[done] = result.energy
+        cycles.add(result.cycles)
+        engines[result.engine] = engines.get(result.engine, 0) + 1
+        done += 1
+
     for number, offset in enumerate(
-            range(0, len(batch), max(chunk_size, 1))):
+            range(0, total, max(chunk_size, 1))):
         if cancel is not None and cancel.is_set():
-            emit("cancelled", done=len(results), total=len(batch))
+            emit("cancelled", done=done, total=total)
             raise ShuttingDown(
-                f"request cancelled after {len(results)}/{len(batch)} "
+                f"request cancelled after {done}/{total} "
                 "traces (service draining)")
         if deadline_monotonic is not None:
             remaining = deadline_monotonic - time.monotonic()
             emit("deadline_check", remaining_s=round(remaining, 6))
             if remaining < 0:
                 raise DeadlineExceeded(
-                    f"deadline exceeded after {len(results)}/{len(batch)} "
-                    "traces")
+                    f"deadline exceeded after {done}/{total} traces")
         chunk = batch[offset:offset + max(chunk_size, 1)]
         # Always the "retry" policy (retries=0 just means one attempt):
         # failures come back as typed JobFailure records, so a worker
         # crash feeds the circuit breaker instead of surfacing as a raw
         # BrokenProcessPool.
         with obs.span(f"chunk[{number}]", traces=len(chunk)):
-            chunk_results = run_jobs(
-                chunk, jobs=jobs, failure_policy="retry",
-                retries=retries, job_timeout=job_timeout)
-        failures = [r for r in chunk_results if isinstance(r, JobFailure)]
+            run_jobs(chunk, jobs=jobs, failure_policy="retry",
+                     retries=retries, job_timeout=job_timeout,
+                     consume=collect)
         if failures:
             # Spans from the chunk's *successful* jobs were already
             # grafted by run_jobs before this raise, so a mid-chunk
             # failure still leaves a partial span tree behind.
-            emit("chunk_failed", done=len(results), total=len(batch),
+            emit("chunk_failed", done=done, total=total,
                  failed=len(failures),
                  error_type=failures[0].error_type)
             raise ExecutionFailed(
@@ -198,23 +237,19 @@ def execute_assessment(
                 f"{retries + 1} attempt(s): "
                 f"{failures[0].error_type}: {failures[0].message}",
                 failures)
-        for result in chunk_results:
-            engines[result.engine] = engines.get(result.engine, 0) + 1
-            results.append(result)
-        emit("chunk", done=len(results), total=len(batch))
+        emit("chunk", done=done, total=total)
         if on_chunk is not None:
-            on_chunk(len(results), len(batch))
+            on_chunk(done, total)
 
-    cycles = {result.cycles for result in results}
     with obs.span("verdict", mode=request.mode):
-        verdict = _verdict(request, results, plaintexts)
+        verdict = _verdict(request, rows, markers, plaintexts)
     return {
         "schema": SCHEMA,
         "request": request.to_dict(),
-        "n_traces": len(results),
+        "n_traces": done,
         "cycles": sorted(cycles),
-        "trace_digest": trace_digest(results),
-        "total_pj": round(float(sum(r.total_pj for r in results)), 6),
+        "trace_digest": trace_digest(rows),
+        "total_pj": round(float(sum(float(row.sum()) for row in rows)), 6),
         "engines": dict(sorted(engines.items())),
         "cache_hit": cache_hit,
         "verdict": verdict,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.attacks.stats import (difference_of_means, moving_average,
+from repro.attacks.stats import (cycle_blocks, difference_of_means,
+                                 moving_average, partition_statistics,
                                  signal_to_noise, welch_t_statistic)
 from repro.obs.streaming import WelchTAccumulator
 
@@ -209,3 +210,69 @@ def test_streaming_path_keeps_edge_case_semantics():
                       welch_t_statistic(traces, one_sided),
                       streamed.mean_difference(), streamed.t_statistic()):
         assert list(statistic) == [0.0] * 4
+
+
+# -- blocked partition statistics -------------------------------------------
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("partition", [
+    [0, 0, 0, 0, 0],               # an empty group
+    [1, 0, 0, 0, 0],               # a 1-trace group
+    [0, 1, 1, 0, 0, 1],            # a 2-trace group (and a 3-trace one)
+    [1, 0, 1, 0],                  # two 2-trace groups
+    [0, 1] * 10,                   # 10-trace groups: summed row by row
+    [1] * 9 + [0] * 2,
+], ids=["empty", "single", "two-three", "two-two", "ten-ten", "nine-two"])
+@pytest.mark.parametrize("cycles", [1, 2, 7, 8, 9, 13, 17])
+def test_partition_statistics_equal_the_unblocked_functions(
+        monkeypatch, partition, cycles):
+    """One pass per 4-cycle block gives the three public statistics bit
+    for bit, for every group shape and for cycle counts that leave a
+    partial last block — including a 1-cycle tail (9, 13, 17)."""
+    from repro.machine import scoring
+
+    monkeypatch.setattr(scoring, "SCORE_BLOCK", 4)
+    rng = np.random.default_rng(cycles)
+    partition = np.array(partition)
+    traces = rng.normal(100.0, 3.0, size=(partition.size, cycles)) \
+        * rng.choice([1e-6, 1.0, 1e6], size=cycles)
+    traces[:, ::5] = 7.0  # zero-variance cycles: t and SNR are 0 there
+    diff, t, snr = partition_statistics(traces, partition)
+    _assert_same_bits(diff, difference_of_means(traces, partition))
+    _assert_same_bits(t, welch_t_statistic(traces, partition))
+    _assert_same_bits(snr, signal_to_noise(traces, partition))
+
+
+def test_a_one_cycle_tail_joins_the_block_before_it():
+    """NumPy sums a one-column group pairwise, not row by row, so a lone
+    last cycle could round differently; the tail joins the last block."""
+    assert list(cycle_blocks(9, 4)) == [(0, 4), (4, 9)]
+    assert list(cycle_blocks(10, 4)) == [(0, 4), (4, 8), (8, 10)]
+    assert list(cycle_blocks(1, 4)) == [(0, 1)]
+    assert list(cycle_blocks(0, 4)) == []
+    with pytest.raises(ValueError):
+        list(cycle_blocks(9, 1))
+
+
+def test_partition_statistics_default_block_covers_long_traces():
+    from repro.machine.scoring import SCORE_BLOCK
+
+    rng = np.random.default_rng(2)
+    partition = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+    traces = rng.normal(50.0, 2.0, size=(8, 2 * SCORE_BLOCK + 1))
+    diff, t, snr = partition_statistics(traces, partition)
+    _assert_same_bits(diff, difference_of_means(traces, partition))
+    _assert_same_bits(t, welch_t_statistic(traces, partition))
+    _assert_same_bits(snr, signal_to_noise(traces, partition))
+
+
+def test_partition_statistics_wants_a_0_1_partition():
+    with pytest.raises(ValueError, match="0/1"):
+        partition_statistics(np.ones((3, 4)), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="length"):
+        partition_statistics(np.ones((3, 4)), np.array([0, 1]))

@@ -547,6 +547,56 @@ def test_tab1_resume_after_a_fault_recomputes_exactly_the_missing_job(
     assert table.summary == tab1_policy_energy(rounds=1).summary
 
 
+def test_tab1_rerun_that_runs_no_job_reports_no_job_metrics(
+        tmp_path, no_fault_plan):
+    """A job served from the checkpoint did not run in the rerun: the
+    metrics and wall time stored with its result stay out of the rerun's
+    registry, which counts the skipped jobs and nothing else of them."""
+    from repro.harness.experiments import KEY_A, PT_A
+    from repro.harness.sweeps import policy_jobs
+
+    def tab1_batch():
+        return policy_jobs(DEFAULT_PARAMS, rounds=1, key=KEY_A,
+                           plaintext=PT_A)
+
+    job_metrics = ("job_wall_seconds", "compile_cache_lookups")
+    checkpoint = tmp_path / "tab1"
+    _, first = _counted_run(tab1_batch(), checkpoint)
+    assert _resumed(first) == (0, 4)
+    assert first["job_wall_seconds_count"] == 4
+    assert any(name.startswith("compile_cache_lookups") for name in first)
+    resumed, rerun = _counted_run(tab1_batch(), checkpoint)
+    assert _resumed(rerun) == (4, 0)
+    assert [name for name in rerun if name.startswith(job_metrics)] == []
+    _assert_bit_identical(resumed, run_jobs(tab1_batch()))
+
+
+def test_checkpointed_batch_pickles_its_program_once(tmp_path, monkeypatch,
+                                                     no_fault_plan):
+    """Result keys digest each distinct program object once per batch:
+    16 jobs on one program pickle it once, not 16 times (the keys
+    themselves are pinned by the result-key tests)."""
+    from repro.isa.program import Program
+
+    pickled = []
+    dumps = pickle.dumps
+
+    def counting(obj, *args, **kwargs):
+        if isinstance(obj, Program):
+            pickled.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", counting)
+    checkpoint = tmp_path / "batch"
+    results = run_jobs(_batch(16), checkpoint=checkpoint)
+    assert len(pickled) == 1
+    assert len(_stored_results(checkpoint)) == 16
+    two_programs = _batch(8) + _batch(8)
+    again = run_jobs(two_programs, checkpoint=checkpoint)
+    assert len(pickled) == 3  # two program objects, one digest each
+    _assert_bit_identical(again[:8], results[:8])  # the first 8 resumed
+
+
 # -- compile-cache hygiene --------------------------------------------------
 
 

@@ -50,8 +50,9 @@ GOLDEN_DIGESTS = {
 
 #: sha256 of :func:`_schedule_digest` for recorded schedules: any change
 #: to what the recorder emits — slots, record order, counters, mix,
-#: counts — shows.  These ``SCHEDULE_VERSION`` 2 schedules equal the
-#: version-1 ones (pinned from a recorder that stepped the reference
+#: counts — shows.  The steps are hashed as a list, so the values
+#: survive ``SCHEDULE_VERSION`` 3's step array.  These schedules equal
+#: the version-1 ones (pinned from a recorder that stepped the reference
 #: pipeline every cycle) projected onto the fields a replay reads and
 #: re-interned.  ``des16-selective`` leaves its loops through outcomes
 #: new at already-seen control states; ``call`` and the ``divergent``
@@ -120,7 +121,8 @@ def _digest(run):
 
 def _schedule_digest(schedule):
     """sha256 of a canonical ``repr`` of everything a schedule carries."""
-    canonical = repr((schedule.cycles, schedule.final_pc, schedule.steps,
+    canonical = repr((schedule.cycles, schedule.final_pc,
+                      list(schedule.steps),
                       schedule.records, sorted(schedule.stats.items()),
                       sorted(schedule.mix.items()),
                       sorted(schedule.counts.items())))
@@ -211,6 +213,29 @@ def test_recorded_schedule_hits_golden_digest(workload, operand_isolation):
         program, operand_isolation=operand_isolation)
     assert _schedule_digest(schedule) == \
         GOLDEN_SCHEDULES[workload, operand_isolation]
+
+
+def test_schedule_steps_are_one_array_the_bound_schedule_views():
+    """4 bytes a cycle, held once: the recorder's step ``array`` is what
+    the schedule keeps and pickles, and the scorer's ``uint32`` steps
+    are a zero-copy view of it, on binding and after a pickle round
+    trip."""
+    import pickle
+    from array import array
+
+    program = compile_des(DesProgramSpec(rounds=1), masking="none").program
+    schedule = fastpath.record_schedule(program)
+    assert isinstance(schedule.steps, array)
+    assert schedule.steps.itemsize == 4
+    assert len(schedule.steps) == schedule.cycles
+    for bound in (fastpath._BoundSchedule(schedule),
+                  pickle.loads(pickle.dumps(fastpath._BoundSchedule(
+                      schedule)))):
+        steps = bound.schedule.steps
+        assert bound.steps.dtype == np.uint32
+        assert not bound.steps.flags.owndata
+        assert bound.steps.ctypes.data == steps.buffer_info()[0]
+        assert bound.steps.tolist() == steps.tolist()
 
 
 # -- differential bit-identity over the experiment programs -------------

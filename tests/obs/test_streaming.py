@@ -126,6 +126,30 @@ def test_buffered_t_statistic_is_bit_identical_to_plain_formula():
     assert not buffered[100:150].any()
 
 
+@pytest.mark.parametrize("definite_leaks", [False, True])
+def test_blocked_t_statistic_equals_the_whole_row_expression(
+        definite_leaks):
+    """Across block boundaries (two blocks and a 3-cycle tail) the
+    blocked statistic is the plain formula byte for byte; constant
+    cycles in both groups straddle a boundary and give the ±inf
+    definite-leak corner and the 0 where the means agree."""
+    from repro.machine.scoring import SCORE_BLOCK
+
+    cycles = 2 * SCORE_BLOCK + 3
+    traces = _traces(7, cycles, seed=13)
+    partition = np.array([0, 1, 0, 1, 1, 0, 1])
+    traces[:, SCORE_BLOCK - 2:SCORE_BLOCK + 2] = 4.0
+    traces[partition == 1, SCORE_BLOCK] = 6.0       # +inf
+    traces[partition == 1, SCORE_BLOCK + 1] = 1.0   # -inf
+    accumulator = _fold(traces, WelchTAccumulator(), groups=partition)
+    t = accumulator.t_statistic(definite_leaks=definite_leaks)
+    expected = _plain_t_statistic(accumulator, definite_leaks)
+    assert t.tobytes() == expected.tobytes()
+    if definite_leaks:
+        assert list(t[SCORE_BLOCK - 2:SCORE_BLOCK + 2]) == \
+            [0.0, 0.0, float("inf"), float("-inf")]
+
+
 def test_update_rejects_misaligned_and_matrix_rows():
     accumulator = WelfordAccumulator()
     accumulator.update([1.0, 2.0])

@@ -34,7 +34,7 @@ def _put(cache: VerdictCache, key: str, document: dict) -> int:
     """Store one document the way a leader does; returns evictions."""
     verb, flight = cache.begin(key)
     assert verb == "lead"
-    return cache.complete(key, flight, document)
+    return cache.complete(key, flight, document)[1]
 
 
 def _get(cache: VerdictCache, key: str):
@@ -89,8 +89,9 @@ def test_hit_shares_the_stored_document_and_reports_its_age(tmp_path):
 
 
 def test_hits_and_joiners_share_one_canonical_document(tmp_path):
-    """One decoded copy per entry, handed out as is: a hit and a joiner
-    get the stored document itself (no per-hit copy to retain), and it
+    """One decoded copy per entry, handed out as is: the leader, a hit
+    and a joiner get the stored document itself (no per-request copy to
+    retain), and it
     carries lists, never the tuples the leader stored."""
     cache = _verdicts(tmp_path)
     document = {"trace_digest": "ab" * 32,
@@ -99,11 +100,11 @@ def test_hits_and_joiners_share_one_canonical_document(tmp_path):
     assert outcome == "lead"
     verb, flight = cache.begin("verdict-k")
     assert verb == "join"
-    cache.complete("verdict-k", leader_flight, document)
+    served, _evicted = cache.complete("verdict-k", leader_flight, document)
     joined = cache.wait(flight, timeout=5.0)
     first = _get(cache, "verdict-k")
     second = _get(cache, "verdict-k")
-    assert first is second is joined
+    assert first is second is joined is served  # the leader's too
     assert first["verdict"]["leaky_cycles"] == [3, 5]
     assert first == json.loads(json.dumps(document))
     stored = cache.store.memory.get("verdict-k")

@@ -133,3 +133,73 @@ def test_pooled_assessment_records_schedule_in_parent(tmp_path, monkeypatch):
         assert key in harness_engine.default_cache().memory
     finally:
         fastpath._clear_caches()
+
+
+@pytest.mark.parametrize("payload", [pair_payload(),
+                                     population_payload(n_traces=4)],
+                         ids=["pair", "population"])
+def test_a_trace_of_another_length_fails_as_the_verdict_did(monkeypatch,
+                                                            payload):
+    """Rows are filled as traces arrive; a trace whose length differs
+    from the first raises the ValueError of the verdict's own alignment
+    check — ``EnergyTrace.diff`` for a pair, ``np.vstack`` for a
+    population — naming the same lengths and index."""
+    import numpy as np
+
+    from repro.energy.trace import EnergyTrace
+    from repro.harness.engine import JobResult
+    from repro.service import executor
+
+    lengths = [12, 11] if payload["mode"] == "pair" else [12, 12, 11, 12]
+    energies = [np.full(length, float(index))
+                for index, length in enumerate(lengths)]
+
+    def fake_run_jobs(chunk, consume, **_kwargs):
+        for index, energy in enumerate(energies):
+            consume(index, JobResult(label=f"trace[{index}]",
+                                     cycles=energy.size, energy=energy))
+        return len(energies)
+
+    if payload["mode"] == "pair":
+        def expected():
+            EnergyTrace(energies[0]).diff(EnergyTrace(energies[1]))
+    else:
+        def expected():
+            np.vstack(energies)
+    with pytest.raises(ValueError) as verdict_error:
+        expected()
+    monkeypatch.setattr(executor, "run_jobs", fake_run_jobs)
+    with pytest.raises(ValueError) as error:
+        execute_assessment(_request(payload))
+    assert str(error.value) == str(verdict_error.value)
+
+
+def test_a_request_holds_each_trace_once(tmp_path, monkeypatch):
+    """A trace's JobResult is dropped once its energy is copied into the
+    request's matrix: at each copy the only live JobResult is the one
+    being copied, so no full trace is held twice."""
+    import gc
+
+    from repro.harness.engine import JobResult
+    from repro.service import executor
+
+    def live_results():
+        return sum(isinstance(item, JobResult) for item in gc.get_objects())
+
+    alive = []
+    check = executor._check_aligned
+
+    def counting(mode, rows, index, energy):
+        alive.append(live_results())
+        return check(mode, rows, index, energy)
+
+    monkeypatch.setattr(executor, "_check_aligned", counting)
+    cache = CompileCache(directory=tmp_path)
+    request = _request(population_payload(n_traces=6))
+    gc.collect()
+    before = live_results()  # other tests' results still referenced
+    document = execute_assessment(request, cache=cache)
+    monkeypatch.setattr(executor, "_check_aligned", check)
+    assert alive == [before + 1] * 6
+    assert document == dict(execute_assessment(request, cache=cache),
+                            wall_s=document["wall_s"], cache_hit=False)

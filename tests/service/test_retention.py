@@ -4,7 +4,8 @@ The daemon keeps up to ``history_limit`` (1,024) terminal records for
 status queries, and verdict-cache hits fill that history within
 seconds, so the bytes one retained record holds set the daemon's peak
 memory.  A record keeps facts and renders its documents on read: a hit
-references the store's shared document plus its envelope, the timeline
+references the store's shared document plus its envelope, a cold
+request (the verdict-cache leader) the document it stored, the timeline
 is compact tuples, and no synchronization object survives the terminal
 transition.  Memory is measured with :mod:`tracemalloc` after
 ``gc.collect()``; nothing here asserts a time.
@@ -16,6 +17,7 @@ import threading
 import time
 import tracemalloc
 
+from repro.service.cache import verdict_key
 from repro.service.protocol import (DONE, RUNNING, SHUTDOWN,
                                     AssessRequest, RequestRecord)
 
@@ -26,6 +28,15 @@ from .conftest import pair_payload
 MAX_BYTES_PER_HIT = 2000
 
 HITS = 100
+
+#: Bytes one served cold request (a verdict-cache leader) may retain:
+#: the store's document, which its record shares, plus the record, its
+#: timeline and its span tree (~13.4 kB for a 2-round pair request; a
+#: record that kept the executor's own copy of the document too retained
+#: ~17.3 kB).
+MAX_BYTES_PER_COLD_REQUEST = 15_000
+
+COLD_REQUESTS = 30
 
 _SYNC_TYPES = (threading.Event, threading.Condition,
                type(threading.Lock()), type(threading.RLock()))
@@ -60,6 +71,31 @@ def test_a_retained_cache_hit_costs_at_most_2000_bytes(make_service):
     assert service.verdict_cache_stats()["hits"] == HITS + 1
     assert len(service.records()) == HITS + 2  # all still in the history
     assert retained <= MAX_BYTES_PER_HIT, retained
+
+
+def test_a_retained_cold_request_costs_at_most_15000_bytes(make_service):
+    """A leader's record finishes with the document the verdict store
+    keeps, so a retained cold request holds one copy of its result."""
+    service = make_service(workers=1, history_limit=COLD_REQUESTS + 16)
+    _serve(service, key=1)  # compile, schedule and metric series
+    _serve(service, key=2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = [_serve(service, key=1000 + index)
+                   for index in range(COLD_REQUESTS)]
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - before) \
+            / COLD_REQUESTS
+    finally:
+        tracemalloc.stop()
+    assert service.verdict_cache_stats()["hits"] == 0
+    for record in records:
+        stored, _stored_at = service.verdict_cache.store.memory.get(
+            verdict_key(record.request))
+        assert record._result is stored
+    assert retained <= MAX_BYTES_PER_COLD_REQUEST, retained
 
 
 def test_eviction_never_drops_an_inflight_record(make_service, monkeypatch):
