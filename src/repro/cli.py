@@ -377,7 +377,7 @@ def cmd_serve(arguments: argparse.Namespace) -> int:
     from .service.server import serve
 
     config = ServiceConfig(
-        workers=arguments.workers, jobs=arguments.jobs,
+        jobs=arguments.jobs,
         queue_depth=arguments.queue_depth, retries=arguments.retries,
         job_timeout=arguments.job_timeout,
         chunk_size=arguments.chunk_size,
@@ -601,9 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8734,
                          help="TCP port (0 = ephemeral; the bound port is "
                               "announced as a JSON line on stdout)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="executor threads serving requests "
-                              "concurrently (default 2)")
     p_serve.add_argument("-j", "--jobs", type=int, default=1,
                          help="worker processes per request for trace "
                               "collection (default 1 = in-thread)")

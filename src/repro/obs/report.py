@@ -600,8 +600,7 @@ def dashboard_html(health: dict, snapshot: dict,
         "queue depth": f'{health.get("queue_depth", 0)}'
                        f' / {health.get("queue_capacity", 0)}',
         "in flight": health.get("inflight", 0),
-        "workers alive": f'{health.get("workers_alive", 0)}'
-                         f' / {health.get("workers", 0)}',
+        "executor alive": health.get("workers_alive", 0),
         "breaker open": health.get("breaker_open", 0),
     }
     for name, value in quantiles.items():
@@ -610,9 +609,7 @@ def dashboard_html(health: dict, snapshot: dict,
         stats[f"terminal: {state}"] = count
     cache = health.get("verdict_cache") or {}
     if cache:
-        stats["verdict cache hits"] = (f'{cache.get("hits", 0)}'
-                                       f' (+{cache.get("coalesced", 0)}'
-                                       " coalesced)")
+        stats["verdict cache hits"] = cache.get("hits", 0)
         stats["verdict cache misses"] = cache.get("misses", 0)
         stats["artifact store entries"] = (
             f'{cache.get("entries", 0)}'

@@ -51,6 +51,13 @@ class WelfordAccumulator:
         self.m2: Optional[np.ndarray] = None
 
     def update(self, values) -> None:
+        """Fold one trace in, one cycle block
+        (:func:`~repro.attacks.stats.cycle_blocks`) at a time: the
+        temporaries are block-sized, the values those of the whole-row
+        expressions."""
+        from ..attacks.stats import cycle_blocks
+        from ..machine.scoring import SCORE_BLOCK
+
         row = _as_row(values)
         if self.mean is None:
             self.count = 1
@@ -60,9 +67,11 @@ class WelfordAccumulator:
         if row.shape != self.mean.shape:
             raise ValueError("trace is not cycle-aligned with accumulator")
         self.count += 1
-        delta = row - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (row - self.mean)
+        for start, stop in cycle_blocks(row.shape[0], SCORE_BLOCK):
+            part, mean = row[start:stop], self.mean[start:stop]
+            delta = part - mean
+            mean += delta / self.count
+            self.m2[start:stop] += delta * (part - mean)
 
     def variance(self, ddof: int = 1) -> np.ndarray:
         """Per-cycle variance; zeros when fewer than ``ddof + 1`` traces."""
@@ -120,37 +129,55 @@ class WelchTAccumulator:
         plus a few blocks; the values are those of the plain
         expression.
         """
-        from ..attacks.stats import cycle_blocks
-        from ..machine.scoring import SCORE_BLOCK
-
         g0, g1 = self.groups
         if g0.count < 2 or g1.count < 2:
             return np.zeros_like(self.mean_difference())
         t = np.zeros_like(g0.mean)
-        for start, stop in cycle_blocks(t.shape[0], SCORE_BLOCK):
-            window = slice(start, stop)
-            diff = np.subtract(g1.mean[window], g0.mean[window])
-            denom = np.divide(g1.m2[window], g1.count - 1)
-            np.divide(denom, g1.count, out=denom)
-            error0 = np.divide(g0.m2[window], g0.count - 1)
-            np.divide(error0, g0.count, out=error0)
-            np.add(denom, error0, out=denom)
-            np.sqrt(denom, out=denom)
-            out = t[window]
-            np.divide(diff, denom, out=out, where=denom > 0)
-            if definite_leaks:
-                # Exact-zero M2 in both groups means every trace of each
-                # group was identical; a nonzero mean difference is then
-                # an infinite-t leak in the limit.
-                mask = g0.m2[window] == 0
-                mask &= g1.m2[window] == 0
-                mask &= diff != 0
-                np.copysign(np.inf, diff, out=out, where=mask)
+        for window in self._windows():
+            self._t_block(window, t[window], definite_leaks)
         return t
 
+    def _windows(self):
+        from ..attacks.stats import cycle_blocks
+        from ..machine.scoring import SCORE_BLOCK
+
+        for start, stop in cycle_blocks(self.groups[0].mean.shape[0],
+                                        SCORE_BLOCK):
+            yield slice(start, stop)
+
+    def _t_block(self, window: slice, out: np.ndarray,
+                 definite_leaks: bool) -> None:
+        """Welch *t* of one cycle window into ``out`` (zeros on entry)."""
+        g0, g1 = self.groups
+        diff = np.subtract(g1.mean[window], g0.mean[window])
+        denom = np.divide(g1.m2[window], g1.count - 1)
+        np.divide(denom, g1.count, out=denom)
+        error0 = np.divide(g0.m2[window], g0.count - 1)
+        np.divide(error0, g0.count, out=error0)
+        np.add(denom, error0, out=denom)
+        np.sqrt(denom, out=denom)
+        np.divide(diff, denom, out=out, where=denom > 0)
+        if definite_leaks:
+            # Exact-zero M2 in both groups means every trace of each
+            # group was identical; a nonzero mean difference is then
+            # an infinite-t leak in the limit.
+            mask = g0.m2[window] == 0
+            mask &= g1.m2[window] == 0
+            mask &= diff != 0
+            np.copysign(np.inf, diff, out=out, where=mask)
+
     def max_abs_t(self, definite_leaks: bool = True) -> float:
-        t = self.t_statistic(definite_leaks=definite_leaks)
-        return float(np.abs(t).max()) if t.size else 0.0
+        """``max |t|`` over the cycles, the largest of the per-block
+        maxima, so no ``t`` row is built."""
+        g0, g1 = self.groups
+        if g0.count < 2 or g1.count < 2:
+            return 0.0
+        maxima = []
+        for window in self._windows():
+            out = np.zeros(window.stop - window.start)
+            self._t_block(window, out, definite_leaks)
+            maxima.append(np.abs(out, out=out).max())
+        return float(np.max(maxima)) if maxima else 0.0
 
 
 @dataclass

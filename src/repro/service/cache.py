@@ -24,28 +24,28 @@ Properties:
   without bound.
 * **One shared canonical document** — the document is canonicalised
   once on store (a ``sort_keys`` JSON round trip, so hits carry lists,
-  never tuples).  Every hit and every coalesced joiner gets that stored
-  document itself, never a copy, and must treat it as read-only: a
-  served :class:`~repro.service.protocol.RequestRecord` keeps a
-  reference plus its own envelope (``age_s``, ``wall_s``) and renders a
-  fresh copy on each read of its ``result``.  The leader's record keeps
-  the stored document too (:meth:`complete` returns it), so its reply
-  has the stored ``sort_keys`` order.  No request re-parses JSON or
-  keeps a second decoded copy.
-* **Single-flight coalescing** — concurrent identical requests elect a
-  leader (:meth:`begin` → ``"lead"``); joiners block on the flight and
-  receive the leader's document.  A failing leader wakes its joiners
-  empty-handed and they compute independently — errors are never
-  cached, and one leader's failure is not propagated to a neighbor.
+  never tuples).  Every hit gets that stored document itself, never a
+  copy, and must treat it as read-only: a served
+  :class:`~repro.service.protocol.RequestRecord` keeps a reference plus
+  its own envelope (``age_s``, ``wall_s``) and renders a fresh copy on
+  each read of its ``result``.  The request that computed it keeps the
+  stored document too (:meth:`put` returns it), so its reply has the
+  stored ``sort_keys`` order.  No request re-parses JSON or keeps a
+  second decoded copy.
+* **No single-flight** — the service simulates one request at a time,
+  in queue order, so an identical request queued behind the one that
+  computes its answer finds the stored document when it is taken off
+  the queue; the service also probes at admission, where a hit never
+  takes a queue slot.  Errors are never cached.
 * **Explicit invalidation** — :meth:`invalidate` drops every verdict or
   one ``program_key``'s (the key starts with a per-program prefix
   precisely so this is possible).
-* **First-class stats** — hits/misses/coalesces/stores/invalidations
-  plus the store's entry/byte/eviction figures, consumed by the service
+* **First-class stats** — hits/misses/stores/invalidations plus the
+  store's entry/byte/eviction figures, consumed by the service
   registry, ``/metrics`` and the dashboard.
 
-Thread-safe behind one lock for the flights; the blocking join path
-waits *outside* it on a per-flight event.
+Thread-safe: the counters sit behind one lock, the documents behind the
+store's own.
 """
 
 from __future__ import annotations
@@ -99,88 +99,47 @@ def verdict_key(request: AssessRequest) -> str:
     return verdict_prefix(program_key) + hashlib.sha256(blob).hexdigest()
 
 
-class _Flight:
-    """One in-progress computation other requests may coalesce onto."""
-
-    __slots__ = ("event", "document")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.document: Optional[dict] = None
-
-
 class VerdictCache:
-    """Single-flight verdict/result cache over an artifact store."""
+    """Verdict/result cache over an artifact store."""
 
     def __init__(self, store: CompileCache):
         self.store = store
         self._lock = threading.Lock()
-        self._flights: dict[str, _Flight] = {}
-        self._stats = {"hits": 0, "misses": 0, "coalesced": 0,
-                       "coalesced_misses": 0, "stores": 0,
+        self._stats = {"hits": 0, "misses": 0, "stores": 0,
                        "invalidations": 0}
 
-    # -- lookup / single-flight -----------------------------------------
+    # -- lookup / store -------------------------------------------------
 
-    def begin(self, key: str):
-        """Start one request's cache interaction.
+    def lookup(self, key: str, count_miss: bool = True) \
+            -> Optional[tuple[dict, float]]:
+        """``(document, age_s)`` on a hit — the stored document
+        (read-only) and its age in seconds — else ``None``.
 
-        Returns ``("hit", (document, age_s))`` on a cache hit — the
-        stored document (read-only) and its age in seconds —
-        ``("join", flight)`` when an identical computation is already in
-        flight, or ``("lead", flight)`` when the caller must compute
-        and then :meth:`complete` (or :meth:`abandon`) the flight.
+        Every hit counts.  A miss counts only with ``count_miss``: the
+        service probes at admission without it, so a request that then
+        queues counts one miss, when the executor finds it unanswered.
         """
+        entry = self.store.memory.get(key)
         with self._lock:
-            entry = self.store.memory.get(key)
-            if entry is not None:
-                self._stats["hits"] += 1
-                document, stored = entry
-                return "hit", (document,
-                               round(max(time.time() - stored, 0.0), 6))
-            flight = self._flights.get(key)
-            if flight is not None:
-                self._stats["coalesced"] += 1
-                return "join", flight
-            flight = _Flight()
-            self._flights[key] = flight
-            self._stats["misses"] += 1
-            return "lead", flight
+            if entry is None:
+                if count_miss:
+                    self._stats["misses"] += 1
+                return None
+            self._stats["hits"] += 1
+        document, stored = entry
+        return document, round(max(time.time() - stored, 0.0), 6)
 
-    def wait(self, flight: _Flight,
-             timeout: Optional[float] = None) -> Optional[dict]:
-        """Block on a joined flight; the leader's stored document
-        (read-only), or ``None`` when the leader failed/abandoned (the
-        joiner computes itself) or the timeout elapsed."""
-        if not flight.event.wait(timeout):
-            return None
-        if flight.document is None:
-            with self._lock:
-                self._stats["coalesced_misses"] += 1
-            return None
-        return flight.document
-
-    def complete(self, key: str, flight: _Flight,
-                 document: dict) -> tuple[dict, int]:
-        """Leader succeeded: store the canonical document, wake the
-        joiners.  Returns the stored document (read-only, the leader
-        serves it like a hit, so no request keeps a second decoded
-        copy) and the number of store entries the store evicted."""
+    def put(self, key: str, document: dict) -> tuple[dict, int]:
+        """Store the canonical form of a computed document.  Returns the
+        stored document (read-only; the computing request serves it like
+        a hit, so no request keeps a second decoded copy) and the number
+        of store entries the store evicted."""
         canonical = json.loads(json.dumps(document, sort_keys=True))
         evicted = self.store.store_artifact(key, (canonical, time.time()),
                                             durable=False)
-        flight.document = canonical
         with self._lock:
             self._stats["stores"] += 1
-            self._flights.pop(key, None)
-        flight.event.set()
         return canonical, evicted
-
-    def abandon(self, key: str, flight: _Flight) -> None:
-        """Leader failed: wake joiners empty-handed, cache nothing."""
-        with self._lock:
-            self._flights.pop(key, None)
-        flight.event.set()
 
     # -- invalidation ---------------------------------------------------
 
@@ -201,13 +160,12 @@ class VerdictCache:
     # -- introspection --------------------------------------------------
 
     def stats(self) -> dict:
-        """The flight counters plus the whole store's occupancy:
+        """The lookup counters plus the whole store's occupancy:
         ``entries``/``bytes``/``max_bytes``/``evictions`` describe
         programs, schedules and verdicts together."""
         memory = self.store.memory
         with self._lock:
             return dict(self._stats, entries=len(memory),
                         bytes=memory.bytes, max_bytes=memory.max_bytes,
-                        evictions=memory.evictions,
-                        inflight=len(self._flights))
+                        evictions=memory.evictions)
 

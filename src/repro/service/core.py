@@ -11,8 +11,10 @@ submission and terminal state is journaled durably.
 Request flow::
 
     submit() ── validation ──> InvalidRequest (400)
-           ├── breaker gate ──> ProgramQuarantined (503 + Retry-After)
            ├── drain gate ────> ShuttingDown (503)
+           ├── breaker gate ──> ProgramQuarantined (503 + Retry-After)
+           ├── tenant quota ──> QuotaExceeded (429 + Retry-After)
+           ├── verdict cache ─> done (a hit, on the submitting thread)
            ├── bounded queue ─> AdmissionRejected (429 + Retry-After)
            └── queued ── executor thread ── running ──> done / failed /
                                                         timed_out
@@ -20,11 +22,16 @@ Request flow::
             └─ in-flight ───────> allowed to finish (cancel event only
                                    fires when drain_grace_s expires)
 
-Executor threads run requests on the shared batch engine
+One executor thread runs the queued requests, one at a time, in the
+admission queue's priority and fairness order, on the shared engine
 (:func:`repro.service.executor.execute_assessment`) with one **warm
 process-wide** :class:`~repro.harness.engine.CompileCache`, so the
 compile cost of a design-iteration loop is paid once, not per request;
-the same store holds the verdict cache's documents.
+the same store holds the verdict cache's documents.  A cold request is
+a GIL-bound schedule replay, so a second thread would add no throughput,
+only a second request's working set; at ``jobs > 1`` the one thread
+always holds the pool lease.  A request identical to a queued one finds
+its verdict stored when it is taken off the queue.
 
 SLO metrics (queue depth, p50/p95/p99 latency, goodput, rejections,
 breaker state) live in a service-owned
@@ -65,8 +72,6 @@ logger = logging.getLogger("repro.service")
 class ServiceConfig:
     """Tunables of one daemon instance (all have safe defaults)."""
 
-    #: Executor threads (concurrent requests in flight).
-    workers: int = 2
     #: Pool worker processes per request batch (1 = in-thread serial).
     jobs: int = 1
     #: Bounded admission-queue depth.
@@ -141,12 +146,10 @@ class LeakageService:
         self._drain_summary: Optional[dict] = None
         self._started = time.monotonic()
         self._inflight = 0
-        self._threads = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"assess-worker-{index}", daemon=True)
-            for index in range(max(1, self.config.workers))]
-        for thread in self._threads:
-            thread.start()
+        self._thread = threading.Thread(target=self._worker_loop,
+                                        name="assess-worker-0",
+                                        daemon=True)
+        self._thread.start()
 
     # -- metrics (service-owned registry; one lock, many threads) -------
 
@@ -216,7 +219,9 @@ class LeakageService:
 
     def submit(self, payload: Union[dict, AssessRequest],
                trace_id: Optional[str] = None) -> RequestRecord:
-        """Admit one request; returns its record (state ``queued``).
+        """Admit one request; returns its record — state ``queued``, or
+        already ``done`` when the verdict cache answered it here, on the
+        calling thread, without a queue slot.
 
         Raises the typed taxonomy otherwise — and journals rejected
         submissions too, so the restart accounting covers them.
@@ -231,12 +236,18 @@ class LeakageService:
         self._transition("received", record, client=request.client,
                          priority=request.priority,
                          program=program_key.rpartition("-")[2][:12])
+        key = _cache_key(request)
+        hit = None
         try:
             if self._draining.is_set():
                 raise ShuttingDown("service is draining; request not "
                                    "admitted")
             self.breaker.admit(program_key)
-            self.queue.put(record)
+            self.queue.admit(request.client)
+            if key is not None:
+                hit = self.verdict_cache.lookup(key, count_miss=False)
+            if hit is None:
+                self.queue.enqueue(record)
         except ServiceError as error:
             self._tag_error(record, error)
             record.finish(protocol.REJECTED
@@ -253,12 +264,17 @@ class LeakageService:
                         "requests by terminal state", state=record.state)
             self._set_gauges()
             raise
+        self._count("service_requests_total",
+                    "requests admitted (served from the verdict cache "
+                    "or queued)",
+                    client=request.client, priority=request.priority)
+        if hit is not None:
+            self._serve_hit(record, program_key, *hit)
+            self._remember(record)
+            return record
         self._transition("admitted", record,
                          queue_depth=self.queue.depth)
         self._remember(record)
-        self._count("service_requests_total",
-                    "requests accepted into the queue",
-                    client=request.client, priority=request.priority)
         self._set_gauges()
         return record
 
@@ -328,8 +344,14 @@ class LeakageService:
         self._transition("started", record, queued_s=round(queued_s, 6))
         self._observe("service_queue_seconds", queued_s,
                       "time from admission to execution start")
+        key = _cache_key(request)
+        if key is not None:
+            hit = self.verdict_cache.lookup(key)
+            if hit is not None:
+                self._serve_hit(record, program_key, *hit)
+                return
         try:
-            result, cache_hit = self._execute_cached(record, deadline)
+            result = self._execute_stored(record, key, deadline)
         except ShuttingDown as error:
             self._finish(record, protocol.SHUTDOWN, error=error)
         except ServiceError as error:  # DeadlineExceeded, ExecutionFailed
@@ -354,108 +376,54 @@ class LeakageService:
                              f"{type(error).__name__}: {error}"))
         else:
             self.breaker.record_success(program_key)
-            self._finish(record, protocol.DONE, result=result,
-                         cache_hit=cache_hit)
+            self._finish(record, protocol.DONE, result=result)
 
-    def _execute_cached(self, record: RequestRecord,
-                        deadline: Optional[float]) \
-            -> tuple[dict, Optional[tuple]]:
-        """Serve from / fill the verdict cache around :meth:`_execute`.
+    def _serve_hit(self, record: RequestRecord, program_key: str,
+                   document: dict, age_s: float) -> None:
+        """Finish ``record`` with a stored verdict: the shared document
+        plus this request's envelope ``(age_s, wall_s)``, where
+        ``wall_s`` runs from execution start, or from submission for a
+        hit at admission.  The document stays bit-identical (digest,
+        verdict, totals); the record stamps the envelope and its own
+        request onto it when its result is read."""
+        self._transition("verdict_cache_hit", record)
+        self._count("verdict_cache_hits",
+                    "requests served from the verdict cache",
+                    source="direct")
+        self.breaker.record_success(program_key)
+        started = record.started_monotonic or record.submitted_monotonic
+        self._finish(record, protocol.DONE, result=document,
+                     cache_hit=(age_s,
+                                round(time.monotonic() - started, 6)))
 
-        Returns the result document and, for a hit, its envelope
-        (:meth:`_cache_envelope`).  Bypass conditions: ``"cache": false``
-        on the request, or attribution requested (the snapshot is per-run
-        observability, not part of the cacheable result).  Concurrent
-        identical requests coalesce single-flight: one leader computes,
-        joiners block on the flight (still honoring their own deadline
-        and the drain cancel event) and share the leader's document.
-        A failed leader wakes joiners empty-handed and each computes
-        independently — errors are never cached or propagated sideways.
-        """
-        request = record.request
-        cache = self.verdict_cache
-        if not request.cache or request.attribution:
-            return self._execute(record, deadline), None
-        key = verdict_key(request)
-        outcome, token = cache.begin(key)
-        if outcome == "hit":
-            document, age_s = token
-            self._transition("verdict_cache_hit", record)
-            self._count("verdict_cache_hits",
-                        "requests served from the verdict cache",
-                        source="direct")
-            return document, self._cache_envelope(record, age_s)
-        if outcome == "join":
-            document = self._await_flight(record, token, deadline)
-            if document is not None:
-                self._transition("verdict_cache_hit", record,
-                                 coalesced=True)
-                self._count("verdict_cache_hits",
-                            "requests served from the verdict cache",
-                            source="coalesced")
-                return document, self._cache_envelope(record, None)
-            self._transition("verdict_cache_miss", record,
-                             leader_failed=True)
-            self._count("verdict_cache_misses",
-                        "requests that had to simulate")
-            return self._execute(record, deadline), None
+    def _execute_stored(self, record: RequestRecord, key: Optional[str],
+                        deadline: Optional[float]) -> dict:
+        """:meth:`_execute` a verdict-cache miss and store its document
+        (``key`` None: the request bypasses the cache)."""
+        if key is None:
+            return self._execute(record, deadline)
         self._transition("verdict_cache_miss", record)
         self._count("verdict_cache_misses",
                     "requests that had to simulate")
-        try:
-            result = self._execute(record, deadline)
-        except BaseException:
-            cache.abandon(key, token)
-            raise
+        result = self._execute(record, deadline)
         # The record keeps the stored canonical document, not the
         # executor's: a retained cold request holds one copy, as a hit.
-        result, evicted = cache.complete(key, token, result)
+        result, evicted = self.verdict_cache.put(key, result)
         self._transition("verdict_cache_store", record)
         if evicted:
             self._count("verdict_cache_evictions",
                         "store entries evicted past the memory budget "
                         "by a verdict store",
                         value=evicted)
-        return result, None
-
-    def _await_flight(self, record: RequestRecord, flight,
-                      deadline: Optional[float]) -> Optional[dict]:
-        """Wait on a coalesced flight without outliving the request."""
-        self._transition("verdict_cache_wait", record)
-        while True:
-            if self._cancel.is_set():
-                raise ShuttingDown(
-                    "request cancelled while coalesced on an identical "
-                    "computation (service draining)")
-            remaining = None if deadline is None \
-                else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                from .errors import DeadlineExceeded
-
-                raise DeadlineExceeded(
-                    "deadline exceeded while coalesced on an identical "
-                    "in-flight computation")
-            window = 0.25 if remaining is None else min(0.25, remaining)
-            if flight.event.wait(window):
-                return self.verdict_cache.wait(flight, timeout=0)
-            # flight still running; loop re-checks deadline/cancel
-
-    def _cache_envelope(self, record: RequestRecord,
-                        age_s: Optional[float]) -> tuple:
-        """The per-request part of a cached result, ``(age_s, wall_s)``:
-        the stored document stays bit-identical (digest, verdict,
-        totals) and shared; the record stamps this envelope and its own
-        request onto it when its result is read."""
-        started = record.started_monotonic or time.monotonic()
-        return age_s, round(time.monotonic() - started, 6)
+        return result
 
     def _execute(self, record: RequestRecord,
                  deadline: Optional[float]) -> dict:
         """Run one request's assessment, with request-scoped tracing.
 
         The scope is **forced** for this thread only (see
-        :func:`repro.obs.scope`): the global sink stays off, sibling
-        executor threads trace their own requests independently, and the
+        :func:`repro.obs.scope`): the global sink stays off, so other
+        threads (the HTTP handlers) record nothing into it, and the
         span tree is captured in a ``finally`` — a request that fails or
         times out mid-chunk keeps the partial tree the finished jobs
         already grafted, instead of dropping it with the chunk.
@@ -536,9 +504,7 @@ class LeakageService:
             "queue_depth": self.queue.depth,
             "queue_capacity": self.queue.max_depth,
             "inflight": inflight,
-            "workers": len(self._threads),
-            "workers_alive": sum(1 for thread in self._threads
-                                 if thread.is_alive()),
+            "workers_alive": int(self._thread.is_alive()),
             "terminal": self._terminal_counts(),
             "breaker_open": self.breaker.open_count(),
         }
@@ -549,11 +515,11 @@ class LeakageService:
         return health
 
     def ready(self) -> tuple[bool, str]:
-        """Readiness: accepting new work, with live executor threads."""
+        """Readiness: accepting new work, with a live executor thread."""
         if self._draining.is_set():
             return False, "draining"
-        if not any(thread.is_alive() for thread in self._threads):
-            return False, "no live executor threads"
+        if not self._thread.is_alive():
+            return False, "no live executor thread"
         return True, "ok"
 
     def metrics_snapshot(self) -> dict:
@@ -610,17 +576,14 @@ class LeakageService:
             record.finish(protocol.SHUTDOWN, error=error)
             self._transition("terminal", record, code=error.code)
             self._count("service_terminal_total", state=protocol.SHUTDOWN)
-        deadline = time.monotonic() + max(grace, 0.0)
-        for thread in self._threads:
-            thread.join(max(deadline - time.monotonic(), 0.0))
-        if any(thread.is_alive() for thread in self._threads):
+        self._thread.join(max(grace, 0.0))
+        if self._thread.is_alive():
             # Grace expired: cancel in-flight chunked work; give the
-            # threads one more short window to observe the event.
+            # thread one more short window to observe the event.
             self._cancel.set()
-            for thread in self._threads:
-                thread.join(5.0)
+            self._thread.join(5.0)
         self._set_gauges()
-        # Executor threads are parked (or cancelled); every pool lease
+        # The executor thread is parked (or cancelled); the pool lease
         # is released, so the shared pool drains deterministically —
         # stranded_workers must be 0 in the summary and the manifest.
         pool_summary = harness_pool.shutdown_shared_pool(
@@ -631,8 +594,7 @@ class LeakageService:
             "queued_failed_typed": len(abandoned),
             "inflight_finished":
                 self._terminal_counts().get(protocol.DONE, 0),
-            "workers_alive": sum(1 for thread in self._threads
-                                 if thread.is_alive()),
+            "workers_alive": int(self._thread.is_alive()),
         }
         if pool_summary is not None:
             summary["pool"] = pool_summary
@@ -671,13 +633,11 @@ class LeakageService:
         summary.update({
             "verdict_cache_hits": stats["hits"],
             "verdict_cache_misses": stats["misses"],
-            "verdict_cache_coalesced": stats["coalesced"],
             "verdict_cache_evictions": stats["evictions"],
         })
         manifest = obs.build_manifest(
             experiment_id="service",
-            config={"workers": self.config.workers,
-                    "jobs": self.config.jobs,
+            config={"jobs": self.config.jobs,
                     "queue_depth": self.config.queue_depth,
                     "retries": self.config.retries,
                     "chunk_size": self.config.chunk_size,
@@ -686,6 +646,15 @@ class LeakageService:
             summary=summary,
             metrics=self.metrics_snapshot(), spans=[])
         return obs.write_manifest(manifest, self.config.manifest_out)
+
+
+def _cache_key(request: AssessRequest) -> Optional[str]:
+    """The request's verdict-cache key, or ``None`` when it bypasses the
+    cache: ``"cache": false``, or attribution requested (the snapshot is
+    per-run observability, not part of the cacheable result)."""
+    if not request.cache or request.attribution:
+        return None
+    return verdict_key(request)
 
 
 def _queued_past_deadline(record: RequestRecord):

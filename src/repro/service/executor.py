@@ -1,7 +1,7 @@
 """Request execution: one :class:`AssessRequest` -> one result document.
 
 :func:`execute_assessment` is the *only* place a request's jobs are
-built, so the daemon's executor threads and the batch CLI
+built, so the daemon's executor thread and the batch CLI
 (``repro submit --local``) run literally the same code — the service's
 bit-identity guarantee is structural, not tested-into-existence.  The
 job batch is shaped exactly like :func:`repro.attacks.dpa.collect_traces`

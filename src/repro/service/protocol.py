@@ -318,9 +318,9 @@ class RequestRecord:
     #: Per-PC attribution snapshot (``request.attribution`` only).
     attribution_snapshot: Optional[dict] = None
     #: A verdict-cache hit's envelope, ``(age_s, wall_s)``: the stored
-    #: entry's age (None for a coalesced joiner) and this request's wall
-    #: time.  The result is then the store's shared document, which
-    #: nothing mutates; :attr:`result` stamps the envelope on read.
+    #: entry's age and this request's wall time.  The result is then
+    #: the store's shared document, which nothing mutates; :attr:`result`
+    #: stamps the envelope on read.
     cache_hit: Optional[tuple] = field(default=None, init=False)
     _result: Optional[dict] = field(default=None, init=False, repr=False)
     #: Lifecycle events in occurrence order, each the
@@ -386,8 +386,7 @@ class RequestRecord:
         document = _copy_containers(self._result)
         if self.cache_hit is not None:
             age_s, wall_s = self.cache_hit
-            document["verdict_cache"] = {"hit": True} if age_s is None \
-                else {"hit": True, "age_s": age_s}
+            document["verdict_cache"] = {"hit": True, "age_s": age_s}
             document["request"] = self.request.to_dict()
             document["wall_s"] = wall_s
         return document

@@ -24,7 +24,7 @@ spent" (``quota_exceeded``, Retry-After = time to the next token) from
 "the service is saturated" (``admission_rejected``).
 
 Everything is thread-safe behind one lock + condition; ``close()`` flips
-the queue into drain mode, where ``put`` raises
+the queue into drain mode, where ``admit``, ``enqueue`` and ``put`` raise
 :class:`~repro.service.errors.ShuttingDown` and ``drain()`` hands back
 whatever was still queued so the daemon can fail it *typed*, never
 silently.
@@ -129,7 +129,30 @@ class AdmissionQueue:
     # -- producer side --------------------------------------------------
 
     def put(self, record: RequestRecord) -> int:
-        """Admit one request; returns the queue depth after admission.
+        """:meth:`admit` then :meth:`enqueue` one request; returns the
+        queue depth after admission."""
+        self.admit(record.request.client)
+        return self.enqueue(record)
+
+    def admit(self, client: str) -> None:
+        """The gates before a queue slot: raises :class:`ShuttingDown`
+        once the queue is closed and :class:`QuotaExceeded` when
+        ``client``'s token bucket is empty (one token is taken)."""
+        with self._lock:
+            if self._closed:
+                raise ShuttingDown("service is draining; request not "
+                                   "admitted")
+        if self.limiter is not None:
+            wait_s = self.limiter.admit(client)
+            if wait_s > 0:
+                raise QuotaExceeded(
+                    f"client {client!r} exceeded its rate quota of "
+                    f"{self.limiter.rate:g} requests/s; the service has "
+                    "capacity, but this tenant's budget is spent",
+                    retry_after_s=max(wait_s, 0.05))
+
+    def enqueue(self, record: RequestRecord) -> int:
+        """Queue one admitted request; returns the queue depth after.
 
         Raises :class:`AdmissionRejected` (with a ``retry_after_s``
         estimate of when a slot should free up) when full, and
@@ -139,15 +162,6 @@ class AdmissionQueue:
             if self._closed:
                 raise ShuttingDown("service is draining; request not "
                                    "admitted")
-            if self.limiter is not None:
-                wait_s = self.limiter.admit(record.request.client)
-                if wait_s > 0:
-                    raise QuotaExceeded(
-                        f"client {record.request.client!r} exceeded its "
-                        f"rate quota of {self.limiter.rate:g} "
-                        "requests/s; the service has capacity, but this "
-                        "tenant's budget is spent",
-                        retry_after_s=max(wait_s, 0.05))
             if self._depth >= self.max_depth:
                 raise AdmissionRejected(
                     f"admission queue is full "

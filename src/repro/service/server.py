@@ -1,7 +1,8 @@
 """Threaded HTTP JSON API over :class:`~repro.service.core.LeakageService`.
 
 Stdlib-only (``http.server``); one thread per connection on top of the
-service's own executor threads.  Endpoints:
+service's one executor thread.  A submission the verdict cache answers
+finishes on its connection thread, without a queue slot.  Endpoints:
 
 ========================  ==================================================
 ``POST /v1/requests``     submit; ``?wait=SECONDS`` blocks for the result.
@@ -20,16 +21,16 @@ service's own executor threads.  Endpoints:
 ``GET /healthz``          liveness + drain state; always 200 while the
                           process can answer at all.
 ``GET /readyz``           admission readiness: 200, or 503 while draining
-                          or with no live executor threads.
+                          or with no live executor thread.
 ``GET /metrics``          SLO metrics snapshot (p50/p95/p99 latency, queue
                           depth, goodput, rejections, breaker state);
                           ``?format=prometheus`` for text exposition.
 ``GET /dashboard``        self-contained auto-refreshing HTML SLO page.
 ``GET /v1/recovery``      restart journal accounting (what a previous,
                           killed daemon left behind).
-``GET /v1/cache``         verdict-cache stats (hits, misses, coalesces)
-                          plus the artifact store's evictions and live
-                          entry/byte gauges.
+``GET /v1/cache``         verdict-cache stats (hits, misses, stores,
+                          invalidations) plus the artifact store's
+                          evictions and live entry/byte gauges.
 ``POST /v1/cache/invalidate``  drop cached verdicts; an optional JSON
                           body ``{"program_key": ...}`` restricts the
                           drop to one program variant.
@@ -69,7 +70,8 @@ logger = logging.getLogger("repro.service.server")
 
 #: Longest single ``?wait=`` a client may ask for (long-polling bound).
 MAX_WAIT_S = 600.0
-#: Submission bodies larger than this are rejected unread.
+#: Submission bodies larger than this are rejected unread (413, and the
+#: connection closes: the unread body must not be parsed as a request).
 MAX_BODY_BYTES = 1 << 20
 
 
@@ -128,7 +130,8 @@ class _Handler(BaseHTTPRequestHandler):
     def send_error(self, code: int, message: Optional[str] = None,
                    explain: Optional[str] = None) -> None:
         """Replies to requests that never reach a route (400 malformed
-        request line, 414 over-long line, 501 unsupported method, ...).
+        request line or ``Content-Length``, 413 oversized body, 414
+        over-long line, 501 unsupported method, ...).
 
         The inherited version writes its headers and an HTML body in two
         sends; this one answers with a typed JSON error through
@@ -268,10 +271,19 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         parsed = urlparse(self.path)
         query = parse_qs(parsed.query)
+        raw_length = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            if length > MAX_BODY_BYTES:
-                raise ServiceError("request body too large")
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.send_error(400, f"invalid Content-Length {raw_length!r}")
+            return
+        if length > MAX_BODY_BYTES:
+            self.send_error(413, f"request body of {length} bytes exceeds "
+                                 f"the {MAX_BODY_BYTES}-byte limit")
+            return
+        try:
             try:
                 payload = json.loads(self.rfile.read(length) or b"{}")
             except json.JSONDecodeError as error:

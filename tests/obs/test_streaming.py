@@ -150,6 +150,52 @@ def test_blocked_t_statistic_equals_the_whole_row_expression(
             [0.0, 0.0, float("inf"), float("-inf")]
 
 
+def _plain_welford(rows):
+    """Welford over whole rows (the reference the blocked
+    :meth:`WelfordAccumulator.update` must match exactly)."""
+    count, mean, m2 = 1, rows[0].copy(), np.zeros_like(rows[0])
+    for row in rows[1:]:
+        count += 1
+        delta = row - mean
+        mean += delta / count
+        m2 += delta * (row - mean)
+    return mean, m2
+
+
+@pytest.mark.parametrize("tail", [1, 3], ids=["1-cycle-tail", "3-cycle-tail"])
+def test_blocked_update_and_max_abs_t_equal_the_whole_row_expressions(tail):
+    """Two blocks plus a tail (a 1-cycle tail joins the block before
+    it): the blocked Welford state is the whole-row state byte for byte,
+    and ``max_abs_t`` is the largest |t| of the plain statistic,
+    including the ±inf definite-leak corner in the tail."""
+    from repro.machine.scoring import SCORE_BLOCK
+
+    cycles = 2 * SCORE_BLOCK + tail
+    traces = _traces(9, cycles, seed=17)
+    partition = np.array([0, 1, 0, 1, 1, 0, 1, 0, 0])
+    traces[:, -1] = 4.0
+    traces[partition == 1, -1] = 1.0                # -inf, in the tail
+    accumulator = _fold(traces, WelchTAccumulator(), groups=partition)
+    for group, state in enumerate(accumulator.groups):
+        mean, m2 = _plain_welford(traces[partition == group])
+        assert state.mean.tobytes() == mean.tobytes()
+        assert state.m2.tobytes() == m2.tobytes()
+    finite = np.abs(_plain_t_statistic(accumulator, False)).max()
+    assert accumulator.max_abs_t(definite_leaks=False) == finite
+    assert np.isfinite(finite)
+    assert accumulator.t_statistic(definite_leaks=True)[-1] == -np.inf
+    assert accumulator.max_abs_t(definite_leaks=True) == np.inf
+
+
+def test_max_abs_t_is_zero_until_both_groups_have_two():
+    accumulator = WelchTAccumulator()
+    assert accumulator.max_abs_t() == 0.0
+    accumulator.update([1.0, 2.0], 0)
+    accumulator.update([3.0, 4.0], 0)
+    accumulator.update([5.0, 9.0], 1)
+    assert accumulator.max_abs_t() == 0.0
+
+
 def test_update_rejects_misaligned_and_matrix_rows():
     accumulator = WelfordAccumulator()
     accumulator.update([1.0, 2.0])

@@ -2,11 +2,13 @@
 
 The verdict statistics run one pass per :data:`SCORE_BLOCK`-cycle block,
 so their peak allocation is their per-cycle output plus a number of
-block-sized rows that does not grow with the trace.  Each gate measures
-the traced peak (:mod:`tracemalloc`, which sees NumPy's buffers) above
-the memory in use before the call, and states its bound as a formula of
-the trace shape.  Whole-row evaluation (the previous implementation)
-exceeds both bounds by more than 1.5 MB.
+block-sized rows that does not grow with the trace; a campaign's
+Welford update and its ``max |t|`` have no per-cycle output, so they
+stay below one row.  Each gate measures the traced peak
+(:mod:`tracemalloc`, which sees NumPy's buffers) above the memory in use
+before the call, and states its bound as a formula of the trace shape.
+Whole-row evaluation (the previous implementation) exceeds each bound by
+more than 1.5 MB.
 """
 
 import tracemalloc
@@ -15,7 +17,7 @@ import numpy as np
 
 from repro.machine.scoring import SCORE_BLOCK
 from repro.obs.leakage import assess_population
-from repro.obs.streaming import WelchTAccumulator
+from repro.obs.streaming import WelchTAccumulator, WelfordAccumulator
 from repro.programs import markers as mk
 
 #: Bytes of one float64 row of one block.
@@ -63,3 +65,27 @@ def test_t_statistic_peak_is_its_output_plus_blocks():
         lambda: accumulator.t_statistic(definite_leaks=True))
     bound = 8 * cycles + 8 * BLOCK_ROW
     assert peak <= bound, (peak, bound)
+
+
+def test_welford_update_peak_is_below_one_row():
+    """Folding one 187,845-cycle trace into a campaign's state allocates
+    block-sized temporaries only: less than one row (``8 * cycles``)."""
+    cycles = 187_845
+    rng = np.random.default_rng(7)
+    accumulator = WelfordAccumulator()
+    accumulator.update(rng.normal(100.0, 1.0, size=cycles))
+    row = rng.normal(100.0, 1.0, size=cycles)
+    peak = _traced_peak(lambda: accumulator.update(row))
+    assert peak < 8 * cycles, (peak, 8 * cycles)
+
+
+def test_max_abs_t_peak_is_below_one_row():
+    """A campaign checkpoint's ``max |t|`` builds no t row: its peak is
+    a few block rows, less than one row (``8 * cycles``)."""
+    cycles = 187_845
+    rng = np.random.default_rng(8)
+    accumulator = WelchTAccumulator()
+    for group in (0, 1, 0, 1, 1, 0):
+        accumulator.update(rng.normal(100.0, 1.0, size=cycles), group)
+    peak = _traced_peak(lambda: accumulator.max_abs_t())
+    assert peak < 8 * cycles, (peak, 8 * cycles)

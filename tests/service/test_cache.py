@@ -1,4 +1,5 @@
-"""Verdict cache: keys, LRU, single-flight, service wiring, journal replay.
+"""Verdict cache: keys, LRU, lookup counting, service wiring, journal
+replay.
 
 The acceptance gate mirrors the batch engine's: a cache hit must be
 **bit-identical** to a cold run (same trace digest, same verdict), and a
@@ -31,20 +32,14 @@ def _verdicts(tmp_path, max_bytes=1 << 16) -> VerdictCache:
 
 
 def _put(cache: VerdictCache, key: str, document: dict) -> int:
-    """Store one document the way a leader does; returns evictions."""
-    verb, flight = cache.begin(key)
-    assert verb == "lead"
-    return cache.complete(key, flight, document)[1]
+    """Store one document the way the executor does; returns evictions."""
+    return cache.put(key, document)[1]
 
 
 def _get(cache: VerdictCache, key: str):
-    """The stored document, or ``None`` (the lookup is left unled)."""
-    verb, token = cache.begin(key)
-    if verb == "hit":
-        document, _age_s = token
-        return document
-    cache.abandon(key, token)
-    return None
+    """The stored document, or ``None``."""
+    hit = cache.lookup(key)
+    return None if hit is None else hit[0]
 
 
 # -- key derivation ---------------------------------------------------------
@@ -79,8 +74,7 @@ def test_key_prefix_is_the_program_key_hash():
 def test_hit_shares_the_stored_document_and_reports_its_age(tmp_path):
     cache = _verdicts(tmp_path)
     _put(cache, "verdict-k", {"verdict": {"passed": True}})
-    verb, (document, age_s) = cache.begin("verdict-k")
-    assert verb == "hit"
+    document, age_s = cache.lookup("verdict-k")
     assert document == {"verdict": {"passed": True}}
     assert "verdict_cache" not in document  # the envelope is the caller's
     assert age_s >= 0.0
@@ -88,23 +82,19 @@ def test_hit_shares_the_stored_document_and_reports_its_age(tmp_path):
     assert document is stored
 
 
-def test_hits_and_joiners_share_one_canonical_document(tmp_path):
-    """One decoded copy per entry, handed out as is: the leader, a hit
-    and a joiner get the stored document itself (no per-request copy to
-    retain), and it
-    carries lists, never the tuples the leader stored."""
+def test_hits_and_the_computing_request_share_one_canonical_document(
+        tmp_path):
+    """One decoded copy per entry, handed out as is: the request that
+    stored it and every hit get the stored document itself (no
+    per-request copy to retain), and it carries lists, never the tuples
+    the executor produced."""
     cache = _verdicts(tmp_path)
     document = {"trace_digest": "ab" * 32,
                 "verdict": {"passed": True, "leaky_cycles": (3, 5)}}
-    outcome, leader_flight = cache.begin("verdict-k")
-    assert outcome == "lead"
-    verb, flight = cache.begin("verdict-k")
-    assert verb == "join"
-    served, _evicted = cache.complete("verdict-k", leader_flight, document)
-    joined = cache.wait(flight, timeout=5.0)
+    served, _evicted = cache.put("verdict-k", document)
     first = _get(cache, "verdict-k")
     second = _get(cache, "verdict-k")
-    assert first is second is joined is served  # the leader's too
+    assert first is second is served
     assert first["verdict"]["leaky_cycles"] == [3, 5]
     assert first == json.loads(json.dumps(document))
     stored = cache.store.memory.get("verdict-k")
@@ -177,52 +167,54 @@ def test_invalidate_by_program_key_prefix(tmp_path):
     assert cache.store.artifact("program-x") == b"not a verdict"
 
 
-# -- single-flight ----------------------------------------------------------
+# -- lookup counting --------------------------------------------------------
 
 
-def test_concurrent_identical_requests_coalesce_on_one_leader(tmp_path):
+def test_a_lookup_counts_every_hit_and_only_the_misses_asked_for(tmp_path):
+    """The admission probe (``count_miss=False``) counts no miss: a
+    request that queues counts one, when the executor looks it up."""
     cache = _verdicts(tmp_path)
-    outcome, leader_flight = cache.begin("k")
-    assert outcome == "lead"
-    joined = []
-
-    def join():
-        verb, flight = cache.begin("k")
-        assert verb == "join"
-        joined.append(cache.wait(flight, timeout=30.0))
-
-    threads = [threading.Thread(target=join) for _ in range(3)]
-    for thread in threads:
-        thread.start()
-    time.sleep(0.05)  # let the joiners block on the flight
-    cache.complete("k", leader_flight, {"verdict": "computed-once"})
-    for thread in threads:
-        thread.join(30.0)
-    assert [doc["verdict"] for doc in joined] == ["computed-once"] * 3
+    assert cache.lookup("verdict-k", count_miss=False) is None
+    assert cache.stats()["misses"] == 0
+    assert cache.lookup("verdict-k") is None
+    assert cache.stats()["misses"] == 1
+    _put(cache, "verdict-k", {"verdict": "v"})
+    assert cache.lookup("verdict-k", count_miss=False) is not None
+    assert cache.lookup("verdict-k") is not None
     stats = cache.stats()
-    assert stats["misses"] == 1 and stats["coalesced"] == 3
-    # After completion the entry is a plain hit, no flight left.
-    verb, (document, _age_s) = cache.begin("k")
-    assert verb == "hit" and document["verdict"] == "computed-once"
-    assert stats["inflight"] == 0 or cache.stats()["inflight"] == 0
+    assert (stats["hits"], stats["misses"], stats["stores"]) == (2, 1, 1)
+    assert set(stats) == {"hits", "misses", "stores", "invalidations",
+                          "entries", "bytes", "max_bytes", "evictions"}
 
 
-def test_failed_leader_wakes_joiners_empty_handed(tmp_path):
-    cache = _verdicts(tmp_path)
-    _, leader_flight = cache.begin("k")
-    verb, flight = cache.begin("k")
-    assert verb == "join"
-    cache.abandon("k", leader_flight)
-    assert cache.wait(flight, timeout=5.0) is None
-    assert cache.stats()["coalesced_misses"] == 1
-    assert cache.store.memory.get("k") is None  # errors are never cached
+def test_a_failed_computation_stores_nothing(make_service, monkeypatch):
+    """Errors are never cached: a failing request stores no verdict, and
+    the next identical one simulates again."""
+    service = make_service()
+    execute = service._execute
+    calls = []
+
+    def fail_first(record, deadline):
+        calls.append(record.id)
+        if len(calls) == 1:
+            raise RuntimeError("injected failure")
+        return execute(record, deadline)
+
+    monkeypatch.setattr(service, "_execute", fail_first)
+    failed = service.submit(pair_payload())
+    assert failed.wait(60.0) and failed.state == "failed"
+    retried = service.submit(pair_payload())
+    assert retried.wait(60.0) and retried.state == DONE
+    assert "verdict_cache" not in retried.result
+    stats = service.verdict_cache_stats()
+    assert (stats["misses"], stats["stores"], stats["hits"]) == (2, 1, 0)
 
 
 # -- service wiring ---------------------------------------------------------
 
 
 def test_repeat_submission_hits_cache_bit_identical(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     cold = service.submit(pair_payload())
     assert cold.wait(60.0) and cold.state == DONE
     warm = service.submit(pair_payload())
@@ -247,7 +239,7 @@ def test_mutating_a_served_result_cannot_change_the_next_hit(
     """``RequestRecord.result`` is a fresh copy on every read: changing
     it, at the top level or nested, touches neither the record nor the
     shared document the verdict cache serves next."""
-    service = make_service(workers=1)
+    service = make_service()
     cold = service.submit(pair_payload())
     assert cold.wait(60.0) and cold.state == DONE
     warm = service.submit(pair_payload())
@@ -272,21 +264,65 @@ def test_mutating_a_served_result_cannot_change_the_next_hit(
 
 
 def test_concurrent_identical_submissions_coalesce(make_service):
-    service = make_service(workers=2)
+    """The second of two identical submissions queues behind the first
+    and finds its verdict stored when it is taken off the queue."""
+    service = make_service()
     first = service.submit(population_payload(n_traces=8))
     second = service.submit(population_payload(n_traces=8))
     assert first.wait(120.0) and second.wait(120.0)
     assert first.state == DONE and second.state == DONE
     assert first.result["trace_digest"] == second.result["trace_digest"]
+    assert second.result["verdict_cache"]["hit"] is True
     stats = service.verdict_cache_stats()
-    # Exactly one simulation ran; the other request either coalesced
-    # onto it or (if it finished first) hit the stored entry.
-    assert stats["misses"] == 1
-    assert stats["hits"] + stats["coalesced"] >= 1
+    assert stats["misses"] == 1 and stats["hits"] == 1
+
+
+def test_a_hit_is_answered_at_admission_while_the_executor_is_busy(
+        make_service, monkeypatch):
+    """A stored verdict never waits for the executor thread: submitted
+    while a slow cold request runs, the hit is terminal when ``submit``
+    returns, takes no queue slot and records no queue-wait sample."""
+    service = make_service()
+    cold = service.submit(pair_payload())
+    assert cold.wait(60.0) and cold.state == DONE
+    release = threading.Event()
+    execute = service._execute
+
+    def held(record, deadline):
+        release.wait(60.0)
+        return execute(record, deadline)
+
+    monkeypatch.setattr(service, "_execute", held)
+    slow = service.submit(pair_payload(cache=False))
+    try:
+        for _ in range(60_000):
+            if slow.state == "running":
+                break
+            time.sleep(0.001)
+        assert slow.state == "running"
+        queued_samples = _queue_samples(service)
+        hit = service.submit(pair_payload())
+        assert hit.terminal and hit.state == DONE
+        assert hit.result["verdict_cache"]["hit"] is True
+        assert hit.result["trace_digest"] == cold.result["trace_digest"]
+        assert [mark["event"] for mark in hit.timeline] \
+            == ["received", "verdict_cache_hit", "terminal"]
+        assert hit.queued_s is None
+        assert _queue_samples(service) == queued_samples
+        assert service.queue.depth == 0
+    finally:
+        release.set()
+    assert slow.wait(60.0) and slow.state == DONE
+
+
+def _queue_samples(service) -> int:
+    """Observations in the ``service_queue_seconds`` histogram."""
+    metric = service.metrics_snapshot()["service_queue_seconds"]
+    return sum(series["count"] for series in metric["series"])
 
 
 def test_cache_false_and_attribution_bypass_the_cache(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     for payload in (pair_payload(cache=False),
                     pair_payload(cache=False),
                     pair_payload(attribution=True)):
@@ -301,7 +337,7 @@ def test_cache_false_and_attribution_bypass_the_cache(make_service):
 def test_served_verdict_is_never_written_to_disk(tmp_path):
     """Verdicts are stored memory-only: a served request leaves its
     program on disk but no verdict file."""
-    service = LeakageService(ServiceConfig(workers=1),
+    service = LeakageService(ServiceConfig(),
                              cache=CompileCache(tmp_path))
     try:
         record = service.submit(pair_payload())
@@ -315,7 +351,7 @@ def test_served_verdict_is_never_written_to_disk(tmp_path):
 
 
 def test_invalidation_forces_a_fresh_simulation(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     cold = service.submit(pair_payload())
     assert cold.wait(60.0)
     program_key = AssessRequest.from_dict(pair_payload()).program_key()
@@ -333,8 +369,7 @@ def test_invalidation_forces_a_fresh_simulation(make_service):
 
 def test_restarted_daemon_counts_cached_completions_once(tmp_path):
     journal_path = tmp_path / "journal.jsonl"
-    service = LeakageService(ServiceConfig(workers=1,
-                                           journal=journal_path))
+    service = LeakageService(ServiceConfig(journal=journal_path))
     try:
         cold = service.submit(pair_payload())
         assert cold.wait(60.0) and cold.state == DONE
@@ -344,8 +379,7 @@ def test_restarted_daemon_counts_cached_completions_once(tmp_path):
     finally:
         service.drain(grace_s=30.0)
 
-    restarted = LeakageService(ServiceConfig(workers=1,
-                                             journal=journal_path))
+    restarted = LeakageService(ServiceConfig(journal=journal_path))
     try:
         report = restarted.recovery_report()
         # Two submissions, two terminal frames: the cached completion is

@@ -43,7 +43,7 @@ def _spawn_daemon(tmp_path, fault_plan=None, extra_args=()):
         env["REPRO_FAULT_PLAN"] = fault_plan
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--workers", "1", "--jobs", "2", "--retries", "2",
+         "--jobs", "2", "--retries", "2",
          "--queue-depth", "8", "--chunk-size", "4",
          "--drain-grace", "120",
          "--journal", str(tmp_path / "requests.jsonl"),
@@ -94,7 +94,11 @@ def test_chaos_worker_sigkill_daemon_sigterm_accounts_for_everything(
         _poll_until(
             lambda: client.status(slow["id"])["state"] == "running",
             60.0, "slow request to start executing")
-        queued = [client.submit(pair_payload())["id"] for _ in range(3)]
+        # Phase A stored this payload's verdict; ``cache: false`` keeps
+        # the three requests off the admission-time cache answer, so
+        # they queue behind the slow one.
+        queued = [client.submit(pair_payload(cache=False))["id"]
+                  for _ in range(3)]
         process.send_signal(signal.SIGTERM)
 
         _poll_until(

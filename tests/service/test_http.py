@@ -11,7 +11,7 @@ from repro.service.client import ServiceClient
 from repro.service.core import ServiceConfig
 from repro.service.errors import (InvalidRequest, RequestNotFound,
                                   ServiceError)
-from repro.service.server import ServiceServer
+from repro.service.server import MAX_BODY_BYTES, ServiceServer
 
 from .conftest import pair_payload, population_payload
 
@@ -20,7 +20,7 @@ from .conftest import pair_payload, population_payload
 def server():
     instance = ServiceServer(
         host="127.0.0.1", port=0,
-        config=ServiceConfig(workers=2, queue_depth=8))
+        config=ServiceConfig(queue_depth=8))
     thread = threading.Thread(target=instance.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
@@ -41,7 +41,7 @@ def client(server):
 def test_health_ready_and_metrics_endpoints(client):
     health = client.health()
     assert health["status"] == "ok"
-    assert health["workers_alive"] == 2
+    assert health["workers_alive"] == 1
     ready, document = client.ready()
     assert ready and document["ready"]
     assert "service_queue_depth" in client.metrics()
@@ -192,6 +192,37 @@ def test_protocol_errors_are_one_socket_write(server, monkeypatch,
     assert head.split(b"\r\n")[0].startswith(b"HTTP/1.1 %d " % status)
     assert b"\r\nConnection: close" in head
     error = json.loads(body)["error"]
+    assert error["code"] == code and error["retryable"] is False
+
+
+@pytest.mark.parametrize("length, body, status, code", [
+    (b"abc", b"{}", 400, "bad_request"),
+    # A negative length once read until the client hung up.
+    (b"-1", b"{}", 400, "bad_request"),
+    # An oversized body is left unread; before the connection closed, a
+    # body holding a request line was answered as the next request.
+    (b"%d" % (MAX_BODY_BYTES + 1),
+     b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", 413,
+     "request_entity_too_large"),
+], ids=["400-not-a-number", "400-negative", "413-too-large"])
+def test_bad_content_length_is_typed_and_closes(server, length, body,
+                                                status, code):
+    """A ``Content-Length`` the handler cannot honour is answered with a
+    typed JSON error and ``Connection: close``, at once and only once:
+    nothing after the headers is read or parsed as a request."""
+    import socket
+
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(b"POST /v1/requests HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: " + length + b"\r\n\r\n" + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].startswith(b"HTTP/1.1 %d " % status)
+    assert b"\r\nConnection: close" in head
+    assert reply.count(b"HTTP/1.1 ") == 1, reply
+    error = json.loads(rest)["error"]
     assert error["code"] == code and error["retryable"] is False
 
 

@@ -24,7 +24,7 @@ from repro.service.protocol import (DONE, RUNNING, SHUTDOWN,
 from .conftest import pair_payload
 
 #: Bytes one served cache-hit record may retain (``tools/retention_probe.py``
-#: reads ~1.7 kB; a per-hit copy of the stored document adds ~2.8 kB).
+#: reads ~1.3 kB; a per-hit copy of the stored document adds ~2.8 kB).
 MAX_BYTES_PER_HIT = 2000
 
 HITS = 100
@@ -55,7 +55,7 @@ def _serve(service, **overrides) -> RequestRecord:
 
 
 def test_a_retained_cache_hit_costs_at_most_2000_bytes(make_service):
-    service = make_service(workers=1, history_limit=HITS + 16)
+    service = make_service(history_limit=HITS + 16)
     _serve(service)  # the fill
     _serve(service)  # one hit first: its metric series is built once
     gc.collect()
@@ -76,7 +76,7 @@ def test_a_retained_cache_hit_costs_at_most_2000_bytes(make_service):
 def test_a_retained_cold_request_costs_at_most_15000_bytes(make_service):
     """A leader's record finishes with the document the verdict store
     keeps, so a retained cold request holds one copy of its result."""
-    service = make_service(workers=1, history_limit=COLD_REQUESTS + 16)
+    service = make_service(history_limit=COLD_REQUESTS + 16)
     _serve(service, key=1)  # compile, schedule and metric series
     _serve(service, key=2)
     gc.collect()
@@ -101,7 +101,7 @@ def test_a_retained_cold_request_costs_at_most_15000_bytes(make_service):
 def test_eviction_never_drops_an_inflight_record(make_service, monkeypatch):
     """Hits overflowing a 4-record history evict the oldest terminal
     records, never a request still executing ahead of them."""
-    service = make_service(workers=2, history_limit=4)
+    service = make_service(history_limit=4)
     release = threading.Event()
     execute = service._execute
 

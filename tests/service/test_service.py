@@ -1,6 +1,7 @@
 """LeakageService core: lifecycle, admission, deadlines, drain, metrics."""
 
 import sys
+import threading
 import time
 
 import pytest
@@ -23,7 +24,7 @@ def _wait_running(record, timeout=10.0):
 
 
 def test_request_completes_bit_identical_to_local_execution(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     record = service.submit(pair_payload())
     assert record.wait(60.0)
     assert record.state == DONE
@@ -33,7 +34,7 @@ def test_request_completes_bit_identical_to_local_execution(make_service):
 
 
 def test_queue_overflow_is_typed_and_request_never_tracked(make_service):
-    service = make_service(workers=1, queue_depth=1)
+    service = make_service(queue_depth=1)
     blocker = service.submit(population_payload(n_traces=8))
     _wait_running(blocker)               # worker busy, queue empty
     queued = service.submit(pair_payload())
@@ -50,7 +51,7 @@ def test_queue_overflow_is_typed_and_request_never_tracked(make_service):
 
 
 def test_deadline_missed_while_queued_is_a_typed_timeout(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     blocker = service.submit(population_payload(n_traces=8))
     _wait_running(blocker)
     doomed = service.submit(pair_payload(deadline_s=0.01))
@@ -62,13 +63,13 @@ def test_deadline_missed_while_queued_is_a_typed_timeout(make_service):
 
 
 def test_unknown_request_id_raises_not_found(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     with pytest.raises(RequestNotFound):
         service.get("req-999999")
 
 
 def test_drain_finishes_inflight_and_fails_queued_typed(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     inflight = service.submit(population_payload(n_traces=8))
     _wait_running(inflight)
     queued = [service.submit(pair_payload()) for _ in range(2)]
@@ -93,12 +94,12 @@ def test_drain_finishes_inflight_and_fails_queued_typed(make_service):
 
 
 def test_health_and_readiness_reflect_drain(make_service):
-    service = make_service(workers=2)
+    service = make_service()
     ready, reason = service.ready()
     assert ready and reason == "ok"
     health = service.health()
     assert health["status"] == "ok"
-    assert health["workers_alive"] == 2
+    assert health["workers_alive"] == 1
     assert health["queue_capacity"] == 64
     service.drain(grace_s=30.0)
     ready, reason = service.ready()
@@ -106,8 +107,25 @@ def test_health_and_readiness_reflect_drain(make_service):
     assert service.health()["status"] == "draining"
 
 
+def test_one_executor_thread_per_service(make_service):
+    """Each service runs exactly one ``assess-worker-*`` thread, and the
+    drain joins it."""
+    def executors():
+        return [thread for thread in threading.enumerate()
+                if thread.name.startswith("assess-worker-")
+                and thread.is_alive()]
+
+    before = set(executors())
+    service = make_service()
+    started = [thread for thread in executors() if thread not in before]
+    assert len(started) == 1
+    assert service.health()["workers_alive"] == 1
+    service.drain(grace_s=30.0)
+    assert not started[0].is_alive()
+
+
 def test_slo_metrics_published_after_requests(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     record = service.submit(pair_payload())
     assert record.wait(60.0)
     snapshot = service.metrics_snapshot()
@@ -129,7 +147,7 @@ def test_journal_accounts_for_the_whole_session(make_service, tmp_path):
     from repro.service.journal import replay
 
     journal_path = tmp_path / "requests.jsonl"
-    service = make_service(workers=1, journal=journal_path)
+    service = make_service(journal=journal_path)
     done = service.submit(pair_payload())
     assert done.wait(60.0)
     service.drain(grace_s=30.0)
@@ -137,7 +155,7 @@ def test_journal_accounts_for_the_whole_session(make_service, tmp_path):
     assert report.completed == {"done": 1}
     assert report.interrupted == []
     # A restarted service surfaces the previous session via /v1/recovery.
-    second = make_service(workers=1, journal=journal_path)
+    second = make_service(journal=journal_path)
     recovery = second.recovery_report()
     assert recovery["completed"] == {"done": 1}
     assert recovery["sessions"] == 1
@@ -147,7 +165,7 @@ def test_history_limit_evicts_terminal_records_past_an_inflight_one(
         make_service):
     """An in-flight oldest record must not stop eviction of the finished
     records behind it; the in-flight one itself is never evicted."""
-    service = make_service(workers=1, history_limit=4)
+    service = make_service(history_limit=4)
     request = AssessRequest.from_dict(pair_payload())
     inflight = RequestRecord(request=request)
     service._remember(inflight)
@@ -180,7 +198,7 @@ def test_history_eviction_work_does_not_grow_with_the_history(
         return record
 
     def lines_per_admission(limit: int) -> int:
-        service = make_service(workers=1, history_limit=limit)
+        service = make_service(history_limit=limit)
         for _ in range(limit + 1):  # fill the history, then evict once
             service._remember(finished())
         record = finished()
@@ -213,7 +231,7 @@ def test_health_and_drain_count_every_terminal_past_history_limit(
     from repro.service.errors import QuotaExceeded
 
     manifest_path = tmp_path / "service-manifest.json"
-    service = make_service(workers=1, history_limit=4, quota_rps=0.001,
+    service = make_service(history_limit=4, quota_rps=0.001,
                            quota_burst=10, manifest_out=manifest_path)
     for seed in range(10):
         record = service.submit(pair_payload(seed=seed))
@@ -233,7 +251,7 @@ def test_manifest_written_on_drain(make_service, tmp_path):
     import json
 
     manifest_path = tmp_path / "service-manifest.json"
-    service = make_service(workers=1, manifest_out=manifest_path)
+    service = make_service(manifest_out=manifest_path)
     record = service.submit(pair_payload())
     assert record.wait(60.0)
     summary = service.drain(grace_s=30.0)
@@ -254,7 +272,7 @@ def test_worker_crashes_trip_breaker_and_quarantine_program(
     from repro.service.errors import ProgramQuarantined
 
     monkeypatch.setenv(FAULT_PLAN_ENV, "trace[0]:*:crash")
-    service = make_service(workers=1, jobs=2, retries=1,
+    service = make_service(jobs=2, retries=1,
                            breaker_threshold=1, breaker_cooldown_s=300.0)
     crasher = service.submit(pair_payload())
     assert crasher.wait(120.0)

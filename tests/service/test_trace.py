@@ -35,7 +35,7 @@ def _wait_running(record, timeout=10.0):
 
 
 def test_done_request_timeline_and_spans(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     record = service.submit(pair_payload())
     assert record.wait(60.0) and record.state == DONE
     events = _events(record)
@@ -54,7 +54,7 @@ def test_done_request_timeline_and_spans(make_service):
 
 
 def test_rejected_429_timeline_is_queryable(make_service):
-    service = make_service(workers=1, queue_depth=1)
+    service = make_service(queue_depth=1)
     blocker = service.submit(population_payload(n_traces=8))
     _wait_running(blocker)
     service.submit(pair_payload())
@@ -71,7 +71,7 @@ def test_rejected_429_timeline_is_queryable(make_service):
 
 
 def test_queued_past_deadline_timeline(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     blocker = service.submit(population_payload(n_traces=8))
     _wait_running(blocker)
     doomed = service.submit(pair_payload(deadline_s=0.01))
@@ -83,7 +83,7 @@ def test_queued_past_deadline_timeline(make_service):
 
 
 def test_breaker_rejection_timeline(make_service):
-    service = make_service(workers=1, breaker_threshold=1,
+    service = make_service(breaker_threshold=1,
                            breaker_cooldown_s=300.0)
     program_key = AssessRequest.from_dict(pair_payload()).program_key()
     service.breaker.record_crash(program_key)
@@ -96,7 +96,7 @@ def test_breaker_rejection_timeline(make_service):
 
 
 def test_drained_queued_request_timeline(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     blocker = service.submit(population_payload(n_traces=8))
     _wait_running(blocker)
     queued = service.submit(pair_payload())
@@ -112,7 +112,7 @@ def test_drained_queued_request_timeline(make_service):
 
 def test_traced_result_bit_identical_to_untraced_local(make_service):
     """Request tracing must never perturb the simulated energies."""
-    service = make_service(workers=1)
+    service = make_service()
     record = service.submit(pair_payload(attribution=True))
     assert record.wait(60.0) and record.state == DONE
     local = execute_assessment(AssessRequest.from_dict(pair_payload()))
@@ -122,7 +122,7 @@ def test_traced_result_bit_identical_to_untraced_local(make_service):
 
 
 def test_tracing_disabled_still_keeps_timeline(make_service):
-    service = make_service(workers=1, trace_requests=False)
+    service = make_service(trace_requests=False)
     record = service.submit(pair_payload())
     assert record.wait(60.0) and record.state == DONE
     assert record.spans is None
@@ -131,7 +131,7 @@ def test_tracing_disabled_still_keeps_timeline(make_service):
 
 
 def test_span_forest_compaction_above_limit(make_service):
-    service = make_service(workers=1, span_tree_limit=2)
+    service = make_service(span_tree_limit=2)
     record = service.submit(pair_payload())
     assert record.wait(60.0) and record.state == DONE
     assert record.spans_compacted
@@ -147,7 +147,7 @@ def test_failed_request_keeps_partial_spans_and_failing_phase(
     from repro.harness.resilience import FAULT_PLAN_ENV
 
     monkeypatch.setenv(FAULT_PLAN_ENV, "trace[0]:*:crash")
-    service = make_service(workers=1, jobs=2, retries=0)
+    service = make_service(jobs=2, retries=0)
     record = service.submit(pair_payload())
     assert record.wait(120.0)
     assert record.state == "failed"
@@ -173,7 +173,7 @@ def test_event_log_replay_matches_live_timeline(make_service, tmp_path):
     timeline entry carry the same fields, so a replayed timeline equals
     the live one except ``t_s`` (monotonic live, wall-clock replayed)."""
     log_path = tmp_path / "events.jsonl"
-    service = make_service(workers=1, event_log=log_path)
+    service = make_service(event_log=log_path)
     record = service.submit(pair_payload())
     assert record.wait(60.0) and record.state == DONE
     cached = service.submit(pair_payload())  # verdict_cache_hit path too
@@ -194,7 +194,7 @@ def test_event_log_replay_matches_live_timeline(make_service, tmp_path):
 def test_received_entry_names_the_program_by_its_digest(make_service):
     """The ``received`` entry's ``program`` is the first 12 hex digits of
     the program key's digest, not the key's ``program-`` kind prefix."""
-    service = make_service(workers=1)
+    service = make_service()
     record = service.submit(pair_payload())
     assert record.wait(60.0) and record.state == DONE
     kind, _, digest = \
@@ -219,7 +219,7 @@ def test_make_trace_id_accepts_and_mints():
 
 
 def test_submit_carries_client_trace_id(make_service):
-    service = make_service(workers=1)
+    service = make_service()
     record = service.submit(pair_payload(), trace_id="tr-mine")
     assert record.trace_id == "tr-mine"
     assert record.wait(60.0)
@@ -233,7 +233,7 @@ def test_submit_carries_client_trace_id(make_service):
 def server():
     instance = ServiceServer(
         host="127.0.0.1", port=0,
-        config=ServiceConfig(workers=1, queue_depth=8))
+        config=ServiceConfig(queue_depth=8))
     thread = threading.Thread(target=instance.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()

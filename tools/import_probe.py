@@ -79,8 +79,8 @@ def boot_seconds() -> float:
     """Spawn to ``listening`` of one daemon, which is then drained."""
     start = time.perf_counter()
     daemon = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "1"], env=_env(), stdout=subprocess.PIPE,
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        env=_env(), stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, text=True)
     try:
         event = json.loads(daemon.stdout.readline())

@@ -53,7 +53,7 @@ def _retained_per_request(payloads: list, warmups: list,
     """Bytes still allocated after serving ``payloads``, per payload;
     exactly ``hits`` of them must be verdict-cache hits."""
     service = LeakageService(ServiceConfig(
-        workers=1, history_limit=len(payloads) + len(warmups) + 16))
+        history_limit=len(payloads) + len(warmups) + 16))
     try:
         for payload in warmups:
             _serve(service, payload)

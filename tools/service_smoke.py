@@ -102,7 +102,7 @@ def smoke(out_dir: Path) -> None:
     env.pop("REPRO_FAULT_PLAN", None)
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--workers", "1", "--jobs", "2", "--queue-depth", "2",
+         "--jobs", "2", "--queue-depth", "2",
          "--chunk-size", "4", "--drain-grace", "120",
          "--journal", str(journal_path),
          "--manifest-out", str(manifest_path),
@@ -176,10 +176,12 @@ def smoke(out_dir: Path) -> None:
         slow = client.submit(SLOW)
         poll_until(lambda: client.status(slow["id"])["state"] == "running",
                    60.0, "the slow request to start")
-        doomed = client.submit(dict(PAIR, deadline_s=0.05))
-        queued = client.submit(PAIR)
+        # Unique seeds: PAIR's stored verdict would answer each of these
+        # at admission, without a queue slot.
+        doomed = client.submit(dict(PAIR, seed=1, deadline_s=0.05))
+        queued = client.submit(dict(PAIR, seed=2))
         try:
-            client.submit(PAIR)
+            client.submit(dict(PAIR, seed=3))
             check(False, "third queued submission was not rejected")
         except AdmissionRejected as error:
             check(error.http_status == 429 and error.retry_after_s >= 1.0,
@@ -206,7 +208,7 @@ def smoke(out_dir: Path) -> None:
         slow2 = client.submit(dict(SLOW, seed=2004))
         poll_until(lambda: client.status(slow2["id"])["state"] == "running",
                    60.0, "the second slow request to start")
-        stranded = client.submit(PAIR)
+        stranded = client.submit(dict(PAIR, seed=4))
         daemon.send_signal(signal.SIGTERM)
         poll_until(lambda: client.health()["status"] == "draining",
                    30.0, "healthz to report draining")
